@@ -9,14 +9,19 @@
 //! * **router ×1** — the router fronting a single shard holding the whole
 //!   graph, isolating the pure cost of the extra network hop and the
 //!   scatter-gather machinery;
-//! * **router ×2 / ×4** — genuine partitions, where cross-shard queries fan
-//!   out over the boundary overlay.
+//! * **router ×2 / ×4** — genuine partitions, where queries compose through
+//!   the boundary overlay. Each runs twice: **warm** (the default
+//!   `--cache-size`, so endpoint potential rows are cached as the workload
+//!   touches them) and **cold** (`--cache-size 0`: every batch refetches
+//!   every row, the cost a query pays for an endpoint the router has not
+//!   seen or could not keep).
 //!
 //! Every sharded run's answer vector is asserted **bit-identical** to the
 //! direct run's before any number is reported, so the table cannot contain
 //! fast-but-wrong configurations. Reported per topology: throughput, client
 //! p50/p99, the partition's boundary/overlay footprint, and the average
-//! per-client-query backend fan-out from the router's own counters.
+//! per-client-query backend fan-out and the potential-cache hit rate, both
+//! from the router's own counters.
 //!
 //! Usage: `exp11_sharding [--small] [--reps N] [--json <path>]`
 
@@ -35,7 +40,7 @@ use wcsd_server::{Client, Protocol, Router, RouterConfig, Server, ServerConfig, 
 /// One (dataset, topology) measurement.
 struct Exp11Result {
     dataset: String,
-    /// `"direct"` or `"router x<k>"`.
+    /// `"direct"`, `"router x<k>"` or `"router x<k> cold"`.
     topology: String,
     shards: usize,
     /// Boundary vertices and overlay edges (0 for the direct topology).
@@ -47,6 +52,8 @@ struct Exp11Result {
     p99_us: f64,
     /// Average backend queries fanned out per client query (router runs).
     fanout_per_query: f64,
+    /// Share of endpoint potential rows served from the router's cache.
+    potential_hit_rate: f64,
     /// Throughput relative to the direct baseline on the same dataset.
     relative_qps: f64,
 }
@@ -64,6 +71,7 @@ impl JsonRecord for Exp11Result {
             ("p50_us", format!("{:.1}", self.p50_us)),
             ("p99_us", format!("{:.1}", self.p99_us)),
             ("fanout_per_query", format!("{:.2}", self.fanout_per_query)),
+            ("potential_hit_rate", format!("{:.3}", self.potential_hit_rate)),
             ("relative_qps", format!("{:.3}", self.relative_qps)),
         ]
     }
@@ -112,6 +120,7 @@ fn run(args: &[String]) -> Result<(), String> {
             p50_us: baseline.1,
             p99_us: baseline.2,
             fanout_per_query: 0.0,
+            potential_hit_rate: 0.0,
             relative_qps: 1.0,
         });
 
@@ -120,47 +129,57 @@ fn run(args: &[String]) -> Result<(), String> {
             let sharded = ShardedIndex::build(&g, &partition);
             let boundary = sharded.overlay().num_boundary();
             let overlay_edges = sharded.overlay().num_edges();
-            let ((qps, p50, p99, fanout), answers) =
-                best_of(reps, || router_run(&dataset.name, &sharded, &workload))?;
-            if answers != reference {
-                return Err(format!(
-                    "{} x{shards}: router answers diverge from the direct run",
-                    dataset.name
-                ));
+            // One shard has no boundary and so nothing to cache: one row.
+            let mut caches = vec![("", RouterConfig::default().cache_capacity)];
+            if shards > 1 {
+                caches.push((" cold", 0));
             }
-            let row = Exp11Result {
-                dataset: dataset.name.clone(),
-                topology: format!("router x{shards}"),
-                shards,
-                boundary,
-                overlay_edges,
-                queries,
-                qps,
-                p50_us: p50,
-                p99_us: p99,
-                fanout_per_query: fanout,
-                relative_qps: if baseline.0 > 0.0 { qps / baseline.0 } else { 0.0 },
-            };
-            eprintln!(
-                "[exp11] {} {}: {:.0} qps ({:.2}x direct), p50 {:.0} µs, p99 {:.0} µs, \
-                 boundary {}, fanout {:.2}/query",
-                dataset.name,
-                row.topology,
-                row.qps,
-                row.relative_qps,
-                row.p50_us,
-                row.p99_us,
-                row.boundary,
-                row.fanout_per_query
-            );
-            results.push(row);
+            for (suffix, cache_capacity) in caches {
+                let ((qps, p50, p99, fanout, hit_rate), answers) = best_of(reps, || {
+                    router_run(&dataset.name, &sharded, &workload, cache_capacity)
+                })?;
+                if answers != reference {
+                    return Err(format!(
+                        "{} x{shards}{suffix}: router answers diverge from the direct run",
+                        dataset.name
+                    ));
+                }
+                let row = Exp11Result {
+                    dataset: dataset.name.clone(),
+                    topology: format!("router x{shards}{suffix}"),
+                    shards,
+                    boundary,
+                    overlay_edges,
+                    queries,
+                    qps,
+                    p50_us: p50,
+                    p99_us: p99,
+                    fanout_per_query: fanout,
+                    potential_hit_rate: hit_rate,
+                    relative_qps: if baseline.0 > 0.0 { qps / baseline.0 } else { 0.0 },
+                };
+                eprintln!(
+                    "[exp11] {} {}: {:.0} qps ({:.2}x direct), p50 {:.0} µs, p99 {:.0} µs, \
+                     boundary {}, fanout {:.2}/query, potential hit rate {:.2}",
+                    dataset.name,
+                    row.topology,
+                    row.qps,
+                    row.relative_qps,
+                    row.p50_us,
+                    row.p99_us,
+                    row.boundary,
+                    row.fanout_per_query,
+                    row.potential_hit_rate
+                );
+                results.push(row);
+            }
         }
     }
 
     for r in &results {
         println!(
-            "{:<22} {:<10} qps {:>8.0} ({:>5.2}x) p50 {:>7.1} µs p99 {:>8.1} µs \
-             boundary {:>5} overlay {:>6} fanout {:>5.2}",
+            "{:<22} {:<14} qps {:>8.0} ({:>5.2}x) p50 {:>7.1} µs p99 {:>8.1} µs \
+             boundary {:>5} overlay {:>6} fanout {:>6.2} hit {:>4.2}",
             r.dataset,
             r.topology,
             r.qps,
@@ -169,7 +188,8 @@ fn run(args: &[String]) -> Result<(), String> {
             r.p99_us,
             r.boundary,
             r.overlay_edges,
-            r.fanout_per_query
+            r.fanout_per_query,
+            r.potential_hit_rate
         );
     }
     let json = to_json(&results);
@@ -183,9 +203,10 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One rep's measurement — `(qps, p50_us, p99_us, fanout_per_query)` — plus
-/// the answer vector for the cross-topology parity assertion.
-type Rep = ((f64, f64, f64, f64), Vec<Option<wcsd_graph::Distance>>);
+/// One rep's measurement — `(qps, p50_us, p99_us, fanout_per_query,
+/// potential_hit_rate)` — plus the answer vector for the cross-topology
+/// parity assertion.
+type Rep = ((f64, f64, f64, f64, f64), Vec<Option<wcsd_graph::Distance>>);
 
 /// Runs `f` `reps` times and keeps the rep with the best throughput (the
 /// answer vector is identical across reps by construction).
@@ -221,12 +242,18 @@ fn direct_run(name: &str, full: &Arc<FlatIndex>, workload: &QueryWorkload) -> Re
     let handle = std::thread::spawn(move || server.run());
     let (result, answers) = loadgen::run_against(&addr, name, workload, &loadgen_config())?;
     shutdown(&addr, handle)?;
-    Ok(((result.throughput_qps, result.p50_us, result.p99_us, 0.0), answers))
+    Ok(((result.throughput_qps, result.p50_us, result.p99_us, 0.0, 0.0), answers))
 }
 
-/// One loadgen rep through the router: per-shard reactors, router in front,
-/// fan-out read back from the router's own metrics registry.
-fn router_run(name: &str, sharded: &ShardedIndex, workload: &QueryWorkload) -> Result<Rep, String> {
+/// One loadgen rep through the router: per-shard reactors, router in front
+/// (`cache_capacity` 0 = the cold path), fan-out and potential hit rate read
+/// back from the router's own metrics registry.
+fn router_run(
+    name: &str,
+    sharded: &ShardedIndex,
+    workload: &QueryWorkload,
+    cache_capacity: usize,
+) -> Result<Rep, String> {
     let mut backend_addrs = Vec::new();
     let mut backend_handles = Vec::new();
     for shard in sharded.shards() {
@@ -236,7 +263,8 @@ fn router_run(name: &str, sharded: &ShardedIndex, workload: &QueryWorkload) -> R
         backend_handles.push(std::thread::spawn(move || server.run()));
     }
     let groups: Vec<Vec<String>> = backend_addrs.iter().map(|a| vec![a.clone()]).collect();
-    let router = Router::bind(sharded.overlay().clone(), groups, RouterConfig::default())
+    let config = RouterConfig { cache_capacity, ..RouterConfig::default() };
+    let router = Router::bind(sharded.overlay().clone(), groups, config)
         .map_err(|e| format!("cannot bind router: {e}"))?;
     let addr = router.local_addr().to_string();
     let handle = std::thread::spawn(move || router.run());
@@ -250,13 +278,16 @@ fn router_run(name: &str, sharded: &ShardedIndex, workload: &QueryWorkload) -> R
     let answered = scrape.value("wcsd_batch_queries_total").unwrap_or(0.0)
         + scrape.value("wcsd_queries_total").unwrap_or(0.0);
     let fanout = if answered > 0.0 { fanned / answered } else { 0.0 };
+    let hits = scrape.value("wcsd_router_potential_hits_total").unwrap_or(0.0);
+    let lookups = hits + scrape.value("wcsd_router_potential_misses_total").unwrap_or(0.0);
+    let hit_rate = if lookups > 0.0 { hits / lookups } else { 0.0 };
     drop(probe);
 
     shutdown(&addr, handle)?;
     for (backend, handle) in backend_addrs.iter().zip(backend_handles) {
         shutdown(backend, handle)?;
     }
-    Ok(((result.throughput_qps, result.p50_us, result.p99_us, fanout), answers))
+    Ok(((result.throughput_qps, result.p50_us, result.p99_us, fanout, hit_rate), answers))
 }
 
 fn shutdown(addr: &str, handle: std::thread::JoinHandle<ServerSnapshot>) -> Result<(), String> {

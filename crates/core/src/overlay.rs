@@ -44,6 +44,26 @@
 //! same plan against in-process [`FlatIndex`] shards and is the reference
 //! the parity suite checks the router against.
 //!
+//! ## The separable form
+//!
+//! The composition above is a 2-hop label query with the boundary vertices
+//! as hubs, so it splits per endpoint. [`OverlayIndex::potentials`] runs the
+//! overlay Dijkstra seeded with one endpoint's shard row `d_shard(v, b | w)`
+//! and returns `P(v,w)[b] = d_G(v, b | w)` for **every** boundary vertex `b`
+//! — whole-graph distances, by the decomposition above applied to a path that
+//! ends at a boundary vertex (its suffix is a profile edge). Then
+//!
+//! ```text
+//! Q(s, t, w) = min( direct, min over b of P(s,w)[b] + P(t,w)[b] )
+//! ```
+//!
+//! ([`OverlayIndex::compose`]). For any boundary `b` the sum is the length
+//! of a real walk `s → b → t`, so it is `≥ d_G(s, t | w)`, with equality at
+//! every boundary vertex on a shortest path. A cross-shard path crosses a
+//! cut edge and so always has one; a same-shard shortest path that has none
+//! never leaves the shard and is the direct term `d_shard(s, t | w)`. `P`
+//! depends on one endpoint only, which is what lets the router cache it.
+//!
 //! ## Snapshot format
 //!
 //! [`OverlayIndex::encode`] writes the versioned `WCSO` snapshot: magic,
@@ -57,7 +77,7 @@ use crate::index::QueryImpl;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wcsd_graph::partition::Partition;
-use wcsd_graph::{Distance, Graph, Quality, VertexId};
+use wcsd_graph::{Distance, Graph, Quality, VertexId, INF_DIST};
 
 /// Magic bytes of the overlay snapshot format.
 pub const WCSO_MAGIC: &[u8; 4] = b"WCSO";
@@ -102,14 +122,11 @@ pub struct ScatterPlan {
     /// `(shard, queries)` — each entry is one backend `BATCH`. At most two
     /// entries; exactly one when source and target share a shard.
     pub shards: Vec<ShardBatch>,
-    s: VertexId,
-    t: VertexId,
     w: Quality,
-    same_shard: bool,
-    /// Boundary of `shard(s)` (first batch carries `(s, b, w)` per entry).
-    source_boundary: Vec<VertexId>,
-    /// Boundary of `shard(t)` (carries `(b, t, w)` per entry).
-    target_boundary: Vec<VertexId>,
+    /// `shard(s)`: its boundary carries one `(s, b, w)` per entry.
+    source_shard: u32,
+    /// `shard(t)`: its boundary carries one `(b, t, w)` per entry.
+    target_shard: u32,
 }
 
 impl ScatterPlan {
@@ -245,8 +262,8 @@ impl OverlayIndex {
     pub fn plan(&self, s: VertexId, t: VertexId, w: Quality) -> ScatterPlan {
         let ss = self.shard_of(s);
         let ts = self.shard_of(t);
-        let source_boundary = self.shard_boundary[ss as usize].clone();
-        let target_boundary = self.shard_boundary[ts as usize].clone();
+        let source_boundary = self.shard_boundary(ss);
+        let target_boundary = self.shard_boundary(ts);
         let mut shards = Vec::with_capacity(2);
         if ss == ts {
             let mut qs = Vec::with_capacity(1 + source_boundary.len() + target_boundary.len());
@@ -258,13 +275,13 @@ impl OverlayIndex {
             shards.push((ss, source_boundary.iter().map(|&b| (s, b, w)).collect()));
             shards.push((ts, target_boundary.iter().map(|&b| (b, t, w)).collect()));
         }
-        ScatterPlan { shards, s, t, w, same_shard: ss == ts, source_boundary, target_boundary }
+        ScatterPlan { shards, w, source_shard: ss, target_shard: ts }
     }
 
     /// Merges per-shard answers back into the exact whole-graph answer:
     /// the direct same-shard answer (when present) against the minimum over
-    /// boundary compositions, found by a `w`-filtered multi-source Dijkstra
-    /// over the overlay seeded with the source-side distances.
+    /// boundary compositions — the source's [`Self::potentials`] plus the
+    /// target-side shard distances.
     ///
     /// `answers[i]` must hold the backend's reply to `plan.shards[i]`, in
     /// order; a length mismatch is an error (a torn reply, never a wrong
@@ -290,57 +307,54 @@ impl OverlayIndex {
                 ));
             }
         }
-        let (direct, source_dists, target_dists) = if plan.same_shard {
+        let nb = self.shard_boundary(plan.source_shard).len();
+        let (direct, source_dists, target_dists) = if plan.source_shard == plan.target_shard {
             let set = &answers[0];
-            let nb = plan.source_boundary.len();
             (set[0], &set[1..1 + nb], &set[1 + nb..])
         } else {
             (None, &answers[0][..], &answers[1][..])
         };
-
-        let mut best: u64 = match direct {
-            Some(d) => d as u64,
-            None => u64::MAX,
-        };
-
-        if !plan.source_boundary.is_empty() && !plan.target_boundary.is_empty() {
-            let reached = self.dijkstra(plan.w, &plan.source_boundary, source_dists);
-            for (&b, &dt) in plan.target_boundary.iter().zip(target_dists.iter()) {
-                if let Some(dt) = dt {
-                    let db = reached[self.boundary_pos[b as usize] as usize];
-                    if db != u64::MAX {
-                        best = best.min(db + dt as u64);
-                    }
-                }
-            }
+        let reached = self.potentials(plan.source_shard, plan.w, source_dists)?;
+        let mut best = direct.unwrap_or(INF_DIST);
+        for (&b, &dt) in self.shard_boundary(plan.target_shard).iter().zip(target_dists) {
+            let via = reached[self.boundary_pos[b as usize] as usize];
+            best = best.min(via.saturating_add(dt.unwrap_or(INF_DIST)));
         }
-
-        // Any real path is shorter than the vertex count, so the cast is
-        // loss-free whenever an answer exists.
-        Ok((best != u64::MAX).then(|| best.min(Distance::MAX as u64 - 1) as Distance))
+        Ok((best != INF_DIST).then_some(best))
     }
 
-    /// Multi-source Dijkstra over overlay edges with quality `≥ w`, seeded
-    /// with the in-shard distances from the source vertex to its shard's
-    /// boundary. Returns the distance to every overlay node (`u64::MAX` =
-    /// unreached).
-    fn dijkstra(
+    /// One endpoint's *boundary potentials*: `P(v, w)[i] = d_G(v, bᵢ | w)`,
+    /// the whole-graph constrained distance from `v` to every overlay node
+    /// ([`INF_DIST`] = unreached), by a `w`-filtered multi-source Dijkstra
+    /// over the overlay seeded with `row` — `d_shard(v, b | w)` for each `b`
+    /// of [`Self::shard_boundary`]`(shard)`, in order, where `shard` is `v`'s.
+    /// A row of the wrong length (a torn reply) is an error.
+    pub fn potentials(
         &self,
+        shard: u32,
         w: Quality,
-        seeds: &[VertexId],
-        seed_dists: &[Option<Distance>],
-    ) -> Vec<u64> {
+        row: &[Option<Distance>],
+    ) -> Result<Vec<Distance>, String> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let mut dist = vec![u64::MAX; self.boundary.len()];
+        let seeds = self
+            .shard_boundary
+            .get(shard as usize)
+            .ok_or_else(|| format!("shard {shard} out of range for {} shards", self.num_shards))?;
+        if row.len() != seeds.len() {
+            return Err(format!(
+                "shard {shard} row holds {} distances for {} boundary vertices",
+                row.len(),
+                seeds.len()
+            ));
+        }
+        let mut dist = vec![INF_DIST; self.boundary.len()];
         let mut heap = BinaryHeap::new();
-        for (&b, &d) in seeds.iter().zip(seed_dists.iter()) {
+        for (&b, &d) in seeds.iter().zip(row) {
             if let Some(d) = d {
-                let p = self.boundary_pos[b as usize] as usize;
-                if (d as u64) < dist[p] {
-                    dist[p] = d as u64;
-                    heap.push(Reverse((d as u64, p as u32)));
-                }
+                let p = self.boundary_pos[b as usize];
+                dist[p as usize] = d;
+                heap.push(Reverse((d, p)));
             }
         }
         while let Some(Reverse((d, u))) = heap.pop() {
@@ -353,15 +367,33 @@ impl OverlayIndex {
                 if self.quals[i] < w {
                     continue;
                 }
-                let v = self.targets[i] as usize;
-                let nd = d + self.dists[i] as u64;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    heap.push(Reverse((nd, v as u32)));
+                let v = self.targets[i];
+                let nd = d.saturating_add(self.dists[i]);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(Reverse((nd, v)));
                 }
             }
         }
-        dist
+        Ok(dist)
+    }
+
+    /// Composes two endpoints' [`Self::potentials`] rows (both at the
+    /// query's `w`) and the same-shard `direct` answer, when there is one,
+    /// into `Q(s, t, w)` — see "The separable form" in the module docs.
+    /// Branch-free like `core::kernel`: [`INF_DIST`] saturates through the
+    /// add and loses every `min`.
+    pub fn compose(
+        direct: Option<Distance>,
+        from_s: &[Distance],
+        from_t: &[Distance],
+    ) -> Option<Distance> {
+        assert_eq!(from_s.len(), from_t.len(), "potential rows of one overlay");
+        let best = from_s
+            .iter()
+            .zip(from_t)
+            .fold(direct.unwrap_or(INF_DIST), |best, (&a, &b)| best.min(a.saturating_add(b)));
+        (best != INF_DIST).then_some(best)
     }
 
     /// Serializes the overlay into the versioned `WCSO` snapshot.
@@ -704,6 +736,18 @@ mod tests {
         if plan.fanout_queries() > 0 {
             assert!(overlay.merge(&plan, &short).is_err());
         }
+    }
+
+    #[test]
+    fn potentials_rejects_rows_of_the_wrong_length() {
+        let g = paper_graph();
+        let p = Partition::build(&g, 2, 0);
+        let overlay = OverlayIndex::build(&g, &p);
+        let nb = overlay.shard_boundary(0).len();
+        assert!(overlay.potentials(0, 1, &vec![Some(1); nb]).is_ok());
+        assert!(overlay.potentials(0, 1, &vec![Some(1); nb + 1]).is_err());
+        assert!(overlay.potentials(0, 1, &[]).is_err(), "shard 0 has a boundary");
+        assert!(overlay.potentials(2, 1, &[]).is_err(), "no such shard");
     }
 
     fn constrained_bfs_oracle(g: &Graph, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {

@@ -1,4 +1,6 @@
-//! Sharded LRU result cache keyed on `(epoch, s, t, w)`.
+//! Sharded LRU cache keyed on `(epoch, s, t, w)`, generic over what it
+//! stores: [`ResultCache`] holds query answers, the router's potential cache
+//! holds whole per-endpoint distance rows in the same structure.
 //!
 //! Point-query traffic against an immutable [`wcsd_core::WcIndex`] is
 //! embarrassingly cacheable: the answer to `(s, t, w)` never changes for the
@@ -7,6 +9,12 @@
 //! LRU list (slab-backed doubly linked list + hash map), so concurrent
 //! connections rarely contend on the same lock. Hit/miss counters are lock-free
 //! atomics feeding the `STATS` command and the load-generator report.
+//!
+//! Capacity is counted in *distance cells* ([`CacheValue::cells`]): an answer
+//! is one cell, so a [`ResultCache`] of capacity `n` holds `n` answers, while
+//! a distance row costs its length plus [`ENTRY_OVERHEAD_CELLS`] and
+//! inserting one evicts as many least-recently-used entries as it takes to
+//! fit.
 //!
 //! Hot reload does need invalidation, and gets it by *epoch tagging* instead
 //! of a stop-the-world clear: the key carries the generation of the snapshot
@@ -19,6 +27,32 @@ use std::sync::{Arc, Mutex};
 use wcsd_graph::{Distance, Quality, VertexId};
 use wcsd_obs::Counter;
 
+/// What a [`ShardedLru`] can store: a cheaply clonable value that knows how
+/// many distance cells of the cache's capacity it occupies.
+pub trait CacheValue: Clone {
+    /// Distance cells this value occupies.
+    fn cells(&self) -> usize;
+}
+
+impl CacheValue for CachedAnswer {
+    fn cells(&self) -> usize {
+        1
+    }
+}
+
+/// What an entry costs beyond its payload — slab node, recency links and map
+/// slot, on the order of 64 bytes — in four-byte distance cells.
+pub const ENTRY_OVERHEAD_CELLS: usize = 16;
+
+/// A shared row of distances (one endpoint's boundary potentials): its length
+/// plus the entry overhead, so short rows cannot fill memory with bookkeeping
+/// the cell count does not see.
+impl CacheValue for Arc<[Distance]> {
+    fn cells(&self) -> usize {
+        ENTRY_OVERHEAD_CELLS + self.len()
+    }
+}
+
 /// Cache key: the snapshot generation that computed the answer plus one
 /// point query. Tagging the generation into the key is what keeps the cache
 /// coherent across hot reloads (see the module docs).
@@ -30,31 +64,37 @@ pub type CachedAnswer = Option<Distance>;
 
 const NIL: usize = usize::MAX;
 
-struct Node {
+struct Node<V> {
     key: QueryKey,
-    value: CachedAnswer,
+    value: V,
     prev: usize,
     next: usize,
 }
 
 /// One LRU shard: a slab of nodes threaded into a doubly linked recency list,
 /// plus a hash map from key to slab slot.
-struct Shard {
+struct Shard<V> {
     map: HashMap<QueryKey, usize>,
-    slab: Vec<Node>,
+    slab: Vec<Node<V>>,
+    /// Slab slots vacated by eviction, reused before the slab grows.
+    free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    /// Cell budget, and the cells the resident values occupy.
     capacity: usize,
+    used: usize,
 }
 
-impl Shard {
+impl<V: CacheValue> Shard<V> {
     fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::with_capacity(capacity.min(1024)),
             slab: Vec::with_capacity(capacity.min(1024)),
+            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
+            used: 0,
         }
     }
 
@@ -84,44 +124,71 @@ impl Shard {
         }
     }
 
-    fn get(&mut self, key: &QueryKey) -> Option<CachedAnswer> {
+    fn get(&mut self, key: &QueryKey) -> Option<V> {
         let slot = *self.map.get(key)?;
         if slot != self.head {
             self.unlink(slot);
             self.push_front(slot);
         }
-        Some(self.slab[slot].value)
+        Some(self.slab[slot].value.clone())
     }
 
-    fn insert(&mut self, key: QueryKey, value: CachedAnswer) {
-        if let Some(&slot) = self.map.get(&key) {
-            self.slab[slot].value = value;
-            if slot != self.head {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
+    /// Takes `slot` out of the recency list and hands its cells and its slab
+    /// slot back (the caller removes the map entry).
+    fn release(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.used -= self.slab[slot].value.cells();
+        self.free.push(slot);
+    }
+
+    /// Stores `value`, evicting from the least recently used end until it
+    /// fits. A value larger than the whole shard is not stored at all.
+    fn insert(&mut self, key: QueryKey, value: V) {
+        let cells = value.cells();
+        if cells > self.capacity {
             return;
         }
-        let slot = if self.slab.len() < self.capacity {
-            self.slab.push(Node { key, value, prev: NIL, next: NIL });
-            self.slab.len() - 1
-        } else {
-            // Evict the least recently used entry and reuse its slot.
+        if let Some(slot) = self.map.remove(&key) {
+            self.release(slot);
+        }
+        while self.used + cells > self.capacity {
             let victim = self.tail;
-            self.unlink(victim);
             self.map.remove(&self.slab[victim].key);
-            self.slab[victim] = Node { key, value, prev: NIL, next: NIL };
-            victim
+            self.release(victim);
+        }
+        let node = Node { key, value, prev: NIL, next: NIL };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = node;
+                slot
+            }
+            None => {
+                self.slab.push(node);
+                self.slab.len() - 1
+            }
         };
+        self.used += cells;
         self.map.insert(key, slot);
         self.push_front(slot);
     }
 }
 
-/// A sharded, bounded, thread-safe LRU cache for query results.
+/// A sharded, bounded, thread-safe LRU cache, generic over the value it
+/// stores (see [`CacheValue`]). [`ResultCache`] is the instance every server
+/// tier uses for query answers.
 ///
 /// A `capacity` of 0 disables caching entirely: every lookup misses and
 /// inserts are dropped, so the server code path stays uniform.
+pub struct ShardedLru<V> {
+    shards: Vec<Mutex<Shard<V>>>,
+    // `Arc<Counter>` rather than bare atomics so the server can register the
+    // very same counters into its metric registry: `STATS` and `METRICS`
+    // then read one set of atomics and can never disagree on cache totals.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
+/// The query-result cache: one cell per answer, so `capacity` counts entries.
 ///
 /// ```
 /// use wcsd_server::cache::ResultCache;
@@ -134,20 +201,13 @@ impl Shard {
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(cache.misses(), 2);
 /// ```
-pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
-    // `Arc<Counter>` rather than bare atomics so the server can register the
-    // very same counters into its metric registry: `STATS` and `METRICS`
-    // then read one set of atomics and can never disagree on cache totals.
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
+pub type ResultCache = ShardedLru<CachedAnswer>;
 
-impl ResultCache {
-    /// Creates a cache holding at most `capacity` entries spread over
-    /// `shards` independent locks (shard count is clamped to at least 1 and
-    /// at most `capacity` so every shard holds at least one entry). The
-    /// per-shard capacities sum to exactly `capacity`.
+impl<V: CacheValue> ShardedLru<V> {
+    /// Creates a cache holding at most `capacity` cells spread over `shards`
+    /// independent locks (shard count is clamped to at least 1 and at most
+    /// `capacity` so every shard holds at least one cell). The per-shard
+    /// capacities sum to exactly `capacity`.
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1).min(capacity.max(1));
         let (base, extra) = (capacity / shards, capacity % shards);
@@ -165,7 +225,7 @@ impl ResultCache {
         Self::new(0, 1)
     }
 
-    fn shard_of(&self, key: &QueryKey) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &QueryKey) -> &Mutex<Shard<V>> {
         // Fibonacci-hash the key into a shard; the std HashMap hasher is not
         // reachable for one-off hashes without allocation, and this mixer is
         // plenty for distributing (epoch, s, t, w) tuples.
@@ -179,7 +239,7 @@ impl ResultCache {
 
     /// Looks up a query, promoting it to most-recently-used on a hit and
     /// bumping the hit/miss counters either way.
-    pub fn get(&self, key: &QueryKey) -> Option<CachedAnswer> {
+    pub fn get(&self, key: &QueryKey) -> Option<V> {
         let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
         let found = if shard.capacity == 0 { None } else { shard.get(key) };
         drop(shard);
@@ -195,9 +255,9 @@ impl ResultCache {
         }
     }
 
-    /// Stores an answer, evicting the least recently used entry of the
-    /// target shard when full.
-    pub fn insert(&self, key: QueryKey, value: CachedAnswer) {
+    /// Stores a value, evicting least recently used entries of the target
+    /// shard until it fits (a value larger than the shard is dropped).
+    pub fn insert(&self, key: QueryKey, value: V) {
         let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
         if shard.capacity > 0 {
             shard.insert(key, value);
@@ -207,6 +267,12 @@ impl ResultCache {
     /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+    }
+
+    /// Distance cells the cached values occupy across all shards; never
+    /// more than the configured capacity.
+    pub fn cells(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").used).sum()
     }
 
     /// Returns `true` when nothing is cached.
@@ -336,6 +402,27 @@ mod tests {
             c.insert((1, i, i, 1), Some(i));
         }
         assert!(c.len() <= 3 && !c.is_empty());
+    }
+
+    #[test]
+    fn rows_cost_their_length_and_evict_until_they_fit() {
+        // A row of `cells` cells in all, overhead included.
+        let row =
+            |cells: usize| -> Arc<[Distance]> { vec![7; cells - ENTRY_OVERHEAD_CELLS].into() };
+        let c: ShardedLru<Arc<[Distance]>> = ShardedLru::new(50, 1);
+        c.insert((1, 0, 0, 1), row(20));
+        c.insert((1, 1, 1, 1), row(20));
+        assert_eq!(c.cells(), 40);
+        c.insert((1, 2, 2, 1), row(30)); // evicts key 0 only: 20 + 30 fits
+        assert_eq!((c.cells(), c.len()), (50, 2));
+        assert!(c.get(&(1, 0, 0, 1)).is_none());
+        c.insert((1, 3, 3, 1), row(45)); // evicts both residents
+        assert_eq!((c.cells(), c.len()), (45, 1));
+        c.insert((1, 4, 4, 1), row(51)); // larger than the cache: dropped
+        assert_eq!((c.cells(), c.len()), (45, 1));
+        c.insert((1, 3, 3, 1), row(18)); // same key: replaced, not added
+        assert_eq!((c.cells(), c.len()), (18, 1));
+        assert_eq!(c.get(&(1, 3, 3, 1)).as_deref(), Some(&[7, 7][..]));
     }
 
     #[test]

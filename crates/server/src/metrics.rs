@@ -33,13 +33,13 @@ pub(crate) const VERB_STATS: usize = 3;
 pub(crate) const VERB_METRICS: usize = 4;
 pub(crate) const VERB_RELOAD: usize = 5;
 pub(crate) const VERB_SHUTDOWN: usize = 6;
-const VERB_LABELS: [&str; 7] =
+pub(crate) const VERB_LABELS: [&str; 7] =
     ["query", "within", "batch", "stats", "metrics", "reload", "shutdown"];
 
 /// Protocol indices into the per-protocol metric arrays.
 pub(crate) const PROTO_TEXT: usize = 0;
 pub(crate) const PROTO_BINARY: usize = 1;
-const PROTO_LABELS: [&str; 2] = ["text", "binary"];
+pub(crate) const PROTO_LABELS: [&str; 2] = ["text", "binary"];
 
 /// Phase indices into [`ServerMetrics::phases`].
 pub(crate) const PHASE_PARSE: usize = 0;

@@ -4,12 +4,32 @@
 //!
 //! The router owns no labels. It loads the boundary overlay
 //! ([`wcsd_core::overlay::OverlayIndex`], the `WCSO` snapshot written by
-//! `wcsd-cli partition`) and, per client query, computes the scatter plan
-//! (which per-shard distances are needed), fetches them as `BATCH` requests
-//! over persistent binary [`Client`] connections to the backends, and merges
-//! the answers through the overlay's quality-filtered Dijkstra — exactly the
-//! composition [`wcsd_core::overlay::ShardedIndex`] evaluates in-process, so
-//! the parity suite pins the two to each other and to the unsharded index.
+//! `wcsd-cli partition`) and answers `Q(s, t, w)` in the overlay's separable
+//! form: `min(direct, min_b P(s,w)[b] + P(t,w)[b])`, where `P(v, w)` is one
+//! endpoint's *boundary potentials* — its shard row `d_shard(v, b | w)`,
+//! fetched as one equal-source `BATCH` run over a persistent binary
+//! [`Client`] connection, pushed through the overlay's quality-filtered
+//! Dijkstra ([`OverlayIndex::potentials`]) — and `direct` is the one
+//! `(s, t, w)` sub-query of a same-shard pair ([`OverlayIndex::compose`]).
+//! [`wcsd_core::overlay::ShardedIndex`] evaluates the same composition per
+//! query with nothing cached (plan/merge); the parity suite pins the two to
+//! each other and to the unsharded index.
+//!
+//! ## The potential cache
+//!
+//! `P(v, w)` depends on one endpoint only, so the router keeps the rows it
+//! has computed in a second [`ShardedLru`] keyed on `(v, w)`. A query whose
+//! two endpoints are resident costs no Dijkstra and at most one backend
+//! sub-query (the direct term); a cold endpoint costs one row fetch and one
+//! Dijkstra, once. The cache is budgeted in distance cells —
+//! [`ENTRY_OVERHEAD_CELLS`] per entry of [`RouterConfig::cache_capacity`], a
+//! row costing one cell per boundary vertex plus that overhead, so it never
+//! holds more rows than the answer cache holds answers — and is sound for
+//! the reason the answer cache is: the overlay is static. Rows are inserted only after every exchange of the client batch
+//! came back whole, so a failed or torn exchange can never poison it.
+//! `wcsd_router_potential_{hits,misses}_total` and
+//! `wcsd_router_potential_cells` report it; the warm regime needs the
+//! endpoint working set (at most `n · |w|` rows) to fit the budget.
 //!
 //! ## Replica groups and the circuit breaker
 //!
@@ -38,7 +58,8 @@
 //! A sharded LRU ([`crate::cache::ResultCache`], the same structure the
 //! single-shard server uses) sits in front of scatter-gather: a repeated
 //! `(s, t, w)` — standalone or inside a `BATCH` — is answered from router
-//! memory with **zero** backend exchanges. The overlay is static and
+//! memory with **zero** backend exchanges, and identical misses inside one
+//! `BATCH` are scattered once. The overlay is static and
 //! `RELOAD` through the router is refused, so entries never go stale and no
 //! epoch tagging is needed. Hits/misses surface in `STATS` and as
 //! `wcsd_cache_{hits,misses}_total` in `METRICS`, the same names the
@@ -85,17 +106,22 @@
 //! the router itself, never the backends.
 
 use crate::binary::{self, BinRequest};
-use crate::cache::ResultCache;
+use crate::cache::{QueryKey, ResultCache, ShardedLru, ENTRY_OVERHEAD_CELLS};
 use crate::client::{Client, Protocol};
 use crate::failpoint;
+use crate::metrics::{
+    PROTO_BINARY, PROTO_LABELS, PROTO_TEXT, VERB_BATCH, VERB_LABELS, VERB_METRICS, VERB_QUERY,
+    VERB_RELOAD, VERB_SHUTDOWN, VERB_STATS, VERB_WITHIN,
+};
 use crate::protocol::{self, Reply, Request};
 use crate::server::ServerSnapshot;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wcsd_core::overlay::{OverlayIndex, ScatterPlan};
+use wcsd_core::overlay::OverlayIndex;
 use wcsd_core::FlatIndex;
 use wcsd_graph::{Distance, Quality, VertexId};
 use wcsd_obs::{Counter, Gauge, Histogram, Registry};
@@ -134,7 +160,8 @@ pub struct RouterConfig {
     /// from the router's memory without touching any backend. Because the
     /// overlay is static and `RELOAD` through the router is refused, entries
     /// never go stale — no epoch tagging is needed (the backends' own caches
-    /// stay epoch-tagged).
+    /// stay epoch-tagged). The potential cache is sized from the same knob
+    /// ([`ENTRY_OVERHEAD_CELLS`] cells per entry), so 0 disables both.
     pub cache_capacity: usize,
 }
 
@@ -160,18 +187,11 @@ const ROUTER_EPOCH: u64 = 1;
 /// the single-shard server uses).
 const ROUTER_CACHE_SHARDS: usize = 16;
 
-const PROTO_LABELS: [&str; 2] = ["text", "binary"];
-const PROTO_TEXT: usize = 0;
-const PROTO_BINARY: usize = 1;
-const VERB_LABELS: [&str; 7] =
-    ["query", "within", "batch", "stats", "metrics", "reload", "shutdown"];
-const VERB_QUERY: usize = 0;
-const VERB_WITHIN: usize = 1;
-const VERB_BATCH: usize = 2;
-const VERB_STATS: usize = 3;
-const VERB_METRICS: usize = 4;
-const VERB_RELOAD: usize = 5;
-const VERB_SHUTDOWN: usize = 6;
+/// Potential-cache key of endpoint `(v, w)`: the answer cache's key shape
+/// with the endpoint in both vertex slots.
+fn potential_key(v: VertexId, w: Quality) -> QueryKey {
+    (ROUTER_EPOCH, v, v, w)
+}
 
 /// Metric handles, resolved once at bind time (same discipline as the
 /// single-shard server: the hot path never touches the registry lock).
@@ -212,6 +232,8 @@ struct RouterMetrics {
     backend_errors: Vec<Arc<Counter>>,
     /// Replicas whose circuit breaker is currently open.
     degraded: Arc<Gauge>,
+    /// Distance cells resident in the potential cache (set at scrape time).
+    potential_cells: Arc<Gauge>,
     uptime_ms: Arc<Gauge>,
 }
 
@@ -319,6 +341,10 @@ impl RouterMetrics {
                 "wcsd_router_degraded_backends",
                 "Replicas whose circuit breaker is open (last exchange or probe failed)",
             ),
+            potential_cells: registry.gauge(
+                "wcsd_router_potential_cells",
+                "Distance cells resident in the potential cache",
+            ),
             uptime_ms: registry.gauge("wcsd_uptime_ms", "Milliseconds since the router started"),
             registry,
         }
@@ -353,6 +379,9 @@ struct Shared {
     /// `(ROUTER_EPOCH, s, t, w)`. [`ResultCache::disabled`] when
     /// [`RouterConfig::cache_capacity`] is 0.
     cache: ResultCache,
+    /// Boundary potentials `P(v, w)` by [`potential_key`], budgeted in
+    /// distance cells (see the module docs).
+    potentials: ShardedLru<Arc<[Distance]>>,
     backend_timeout: Duration,
     probe_interval: Duration,
     metrics: RouterMetrics,
@@ -442,6 +471,7 @@ impl Shared {
             json
         } else {
             self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
+            self.metrics.potential_cells.set(self.potentials.cells() as i64);
             self.metrics.registry.render()
         }
     }
@@ -505,6 +535,24 @@ impl Router {
             "Result-cache misses",
             cache.miss_counter(),
         );
+        // The cells the answer cache's entries cost in bookkeeping, over as
+        // many locks as still leave every shard room for one row.
+        let budget = config.cache_capacity.saturating_mul(ENTRY_OVERHEAD_CELLS);
+        let row_cells = ENTRY_OVERHEAD_CELLS + overlay.num_boundary();
+        let potentials =
+            ShardedLru::new(budget, (budget / row_cells).clamp(1, ROUTER_CACHE_SHARDS));
+        metrics.registry.register_counter(
+            "wcsd_router_potential_hits_total",
+            &[],
+            "Endpoint potential rows served from the potential cache",
+            potentials.hit_counter(),
+        );
+        metrics.registry.register_counter(
+            "wcsd_router_potential_misses_total",
+            &[],
+            "Endpoint potential rows fetched from a backend and recomputed",
+            potentials.miss_counter(),
+        );
         let rr = backends.iter().map(|_| AtomicU64::new(0)).collect();
         let shards: Vec<Vec<Replica>> = backends
             .into_iter()
@@ -520,6 +568,7 @@ impl Router {
             shards,
             rr,
             cache,
+            potentials,
             backend_timeout: config.backend_timeout,
             probe_interval: config.probe_interval,
             metrics,
@@ -746,26 +795,6 @@ fn check_range(overlay: &OverlayIndex, s: VertexId, t: VertexId) -> Result<(), S
     Ok(())
 }
 
-/// Scatter: fetch every per-shard batch of `plan` through `pool`.
-fn scatter(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    plan: &ScatterPlan,
-) -> Result<Vec<Vec<Option<Distance>>>, String> {
-    plan.shards
-        .iter()
-        .map(
-            |&(shard, ref qs)| {
-                if qs.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    pool.batch(shared, shard as usize, qs)
-                }
-            },
-        )
-        .collect()
-}
-
 fn answer_distance(
     shared: &Shared,
     pool: &mut BackendPool,
@@ -774,21 +803,11 @@ fn answer_distance(
     w: Quality,
 ) -> Result<Option<Distance>, String> {
     check_range(&shared.overlay, s, t)?;
-    let key = (ROUTER_EPOCH, s, t, w);
-    if let Some(answer) = shared.cache.get(&key) {
-        return Ok(answer);
-    }
-    let plan = shared.overlay.plan(s, t, w);
-    let answers = scatter(shared, pool, &plan)?;
-    let answer = shared.overlay.merge(&plan, &answers)?;
-    shared.cache.insert(key, answer);
-    Ok(answer)
+    Ok(answer_checked(shared, pool, &[(s, t, w)])?[0])
 }
 
-/// Answers a whole client `BATCH`: cache hits are served from the router's
-/// memory, the misses go through one backend `BATCH` per involved shard
-/// ([`scatter_batch`]), and computed answers are inserted back. Any backend
-/// failure fails the whole batch — one `ERR` line, never a torn reply.
+/// Answers a whole client `BATCH`. Any backend failure fails the whole batch
+/// — one `ERR` line, never a torn reply.
 fn answer_batch(
     shared: &Shared,
     pool: &mut BackendPool,
@@ -798,65 +817,113 @@ fn answer_batch(
         check_range(&shared.overlay, s, t)
             .map_err(|reason| format!("batch line {}: {reason}", i + 1))?;
     }
-    let mut answers: Vec<Option<Option<Distance>>> = Vec::with_capacity(queries.len());
-    let mut misses: Vec<(VertexId, VertexId, Quality)> = Vec::new();
-    let mut miss_slots: Vec<usize> = Vec::new();
-    for (i, &(s, t, w)) in queries.iter().enumerate() {
-        match shared.cache.get(&(ROUTER_EPOCH, s, t, w)) {
-            Some(answer) => answers.push(Some(answer)),
-            None => {
-                answers.push(None);
-                misses.push((s, t, w));
-                miss_slots.push(i);
-            }
-        }
-    }
-    if !misses.is_empty() {
-        let computed = scatter_batch(shared, pool, &misses)?;
-        for (slot, (&(s, t, w), answer)) in miss_slots.into_iter().zip(misses.iter().zip(computed))
-        {
-            shared.cache.insert((ROUTER_EPOCH, s, t, w), answer);
-            answers[slot] = Some(answer);
-        }
-    }
-    Ok(answers.into_iter().map(|a| a.expect("every slot answered")).collect())
+    answer_checked(shared, pool, queries)
 }
 
-/// Scatter-gathers a batch of (range-checked) queries: all per-query plans
-/// are concatenated per shard, fetched, and sliced back in order.
+/// Answers range-checked queries: cache hits are served from the router's
+/// memory, the distinct misses go through [`scatter_batch`] once each, and
+/// computed answers are inserted back.
+fn answer_checked(
+    shared: &Shared,
+    pool: &mut BackendPool,
+    queries: &[(VertexId, VertexId, Quality)],
+) -> Result<Vec<Option<Distance>>, String> {
+    let mut misses: Vec<(VertexId, VertexId, Quality)> = Vec::new();
+    let mut miss_of = HashMap::new();
+    // Per query: the cached answer, or its index into `misses`.
+    let slots: Vec<Result<Option<Distance>, usize>> = queries
+        .iter()
+        .map(|&(s, t, w)| {
+            shared.cache.get(&(ROUTER_EPOCH, s, t, w)).ok_or_else(|| {
+                *miss_of.entry((s, t, w)).or_insert_with(|| {
+                    misses.push((s, t, w));
+                    misses.len() - 1
+                })
+            })
+        })
+        .collect();
+    let computed =
+        if misses.is_empty() { Vec::new() } else { scatter_batch(shared, pool, &misses)? };
+    for (&(s, t, w), &answer) in misses.iter().zip(&computed) {
+        shared.cache.insert((ROUTER_EPOCH, s, t, w), answer);
+    }
+    Ok(slots.into_iter().map(|slot| slot.unwrap_or_else(|miss| computed[miss])).collect())
+}
+
+/// Scatter-gathers distinct (range-checked) queries in the separable form:
+/// one potential row per distinct `(v, w)` endpoint — from the potential
+/// cache, else fetched as the equal-source run `(v, b, w)` over `v`'s shard
+/// boundary (the `t` side too: the graph is undirected, and equal-source runs
+/// are what the backends' `distances_from` kernel amortizes) — plus the one
+/// direct `(s, t, w)` of each same-shard query, all in one `BATCH` per shard.
+/// Rows are cached only once every exchange has come back whole.
 fn scatter_batch(
     shared: &Shared,
     pool: &mut BackendPool,
     queries: &[(VertexId, VertexId, Quality)],
 ) -> Result<Vec<Option<Distance>>, String> {
-    let plans: Vec<ScatterPlan> =
-        queries.iter().map(|&(s, t, w)| shared.overlay.plan(s, t, w)).collect();
-    let num_shards = shared.overlay.num_shards();
-    let mut per_shard: Vec<Vec<(VertexId, VertexId, Quality)>> = vec![Vec::new(); num_shards];
-    for plan in &plans {
-        for &(shard, ref qs) in &plan.shards {
-            per_shard[shard as usize].extend_from_slice(qs);
+    let overlay = &shared.overlay;
+    let mut endpoints: Vec<(VertexId, Quality)> =
+        queries.iter().flat_map(|&(s, t, w)| [(s, w), (t, w)]).collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    let mut rows: Vec<Option<Arc<[Distance]>>> =
+        endpoints.iter().map(|&(v, w)| shared.potentials.get(&potential_key(v, w))).collect();
+
+    // What to ask each shard, and where in its reply each missing row
+    // `(endpoint, shard, offset)` and each direct answer `(shard, offset)` sits.
+    let mut per_shard = vec![Vec::new(); overlay.num_shards()];
+    let mut missing = Vec::new();
+    for (i, &(v, w)) in endpoints.iter().enumerate() {
+        if rows[i].is_none() {
+            let shard = overlay.shard_of(v);
+            let qs = &mut per_shard[shard as usize];
+            missing.push((i, shard, qs.len()));
+            qs.extend(overlay.shard_boundary(shard).iter().map(|&b| (v, b, w)));
         }
     }
-    let mut fetched: Vec<Vec<Option<Distance>>> = Vec::with_capacity(num_shards);
-    for (shard, qs) in per_shard.iter().enumerate() {
-        fetched.push(if qs.is_empty() { Vec::new() } else { pool.batch(shared, shard, qs)? });
-    }
-    let mut cursors = vec![0usize; num_shards];
-    let mut out = Vec::with_capacity(queries.len());
-    for plan in &plans {
-        let answers: Vec<Vec<Option<Distance>>> = plan
-            .shards
-            .iter()
-            .map(|&(shard, ref qs)| {
-                let at = cursors[shard as usize];
-                cursors[shard as usize] = at + qs.len();
-                fetched[shard as usize][at..at + qs.len()].to_vec()
+    let direct_at: Vec<Option<(usize, usize)>> = queries
+        .iter()
+        .map(|&(s, t, w)| {
+            let shard = overlay.shard_of(s) as usize;
+            (shard == overlay.shard_of(t) as usize).then(|| {
+                per_shard[shard].push((s, t, w));
+                (shard, per_shard[shard].len() - 1)
             })
-            .collect();
-        out.push(shared.overlay.merge(plan, &answers)?);
+        })
+        .collect();
+
+    let mut fetched = Vec::with_capacity(per_shard.len());
+    for (shard, qs) in per_shard.iter().enumerate() {
+        let answers = if qs.is_empty() { Vec::new() } else { pool.batch(shared, shard, qs)? };
+        if answers.len() != qs.len() {
+            return Err(format!(
+                "shard {shard} answered {} of {} queries",
+                answers.len(),
+                qs.len()
+            ));
+        }
+        fetched.push(answers);
     }
-    Ok(out)
+    for (i, shard, at) in missing {
+        let (v, w) = endpoints[i];
+        let row = &fetched[shard as usize][at..at + overlay.shard_boundary(shard).len()];
+        let row: Arc<[Distance]> = overlay.potentials(shard, w, row)?.into();
+        shared.potentials.insert(potential_key(v, w), Arc::clone(&row));
+        rows[i] = Some(row);
+    }
+    let row = |v, w| {
+        let i = endpoints.binary_search(&(v, w)).expect("every endpoint was collected");
+        rows[i].as_deref().expect("every row was found or fetched")
+    };
+    Ok(queries
+        .iter()
+        .zip(direct_at)
+        .map(|(&(s, t, w), at)| {
+            let direct = at.and_then(|(shard, at)| fetched[shard][at]);
+            OverlayIndex::compose(direct, row(s, w), row(t, w))
+        })
+        .collect())
 }
 
 /// Outcome of handling one request.

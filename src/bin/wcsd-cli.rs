@@ -56,8 +56,22 @@
 //! snapshot with a plain `wcsd-cli serve`, then point `route` at the overlay
 //! and the backend groups (in shard order): the router answers
 //! `QUERY`/`BATCH`/`WITHIN` on both wire protocols by fanning per-shard
-//! `BATCH`es out over persistent binary clients and merging through the
-//! overlay, bit-identical to the unsharded index.
+//! `BATCH`es out over persistent binary clients and composing through the
+//! overlay, bit-identical to the unsharded index. `partition` reports the
+//! boundary share and the overlay size and warns above a 25% boundary, where
+//! the tier stops being worth deploying.
+//!
+//! `route --cache-size N` (default 65536, 0 = off) sizes both router-side
+//! caches. The answer cache holds `N` `(s, t, w)` answers. The potential
+//! cache holds per-endpoint rows `P(v, w)` — `v`'s whole-graph distances to
+//! every boundary vertex — in `16 × N` distance cells, a row costing one cell
+//! per boundary vertex plus 16 of bookkeeping. A query whose two endpoints
+//! are resident costs no overlay search and at most one backend sub-query; a
+//! cold endpoint costs one row fetch (one sub-query per boundary vertex of
+//! its shard) and one search, once. The warm regime therefore needs the
+//! endpoints in use — at most `n · |w|` rows of `boundary + 16` cells — to
+//! fit `16 × N` cells; scrape `wcsd_router_potential_{hits,misses}_total`
+//! and `wcsd_router_potential_cells` to see whether they do.
 //!
 //! Each `<backend-group>` is one shard's replica set: either a single
 //! `host:port`, a comma list `host:port,host:port` (replicas in preference
@@ -495,7 +509,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let partition = Partition::build(&graph, shards, seed);
             let overlay = wcsd::core::overlay::OverlayIndex::build(&graph, &partition);
             let overlay_path = out.join("overlay.wcso");
-            std::fs::write(&overlay_path, overlay.encode())
+            let overlay_bytes = overlay.encode();
+            std::fs::write(&overlay_path, &overlay_bytes)
                 .map_err(|e| format!("cannot write {}: {e}", overlay_path.display()))?;
             // One read-optimized WCIF snapshot per shard, over the shard's
             // intra-shard subgraph in *global* ids — any snapshot serves
@@ -516,17 +531,31 @@ fn run(args: &[String]) -> Result<(), String> {
                     path.display()
                 );
             }
+            let boundary_share = overlay.num_boundary() as f64 / graph.num_vertices().max(1) as f64;
             println!(
                 "partitioned {} vertices / {} edges into {shards} shard(s) in {:.2?}: \
-                 {} boundary vertices, {} cut edges, {} overlay edges -> {}",
+                 {} boundary vertices ({:.1}% of the graph), {} cut edges, \
+                 {} overlay edges, {} overlay bytes -> {}",
                 graph.num_vertices(),
                 graph.num_edges(),
                 start.elapsed(),
                 overlay.num_boundary(),
+                100.0 * boundary_share,
                 partition.cut_edges(&graph).count(),
                 overlay.num_edges(),
+                overlay_bytes.len(),
                 overlay_path.display()
             );
+            if boundary_share > 0.25 {
+                eprintln!(
+                    "warning: {:.0}% of the vertices are boundary vertices. A routed query \
+                     costs work proportional to the boundary (one distance row per endpoint, \
+                     one cell per boundary vertex); above 25% the sharded tier serves at a \
+                     small fraction of the unsharded index's rate (RESULTS.md Exp 11). Use \
+                     fewer shards, or do not shard this graph.",
+                    100.0 * boundary_share
+                );
+            }
             Ok(())
         }
         Some("route") => {
@@ -551,7 +580,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(ms) = flag_value::<u64>(args, "--probe-interval-ms")? {
                 config.probe_interval = Duration::from_millis(ms);
             }
-            // Router-side result cache in front of scatter-gather (0 = off).
+            // Router-side answer and potential caches (0 = both off).
             if let Some(cache) = flag_value(args, "--cache-size")? {
                 config.cache_capacity = cache;
             }

@@ -7,6 +7,9 @@
 //! * a killed backend degrades and then **un-degrades automatically** once
 //!   restarted on the same port — driven purely by the router's background
 //!   prober, with no client query traffic;
+//! * a backend that dies in the middle of a client batch costs that batch one
+//!   `ERR` and leaves nothing behind in the router's potential cache: after
+//!   the restart the same batch is bit-identical to the direct index;
 //! * a feed crash mid-snapshot-write (torn temp file) never corrupts the
 //!   snapshot directory: recovery picks the previous generation, and the
 //!   next feed continues the numbering instead of overwriting history;
@@ -323,6 +326,77 @@ fn killed_backend_undegrades_after_restart_without_client_traffic() {
         client.query(cross.0, cross.1, 1).expect("query after recovery"),
         flat.distance_with(cross.0, cross.1, 1, QueryImpl::Merge)
     );
+
+    kill(&router_addr, router_handle);
+    kill(&a0, h0);
+    kill(&a1, h1);
+}
+
+/// A backend that is gone by the time a client batch reaches it: shard 0's
+/// exchange has already succeeded when shard 1's fails, so the router holds
+/// half of the batch's rows — and must cache none of them. The client sees
+/// exactly one `ERR`; after the restart the same batch, and a re-pairing of
+/// its endpoints answered from the potential cache, are bit-identical to the
+/// direct index.
+#[test]
+fn backend_killed_mid_batch_poisons_no_potentials() {
+    let _serial = serial();
+    let g = barabasi_albert(70, 2, &QualityAssigner::uniform(4), 19);
+    let flat = full_flat(&g);
+    let partition = Partition::build(&g, 2, 6);
+    let sharded = ShardedIndex::build(&g, &partition);
+    let shards = sharded.shards();
+    let (a0, h0) = spawn_server(&shards[0], ServerConfig::default());
+    let (a1, h1) = spawn_server(&shards[1], ServerConfig::default());
+    // Default caches on; no prober, so only client traffic moves breakers.
+    let config = RouterConfig {
+        backend_timeout: Duration::from_millis(500),
+        probe_interval: Duration::ZERO,
+        ..RouterConfig::default()
+    };
+    let groups = vec![vec![a0.clone()], vec![a1.clone()]];
+    let router = Router::bind(sharded.overlay().clone(), groups, config).expect("bind router");
+    let router_addr = router.local_addr().to_string();
+    let router_handle = std::thread::spawn(move || router.run());
+
+    let in_shard = |shard: u32| -> Vec<u32> {
+        (0..g.num_vertices() as u32).filter(|&v| partition.shard_of(v) == shard).collect()
+    };
+    let (v0, v1) = (in_shard(0), in_shard(1));
+    // Cross-shard and same-shard pairs over both shards, every endpoint new.
+    let batch: Vec<(u32, u32, u32)> = (0..8)
+        .flat_map(|i| [(v0[i], v1[i], 1 + i as u32 % 3), (v1[i + 8], v1[i + 16], 2)])
+        .chain([(v0[9], v0[10], 1)])
+        .collect();
+    let repaired: Vec<(u32, u32, u32)> = batch.iter().map(|&(s, t, w)| (t, s, w)).collect();
+    let expect = |qs: &[(u32, u32, u32)]| -> Vec<_> {
+        qs.iter().map(|&(s, t, w)| flat.distance_with(s, t, w, QueryImpl::Merge)).collect()
+    };
+
+    let mut client = Client::connect_with(&router_addr, Protocol::Binary).expect("connect router");
+    // Live connections to both backends before the kill.
+    assert_eq!(client.query(v0[20], v1[20], 1).expect("warm-up"), flat.distance(v0[20], v1[20], 1));
+    let resident = scrape(&router_addr).value("wcsd_router_potential_cells").expect("cells gauge");
+
+    kill(&a1, h1);
+    let err = client.batch(&batch).expect_err("one ERR for the whole batch");
+    assert!(err.contains("backend 1") && err.contains("unavailable"), "diagnostic: {err}");
+    let m = scrape(&router_addr);
+    assert_eq!(m.value("wcsd_router_potential_cells"), Some(resident), "nothing was inserted");
+    assert_eq!(m.value("wcsd_cache_hits_total"), Some(0.0));
+
+    let port: u16 = a1.rsplit(':').next().unwrap().parse().unwrap();
+    let restarted =
+        Server::bind_flat(Arc::clone(&shards[1]), ServerConfig { port, ..ServerConfig::default() })
+            .expect("rebind the killed backend's port");
+    let h1 = std::thread::spawn(move || restarted.run());
+
+    assert_eq!(client.batch(&batch).expect("same batch after the restart"), expect(&batch));
+    let misses = scrape(&router_addr).value("wcsd_router_potential_misses_total");
+    assert_eq!(client.batch(&repaired).expect("re-paired endpoints"), expect(&repaired));
+    let m = scrape(&router_addr);
+    assert_eq!(m.value("wcsd_router_potential_misses_total"), misses, "served from cached rows");
+    assert_eq!(m.value("wcsd_router_degraded_backends"), Some(0.0), "traffic closed the breaker");
 
     kill(&router_addr, router_handle);
     kill(&a0, h0);

@@ -8,6 +8,10 @@
 //!   unreachable pairs, `s == t`, and out-of-range quality constraints;
 //! * an exhaustive small-graph sweep pinning both against the online
 //!   constrained-BFS oracle (ground truth, not just mutual agreement);
+//! * the separable form the router answers in — `compose` over each
+//!   endpoint's `potentials` row — pinned to `merge(plan…)` and to the BFS
+//!   oracle on road and social graphs × 1–4 shards × 48 seeds, and the rows
+//!   themselves pinned to whole-graph distances on a disconnected graph;
 //! * an end-to-end TCP test: two real backend reactors plus the
 //!   scatter-gather router, checked for wire parity on both protocols and
 //!   for identical `ERR` wording against a direct (unsharded) server;
@@ -17,7 +21,10 @@
 //!   `METRICS`, and never emit a torn (partial) batch reply;
 //! * a result-cache test: repeated workloads are served from router memory
 //!   with zero additional backend fan-out, bit-identically, with hits
-//!   reported consistently through `STATS` and `METRICS`.
+//!   reported consistently through `STATS` and `METRICS`;
+//! * potential-cache tests: a different batch over known endpoints costs
+//!   only its direct sub-queries, `cache_capacity: 0` refetches every row,
+//!   and a budget smaller than the working set evicts and stays exact.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,6 +34,7 @@ use wcsd::prelude::*;
 use wcsd_baselines::online::constrained_bfs;
 use wcsd_graph::generators::{barabasi_albert, road_grid, QualityAssigner, RoadGridConfig};
 use wcsd_graph::{Distance, Graph};
+use wcsd_server::cache::ENTRY_OVERHEAD_CELLS;
 
 /// Number of seeds per graph shape in the fuzz sweep (matches the
 /// property-test convention in `tests/properties.rs`).
@@ -129,6 +137,114 @@ fn sharded_matches_oracle_exhaustive() {
                         constrained_bfs(&g, s, t, w),
                         "seed {seed}: Q({s},{t},{w})"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// One endpoint's boundary potentials, in process: its shard row through
+/// [`OverlayIndex::potentials`].
+fn potentials(sharded: &ShardedIndex, v: u32, w: u32) -> Vec<Distance> {
+    let overlay = sharded.overlay();
+    let shard = overlay.shard_of(v);
+    let index = &sharded.shards()[shard as usize];
+    let row: Vec<Option<Distance>> =
+        overlay.shard_boundary(shard).iter().map(|&b| index.distance(v, b, w)).collect();
+    overlay.potentials(shard, w, &row).expect("a complete row")
+}
+
+/// The router's composition evaluated in process: both endpoints'
+/// [`potentials`], the same-shard direct term, then [`OverlayIndex::compose`].
+fn separable(sharded: &ShardedIndex, s: u32, t: u32, w: u32) -> Option<Distance> {
+    let overlay = sharded.overlay();
+    let shard = overlay.shard_of(s);
+    let direct = (shard == overlay.shard_of(t))
+        .then(|| sharded.shards()[shard as usize].distance(s, t, w))
+        .flatten();
+    OverlayIndex::compose(direct, &potentials(sharded, s, w), &potentials(sharded, t, w))
+}
+
+/// `compose(potentials…)` = `merge(plan…)` = the constrained-BFS oracle, on
+/// both shapes, 1–4 shards (one shard = an empty boundary) and 48 seeds, with
+/// the edge cases spelled out: `s == t`, a boundary vertex as an endpoint and
+/// as both, `w` above every edge quality, and whatever the removed grid edges
+/// and the strict levels leave unreachable.
+#[test]
+fn separable_form_matches_merge_and_oracle() {
+    for seed in 0..CASES {
+        for (shape, g) in [("road", road(seed)), ("social", social(seed))] {
+            let n = g.num_vertices() as u32;
+            let max_q = g.distinct_qualities().last().copied().unwrap_or(1);
+            for shards in 1..=4usize {
+                let partition = Partition::build(&g, shards, seed);
+                let sharded = ShardedIndex::build(&g, &partition);
+                let mut rng = StdRng::seed_from_u64(seed ^ ((shards as u64) << 32) ^ 0x5e9a_7ab1e);
+                let mut triples: Vec<(u32, u32, u32)> = (0..24)
+                    .map(|_| {
+                        (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..=max_q + 1))
+                    })
+                    .collect();
+                triples.extend([(0, 0, max_q + 5), (0, n - 1, max_q + 3), (n - 1, 0, 1)]);
+                if let [b1, .., b2] = *partition.boundary_vertices() {
+                    let w = rng.gen_range(1..=max_q);
+                    triples.extend([(b1, rng.gen_range(0..n), w), (b1, b2, w), (b2, b2, w)]);
+                } else {
+                    assert_eq!(shards, 1, "{shape} seed {seed}: only one shard has no cut");
+                }
+                let mut unreachable = 0;
+                for &(s, t, w) in &triples {
+                    let want = constrained_bfs(&g, s, t, w);
+                    unreachable += usize::from(want.is_none());
+                    let ctx = format!("{shape} seed {seed} shards {shards}: Q({s},{t},{w})");
+                    assert_eq!(separable(&sharded, s, t, w), want, "compose, {ctx}");
+                    assert_eq!(sharded.distance(s, t, w), want, "merge, {ctx}");
+                }
+                assert!(unreachable > 0, "{shape} seed {seed}: no unreachable pair exercised");
+            }
+        }
+    }
+}
+
+/// A disconnected graph (two grids, no edge between them) cut into 2–4
+/// shards: every potential row equals the whole-graph oracle distances to
+/// every boundary vertex — `INF` across components — and every pair at every
+/// level composes to the oracle answer.
+#[test]
+fn potentials_are_whole_graph_distances_on_a_disconnected_graph() {
+    let (a, b) = (road(3), road(4));
+    let half = a.num_vertices() as u32;
+    let mut builder = GraphBuilder::new(2 * half as usize);
+    for (g, base) in [(&a, 0), (&b, half)] {
+        for u in g.vertices() {
+            for (v, q) in g.neighbors(u).filter(|&(v, _)| u < v) {
+                builder.add_edge(base + u, base + v, q);
+            }
+        }
+    }
+    let g = builder.build();
+    for shards in 2..=4usize {
+        let partition = Partition::build(&g, shards, 7);
+        let sharded = ShardedIndex::build(&g, &partition);
+        let boundary = partition.boundary_vertices();
+        for w in 1..=5u32 {
+            for v in g.vertices() {
+                let got = potentials(&sharded, v, w);
+                let want: Vec<Distance> = boundary
+                    .iter()
+                    .map(|&b| constrained_bfs(&g, v, b, w).unwrap_or(Distance::MAX))
+                    .collect();
+                assert_eq!(got, want, "shards {shards}: P({v},{w})");
+            }
+            for s in (0..2 * half).step_by(5) {
+                for t in g.vertices() {
+                    let want = constrained_bfs(&g, s, t, w);
+                    assert_eq!(
+                        separable(&sharded, s, t, w),
+                        want,
+                        "shards {shards}: Q({s},{t},{w})"
+                    );
+                    assert_eq!(sharded.distance(s, t, w), want, "shards {shards}: Q({s},{t},{w})");
                 }
             }
         }
@@ -424,4 +540,94 @@ fn router_result_cache_short_circuits_fanout() {
 
     let snapshot = cluster.shutdown();
     assert!(snapshot.cache_hits >= workload.len() as u64);
+}
+
+/// `(fan-out queries, potential hits, potential misses)` off the router's
+/// `METRICS`, plus the resident-cells gauge.
+fn potential_counters(c: &mut Client) -> ([f64; 3], f64) {
+    let m = wcsd_obs::scrape::Scrape::parse(&c.metrics(false).expect("router metrics"));
+    let value = |name: &str| m.value(name).unwrap_or_else(|| panic!("{name} exported"));
+    (
+        [
+            value("wcsd_router_fanout_queries_total"),
+            value("wcsd_router_potential_hits_total"),
+            value("wcsd_router_potential_misses_total"),
+        ],
+        value("wcsd_router_potential_cells"),
+    )
+}
+
+/// The potential cache: a *different* batch over endpoints the router has
+/// already seen costs one backend sub-query per same-shard pair (the direct
+/// term) and nothing else; with `cache_capacity: 0` the same batch refetches
+/// every row. Answers are the unsharded index's either way.
+#[test]
+fn router_potential_cache_leaves_only_direct_subqueries() {
+    let g = road_grid(&RoadGridConfig::square(9), &QualityAssigner::uniform(4), 17);
+    let flat = full_flat(&g);
+    let partition = Partition::build(&g, 2, 5);
+    let n = g.num_vertices() as u32;
+    // 20 pairs over 40 distinct vertices, then the same endpoints paired the
+    // other way round: no (s, t, w) repeats, every (v, w) does.
+    let first: Vec<(u32, u32, u32)> = (0..20).map(|i| (i, n - 1 - i, 1 + i % 3)).collect();
+    let second: Vec<(u32, u32, u32)> = first.iter().map(|&(s, t, w)| (t, s, w)).collect();
+    let same_shard =
+        second.iter().filter(|&&(s, t, _)| partition.shard_of(s) == partition.shard_of(t)).count();
+    assert!(0 < same_shard && same_shard < second.len(), "both kinds of pair: {same_shard}");
+    let expect = |qs: &[(u32, u32, u32)]| -> Vec<_> {
+        qs.iter().map(|&(s, t, w)| flat.distance(s, t, w)).collect()
+    };
+
+    let warm = start_cluster(&g, 2, 5, Duration::from_secs(2), 4096);
+    let mut client = Client::connect_with(&warm.router_addr, Protocol::Binary).expect("connect");
+    assert_eq!(client.batch(&first).expect("first batch"), expect(&first));
+    let (before, cells) = potential_counters(&mut client);
+    assert_eq!(before[1..], [0.0, 40.0], "40 cold endpoints");
+    let row_cells = ENTRY_OVERHEAD_CELLS + partition.boundary_vertices().len();
+    assert_eq!(cells, (40 * row_cells) as f64);
+    assert_eq!(client.batch(&second).expect("second batch"), expect(&second));
+    let (after, _) = potential_counters(&mut client);
+    assert_eq!(after[0] - before[0], same_shard as f64, "only the direct terms fan out");
+    assert_eq!(after[1..], [40.0, 40.0], "every endpoint of the second batch hit");
+    warm.shutdown();
+
+    let cold = start_cluster(&g, 2, 5, Duration::from_secs(2), 0);
+    let mut client = Client::connect_with(&cold.router_addr, Protocol::Binary).expect("connect");
+    assert_eq!(client.batch(&first).expect("first pass"), expect(&first));
+    let (once, _) = potential_counters(&mut client);
+    assert_eq!(client.batch(&first).expect("second pass"), expect(&first));
+    let (twice, cells) = potential_counters(&mut client);
+    assert_eq!(twice[0], 2.0 * once[0], "every row refetched");
+    assert_eq!((twice[1], twice[2], cells), (0.0, 80.0, 0.0), "nothing is ever resident");
+    cold.shutdown();
+}
+
+/// A cell budget far below the endpoint working set: rows are evicted, the
+/// resident-cells gauge never exceeds the budget, and every answer — from a
+/// resident row, a refetched one, or one too big to keep — is the oracle's.
+#[test]
+fn router_potential_cache_evicts_within_its_cell_budget() {
+    let g = road_grid(&RoadGridConfig::square(8), &QualityAssigner::uniform(4), 29);
+    let partition = Partition::build(&g, 2, 1);
+    let row = ENTRY_OVERHEAD_CELLS + partition.boundary_vertices().len();
+    let capacity = 16;
+    let budget = capacity * ENTRY_OVERHEAD_CELLS;
+    assert!((2 * row..20 * row).contains(&budget), "a few rows fit, not the working set: {row}");
+    let cluster = start_cluster(&g, 2, 1, Duration::from_secs(2), capacity);
+    let mut client = Client::connect_with(&cluster.router_addr, Protocol::Binary).expect("connect");
+    let n = g.num_vertices() as u32;
+    let mut rng = StdRng::seed_from_u64(0xe71c7);
+    for round in 0..12 {
+        let batch: Vec<(u32, u32, u32)> = (0..16)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..=4)))
+            .collect();
+        let got = client.batch(&batch).expect("batch");
+        for (&(s, t, w), got) in batch.iter().zip(got) {
+            assert_eq!(got, constrained_bfs(&g, s, t, w), "round {round}: Q({s},{t},{w})");
+        }
+        let ([_, _, misses], cells) = potential_counters(&mut client);
+        assert!(0.0 < cells && cells <= budget as f64, "round {round}: {cells} of {budget} cells");
+        assert!(misses * row as f64 > cells, "round {round}: rows were evicted");
+    }
+    cluster.shutdown();
 }
