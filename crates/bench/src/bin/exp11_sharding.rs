@@ -217,7 +217,7 @@ where
     let mut best: Option<Rep> = None;
     for _ in 0..reps.max(1) {
         let rep = f()?;
-        if best.as_ref().map_or(true, |b| rep.0 .0 > b.0 .0) {
+        if best.as_ref().is_none_or(|b| rep.0 .0 > b.0 .0) {
             best = Some(rep);
         }
     }

@@ -1,37 +1,45 @@
-//! Read-optimized flat representation of a WC-INDEX: one contiguous entry
-//! arena instead of one heap allocation per vertex.
+//! Read-optimized flat representation of a WC-INDEX: the index *is* its
+//! `WCIF` snapshot image, one run of little-endian `u32` words that queries
+//! read in place.
 //!
 //! [`crate::index::WcIndex`] is the *build* representation: each vertex owns a
 //! `Vec<LabelEntry>`, which is exactly what the construction sweeps need
 //! (per-vertex growth, in-place finalization) but pessimal for serving — every
 //! query chases two pointers into scattered allocations, and the
 //! array-of-structs entry layout drags `hub` bytes through the cache while the
-//! binary search only wants `quality`. [`FlatIndex`] is the *serve*
-//! representation:
+//! binary search only wants `quality`. [`Flat`] is the *serve*
+//! representation. After a five-word header (magic, version, vertex / entry /
+//! group counts) its image holds:
 //!
-//! * a single struct-of-arrays entry arena (`dists`, `qualities`),
-//!   concatenated over all vertices in vertex order;
-//! * a CSR `entry_offsets` array (`entry_offsets[v]..entry_offsets[v + 1]` is
-//!   `L(v)`);
+//! * a CSR `entry_offsets` section (`entry_offsets[v]..entry_offsets[v + 1]`
+//!   is `L(v)`);
 //! * a per-vertex *hub-group directory* (`group_hubs`, `group_starts` under a
 //!   CSR `group_offsets`): one record per distinct hub of each vertex, so
 //!   `Query⁺` merges the two directories directly — comparing one `u32` per
 //!   distinct hub instead of walking entry-by-entry (`skip_group`) — and skips
 //!   ahead with `partition_point`-style binary searches on the miss path.
 //!   The directory makes a per-entry hub column redundant, so the arena does
-//!   not store one: entries cost 8 bytes instead of the nested form's 12.
+//!   not store one: entries cost 8 bytes instead of the nested form's 12;
+//! * a struct-of-arrays entry arena (`dists`, `qualities`), concatenated over
+//!   all vertices in vertex order;
+//! * the vertex order the index was built with.
 //!
-//! The split also fixes the snapshot story: [`FlatIndex::encode`] writes the
-//! arrays as-is into the versioned `WCIF` format, and [`FlatIndex::decode`] is
-//! a validated bulk copy — no per-vertex `Vec`, no re-sort. For load-once
-//! serving, [`FlatView`] answers queries *directly from the encoded bytes*
-//! (e.g. an mmap'd file) without copying the arena at all.
+//! One struct serves over either word backing: [`FlatIndex`] owns its image
+//! (`Vec<[u8; 4]>`) and [`FlatView`] borrows one (`&[[u8; 4]]`, e.g. a read
+//! buffer or a mapped file). There is one validator, one set of query
+//! algorithms — written against the borrowed form, through which the owned
+//! one queries too — and one [`QueryEngine`] impl. Because the words are the
+//! snapshot,
+//! [`Flat::encode`] is a copy, [`FlatView::parse`] is the validation pass in
+//! place, [`FlatIndex::decode`] is that pass plus one copy, and
+//! [`Flat::from_words`] validates a buffer a file was read straight into: no
+//! per-vertex allocation and no re-sort on any of them.
 //!
 //! Conversion is lossless in both directions ([`FlatIndex::from_index`] /
-//! [`FlatIndex::to_index`]) and answers are bit-identical for all three query
+//! [`Flat::to_index`]) and answers are bit-identical for all four query
 //! implementations (enforced by `tests/flat.rs`).
 
-use crate::index::{QueryImpl, WcIndex};
+use crate::index::{QueryEngine, QueryImpl, WcIndex};
 use crate::label::{LabelEntry, LabelSet};
 use crate::stats::IndexStats;
 use wcsd_graph::{Distance, Quality, VertexId, INF_DIST};
@@ -45,104 +53,227 @@ pub const WCIF_VERSION: u32 = 1;
 
 /// `WCIF` format version for the hot-group layout: byte-for-byte the same
 /// sections, but each vertex's hub groups are keyed and ordered by the hub's
-/// *rank* instead of its id (see [`FlatIndex::to_hot`]). The version word is
-/// the only difference, so readers of either layout share every code path.
+/// *rank* instead of its id (see [`Flat::to_hot`]). The version word is the
+/// only difference, so readers of either layout share every code path.
 pub const WCIF_VERSION_HOT: u32 = 2;
 
-/// Size of the fixed `WCIF` header: magic, version, vertex / entry / group
-/// counts.
-const WCIF_HEADER: usize = 4 + 4 * 4;
+/// Words in the fixed `WCIF` header: magic, version, vertex / entry / group
+/// counts. The `entry_offsets` section starts right after it.
+const HEADER_WORDS: usize = 5;
 
-/// A frozen, read-optimized WC-INDEX in contiguous struct-of-arrays form.
-///
-/// Construct one from a built [`WcIndex`] with [`FlatIndex::from_index`], or
-/// load one from a `WCIF` snapshot with [`FlatIndex::decode`]. The query
-/// surface mirrors [`WcIndex`] and returns bit-identical answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatIndex {
-    /// Distance of every entry; arena position `entry_offsets[v]..entry_offsets[v+1]` is `L(v)`.
-    dists: Vec<Distance>,
-    /// Quality threshold of every entry, parallel to `dists`.
-    qualities: Vec<Quality>,
-    /// CSR offsets into the entry arena, length `n + 1`.
-    entry_offsets: Vec<u32>,
-    /// Hub id of every hub group, concatenated over vertices.
-    group_hubs: Vec<VertexId>,
-    /// Arena position of the first entry of every group, parallel to `group_hubs`.
-    group_starts: Vec<u32>,
-    /// CSR offsets into the group directory, length `n + 1`.
-    group_offsets: Vec<u32>,
-    /// The vertex order the index was built with.
-    order: VertexOrder,
-    /// `true` when `group_hubs` holds hub *ranks* in the hot-group layout
-    /// (see [`Self::to_hot`]); `false` for the canonical hub-id layout.
+/// Where each section of a `WCIF` image with `n` vertices, `m` entries and
+/// `g` hub groups starts, in words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    n: usize,
+    m: usize,
+    g: usize,
+    /// `true` when `group_hubs` holds hub *ranks* (the hot-group layout, see
+    /// [`Flat::to_hot`]); `false` for the canonical hub-id layout.
     hot: bool,
+    group_offsets: usize,
+    group_hubs: usize,
+    group_starts: usize,
+    dists: usize,
+    qualities: usize,
+    order: usize,
 }
 
+impl Layout {
+    /// The section positions, or `None` when the image size overflows.
+    fn new(n: usize, m: usize, g: usize, hot: bool) -> Option<Self> {
+        let group_offsets = HEADER_WORDS.checked_add(n)?.checked_add(1)?;
+        let group_hubs = group_offsets.checked_add(n)?.checked_add(1)?;
+        let group_starts = group_hubs.checked_add(g)?;
+        let dists = group_starts.checked_add(g)?;
+        let qualities = dists.checked_add(m)?;
+        let order = qualities.checked_add(m)?;
+        order.checked_add(n)?;
+        Some(Self {
+            n,
+            m,
+            g,
+            hot,
+            group_offsets,
+            group_hubs,
+            group_starts,
+            dists,
+            qualities,
+            order,
+        })
+    }
+
+    /// Length of the whole image in words.
+    fn words(&self) -> usize {
+        self.order + self.n
+    }
+
+    /// The header's version word.
+    fn version(&self) -> u32 {
+        if self.hot {
+            WCIF_VERSION_HOT
+        } else {
+            WCIF_VERSION
+        }
+    }
+}
+
+/// A frozen, read-optimized WC-INDEX stored as its own `WCIF` image.
+///
+/// `W` is the word backing: owned for [`FlatIndex`], borrowed for
+/// [`FlatView`]. Build one from a [`WcIndex`] with [`FlatIndex::from_index`],
+/// or validate an encoded image with [`FlatIndex::decode`],
+/// [`FlatView::parse`] or [`Flat::from_words`]. The query surface mirrors
+/// [`WcIndex`] and returns bit-identical answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flat<W> {
+    /// The `WCIF` image, header included.
+    words: W,
+    at: Layout,
+}
+
+/// The owned flat index: the served form, and its own snapshot image.
+pub type FlatIndex = Flat<Vec<[u8; 4]>>;
+
+/// A flat index borrowed from an encoded `WCIF` buffer — a read buffer or a
+/// memory-mapped file — that answers queries without copying it.
+pub type FlatView<'a> = Flat<&'a [[u8; 4]]>;
+
 impl FlatIndex {
-    /// Freezes a built [`WcIndex`] into the flat representation.
+    /// Freezes a built [`WcIndex`] by writing its `WCIF` image.
     ///
-    /// Lossless: [`Self::to_index`] reconstructs an equal [`WcIndex`], and all
+    /// Lossless: [`Flat::to_index`] reconstructs an equal [`WcIndex`], and all
     /// queries return identical answers.
     pub fn from_index(index: &WcIndex) -> Self {
         let n = index.num_vertices();
-        let total: usize = index.total_entries();
-        assert!(total <= u32::MAX as usize, "flat index arena limited to u32::MAX entries");
-        let mut dists = Vec::with_capacity(total);
-        let mut qualities = Vec::with_capacity(total);
-        let mut entry_offsets = Vec::with_capacity(n + 1);
-        let mut group_hubs = Vec::new();
-        let mut group_starts = Vec::new();
-        let mut group_offsets = Vec::with_capacity(n + 1);
-        entry_offsets.push(0);
-        group_offsets.push(0);
+        let m = index.total_entries();
+        assert!(m <= u32::MAX as usize, "flat index arena limited to u32::MAX entries");
+        let g = (0..n).map(|v| index.labels(v as VertexId).hub_groups().count()).sum();
+        let at = Layout::new(n, m, g, false).expect("an in-memory index has a representable image");
+        let mut flat = Self { words: vec![[0; 4]; at.words()], at };
+        flat.words[0] = *WCIF_MAGIC;
+        for (i, word) in [at.version(), n as u32, m as u32, g as u32].into_iter().enumerate() {
+            flat.set(1 + i, word);
+        }
+        let (mut e, mut k) = (0, 0);
         for v in 0..n {
             for (hub, group) in index.labels(v as VertexId).hub_groups() {
-                group_hubs.push(hub);
-                group_starts.push(dists.len() as u32);
-                for e in group {
-                    dists.push(e.dist);
-                    qualities.push(e.quality);
+                flat.set(at.group_hubs + k, hub);
+                flat.set(at.group_starts + k, e as u32);
+                k += 1;
+                for entry in group {
+                    flat.set(at.dists + e, entry.dist);
+                    flat.set(at.qualities + e, entry.quality);
+                    e += 1;
                 }
             }
-            entry_offsets.push(dists.len() as u32);
-            group_offsets.push(group_hubs.len() as u32);
+            flat.set(HEADER_WORDS + v + 1, e as u32);
+            flat.set(at.group_offsets + v + 1, k as u32);
         }
-        Self {
-            dists,
-            qualities,
-            entry_offsets,
-            group_hubs,
-            group_starts,
-            group_offsets,
-            order: index.order().clone(),
-            hot: false,
+        for (k, v) in index.order().iter().enumerate() {
+            flat.set(at.order + k, v);
         }
+        flat
+    }
+
+    /// Decodes a `WCIF` snapshot produced by [`Flat::encode`]: the
+    /// validation pass of [`FlatView::parse`] over the borrowed bytes, then
+    /// one copy of the image. Corrupt or truncated input is rejected with an
+    /// error, never a panic.
+    pub fn decode(data: &[u8]) -> Result<Self, String> {
+        FlatView::parse(data).map(|view| view.to_owned())
+    }
+
+    /// Overwrites word `i` of the image.
+    #[inline]
+    fn set(&mut self, i: usize, value: u32) {
+        self.words[i] = value.to_le_bytes();
+    }
+}
+
+impl<'a> FlatView<'a> {
+    /// Parses and fully validates an encoded `WCIF` buffer in place, without
+    /// copying it.
+    pub fn parse(data: &'a [u8]) -> Result<Self, String> {
+        let (words, tail) = data.as_chunks::<4>();
+        if !tail.is_empty() {
+            return Err(format!("buffer is {} bytes, not a whole number of words", data.len()));
+        }
+        Self::from_words(words)
+    }
+}
+
+impl<W: AsRef<[[u8; 4]]>> Flat<W> {
+    /// Serves from `words` in place once they pass the one `WCIF`
+    /// validation pass: header and section sizes, offset monotonicity,
+    /// group/entry consistency, group keys inside `0..n`, the Theorem-3
+    /// ordering every query binary search relies on, and a permutation check
+    /// on the vertex order. A snapshot file read straight into a
+    /// `Vec<[u8; 4]>` becomes a [`FlatIndex`] this way with no second copy.
+    /// Corrupt input is rejected with an error, never a panic.
+    pub fn from_words(words: W) -> Result<Self, String> {
+        let image = words.as_ref();
+        if image.len() < HEADER_WORDS {
+            return Err("buffer shorter than the WCIF header".to_string());
+        }
+        if &image[0] != WCIF_MAGIC {
+            return Err(format!("bad magic {:?} (expected WCIF)", image[0]));
+        }
+        let header = |i: usize| u32::from_le_bytes(image[i]);
+        let version = header(1);
+        if version != WCIF_VERSION && version != WCIF_VERSION_HOT {
+            return Err(format!(
+                "unsupported WCIF version {version} \
+                 (expected {WCIF_VERSION} or {WCIF_VERSION_HOT})"
+            ));
+        }
+        let (n, m, g) = (header(2) as usize, header(3) as usize, header(4) as usize);
+        let at =
+            Layout::new(n, m, g, version == WCIF_VERSION_HOT).ok_or("section sizes overflow")?;
+        if image.len() != at.words() {
+            return Err(format!(
+                "image is {} words but the header implies {}",
+                image.len(),
+                at.words()
+            ));
+        }
+        let flat = Self { words, at };
+        flat.view().validate()?;
+        Ok(flat)
+    }
+
+    /// The same index over borrowed words; every query runs through it.
+    #[inline]
+    pub(crate) fn view(&self) -> FlatView<'_> {
+        Flat { words: self.words.as_ref(), at: self.at }
+    }
+
+    /// Copies the image into an owned [`FlatIndex`].
+    pub fn to_owned(&self) -> FlatIndex {
+        Flat { words: self.words.as_ref().to_vec(), at: self.at }
     }
 
     /// Thaws the flat index back into the nested build representation.
     pub fn to_index(&self) -> WcIndex {
-        if self.hot {
+        if self.at.hot {
             // The nested form is canonical by construction; route the hot
             // layout back through the hub-ascending permutation first.
             return self.to_canonical().to_index();
         }
-        let n = self.num_vertices();
-        let mut labels = Vec::with_capacity(n);
-        for v in 0..n {
-            let entries: Vec<LabelEntry> = self.label_entries(v as VertexId).collect();
-            labels.push(LabelSet::from_sorted(entries));
-        }
-        WcIndex::from_parts(labels, self.order.clone())
+        let labels = (0..self.at.n)
+            .map(|v| LabelSet::from_sorted(self.label_entries(v as VertexId).collect()))
+            .collect();
+        WcIndex::from_parts(labels, self.order())
     }
 
-    /// Returns `true` when the index uses the hot-group layout.
+    /// Returns `true` when the index uses the hot-group layout (`WCIF`
+    /// version [`WCIF_VERSION_HOT`]).
     pub fn hot_groups(&self) -> bool {
-        self.hot
+        self.at.hot
     }
 
     /// Re-lays the index out with each vertex's hub groups keyed and ordered
-    /// by the hub's **rank** instead of its id (no-op if already hot).
+    /// by the hub's **rank** instead of its id (a copy if already hot).
     ///
     /// Rank 0 is the most important hub — the one most label sets contain —
     /// so the hot layout clusters the groups most likely to match at the
@@ -151,76 +282,74 @@ impl FlatIndex {
     /// groups match under rank keys exactly when they match under hub ids,
     /// and within a group nothing moves: every query answer is bit-identical
     /// to the canonical layout (pinned by `tests/kernels.rs`). The layout is
-    /// an encode-time choice: [`Self::encode`] stamps it as `WCIF` version
-    /// [`WCIF_VERSION_HOT`] and both decoders accept either version.
+    /// stamped into the image as `WCIF` version [`WCIF_VERSION_HOT`], and
+    /// every reader accepts either version.
     pub fn to_hot(&self) -> FlatIndex {
-        if self.hot {
-            return self.clone();
+        if self.at.hot {
+            return self.to_owned();
         }
-        self.permute_groups(|hub| self.order.rank_of(hub), true)
+        let order = self.order();
+        self.permute_groups(|hub| order.rank_of(hub), true)
     }
 
-    /// Restores the canonical hub-ascending group layout (no-op if already
+    /// Restores the canonical hub-ascending group layout (a copy if already
     /// canonical). Inverse of [`Self::to_hot`].
     pub fn to_canonical(&self) -> FlatIndex {
-        if !self.hot {
-            return self.clone();
+        if !self.at.hot {
+            return self.to_owned();
         }
-        self.permute_groups(|rank| self.order.vertex_at(rank as usize), false)
+        let st = self.view();
+        self.permute_groups(|rank| st.vertex_at(rank as usize), false)
     }
 
     /// Rewrites every vertex's directory (and the entry arena behind it) with
     /// group keys mapped through `new_key`, groups sorted ascending by the
-    /// new key. Entry contents and per-vertex entry ranges are unchanged.
+    /// new key. Entry contents, per-vertex ranges and the order are unchanged.
     fn permute_groups(&self, new_key: impl Fn(u32) -> u32, hot: bool) -> FlatIndex {
-        let n = self.num_vertices();
-        let mut dists = Vec::with_capacity(self.dists.len());
-        let mut qualities = Vec::with_capacity(self.qualities.len());
-        let mut group_hubs = Vec::with_capacity(self.group_hubs.len());
-        let mut group_starts = Vec::with_capacity(self.group_starts.len());
-        for v in 0..n {
-            let (g0, g1) = (self.group_offsets[v] as usize, self.group_offsets[v + 1] as usize);
+        let st = self.view();
+        let mut out = self.to_owned();
+        out.at.hot = hot;
+        out.set(1, out.at.version());
+        let at = out.at;
+        let mut e = 0;
+        for v in 0..at.n {
+            let (g0, g1) = (st.group_offset(v), st.group_offset(v + 1));
             let mut groups: Vec<usize> = (g0..g1).collect();
-            groups.sort_unstable_by_key(|&g| new_key(self.group_hubs[g]));
-            for g in groups {
-                group_hubs.push(new_key(self.group_hubs[g]));
-                group_starts.push(dists.len() as u32);
-                let (e0, e1) =
-                    (self.group_starts[g] as usize, FlatStore::group_end(self, g, v as VertexId));
-                dists.extend_from_slice(&self.dists[e0..e1]);
-                qualities.extend_from_slice(&self.qualities[e0..e1]);
+            groups.sort_unstable_by_key(|&k| new_key(st.group_hub(k)));
+            for (slot, k) in (g0..).zip(groups) {
+                out.set(at.group_hubs + slot, new_key(st.group_hub(k)));
+                out.set(at.group_starts + slot, e as u32);
+                for src in st.group_start(k)..st.group_end(k, v as VertexId) {
+                    out.set(at.dists + e, st.dist(src));
+                    out.set(at.qualities + e, st.quality(src));
+                    e += 1;
+                }
             }
         }
-        FlatIndex {
-            dists,
-            qualities,
-            entry_offsets: self.entry_offsets.clone(),
-            group_hubs,
-            group_starts,
-            group_offsets: self.group_offsets.clone(),
-            order: self.order.clone(),
-            hot,
-        }
+        out
     }
 
     /// Number of vertices the index covers.
     pub fn num_vertices(&self) -> usize {
-        self.entry_offsets.len() - 1
+        self.at.n
     }
 
     /// Total number of label entries across all vertices.
     pub fn total_entries(&self) -> usize {
-        self.dists.len()
+        self.at.m
     }
 
     /// Total number of hub groups across all vertices.
     pub fn num_groups(&self) -> usize {
-        self.group_hubs.len()
+        self.at.g
     }
 
-    /// The vertex order the index was built with.
-    pub fn order(&self) -> &VertexOrder {
-        &self.order
+    /// The vertex order the index was built with, read from the image.
+    pub fn order(&self) -> VertexOrder {
+        let st = self.view();
+        // Every image is a checked or freshly written one, so this is a
+        // permutation and cannot panic.
+        VertexOrder::from_permutation((0..st.at.n).map(|k| st.vertex_at(k)).collect())
     }
 
     /// Iterates the entries of `L(v)` in directory order: canonical `(hub,
@@ -229,20 +358,19 @@ impl FlatIndex {
     /// entry comes from the group directory — the arena itself stores no
     /// per-entry hub column (it would be fully redundant).
     pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = LabelEntry> + '_ {
-        let g0 = self.group_offsets[v as usize] as usize;
-        let g1 = self.group_offsets[v as usize + 1] as usize;
-        (g0..g1).flat_map(move |g| {
-            let key = self.group_hubs[g];
-            let hub = if self.hot { self.order.vertex_at(key as usize) } else { key };
-            let start = self.group_starts[g] as usize;
-            let end = FlatStore::group_end(self, g, v);
-            (start..end).map(move |e| LabelEntry::new(hub, self.dists[e], self.qualities[e]))
+        let st = self.view();
+        (st.group_offset(v as usize)..st.group_offset(v as usize + 1)).flat_map(move |g| {
+            let key = st.group_hub(g);
+            let hub = if st.at.hot { st.vertex_at(key as usize) } else { key };
+            (st.group_start(g)..st.group_end(g, v))
+                .map(move |e| LabelEntry::new(hub, st.dist(e), st.quality(e)))
         })
     }
 
     /// Number of entries in `L(v)`.
     pub fn label_len(&self, v: VertexId) -> usize {
-        (self.entry_offsets[v as usize + 1] - self.entry_offsets[v as usize]) as usize
+        let st = self.view();
+        st.entry_offset(v as usize + 1) - st.entry_offset(v as usize)
     }
 
     /// Answers `Q(s, t, w)` with the `Query⁺` merge over the group
@@ -259,11 +387,12 @@ impl FlatIndex {
         w: Quality,
         imp: QueryImpl,
     ) -> Option<Distance> {
+        let st = self.view();
         let d = match imp {
-            QueryImpl::PairScan => pair_scan_flat(self, s, t, w),
-            QueryImpl::HubBucket => hub_bucket_flat(self, s, t, w),
-            QueryImpl::Merge => merge_flat(self, s, t, w),
-            QueryImpl::Chunked => crate::kernel::merge_chunked(self, s, t, w),
+            QueryImpl::PairScan => pair_scan_flat(&st, s, t, w),
+            QueryImpl::HubBucket => hub_bucket_flat(&st, s, t, w),
+            QueryImpl::Merge => merge_flat(&st, s, t, w),
+            QueryImpl::Chunked => crate::kernel::merge_chunked(&st, s, t, w),
         };
         (d != INF_DIST).then_some(d)
     }
@@ -277,271 +406,41 @@ impl FlatIndex {
         s: VertexId,
         targets: &[(VertexId, Quality)],
     ) -> Vec<Option<Distance>> {
-        crate::kernel::distances_from_flat(self, s, targets)
+        crate::kernel::distances_from_flat(&self.view(), s, targets)
     }
 
     /// Returns `true` if some `w`-path of length at most `d` connects `s` and
     /// `t` (the cover predicate, mirroring [`WcIndex::within`]).
     pub fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-        covered_flat(self, s, t, w, d)
+        covered_flat(&self.view(), s, t, w, d)
     }
 
     /// Aggregate statistics of the index.
     pub fn stats(&self) -> IndexStats {
-        stats_of(self)
+        let st = self.view();
+        let Layout { n, m, .. } = self.at;
+        let max_label_size =
+            (0..n).map(|v| st.entry_offset(v + 1) - st.entry_offset(v)).max().unwrap_or(0);
+        IndexStats {
+            num_vertices: n,
+            total_entries: m,
+            max_label_size,
+            avg_label_size: if n == 0 { 0.0 } else { m as f64 / n as f64 },
+            entry_bytes: m * std::mem::size_of::<LabelEntry>(),
+        }
     }
 
-    /// Serializes the index into the versioned `WCIF` snapshot: a fixed
-    /// header followed by each array as raw little-endian words, in exactly
-    /// the in-memory layout. [`Self::decode`] and [`FlatView::parse`] read it
-    /// back.
+    /// Serializes the index as its versioned `WCIF` snapshot, which is the
+    /// image itself, copied out. [`FlatIndex::decode`] and
+    /// [`FlatView::parse`] read it back.
     pub fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let n = self.num_vertices();
-        let m = self.total_entries();
-        let g = self.num_groups();
-        let total = WCIF_HEADER + 4 * (2 * (n + 1) + 2 * g + 2 * m + n);
-        let mut buf = bytes::BytesMut::with_capacity(total);
-        buf.put_slice(WCIF_MAGIC);
-        buf.put_u32_le(if self.hot { WCIF_VERSION_HOT } else { WCIF_VERSION });
-        buf.put_u32_le(n as u32);
-        buf.put_u32_le(m as u32);
-        buf.put_u32_le(g as u32);
-        for section in [
-            &self.entry_offsets,
-            &self.group_offsets,
-            &self.group_hubs,
-            &self.group_starts,
-            &self.dists,
-            &self.qualities,
-        ] {
-            for &word in section.iter() {
-                buf.put_u32_le(word);
-            }
-        }
-        for v in self.order.iter() {
-            buf.put_u32_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a `WCIF` snapshot produced by [`Self::encode`].
-    ///
-    /// The decode is a bulk copy of each section followed by one linear
-    /// validation pass over the copied arrays (offset monotonicity,
-    /// group/entry consistency, the Theorem-3 ordering every query binary
-    /// search relies on, and a permutation check on the vertex order). No
-    /// per-vertex allocation, no re-sort. Corrupt or truncated input is
-    /// rejected with an error, never a panic.
-    pub fn decode(data: &[u8]) -> Result<Self, String> {
-        // The sections are copied first and the (shared, generic) validation
-        // pass runs over the owned arrays, where the `FlatStore` accessors
-        // monomorphize to plain `Vec` indexing — same speed as a
-        // hand-specialized pass, one validator to maintain.
-        let owned = FlatView::split(data)?.copy_sections()?;
-        validate(&owned)?;
-        Ok(owned)
+        self.words.as_ref().as_flattened().to_vec().into()
     }
 }
 
-/// A borrowed, zero-copy view over an encoded `WCIF` snapshot.
-///
-/// [`FlatView::parse`] validates the buffer once (same checks as
-/// [`FlatIndex::decode`]) and then answers queries by reading little-endian
-/// words straight out of the underlying bytes — nothing is copied, so a
-/// memory-mapped snapshot file serves queries at file-cache speed the moment
-/// it is mapped. Convert to an owned [`FlatIndex`] with [`FlatView::to_owned`]
-/// when the backing buffer cannot outlive the serving loop.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatView<'a> {
-    n: usize,
-    m: usize,
-    g: usize,
-    hot: bool,
-    entry_offsets: &'a [u8],
-    group_offsets: &'a [u8],
-    group_hubs: &'a [u8],
-    group_starts: &'a [u8],
-    dists: &'a [u8],
-    qualities: &'a [u8],
-    order: &'a [u8],
-}
-
-/// Little-endian `u32` at word index `i` of `section`.
-#[inline]
-fn word(section: &[u8], i: usize) -> u32 {
-    let bytes: [u8; 4] = section[4 * i..4 * i + 4].try_into().expect("4-byte slice");
-    u32::from_le_bytes(bytes)
-}
-
-impl<'a> FlatView<'a> {
-    /// Parses and fully validates an encoded `WCIF` buffer without copying
-    /// the arrays.
-    pub fn parse(data: &'a [u8]) -> Result<Self, String> {
-        let view = Self::split(data)?;
-        validate(&view)?;
-        validate_order_words((0..view.n).map(|k| word(view.order, k)), view.n)?;
-        Ok(view)
-    }
-
-    /// Checks the header and splits the buffer into its sections, without
-    /// the structural validation pass.
-    fn split(data: &'a [u8]) -> Result<Self, String> {
-        if data.len() < WCIF_HEADER {
-            return Err("buffer shorter than the WCIF header".to_string());
-        }
-        if &data[..4] != WCIF_MAGIC {
-            return Err(format!("bad magic {:?} (expected WCIF)", &data[..4]));
-        }
-        let header_word = |i: usize| word(&data[4..], i);
-        let version = header_word(0);
-        if version != WCIF_VERSION && version != WCIF_VERSION_HOT {
-            return Err(format!(
-                "unsupported WCIF version {version} \
-                 (expected {WCIF_VERSION} or {WCIF_VERSION_HOT})"
-            ));
-        }
-        let n = header_word(1) as usize;
-        let m = header_word(2) as usize;
-        let g = header_word(3) as usize;
-        let words = 2usize
-            .checked_mul(n + 1)
-            .and_then(|x| x.checked_add(2 * g))
-            .and_then(|x| x.checked_add(2usize.checked_mul(m)?))
-            .and_then(|x| x.checked_add(n))
-            .ok_or("section sizes overflow")?;
-        let expected = 4usize
-            .checked_mul(words)
-            .and_then(|x| x.checked_add(WCIF_HEADER))
-            .ok_or("section sizes overflow")?;
-        if data.len() != expected {
-            return Err(format!(
-                "buffer is {} bytes but the header implies {expected}",
-                data.len()
-            ));
-        }
-        let mut rest = &data[WCIF_HEADER..];
-        let mut take = |words: usize| {
-            let (section, tail) = rest.split_at(4 * words);
-            rest = tail;
-            section
-        };
-        Ok(Self {
-            n,
-            m,
-            g,
-            hot: version == WCIF_VERSION_HOT,
-            entry_offsets: take(n + 1),
-            group_offsets: take(n + 1),
-            group_hubs: take(g),
-            group_starts: take(g),
-            dists: take(m),
-            qualities: take(m),
-            order: take(n),
-        })
-    }
-
-    /// Number of vertices the snapshot covers.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Total number of label entries.
-    pub fn total_entries(&self) -> usize {
-        self.m
-    }
-
-    /// Total number of hub groups.
-    pub fn num_groups(&self) -> usize {
-        self.g
-    }
-
-    /// Returns `true` when the snapshot uses the hot-group layout
-    /// (`WCIF` version [`WCIF_VERSION_HOT`]).
-    pub fn hot_groups(&self) -> bool {
-        self.hot
-    }
-
-    /// Answers `Q(s, t, w)` directly from the borrowed buffer.
-    pub fn distance(&self, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
-        self.distance_with(s, t, w, QueryImpl::Merge)
-    }
-
-    /// Same as [`Self::distance`] but selecting the query implementation.
-    pub fn distance_with(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        w: Quality,
-        imp: QueryImpl,
-    ) -> Option<Distance> {
-        let d = match imp {
-            QueryImpl::PairScan => pair_scan_flat(self, s, t, w),
-            QueryImpl::HubBucket => hub_bucket_flat(self, s, t, w),
-            QueryImpl::Merge => merge_flat(self, s, t, w),
-            QueryImpl::Chunked => crate::kernel::merge_chunked(self, s, t, w),
-        };
-        (d != INF_DIST).then_some(d)
-    }
-
-    /// Answers a run of `(t, w)` targets sharing the source `s` with the
-    /// batch kernel, straight from the borrowed buffer (see
-    /// [`FlatIndex::distances_from`]).
-    pub fn distances_from(
-        &self,
-        s: VertexId,
-        targets: &[(VertexId, Quality)],
-    ) -> Vec<Option<Distance>> {
-        crate::kernel::distances_from_flat(self, s, targets)
-    }
-
-    /// Returns `true` if some `w`-path of length at most `d` connects `s` and
-    /// `t`.
-    pub fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-        covered_flat(self, s, t, w, d)
-    }
-
-    /// Aggregate statistics of the snapshot.
-    pub fn stats(&self) -> IndexStats {
-        stats_of(self)
-    }
-
-    /// Copies the view into an owned [`FlatIndex`].
-    pub fn to_owned(&self) -> FlatIndex {
-        // `parse` already validated the buffer, so the copy cannot fail.
-        self.copy_sections().expect("a parsed view always copies")
-    }
-
-    /// Bulk-copies every section into owned vectors, checking only that the
-    /// vertex order is a permutation (so `VertexOrder::from_permutation`
-    /// cannot panic on untrusted input). [`FlatIndex::decode`] runs the
-    /// structural validation pass afterwards on the owned arrays, where the
-    /// accessors are plain `Vec` indexing instead of byte reads.
-    fn copy_sections(&self) -> Result<FlatIndex, String> {
-        let copy = |section: &[u8]| -> Vec<u32> {
-            section
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                .collect()
-        };
-        let order_words = copy(self.order);
-        validate_order_words(order_words.iter().copied(), self.n)?;
-        Ok(FlatIndex {
-            dists: copy(self.dists),
-            qualities: copy(self.qualities),
-            entry_offsets: copy(self.entry_offsets),
-            group_hubs: copy(self.group_hubs),
-            group_starts: copy(self.group_starts),
-            group_offsets: copy(self.group_offsets),
-            order: VertexOrder::from_permutation(order_words),
-            hot: self.hot,
-        })
-    }
-}
-
-impl crate::index::QueryEngine for FlatIndex {
+impl<W: AsRef<[[u8; 4]]> + Sync> QueryEngine for Flat<W> {
     fn num_vertices(&self) -> usize {
-        FlatIndex::num_vertices(self)
+        Flat::num_vertices(self)
     }
     fn distance_with(
         &self,
@@ -550,76 +449,76 @@ impl crate::index::QueryEngine for FlatIndex {
         w: Quality,
         imp: QueryImpl,
     ) -> Option<Distance> {
-        FlatIndex::distance_with(self, s, t, w, imp)
+        Flat::distance_with(self, s, t, w, imp)
     }
     fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-        FlatIndex::within(self, s, t, w, d)
+        Flat::within(self, s, t, w, d)
     }
     fn distances_from(
         &self,
         s: VertexId,
         targets: &[(VertexId, Quality)],
     ) -> Vec<Option<Distance>> {
-        FlatIndex::distances_from(self, s, targets)
+        Flat::distances_from(self, s, targets)
     }
     fn stats(&self) -> IndexStats {
-        FlatIndex::stats(self)
+        Flat::stats(self)
     }
 }
 
-impl crate::index::QueryEngine for FlatView<'_> {
-    fn num_vertices(&self) -> usize {
-        FlatView::num_vertices(self)
+/// Word-level accessors. Every query algorithm — the chunked and batch
+/// kernels in [`crate::kernel`] included — reads the index through these.
+impl FlatView<'_> {
+    #[inline]
+    fn word(&self, i: usize) -> u32 {
+        u32::from_le_bytes(self.words[i])
     }
-    fn distance_with(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        w: Quality,
-        imp: QueryImpl,
-    ) -> Option<Distance> {
-        FlatView::distance_with(self, s, t, w, imp)
-    }
-    fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-        FlatView::within(self, s, t, w, d)
-    }
-    fn distances_from(
-        &self,
-        s: VertexId,
-        targets: &[(VertexId, Quality)],
-    ) -> Vec<Option<Distance>> {
-        FlatView::distances_from(self, s, targets)
-    }
-    fn stats(&self) -> IndexStats {
-        FlatView::stats(self)
-    }
-}
 
-/// Scalar accessors shared by the owned arena ([`FlatIndex`]) and the
-/// borrowed byte view ([`FlatView`]), so every query algorithm — including
-/// the chunked/batch kernels in [`crate::kernel`] — is written once. All
-/// methods are `#[inline]`-trivial; for the owned form they compile down to
-/// plain `Vec` indexing.
-pub(crate) trait FlatStore {
-    fn num_vertices(&self) -> usize;
-    fn num_entries(&self) -> usize;
-    fn num_groups(&self) -> usize;
-    /// `entry_offsets[i]`, `i` in `0..=n`.
-    fn entry_offset(&self, i: usize) -> usize;
-    /// `group_offsets[i]`, `i` in `0..=n`.
-    fn group_offset(&self, i: usize) -> usize;
-    /// Hub id of group `g`.
-    fn group_hub(&self, g: usize) -> VertexId;
+    /// `entry_offsets[v]`, `v` in `0..=n`.
+    #[inline]
+    pub(crate) fn entry_offset(&self, v: usize) -> usize {
+        self.word(HEADER_WORDS + v) as usize
+    }
+
+    /// `group_offsets[v]`, `v` in `0..=n`.
+    #[inline]
+    pub(crate) fn group_offset(&self, v: usize) -> usize {
+        self.word(self.at.group_offsets + v) as usize
+    }
+
+    /// Key of group `g`: its hub id, or the hub's rank in the hot layout.
+    #[inline]
+    pub(crate) fn group_hub(&self, g: usize) -> VertexId {
+        self.word(self.at.group_hubs + g)
+    }
+
     /// Arena position of the first entry of group `g`.
-    fn group_start(&self, g: usize) -> usize;
-    fn dist(&self, e: usize) -> Distance;
-    fn quality(&self, e: usize) -> Quality;
+    #[inline]
+    pub(crate) fn group_start(&self, g: usize) -> usize {
+        self.word(self.at.group_starts + g) as usize
+    }
+
+    #[inline]
+    pub(crate) fn dist(&self, e: usize) -> Distance {
+        self.word(self.at.dists + e)
+    }
+
+    #[inline]
+    pub(crate) fn quality(&self, e: usize) -> Quality {
+        self.word(self.at.qualities + e)
+    }
+
+    /// The vertex at position `k` of the order.
+    #[inline]
+    fn vertex_at(&self, k: usize) -> VertexId {
+        self.word(self.at.order + k)
+    }
 
     /// Arena position one past the last entry of group `g`, which belongs to
     /// vertex `v`: the next group's start, or the end of `L(v)` for the
     /// vertex's last group.
     #[inline]
-    fn group_end(&self, g: usize, v: VertexId) -> usize {
+    pub(crate) fn group_end(&self, g: usize, v: VertexId) -> usize {
         if g + 1 < self.group_offset(v as usize + 1) {
             self.group_start(g + 1)
         } else {
@@ -634,95 +533,75 @@ pub(crate) trait FlatStore {
     /// [`std::hint::black_box`] pulls the cache lines exactly as a hardware
     /// prefetch would, at the cost of occupying a load slot.
     #[inline]
-    fn prefetch_entry(&self, e: usize) {
+    pub(crate) fn prefetch_entry(&self, e: usize) {
         std::hint::black_box(self.dist(e));
         std::hint::black_box(self.quality(e));
     }
-}
 
-impl FlatStore for FlatIndex {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.entry_offsets.len() - 1
-    }
-    #[inline]
-    fn num_entries(&self) -> usize {
-        self.dists.len()
-    }
-    #[inline]
-    fn num_groups(&self) -> usize {
-        self.group_hubs.len()
-    }
-    #[inline]
-    fn entry_offset(&self, i: usize) -> usize {
-        self.entry_offsets[i] as usize
-    }
-    #[inline]
-    fn group_offset(&self, i: usize) -> usize {
-        self.group_offsets[i] as usize
-    }
-    #[inline]
-    fn group_hub(&self, g: usize) -> VertexId {
-        self.group_hubs[g]
-    }
-    #[inline]
-    fn group_start(&self, g: usize) -> usize {
-        self.group_starts[g] as usize
-    }
-    #[inline]
-    fn dist(&self, e: usize) -> Distance {
-        self.dists[e]
-    }
-    #[inline]
-    fn quality(&self, e: usize) -> Quality {
-        self.qualities[e]
-    }
-}
-
-impl FlatStore for FlatView<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.n
-    }
-    #[inline]
-    fn num_entries(&self) -> usize {
-        self.m
-    }
-    #[inline]
-    fn num_groups(&self) -> usize {
-        self.g
-    }
-    #[inline]
-    fn entry_offset(&self, i: usize) -> usize {
-        word(self.entry_offsets, i) as usize
-    }
-    #[inline]
-    fn group_offset(&self, i: usize) -> usize {
-        word(self.group_offsets, i) as usize
-    }
-    #[inline]
-    fn group_hub(&self, g: usize) -> VertexId {
-        word(self.group_hubs, g)
-    }
-    #[inline]
-    fn group_start(&self, g: usize) -> usize {
-        word(self.group_starts, g) as usize
-    }
-    #[inline]
-    fn dist(&self, e: usize) -> Distance {
-        word(self.dists, e)
-    }
-    #[inline]
-    fn quality(&self, e: usize) -> Quality {
-        word(self.qualities, e)
+    /// The structural validation pass behind every reader: offset
+    /// monotonicity, group/entry consistency, group keys inside `0..n`, the
+    /// Theorem-3 within-group ordering that makes every query binary search
+    /// sound, and the vertex order. One linear pass over the directory and
+    /// arena, run in place on the image.
+    fn validate(&self) -> Result<(), String> {
+        let Layout { n, m, g, .. } = self.at;
+        if self.entry_offset(0) != 0 || self.group_offset(0) != 0 {
+            return Err("offsets must start at 0".to_string());
+        }
+        if self.entry_offset(n) != m {
+            return Err("entry offsets do not cover the arena".to_string());
+        }
+        if self.group_offset(n) != g {
+            return Err("group offsets do not cover the directory".to_string());
+        }
+        for v in 0..n {
+            let (e0, e1) = (self.entry_offset(v), self.entry_offset(v + 1));
+            let (g0, g1) = (self.group_offset(v), self.group_offset(v + 1));
+            if e1 < e0 || e1 > m {
+                return Err(format!("entry offsets of vertex {v} are not monotone"));
+            }
+            if g1 < g0 || g1 > g {
+                return Err(format!("group offsets of vertex {v} are not monotone"));
+            }
+            if (e0 == e1) != (g0 == g1) {
+                return Err(format!("vertex {v} has entries and groups out of sync"));
+            }
+            let mut prev_hub: Option<VertexId> = None;
+            for k in g0..g1 {
+                let start = self.group_start(k);
+                let end = self.group_end(k, v as VertexId);
+                if k == g0 && start != e0 {
+                    return Err(format!("first group of vertex {v} does not start its label set"));
+                }
+                if start >= end || end > e1 {
+                    return Err(format!("group {k} of vertex {v} has an invalid entry range"));
+                }
+                let hub = self.group_hub(k);
+                if hub as usize >= n {
+                    return Err(format!("group key {hub} of vertex {v} is outside 0..{n}"));
+                }
+                if prev_hub.is_some_and(|p| p >= hub) {
+                    return Err(format!("group hubs of vertex {v} are not strictly ascending"));
+                }
+                prev_hub = Some(hub);
+                for e in start + 1..end {
+                    if !(self.dist(e - 1) < self.dist(e) && self.quality(e - 1) < self.quality(e)) {
+                        return Err(format!(
+                            "entries of vertex {v}, hub {hub} violate the Theorem-3 ordering"
+                        ));
+                    }
+                }
+            }
+        }
+        validate_order_words((0..n).map(|k| self.vertex_at(k)), n)
     }
 }
 
 /// First group index in `lo..hi` whose hub is `>= target`
 /// (`partition_point` over the group-hub directory).
 #[inline]
-pub(crate) fn lower_bound_hub<S: FlatStore>(
-    st: &S,
+pub(crate) fn lower_bound_hub(
+    st: &FlatView<'_>,
     mut lo: usize,
     hi: usize,
     target: VertexId,
@@ -748,7 +627,7 @@ pub(crate) fn lower_bound_hub<S: FlatStore>(
 /// skip of `d` groups costs `O(log d)` instead of the entry-by-entry
 /// `skip_group` walk of the nested representation.
 #[inline]
-pub(crate) fn advance_to_hub<S: FlatStore>(st: &S, i: usize, hi: usize, target: VertexId) -> usize {
+pub(crate) fn advance_to_hub(st: &FlatView<'_>, i: usize, hi: usize, target: VertexId) -> usize {
     let mut lo = i + 1;
     if lo >= hi || st.group_hub(lo) >= target {
         return lo;
@@ -772,7 +651,7 @@ pub(crate) fn advance_to_hub<S: FlatStore>(st: &S, i: usize, hi: usize, target: 
 /// Theorem-3 binary search over the dense `qualities` column. The probe win
 /// is pinned by the `kernels` criterion group.
 #[inline]
-fn min_dist_in_group<S: FlatStore>(st: &S, g: usize, v: VertexId, w: Quality) -> Option<Distance> {
+fn min_dist_in_group(st: &FlatView<'_>, g: usize, v: VertexId, w: Quality) -> Option<Distance> {
     let end = st.group_end(g, v);
     let mut lo = st.group_start(g);
     let mut len = end - lo;
@@ -801,7 +680,7 @@ fn min_dist_in_group<S: FlatStore>(st: &S, g: usize, v: VertexId, w: Quality) ->
 /// `Query⁺` over the flat form: merge the two *group directories* (one record
 /// per distinct hub) instead of the raw entry lists, skipping runs of
 /// unmatched hubs with a binary search.
-fn merge_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality) -> Distance {
+fn merge_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
     let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
@@ -828,7 +707,7 @@ fn merge_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality) -> Dis
 /// Algorithm 2 over the flat form (reference oracle for the ablation).
 /// Entry hubs come from the group directory; the arena stores no per-entry
 /// hub column.
-fn pair_scan_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality) -> Distance {
+fn pair_scan_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
     let (i0, i1) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (j0, j1) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
@@ -855,7 +734,7 @@ fn pair_scan_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality) ->
 
 /// Algorithm 4 over the flat form: for each hub group of `L(t)`, binary-search
 /// the matching group in `L(s)`'s directory.
-fn hub_bucket_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality) -> Distance {
+fn hub_bucket_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
     let (s0, s1) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (j0, j1) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
@@ -875,7 +754,7 @@ fn hub_bucket_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality) -
 
 /// The cover predicate over the flat form, with an early exit as soon as a
 /// certifying hub is found.
-fn covered_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
+fn covered_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
     let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     while i < i_end && j < j_end {
@@ -904,77 +783,13 @@ fn covered_flat<S: FlatStore>(st: &S, s: VertexId, t: VertexId, w: Quality, d: D
     false
 }
 
-/// Statistics shared by the owned and borrowed forms.
-fn stats_of<S: FlatStore>(st: &S) -> IndexStats {
-    let n = st.num_vertices();
-    let total = st.num_entries();
-    let max_label_size =
-        (0..n).map(|v| st.entry_offset(v + 1) - st.entry_offset(v)).max().unwrap_or(0);
-    IndexStats {
-        num_vertices: n,
-        total_entries: total,
-        max_label_size,
-        avg_label_size: if n == 0 { 0.0 } else { total as f64 / n as f64 },
-        entry_bytes: total * std::mem::size_of::<LabelEntry>(),
-    }
-}
-
-/// Structural validation of a flat store: offset monotonicity, group/entry
-/// consistency, and the Theorem-3 within-group ordering that makes every
-/// query binary search sound. One linear pass over the directory and arena.
-fn validate<S: FlatStore>(st: &S) -> Result<(), String> {
-    let n = st.num_vertices();
-    if st.entry_offset(0) != 0 || st.group_offset(0) != 0 {
-        return Err("offsets must start at 0".to_string());
-    }
-    if st.entry_offset(n) != st.num_entries() {
-        return Err("entry offsets do not cover the arena".to_string());
-    }
-    if st.group_offset(n) != st.num_groups() {
-        return Err("group offsets do not cover the directory".to_string());
-    }
-    for v in 0..n {
-        let (e0, e1) = (st.entry_offset(v), st.entry_offset(v + 1));
-        let (g0, g1) = (st.group_offset(v), st.group_offset(v + 1));
-        if e1 < e0 || e1 > st.num_entries() {
-            return Err(format!("entry offsets of vertex {v} are not monotone"));
-        }
-        if g1 < g0 || g1 > st.num_groups() {
-            return Err(format!("group offsets of vertex {v} are not monotone"));
-        }
-        if (e0 == e1) != (g0 == g1) {
-            return Err(format!("vertex {v} has entries and groups out of sync"));
-        }
-        let mut prev_hub: Option<VertexId> = None;
-        for g in g0..g1 {
-            let start = st.group_start(g);
-            let end = st.group_end(g, v as VertexId);
-            if g == g0 && start != e0 {
-                return Err(format!("first group of vertex {v} does not start its label set"));
-            }
-            if start >= end || end > e1 {
-                return Err(format!("group {g} of vertex {v} has an invalid entry range"));
-            }
-            let hub = st.group_hub(g);
-            if prev_hub.is_some_and(|p| p >= hub) {
-                return Err(format!("group hubs of vertex {v} are not strictly ascending"));
-            }
-            prev_hub = Some(hub);
-            for e in start + 1..end {
-                if !(st.dist(e - 1) < st.dist(e) && st.quality(e - 1) < st.quality(e)) {
-                    return Err(format!(
-                        "entries of vertex {v}, hub {hub} violate the Theorem-3 ordering"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Checks that the order words form a permutation of `0..n` (so
-/// `VertexOrder::from_permutation` cannot panic on untrusted input).
-fn validate_order_words(order: impl Iterator<Item = u32>, n: usize) -> Result<(), String> {
+/// `VertexOrder::from_permutation` cannot panic on untrusted input). Both
+/// snapshot decoders, `WCIF` and `WCIX`, run it.
+pub(crate) fn validate_order_words(
+    order: impl Iterator<Item = u32>,
+    n: usize,
+) -> Result<(), String> {
     let mut seen = vec![false; n];
     let mut count = 0usize;
     for v in order {
@@ -997,6 +812,9 @@ mod tests {
     use crate::build::IndexBuilder;
     use wcsd_graph::generators::paper_figure3;
 
+    /// Size of the fixed `WCIF` header in bytes.
+    const WCIF_HEADER: usize = 4 * HEADER_WORDS;
+
     fn sample() -> (WcIndex, FlatIndex) {
         let g = paper_figure3();
         let idx = IndexBuilder::wc_index_plus().build(&g);
@@ -1009,7 +827,7 @@ mod tests {
         let (idx, flat) = sample();
         assert_eq!(flat.num_vertices(), idx.num_vertices());
         assert_eq!(flat.total_entries(), idx.total_entries());
-        assert_eq!(flat.order(), idx.order());
+        assert_eq!(&flat.order(), idx.order());
         let back = flat.to_index();
         for v in 0..idx.num_vertices() as VertexId {
             assert_eq!(back.labels(v), idx.labels(v), "vertex {v}");
@@ -1147,9 +965,11 @@ mod tests {
         let decoded = FlatIndex::decode(&bytes).unwrap();
         assert_eq!(decoded, flat);
         let view = FlatView::parse(&bytes).unwrap();
+        assert_eq!(view, flat.view());
         assert_eq!(view.num_vertices(), flat.num_vertices());
         assert_eq!(view.total_entries(), flat.total_entries());
         assert_eq!(view.stats(), flat.stats());
+        assert_eq!(view.to_owned(), flat);
         for s in 0..6 {
             for t in 0..6 {
                 for w in 1..=5 {
@@ -1157,6 +977,8 @@ mod tests {
                 }
             }
         }
+        // The owned words validate in place to the same index.
+        assert_eq!(FlatIndex::from_words(flat.words.clone()).unwrap(), flat);
     }
 
     #[test]
@@ -1183,20 +1005,20 @@ mod tests {
         let (_, flat) = sample();
         // Swap the two leading entries of some hub group with >= 2 entries,
         // breaking the Theorem-3 ordering without changing any length.
-        let g = (0..flat.num_groups())
-            .find(|&g| {
-                let v = flat.group_offsets.partition_point(|&o| o as usize <= g) - 1;
-                FlatStore::group_end(&flat, g, v as VertexId) - flat.group_starts[g] as usize >= 2
-            })
+        let st = flat.view();
+        let lo = (0..flat.num_vertices())
+            .flat_map(|v| (st.group_offset(v)..st.group_offset(v + 1)).map(move |g| (v, g)))
+            .find(|&(v, g)| st.group_end(g, v as VertexId) - st.group_start(g) >= 2)
+            .map(|(_, g)| st.group_start(g))
             .expect("the paper index has multi-entry hub groups");
-        let lo = flat.group_starts[g] as usize;
+        let (dists, qualities) = (flat.at.dists + lo, flat.at.qualities + lo);
         let mut tampered = flat.clone();
-        tampered.dists.swap(lo, lo + 1);
-        tampered.qualities.swap(lo, lo + 1);
+        tampered.words.swap(dists, dists + 1);
+        tampered.words.swap(qualities, qualities + 1);
         assert!(FlatIndex::decode(&tampered.encode()).is_err());
         // A flipped quality alone (dist still ascending) is equally rejected.
         let mut tampered = flat.clone();
-        tampered.qualities.swap(lo, lo + 1);
+        tampered.words.swap(qualities, qualities + 1);
         assert!(FlatIndex::decode(&tampered.encode()).is_err());
     }
 

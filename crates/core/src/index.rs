@@ -25,11 +25,11 @@ pub enum QueryImpl {
 }
 
 /// Anything that answers `w`-constrained distance queries from 2-hop labels:
-/// the nested build representation ([`WcIndex`]), the flat serve
-/// representation ([`crate::flat::FlatIndex`]), and the borrowed snapshot
-/// view ([`crate::flat::FlatView`]). Generic consumers — the parallel batch
-/// evaluator, the query server — work against this trait so they serve from
-/// either representation unchanged.
+/// the nested build representation ([`WcIndex`]) and the flat serve
+/// representation ([`crate::flat::Flat`]), whether it owns its `WCIF` image
+/// ([`crate::FlatIndex`]) or borrows it ([`crate::FlatView`]). Generic
+/// consumers — the parallel batch evaluator, the query server — work against
+/// this trait so they serve from either representation unchanged.
 pub trait QueryEngine: Sync {
     /// Number of vertices the engine covers.
     fn num_vertices(&self) -> usize;
@@ -300,6 +300,10 @@ impl WcIndex {
                 }
                 entries.push(entry);
             }
+            // Hubs ascend, so the last entry carries the largest one.
+            if let Some(hub) = entries.last().map(|e| e.hub).filter(|&hub| hub as usize >= n) {
+                return Err(format!("label entry of vertex {v} names hub {hub} outside 0..{n}"));
+            }
             labels.push(LabelSet::from_sorted(entries));
         }
         let order = serde_decode_order(buf, n)?;
@@ -325,6 +329,7 @@ fn serde_decode_order(buf: &[u8], n: usize) -> Result<VertexOrder, String> {
         b.copy_from_slice(&buf[4 * i..4 * i + 4]);
         order.push(u32::from_le_bytes(b));
     }
+    crate::flat::validate_order_words(order.iter().copied(), n)?;
     Ok(VertexOrder::from_permutation(order))
 }
 
@@ -380,6 +385,31 @@ mod tests {
         }
         dup.extend_from_slice(&0u32.to_le_bytes());
         assert!(WcIndex::decode(&dup).is_err());
+    }
+
+    /// A 1-vertex `WCIX` image: `L(v0)` as `(hub, dist, quality)` word
+    /// triples, then the one order word.
+    fn one_vertex_image(entries: &[u32], order: u32) -> Vec<u8> {
+        let mut buf = b"WCIX".to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(entries.len() as u32 / 3).to_le_bytes());
+        for word in entries.iter().chain([&order]) {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_vertices() {
+        // An order that is not a permutation of 0..n used to panic in
+        // `VertexOrder::from_permutation`.
+        let err = WcIndex::decode(&one_vertex_image(&[], 5)).unwrap_err();
+        assert!(err.contains("permutation"), "unexpected error: {err}");
+        // A hub id outside 0..n is rejected before any query or re-layout
+        // can index by it.
+        let err = WcIndex::decode(&one_vertex_image(&[7, 0, u32::MAX], 0)).unwrap_err();
+        assert!(err.contains("hub 7"), "unexpected error: {err}");
+        assert!(WcIndex::decode(&one_vertex_image(&[0, 0, u32::MAX], 0)).is_ok());
     }
 
     #[test]

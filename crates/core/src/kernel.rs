@@ -29,12 +29,11 @@
 //!
 //! The slice-level kernels ([`masked_min_scalar`], [`masked_min_chunked`],
 //! [`theorem3_min`], [`group_min`]) are public so the criterion benches can
-//! pin each dispatch tier in isolation; the store-generic forms are crate
-//! internal and monomorphize to plain `Vec` indexing for
-//! [`crate::FlatIndex`] and little-endian byte reads for
-//! [`crate::FlatView`].
+//! pin each dispatch tier in isolation; the forms over the `WCIF` image are
+//! crate internal and take the borrowed [`FlatView`], through which the
+//! owned index queries too.
 
-use crate::flat::{advance_to_hub, FlatStore};
+use crate::flat::{advance_to_hub, FlatView};
 use wcsd_graph::{Distance, Quality, VertexId, INF_DIST};
 
 /// Accumulator lanes of the chunked masked-min scan. Eight `u32` lanes fill
@@ -126,17 +125,11 @@ pub fn group_min(dists: &[u32], qualities: &[u32], w: Quality) -> Distance {
     }
 }
 
-/// Store-generic [`group_min`] over the arena range `start..end`: the same
-/// probe / chunked / search dispatch written against the [`FlatStore`]
-/// accessors, so [`crate::FlatIndex`] and [`crate::FlatView`] share one
-/// kernel.
+/// [`group_min`] over the arena range `start..end` of the image: the same
+/// probe / chunked / search dispatch written against the [`FlatView`] word
+/// accessors.
 #[inline]
-pub(crate) fn group_min_flat<S: FlatStore>(
-    st: &S,
-    start: usize,
-    end: usize,
-    w: Quality,
-) -> Distance {
+pub(crate) fn group_min_flat(st: &FlatView<'_>, start: usize, end: usize, w: Quality) -> Distance {
     let len = end - start;
     if len <= 2 {
         // Direct probes: by Theorem-3 ordering the first qualifying entry is
@@ -190,12 +183,7 @@ pub(crate) fn group_min_flat<S: FlatStore>(
 /// [`group_min_flat`] and the two per-hub minima combine branch-free —
 /// [`INF_DIST`] saturates through `saturating_add` and loses every unsigned
 /// `min`, so the unreachable cases need no `Option` plumbing.
-pub(crate) fn merge_chunked<S: FlatStore>(
-    st: &S,
-    s: VertexId,
-    t: VertexId,
-    w: Quality,
-) -> Distance {
+pub(crate) fn merge_chunked(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
     let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
@@ -229,8 +217,8 @@ pub(crate) fn merge_chunked<S: FlatStore>(
 /// per-group resolution costs a last-group branch and extra offset loads —
 /// are materialized, into one scratch column indexed by the same group
 /// offsets the merge walks. The win grows with the run length and `|L(s)|`.
-pub(crate) fn distances_from_flat<S: FlatStore>(
-    st: &S,
+pub(crate) fn distances_from_flat(
+    st: &FlatView<'_>,
     s: VertexId,
     targets: &[(VertexId, Quality)],
 ) -> Vec<Option<Distance>> {
@@ -250,8 +238,8 @@ pub(crate) fn distances_from_flat<S: FlatStore>(
 /// [`merge_chunked`] — same hub columns, same galloping skips — except the
 /// source side's entry range comes from the scratch column instead of being
 /// re-derived from the CSR offsets on every matched hub.
-fn merge_directory<S: FlatStore>(
-    st: &S,
+fn merge_directory(
+    st: &FlatView<'_>,
     g0: usize,
     g1: usize,
     spans: &[(u32, u32)],

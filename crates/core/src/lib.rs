@@ -12,11 +12,12 @@
 //!   (WC-INDEX+) construction modes and every vertex-ordering strategy.
 //! * [`index::WcIndex`] — the index itself: `distance`, `within`, statistics,
 //!   minimality verification and binary snapshots.
-//! * [`flat::FlatIndex`] — the read-optimized *serve* representation: one
-//!   contiguous struct-of-arrays entry arena with a CSR per-vertex directory,
-//!   a versioned `WCIF` snapshot whose decode is a validated bulk copy, and a
-//!   zero-copy [`flat::FlatView`] over the encoded bytes. Lossless conversion
-//!   from/to [`index::WcIndex`], bit-identical answers.
+//! * [`flat::Flat`] — the read-optimized *serve* representation, stored as
+//!   its own versioned `WCIF` snapshot image: a struct-of-arrays entry arena
+//!   under a CSR per-vertex hub-group directory. One type over two word
+//!   backings: the owned [`flat::FlatIndex`] and the borrowed
+//!   [`flat::FlatView`], which answers from the encoded bytes in place.
+//!   Lossless conversion from/to [`index::WcIndex`], bit-identical answers.
 //! * [`query`] — the three query implementations (Algorithms 2, 4 and 5).
 //! * [`kernel`] — branch-free chunked column kernels and the batch
 //!   `distances_from` evaluator behind [`index::QueryImpl::Chunked`]:

@@ -147,7 +147,7 @@ impl PathIndex {
                     (PathLabelSet::min_entry(&a[i..ia], w), PathLabelSet::min_entry(&b[j..jb], w))
                 {
                     let d = ea.dist.saturating_add(eb.dist);
-                    if best.map_or(true, |(_, bd)| d < bd) {
+                    if best.is_none_or(|(_, bd)| d < bd) {
                         best = Some((ha, d));
                     }
                 }

@@ -24,7 +24,7 @@ pub fn watts_strogatz(
     qualities: &QualityAssigner,
     seed: u64,
 ) -> Graph {
-    assert!(k >= 2 && k % 2 == 0, "k must be an even integer >= 2");
+    assert!(k >= 2 && k.is_multiple_of(2), "k must be an even integer >= 2");
     assert!(k < n, "k must be smaller than n");
     assert!((0.0..=1.0).contains(&beta), "rewiring probability must be in [0, 1]");
     let mut rng = super::seeded_rng(seed);

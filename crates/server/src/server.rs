@@ -344,9 +344,11 @@ impl Shared {
     }
 }
 
-/// Loads a snapshot for `RELOAD`: `WCIF` decodes straight to the flat form,
-/// `WCIX` is decoded nested and frozen. No graph cross-check happens here —
-/// `RELOAD` is an admin verb and the operator owns the pairing.
+/// Loads a snapshot for `RELOAD`: a `WCIF` file is read straight into the
+/// word buffer that then serves it, validated in place (one allocation, no
+/// second copy); `WCIX` is decoded nested and frozen. No graph cross-check
+/// happens here — `RELOAD` is an admin verb and the operator owns the
+/// pairing.
 ///
 /// A **directory** path is the crash-recovery spelling: the newest *valid*
 /// `*.wcif`/`*.wcix` generation inside it is served (see
@@ -356,14 +358,27 @@ pub(crate) fn load_flat_snapshot(path: &str) -> Result<FlatIndex, String> {
     if std::path::Path::new(path).is_dir() {
         return load_newest_valid_snapshot(std::path::Path::new(path)).map(|(index, _)| index);
     }
-    let data = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if data.starts_with(wcsd_core::flat::WCIF_MAGIC) {
-        FlatIndex::decode(&data).map_err(|e| format!("corrupt snapshot {path}: {e}"))
+    let (words, len) = read_words(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let data = &words.as_flattened()[..len];
+    let loaded = if !data.starts_with(wcsd_core::flat::WCIF_MAGIC) {
+        WcIndex::decode(data).map(|index| FlatIndex::from_index(&index))
+    } else if !len.is_multiple_of(4) {
+        Err(format!("{len} bytes is not a whole number of words"))
     } else {
-        WcIndex::decode(&data)
-            .map(|index| FlatIndex::from_index(&index))
-            .map_err(|e| format!("corrupt snapshot {path}: {e}"))
-    }
+        FlatIndex::from_words(words)
+    };
+    loaded.map_err(|e| format!("corrupt snapshot {path}: {e}"))
+}
+
+/// Reads a whole file into little-endian words, zero-padding the last one.
+/// Returns the words and the file's length in bytes.
+fn read_words(path: &str) -> std::io::Result<(Vec<[u8; 4]>, usize)> {
+    use std::io::Read as _;
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).map_err(std::io::Error::other)?;
+    let mut words = vec![[0u8; 4]; len.div_ceil(4)];
+    file.read_exact(&mut words.as_flattened_mut()[..len])?;
+    Ok((words, len))
 }
 
 /// Scans `dir` for snapshot generations (`*.wcif` / `*.wcix`, newest first

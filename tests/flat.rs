@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wcsd::graph::generators::paper_figure3;
 use wcsd::prelude::*;
 use wcsd_core::dynamic::DynamicWcIndex;
 
@@ -176,6 +177,28 @@ fn wcif_corruption_never_panics() {
                     let _ = decoded.distance(s, 0, 1);
                 }
             }
+        }
+    }
+}
+
+/// A group key outside `0..n` is rejected by both readers in both layouts.
+/// Ascending keys alone do not catch it, and the hot layout would later
+/// index the vertex order with it (`label_entries`, `to_canonical`).
+#[test]
+fn wcif_rejects_group_keys_outside_the_vertex_range() {
+    let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&paper_figure3()));
+    for layout in [flat.clone(), flat.to_hot()] {
+        let bytes = layout.encode().to_vec();
+        let header = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+        let (n, g) = (header(2) as usize, header(4) as usize);
+        // The last key of the last vertex: raising it keeps keys ascending.
+        let last_key = 4 * (5 + 2 * (n + 1) + g - 1);
+        for key in [n as u32, 1000] {
+            let mut corrupt = bytes.clone();
+            corrupt[last_key..last_key + 4].copy_from_slice(&key.to_le_bytes());
+            let hot = layout.hot_groups();
+            assert!(FlatIndex::decode(&corrupt).is_err(), "key {key} accepted (hot: {hot})");
+            assert!(FlatView::parse(&corrupt).is_err(), "key {key} parsed (hot: {hot})");
         }
     }
 }

@@ -483,6 +483,39 @@ fn reload_swaps_snapshot_and_keeps_cache_coherent() {
     handle.join().unwrap();
 }
 
+/// A corrupt `WCIX` snapshot (its order names vertex 5 of a 1-vertex index)
+/// gets an `ERR` reply instead of unwinding the pool worker that loads it:
+/// with a single worker, a `BATCH` afterwards is still answered.
+#[test]
+fn reload_of_corrupt_nested_snapshot_is_an_error() {
+    let mut crafted = b"WCIX".to_vec();
+    for word in [1u32, 0, 5] {
+        crafted.extend_from_slice(&word.to_le_bytes());
+    }
+    let path = std::env::temp_dir().join(format!("wcsd-test-{}-bad.wcix", std::process::id()));
+    std::fs::write(&path, &crafted).expect("write crafted snapshot");
+    let index = IndexBuilder::wc_index_plus().build(&test_graph());
+    let config = ServerConfig { batch_workers: 1, ..ServerConfig::default() };
+    let server = Server::bind(index.clone(), config).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(&*addr).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let err = client.reload(path.to_str().unwrap()).unwrap_err();
+    assert!(err.contains("corrupt snapshot"), "{err}");
+    let queries = QueryWorkload::uniform(&test_graph(), 40, 5).queries().to_vec();
+    let answers = client.batch(&queries).expect("the worker survived the reload");
+    for (&(s, t, w), answer) in queries.iter().zip(&answers) {
+        assert_eq!(*answer, index.distance(s, t, w), "Q({s},{t},{w})");
+    }
+    assert_eq!(client.stats().unwrap().generation, 1);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
 /// Hot reload under load: concurrent connections stream batches across a
 /// `RELOAD` to a different snapshot. No connection drops, and every batch
 /// reply is consistent with exactly one snapshot (all-A or all-B, never
