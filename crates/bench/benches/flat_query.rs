@@ -1,11 +1,11 @@
 //! Criterion microbench for the flat query engine (Exp 7's criterion twin):
 //! `Query⁺` latency over the nested `WcIndex`, the contiguous `FlatIndex`
-//! arena, and the zero-copy `FlatView`, plus snapshot decode time of the
-//! nested `WCIX` format against the flat `WCIF` bulk copy.
+//! arena, and the zero-copy `FlatView`, plus the `WCIF` snapshot's load
+//! cost: owned decode and zero-copy view parse.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wcsd_bench::{Dataset, QueryWorkload};
-use wcsd_core::{FlatIndex, FlatView, IndexBuilder, WcIndex};
+use wcsd_core::{FlatIndex, FlatView, IndexBuilder};
 
 fn bench_flat_query(c: &mut Criterion) {
     let g = Dataset::bench_road().generate();
@@ -33,16 +33,11 @@ fn bench_flat_query(c: &mut Criterion) {
 
 fn bench_snapshot_load(c: &mut Criterion) {
     let g = Dataset::bench_road().generate();
-    let nested = IndexBuilder::wc_index_plus().build(&g);
-    let flat = FlatIndex::from_index(&nested);
-    let wcix = nested.encode();
+    let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g));
     let wcif = flat.encode();
 
     let mut group = c.benchmark_group("snapshot_load");
     group.sample_size(20);
-    group.bench_function("WCIX decode", |b| {
-        b.iter(|| WcIndex::decode(&wcix).expect("own encoding decodes").total_entries())
-    });
     group.bench_function("WCIF decode", |b| {
         b.iter(|| FlatIndex::decode(&wcif).expect("own encoding decodes").total_entries())
     });

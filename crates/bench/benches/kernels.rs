@@ -1,7 +1,7 @@
 //! Kernel bench (ours): the scalar `Query⁺` merge against the branch-free
-//! chunked kernel (canonical and hot-group layout) and the batch-amortized
-//! `distances_from` evaluator, plus a tiny-group datapoint pinning the
-//! 1–2-entry direct-probe specialization of the group minimum.
+//! chunked kernel (canonical and hot-group layout), plus a tiny-group
+//! datapoint pinning the 1–2-entry direct-probe specialization of the group
+//! minimum.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wcsd_bench::{Dataset, QueryWorkload};
@@ -13,11 +13,6 @@ fn bench_kernels(c: &mut Criterion) {
     let hot = flat.to_hot();
     let workload = QueryWorkload::uniform(&g, 256, 12);
     let queries = workload.queries();
-    // Reactor-shaped fan-out batches: one source, many (target, quality).
-    let batches: Vec<(u32, Vec<(u32, u32)>)> = queries
-        .chunks(16)
-        .map(|chunk| (chunk[0].0, chunk.iter().map(|&(_, t, w)| (t, w)).collect()))
-        .collect();
 
     let mut group = c.benchmark_group("kernels");
     group.sample_size(20);
@@ -34,14 +29,6 @@ fn bench_kernels(c: &mut Criterion) {
                 .iter()
                 .filter_map(|&(s, t, w)| hot.distance_with(s, t, w, QueryImpl::Chunked))
                 .count()
-        })
-    });
-    group.bench_function("batched_distances_from", |b| {
-        b.iter(|| {
-            batches
-                .iter()
-                .map(|(s, targets)| hot.distances_from(*s, targets).iter().flatten().count())
-                .sum::<usize>()
         })
     });
     group.finish();

@@ -1,24 +1,21 @@
-//! Exp 12 (ours): branch-free batch query kernels. Builds the same WC-INDEX+
-//! on a road and a social subset and measures, within one run, (a) mean
-//! point-query latency through the scalar `Query⁺` merge, the chunked
-//! branch-free kernel on the canonical layout, and the chunked kernel on the
-//! hot-group (rank-ordered) layout, and (b) per-query latency of
-//! reactor-shaped fan-out batches answered one query at a time against the
-//! batch-amortized `distances_from` evaluator (one directory walk per
-//! source). Every kernel is cross-checked query by query against the scalar
-//! merge before anything is timed, so the experiment doubles as an
-//! end-to-end parity test.
+//! Exp 12 (ours): branch-free query kernels. Builds the same WC-INDEX+ on a
+//! road and a social subset and measures, within one run, mean point-query
+//! latency through the scalar `Query⁺` merge, the chunked branch-free kernel
+//! on the canonical layout, and the chunked kernel on the hot-group
+//! (rank-ordered) layout. Every kernel is cross-checked query by query
+//! against the scalar merge before anything is timed, so the experiment
+//! doubles as an end-to-end parity test.
 //!
 //! The host is typically a shared single-core container, so only the
-//! within-run ratios (`chunked_speedup`, `hot_speedup`, `batch_speedup`) are
-//! meaningful; all three are part of the JSON output recorded in RESULTS.md.
+//! within-run ratios (`chunked_speedup`, `hot_speedup`) are meaningful; both
+//! are part of the JSON output recorded in RESULTS.md.
 //!
 //! With `--max-regression R` the binary exits non-zero when the chunked
 //! kernel is more than `R` slower than the scalar merge on any dataset
 //! (e.g. `0.10` = a 10% regression budget), so CI can guard the branch-free
 //! path against both parity and performance regressions in one run.
 //!
-//! Usage: `exp12_kernels [--small] [--reps N] [--fanout B] [--json <path>]
+//! Usage: `exp12_kernels [--small] [--reps N] [--json <path>]
 //! [--max-regression R]`
 
 use std::process::ExitCode;
@@ -34,8 +31,7 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!(
-                "usage: exp12_kernels [--small] [--reps N] [--fanout B] [--json <path>] \
-                 [--max-regression R]"
+                "usage: exp12_kernels [--small] [--reps N] [--json <path>] [--max-regression R]"
             );
             ExitCode::FAILURE
         }
@@ -45,7 +41,6 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let small = args.iter().any(|a| a == "--small");
     let reps: usize = wcsd_cliutil::flag_value(args, "--reps")?.unwrap_or(5);
-    let fanout: usize = wcsd_cliutil::flag_value(args, "--fanout")?.unwrap_or(16);
     let json_path: Option<String> = wcsd_cliutil::flag_value(args, "--json")?;
     let max_regression: Option<f64> = wcsd_cliutil::flag_value(args, "--max-regression")?;
     let scale = if small { Scale::Tiny } else { Scale::Small };
@@ -64,19 +59,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let g = d.generate();
         eprintln!("[exp12] {} : |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         let workload = QueryWorkload::uniform(&g, num_queries, 0xC41A);
-        let r = kernel_comparison(&d.name, &g, &workload, fanout, reps);
+        let r = kernel_comparison(&d.name, &g, &workload, reps);
         eprintln!(
-            "[exp12]   scalar {:.3}µs chunked {:.3}µs ({:.2}x) hot {:.3}µs ({:.2}x); \
-             fan-out {} per-query {:.3}µs batched {:.3}µs ({:.2}x)",
-            r.scalar_us,
-            r.chunked_us,
-            r.chunked_speedup,
-            r.chunked_hot_us,
-            r.hot_speedup,
-            r.batch_fanout,
-            r.batch_scalar_us,
-            r.batch_us,
-            r.batch_speedup
+            "[exp12]   scalar {:.3}µs chunked {:.3}µs ({:.2}x) hot {:.3}µs ({:.2}x)",
+            r.scalar_us, r.chunked_us, r.chunked_speedup, r.chunked_hot_us, r.hot_speedup
         );
         results.push(r);
     }

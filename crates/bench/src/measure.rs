@@ -283,21 +283,11 @@ pub struct FlatQueryResult {
     pub view_query_us: f64,
     /// Query speedup of the flat form: `nested_query_us / flat_query_us`.
     pub query_speedup: f64,
-    /// `WCIX` snapshot decode time (per-vertex rebuild), milliseconds.
-    pub nested_decode_ms: f64,
     /// `WCIF` snapshot decode time (validated bulk copy), milliseconds.
     pub flat_decode_ms: f64,
-    /// Snapshot-load speedup into an owned index:
-    /// `nested_decode_ms / flat_decode_ms`.
-    pub decode_speedup: f64,
     /// `WCIF` zero-copy view parse time (validation only, nothing copied),
     /// milliseconds — the load cost of the mmap-style serving path.
     pub view_parse_ms: f64,
-    /// Load speedup of the zero-copy path:
-    /// `nested_decode_ms / view_parse_ms`.
-    pub view_load_speedup: f64,
-    /// `WCIX` snapshot size in bytes.
-    pub nested_snapshot_bytes: usize,
     /// `WCIF` snapshot size in bytes.
     pub flat_snapshot_bytes: usize,
 }
@@ -327,7 +317,7 @@ fn best_pass_us(
 }
 
 /// Builds WC-INDEX+ on `g` and measures nested-vs-flat query latency and
-/// snapshot decode time (Exp 7). Answers of the two representations are
+/// `WCIF` snapshot load time (Exp 7). Answers of the two representations are
 /// cross-checked on every replayed query.
 pub fn flat_query_comparison(
     dataset: &str,
@@ -348,19 +338,13 @@ pub fn flat_query_comparison(
     let nested_query_us = best_pass_us(workload, reps, |s, t, w| index.distance(s, t, w));
     let flat_query_us = best_pass_us(workload, reps, |s, t, w| flat.distance(s, t, w));
 
-    let nested_bytes = index.encode();
     let flat_bytes = flat.encode();
     let view = FlatView::parse(&flat_bytes).expect("own encoding parses");
     let view_query_us = best_pass_us(workload, reps, |s, t, w| view.distance(s, t, w));
 
-    let mut nested_decode = f64::INFINITY;
     let mut flat_decode = f64::INFINITY;
     let mut view_parse = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let decoded = WcIndex::decode(&nested_bytes).expect("own encoding decodes");
-        nested_decode = nested_decode.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(decoded.total_entries());
         let start = Instant::now();
         let decoded = FlatIndex::decode(&flat_bytes).expect("own encoding decodes");
         flat_decode = flat_decode.min(start.elapsed().as_secs_f64());
@@ -379,12 +363,8 @@ pub fn flat_query_comparison(
         flat_query_us,
         view_query_us,
         query_speedup: if flat_query_us > 0.0 { nested_query_us / flat_query_us } else { 0.0 },
-        nested_decode_ms: 1e3 * nested_decode,
         flat_decode_ms: 1e3 * flat_decode,
-        decode_speedup: if flat_decode > 0.0 { nested_decode / flat_decode } else { 0.0 },
         view_parse_ms: 1e3 * view_parse,
-        view_load_speedup: if view_parse > 0.0 { nested_decode / view_parse } else { 0.0 },
-        nested_snapshot_bytes: nested_bytes.len(),
         flat_snapshot_bytes: flat_bytes.len(),
     }
 }
@@ -392,9 +372,7 @@ pub fn flat_query_comparison(
 /// One row of the branch-free kernel comparison (Exp 12): the same WC-INDEX+
 /// flat representation queried through the scalar `Query⁺` merge
 /// ([`QueryImpl::Merge`]), the chunked branch-free kernel
-/// ([`QueryImpl::Chunked`]) on both the canonical and the hot-group layout,
-/// and the batch-amortized `distances_from` evaluator over reactor-shaped
-/// fan-out batches.
+/// ([`QueryImpl::Chunked`]) on both the canonical and the hot-group layout.
 ///
 /// The speedup fields are within-run ratios (scalar / kernel), which is the
 /// meaningful number on a shared single-core host.
@@ -416,41 +394,16 @@ pub struct KernelResult {
     pub chunked_speedup: f64,
     /// Within-run ratio `scalar_us / chunked_hot_us`.
     pub hot_speedup: f64,
-    /// Targets per source in the synthesized fan-out batches.
-    pub batch_fanout: usize,
-    /// Mean per-query time answering the fan-out batches one query at a
-    /// time through the chunked kernel, microseconds.
-    pub batch_scalar_us: f64,
-    /// Mean per-query time answering the same batches through
-    /// `distances_from` (one directory walk per source), microseconds.
-    pub batch_us: f64,
-    /// Within-run ratio `batch_scalar_us / batch_us` — the amortization won
-    /// by walking each source directory once per batch.
-    pub batch_speedup: f64,
-}
-
-/// Regroups a point-query workload into reactor-shaped fan-out batches: each
-/// consecutive block of `fanout` queries becomes one `(source, targets)`
-/// batch that reuses the block's first source, mirroring a `BATCH` request
-/// that fans one source out to many `(target, quality)` pairs.
-fn fanout_batches(workload: &QueryWorkload, fanout: usize) -> Vec<(u32, Vec<(u32, u32)>)> {
-    workload
-        .queries()
-        .chunks(fanout.max(1))
-        .map(|chunk| (chunk[0].0, chunk.iter().map(|&(_, t, w)| (t, w)).collect()))
-        .collect()
 }
 
 /// Builds WC-INDEX+ on `g` and measures the scalar merge against the chunked
-/// kernel (canonical and hot-group layout) and the batch `distances_from`
-/// evaluator (Exp 12). Every kernel is cross-checked query by query against
+/// kernel on the canonical and the hot-group layout (Exp 12). Every kernel is cross-checked query by query against
 /// the scalar merge before anything is timed, so the experiment doubles as an
 /// end-to-end parity test.
 pub fn kernel_comparison(
     dataset: &str,
     g: &Graph,
     workload: &QueryWorkload,
-    batch_fanout: usize,
     reps: usize,
 ) -> KernelResult {
     let index = IndexBuilder::wc_index_plus().build(g);
@@ -465,21 +418,6 @@ pub fn kernel_comparison(
             assert_eq!(got, expected, "{name} kernel diverged on {dataset} Q({s},{t},{w})");
         }
     }
-    let batches = fanout_batches(workload, batch_fanout);
-    for (s, targets) in &batches {
-        let expected: Vec<Option<u32>> =
-            targets.iter().map(|&(t, w)| flat.distance(*s, t, w)).collect();
-        assert_eq!(
-            flat.distances_from(*s, targets),
-            expected,
-            "batch kernel diverged on {dataset} source {s}"
-        );
-        assert_eq!(
-            hot.distances_from(*s, targets),
-            expected,
-            "hot batch kernel diverged on {dataset} source {s}"
-        );
-    }
 
     let scalar_us =
         best_pass_us(workload, reps, |s, t, w| flat.distance_with(s, t, w, QueryImpl::Merge));
@@ -487,33 +425,6 @@ pub fn kernel_comparison(
         best_pass_us(workload, reps, |s, t, w| flat.distance_with(s, t, w, QueryImpl::Chunked));
     let chunked_hot_us =
         best_pass_us(workload, reps, |s, t, w| hot.distance_with(s, t, w, QueryImpl::Chunked));
-
-    // The batch comparison replays the same fan-out batches one query at a
-    // time and then through one `distances_from` walk per source; both sides
-    // run on the hot layout so the ratio isolates the amortization alone.
-    let total: usize = batches.iter().map(|(_, targets)| targets.len()).sum();
-    let mut per_query = f64::INFINITY;
-    let mut batched = f64::INFINITY;
-    let mut checksum = 0usize;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        for (s, targets) in &batches {
-            for &(t, w) in targets {
-                if hot.distance_with(*s, t, w, QueryImpl::Chunked).is_some() {
-                    checksum += 1;
-                }
-            }
-        }
-        per_query = per_query.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for (s, targets) in &batches {
-            checksum += hot.distances_from(*s, targets).iter().flatten().count();
-        }
-        batched = batched.min(start.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(checksum);
-    let batch_scalar_us = 1e6 * per_query / total.max(1) as f64;
-    let batch_us = 1e6 * batched / total.max(1) as f64;
 
     let ratio = |base: f64, new: f64| if new > 0.0 { base / new } else { 0.0 };
     KernelResult {
@@ -525,10 +436,6 @@ pub fn kernel_comparison(
         chunked_hot_us,
         chunked_speedup: ratio(scalar_us, chunked_us),
         hot_speedup: ratio(scalar_us, chunked_hot_us),
-        batch_fanout,
-        batch_scalar_us,
-        batch_us,
-        batch_speedup: ratio(batch_scalar_us, batch_us),
     }
 }
 
@@ -588,10 +495,9 @@ mod tests {
         assert_eq!(r.queries, 120);
         assert!(r.entries > 0);
         assert!(r.nested_query_us > 0.0 && r.flat_query_us > 0.0 && r.view_query_us > 0.0);
-        assert!(r.query_speedup > 0.0 && r.decode_speedup > 0.0);
-        assert!(r.nested_decode_ms >= 0.0 && r.flat_decode_ms >= 0.0);
-        // Both formats serialize the same entries plus bounded metadata.
-        assert!(r.nested_snapshot_bytes > 0 && r.flat_snapshot_bytes > 0);
+        assert!(r.query_speedup > 0.0);
+        assert!(r.flat_decode_ms >= 0.0 && r.view_parse_ms >= 0.0);
+        assert!(r.flat_snapshot_bytes > 0);
     }
 
     #[test]
@@ -599,13 +505,11 @@ mod tests {
         let d = Dataset::bench_road();
         let g = Dataset { base_size: 10, ..d }.generate();
         let workload = QueryWorkload::uniform(&g, 96, 9);
-        let r = kernel_comparison("t", &g, &workload, 16, 2);
+        let r = kernel_comparison("t", &g, &workload, 2);
         assert_eq!(r.queries, 96);
-        assert_eq!(r.batch_fanout, 16);
         assert!(r.entries > 0);
         assert!(r.scalar_us > 0.0 && r.chunked_us > 0.0 && r.chunked_hot_us > 0.0);
-        assert!(r.batch_scalar_us > 0.0 && r.batch_us > 0.0);
-        assert!(r.chunked_speedup > 0.0 && r.hot_speedup > 0.0 && r.batch_speedup > 0.0);
+        assert!(r.chunked_speedup > 0.0 && r.hot_speedup > 0.0);
     }
 
     #[test]

@@ -67,36 +67,37 @@ pub fn build_speedup_table(title: &str, results: &[BuildSpeedupResult]) -> Strin
 }
 
 /// Renders flat-vs-nested comparison results (Exp 7): one row per dataset,
-/// columns for nested/flat/view query latency and the two within-run ratios.
+/// columns for nested/flat/view query latency, the within-run query ratio,
+/// and the `WCIF` decode and zero-copy parse times.
 pub fn flat_query_table(title: &str, results: &[FlatQueryResult]) -> String {
     let datasets: Vec<String> = results.iter().map(|r| r.dataset.clone()).collect();
-    let methods: Vec<String> = ["nested µs", "flat µs", "view µs", "query ×", "load ×", "mmap ×"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    render_matrix(title, "µs/query, ratios", &datasets, &methods, |d, m| {
+    let methods: Vec<String> =
+        ["nested µs", "flat µs", "view µs", "query ×", "decode ms", "parse ms"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+    render_matrix(title, "µs/query, ratio, ms", &datasets, &methods, |d, m| {
         let r = results.iter().find(|r| r.dataset == d)?;
         Some(match m {
             "nested µs" => r.nested_query_us,
             "flat µs" => r.flat_query_us,
             "view µs" => r.view_query_us,
             "query ×" => r.query_speedup,
-            "load ×" => r.decode_speedup,
-            _ => r.view_load_speedup,
+            "decode ms" => r.flat_decode_ms,
+            _ => r.view_parse_ms,
         })
     })
 }
 
 /// Renders branch-free kernel comparison results (Exp 12): one row per
-/// dataset, columns for scalar/chunked/hot point-query latency, the batch
-/// per-query latencies, and the three within-run ratios.
+/// dataset, columns for scalar/chunked/hot point-query latency and the two
+/// within-run ratios.
 pub fn kernel_table(title: &str, results: &[KernelResult]) -> String {
     let datasets: Vec<String> = results.iter().map(|r| r.dataset.clone()).collect();
-    let methods: Vec<String> =
-        ["scalar µs", "chunk µs", "hot µs", "chunk ×", "hot ×", "batch µs", "batch ×"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+    let methods: Vec<String> = ["scalar µs", "chunk µs", "hot µs", "chunk ×", "hot ×"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     render_matrix(title, "µs/query, ratios", &datasets, &methods, |d, m| {
         let r = results.iter().find(|r| r.dataset == d)?;
         Some(match m {
@@ -104,9 +105,7 @@ pub fn kernel_table(title: &str, results: &[KernelResult]) -> String {
             "chunk µs" => r.chunked_us,
             "hot µs" => r.chunked_hot_us,
             "chunk ×" => r.chunked_speedup,
-            "hot ×" => r.hot_speedup,
-            "batch µs" => r.batch_us,
-            _ => r.batch_speedup,
+            _ => r.hot_speedup,
         })
     })
 }
@@ -163,12 +162,8 @@ impl JsonRecord for FlatQueryResult {
             ("flat_query_us", json_f64(self.flat_query_us)),
             ("view_query_us", json_f64(self.view_query_us)),
             ("query_speedup", json_f64(self.query_speedup)),
-            ("nested_decode_ms", json_f64(self.nested_decode_ms)),
             ("flat_decode_ms", json_f64(self.flat_decode_ms)),
-            ("decode_speedup", json_f64(self.decode_speedup)),
             ("view_parse_ms", json_f64(self.view_parse_ms)),
-            ("view_load_speedup", json_f64(self.view_load_speedup)),
-            ("nested_snapshot_bytes", self.nested_snapshot_bytes.to_string()),
             ("flat_snapshot_bytes", self.flat_snapshot_bytes.to_string()),
         ]
     }
@@ -185,10 +180,6 @@ impl JsonRecord for KernelResult {
             ("chunked_hot_us", json_f64(self.chunked_hot_us)),
             ("chunked_speedup", json_f64(self.chunked_speedup)),
             ("hot_speedup", json_f64(self.hot_speedup)),
-            ("batch_fanout", self.batch_fanout.to_string()),
-            ("batch_scalar_us", json_f64(self.batch_scalar_us)),
-            ("batch_us", json_f64(self.batch_us)),
-            ("batch_speedup", json_f64(self.batch_speedup)),
         ]
     }
 }

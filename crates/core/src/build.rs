@@ -507,7 +507,9 @@ fn is_covered_basic(
 mod tests {
     use super::*;
     use crate::index::QueryImpl;
+    use crate::query;
     use wcsd_graph::generators::{paper_figure2, paper_figure3, path_graph, star_graph};
+    use wcsd_graph::INF_DIST;
     use wcsd_order::natural_order;
 
     /// Reference oracle: constrained BFS on the graph itself.
@@ -537,12 +539,19 @@ mod tests {
             for t in 0..g.num_vertices() as VertexId {
                 for &w in &qualities {
                     let expected = oracle(g, s, t, w);
-                    for imp in [QueryImpl::PairScan, QueryImpl::HubBucket, QueryImpl::Merge] {
+                    for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                         assert_eq!(
                             idx.distance_with(s, t, w, imp),
                             expected,
                             "mismatch for Q({s}, {t}, {w}) with {imp:?}"
                         );
+                    }
+                    // Algorithms 2 and 4, the ablation baselines, over the
+                    // same label sets.
+                    let (ls, lt) = (idx.labels(s), idx.labels(t));
+                    for d in [query::query_pair_scan(ls, lt, w), query::query_hub_bucket(ls, lt, w)]
+                    {
+                        assert_eq!((d != INF_DIST).then_some(d), expected, "Q({s}, {t}, {w})");
                     }
                 }
             }

@@ -28,15 +28,15 @@
 //! (`Vec<[u8; 4]>`) and [`FlatView`] borrows one (`&[[u8; 4]]`, e.g. a read
 //! buffer or a mapped file). There is one validator, one set of query
 //! algorithms — written against the borrowed form, through which the owned
-//! one queries too — and one [`QueryEngine`] impl. Because the words are the
-//! snapshot,
+//! one queries too — and one [`QueryEngine`] impl. `WCIF` is the index's
+//! only snapshot format, and because the words are the snapshot,
 //! [`Flat::encode`] is a copy, [`FlatView::parse`] is the validation pass in
 //! place, [`FlatIndex::decode`] is that pass plus one copy, and
 //! [`Flat::from_words`] validates a buffer a file was read straight into: no
 //! per-vertex allocation and no re-sort on any of them.
 //!
 //! Conversion is lossless in both directions ([`FlatIndex::from_index`] /
-//! [`Flat::to_index`]) and answers are bit-identical for all four query
+//! [`Flat::to_index`]) and answers are bit-identical under both query
 //! implementations (enforced by `tests/flat.rs`).
 
 use crate::index::{QueryEngine, QueryImpl, WcIndex};
@@ -389,30 +389,17 @@ impl<W: AsRef<[[u8; 4]]>> Flat<W> {
     ) -> Option<Distance> {
         let st = self.view();
         let d = match imp {
-            QueryImpl::PairScan => pair_scan_flat(&st, s, t, w),
-            QueryImpl::HubBucket => hub_bucket_flat(&st, s, t, w),
             QueryImpl::Merge => merge_flat(&st, s, t, w),
             QueryImpl::Chunked => crate::kernel::merge_chunked(&st, s, t, w),
         };
         (d != INF_DIST).then_some(d)
     }
 
-    /// Answers a run of `(t, w)` targets that share the source `s` with the
-    /// batch kernel: `s`'s hub-group directory is walked once and reused
-    /// across all targets (see [`crate::kernel`]). Answers are bit-identical
-    /// to per-query [`Self::distance`], in target order.
-    pub fn distances_from(
-        &self,
-        s: VertexId,
-        targets: &[(VertexId, Quality)],
-    ) -> Vec<Option<Distance>> {
-        crate::kernel::distances_from_flat(&self.view(), s, targets)
-    }
-
     /// Returns `true` if some `w`-path of length at most `d` connects `s` and
-    /// `t` (the cover predicate, mirroring [`WcIndex::within`]).
+    /// `t` (the cover predicate, mirroring [`WcIndex::within`]). An
+    /// unreachable pair is never within, not even `d == INF_DIST`.
     pub fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-        covered_flat(&self.view(), s, t, w, d)
+        self.distance(s, t, w).is_some_and(|x| x <= d)
     }
 
     /// Aggregate statistics of the index.
@@ -451,23 +438,13 @@ impl<W: AsRef<[[u8; 4]]> + Sync> QueryEngine for Flat<W> {
     ) -> Option<Distance> {
         Flat::distance_with(self, s, t, w, imp)
     }
-    fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-        Flat::within(self, s, t, w, d)
-    }
-    fn distances_from(
-        &self,
-        s: VertexId,
-        targets: &[(VertexId, Quality)],
-    ) -> Vec<Option<Distance>> {
-        Flat::distances_from(self, s, targets)
-    }
     fn stats(&self) -> IndexStats {
         Flat::stats(self)
     }
 }
 
-/// Word-level accessors. Every query algorithm — the chunked and batch
-/// kernels in [`crate::kernel`] included — reads the index through these.
+/// Word-level accessors. Every query algorithm — the chunked kernel in
+/// [`crate::kernel`] included — reads the index through these.
 impl FlatView<'_> {
     #[inline]
     fn word(&self, i: usize) -> u32 {
@@ -600,12 +577,7 @@ impl FlatView<'_> {
 /// First group index in `lo..hi` whose hub is `>= target`
 /// (`partition_point` over the group-hub directory).
 #[inline]
-pub(crate) fn lower_bound_hub(
-    st: &FlatView<'_>,
-    mut lo: usize,
-    hi: usize,
-    target: VertexId,
-) -> usize {
+fn lower_bound_hub(st: &FlatView<'_>, mut lo: usize, hi: usize, target: VertexId) -> usize {
     let mut len = hi - lo;
     while len > 0 {
         let half = len / 2;
@@ -704,92 +676,9 @@ fn merge_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distan
     best
 }
 
-/// Algorithm 2 over the flat form (reference oracle for the ablation).
-/// Entry hubs come from the group directory; the arena stores no per-entry
-/// hub column.
-fn pair_scan_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
-    let (i0, i1) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
-    let (j0, j1) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
-    let mut best = INF_DIST;
-    for i in i0..i1 {
-        let hub = st.group_hub(i);
-        for a in st.group_start(i)..st.group_end(i, s) {
-            if st.quality(a) < w {
-                continue;
-            }
-            for j in j0..j1 {
-                if st.group_hub(j) != hub {
-                    continue;
-                }
-                for b in st.group_start(j)..st.group_end(j, t) {
-                    if st.quality(b) >= w {
-                        best = best.min(st.dist(a).saturating_add(st.dist(b)));
-                    }
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Algorithm 4 over the flat form: for each hub group of `L(t)`, binary-search
-/// the matching group in `L(s)`'s directory.
-fn hub_bucket_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
-    let (s0, s1) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
-    let (j0, j1) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
-    let mut best = INF_DIST;
-    for j in j0..j1 {
-        let hub = st.group_hub(j);
-        let i = lower_bound_hub(st, s0, s1, hub);
-        if i >= s1 || st.group_hub(i) != hub {
-            continue;
-        }
-        let Some(dt) = min_dist_in_group(st, j, t, w) else { continue };
-        if let Some(ds) = min_dist_in_group(st, i, s, w) {
-            best = best.min(ds.saturating_add(dt));
-        }
-    }
-    best
-}
-
-/// The cover predicate over the flat form, with an early exit as soon as a
-/// certifying hub is found.
-fn covered_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality, d: Distance) -> bool {
-    let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
-    let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
-    while i < i_end && j < j_end {
-        let ha = st.group_hub(i);
-        let hb = st.group_hub(j);
-        if ha < hb {
-            i = advance_to_hub(st, i, i_end, hb);
-        } else if hb < ha {
-            j = advance_to_hub(st, j, j_end, ha);
-        } else {
-            if let (Some(da), Some(db)) =
-                (min_dist_in_group(st, i, s, w), min_dist_in_group(st, j, t, w))
-            {
-                let sum = da.saturating_add(db);
-                // An unreachable saturated sum must not count as covered even
-                // for the loosest bound d == INF_DIST (same rule as
-                // `query::covered`).
-                if sum != INF_DIST && sum <= d {
-                    return true;
-                }
-            }
-            i += 1;
-            j += 1;
-        }
-    }
-    false
-}
-
 /// Checks that the order words form a permutation of `0..n` (so
-/// `VertexOrder::from_permutation` cannot panic on untrusted input). Both
-/// snapshot decoders, `WCIF` and `WCIX`, run it.
-pub(crate) fn validate_order_words(
-    order: impl Iterator<Item = u32>,
-    n: usize,
-) -> Result<(), String> {
+/// `VertexOrder::from_permutation` cannot panic on untrusted input).
+fn validate_order_words(order: impl Iterator<Item = u32>, n: usize) -> Result<(), String> {
     let mut seen = vec![false; n];
     let mut count = 0usize;
     for v in order {
@@ -843,12 +732,7 @@ mod tests {
         for s in 0..6 {
             for t in 0..6 {
                 for w in 1..=6 {
-                    for imp in [
-                        QueryImpl::PairScan,
-                        QueryImpl::HubBucket,
-                        QueryImpl::Merge,
-                        QueryImpl::Chunked,
-                    ] {
+                    for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                         assert_eq!(
                             flat.distance_with(s, t, w, imp),
                             idx.distance_with(s, t, w, imp),
@@ -883,17 +767,12 @@ mod tests {
             from_hot.sort_by_key(key);
             assert_eq!(from_hot, canon, "vertex {v}");
         }
-        assert_eq!(hot.to_index().encode(), idx.encode());
+        assert_eq!(hot.to_index(), idx);
         // Bit-identical answers under every impl.
         for s in 0..6 {
             for t in 0..6 {
                 for w in 1..=6 {
-                    for imp in [
-                        QueryImpl::PairScan,
-                        QueryImpl::HubBucket,
-                        QueryImpl::Merge,
-                        QueryImpl::Chunked,
-                    ] {
+                    for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                         assert_eq!(
                             hot.distance_with(s, t, w, imp),
                             flat.distance_with(s, t, w, imp),

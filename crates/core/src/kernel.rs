@@ -1,7 +1,7 @@
-//! Branch-free, batch-aware query kernels over the flat label arena.
+//! Branch-free query kernels over the flat label arena.
 //!
 //! [`crate::flat`] made the query path's memory layout contiguous; this module
-//! makes its inner loops straight-line. Three kernels, all bit-identical to
+//! makes its inner loops straight-line. Two kernels, both bit-identical to
 //! the reference `Query⁺` merge (enforced by `tests/kernels.rs`):
 //!
 //! * **Chunked masked-min** ([`masked_min_chunked`] and the store-generic
@@ -20,12 +20,6 @@
 //!   [`CHUNK_CROSSOVER`] entries by the chunked scan, and only larger groups
 //!   keep the Theorem-3 binary search — a linear scan of a few cache lines
 //!   beats `log n` dependent branchy probes until the group outgrows them.
-//! * **Batch-amortized evaluation** (`distances_from`): a `BATCH` whose
-//!   queries share a source `s` walks `s`'s hub-group directory **once**,
-//!   materializing `(hub, start, end)` triples, then merges every `(t, w)`
-//!   target against that resident slice. [`crate::parallel::par_distances`]
-//!   detects equal-source runs and routes them here, so the reactor's `BATCH`
-//!   fan-out and the router's per-shard concatenated batches both benefit.
 //!
 //! The slice-level kernels ([`masked_min_scalar`], [`masked_min_chunked`],
 //! [`theorem3_min`], [`group_min`]) are public so the criterion benches can
@@ -196,66 +190,6 @@ pub(crate) fn merge_chunked(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Qual
             // otherwise saves a group scan on every quality-filtered hub.
             if da != INF_DIST {
                 // Pull t's columns toward the cache before its minimum runs.
-                st.prefetch_entry(st.group_start(j));
-                let db = group_min_flat(st, st.group_start(j), st.group_end(j, t), w);
-                best = best.min(da.saturating_add(db));
-            }
-            i += 1;
-            j += 1;
-        } else if ha < hb {
-            i = advance_to_hub(st, i, i_end, hb);
-        } else {
-            j = advance_to_hub(st, j, j_end, ha);
-        }
-    }
-    best
-}
-
-/// The batch kernel: answers every `(t, w)` target against one source `s`,
-/// resolving `s`'s hub-group directory once. The hub keys already sit packed
-/// in the CSR directory, so only the `(start, end)` arena spans — whose
-/// per-group resolution costs a last-group branch and extra offset loads —
-/// are materialized, into one scratch column indexed by the same group
-/// offsets the merge walks. The win grows with the run length and `|L(s)|`.
-pub(crate) fn distances_from_flat(
-    st: &FlatView<'_>,
-    s: VertexId,
-    targets: &[(VertexId, Quality)],
-) -> Vec<Option<Distance>> {
-    let (g0, g1) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
-    let spans: Vec<(u32, u32)> =
-        (g0..g1).map(|g| (st.group_start(g) as u32, st.group_end(g, s) as u32)).collect();
-    targets
-        .iter()
-        .map(|&(t, w)| {
-            let d = merge_directory(st, g0, g1, &spans, t, w);
-            (d != INF_DIST).then_some(d)
-        })
-        .collect()
-}
-
-/// One target's merge against the source's resolved spans. Identical to
-/// [`merge_chunked`] — same hub columns, same galloping skips — except the
-/// source side's entry range comes from the scratch column instead of being
-/// re-derived from the CSR offsets on every matched hub.
-fn merge_directory(
-    st: &FlatView<'_>,
-    g0: usize,
-    g1: usize,
-    spans: &[(u32, u32)],
-    t: VertexId,
-    w: Quality,
-) -> Distance {
-    let (mut i, i_end) = (g0, g1);
-    let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
-    let mut best = INF_DIST;
-    while i < i_end && j < j_end {
-        let ha = st.group_hub(i);
-        let hb = st.group_hub(j);
-        if ha == hb {
-            let (a0, a1) = spans[i - g0];
-            let da = group_min_flat(st, a0 as usize, a1 as usize, w);
-            if da != INF_DIST {
                 st.prefetch_entry(st.group_start(j));
                 let db = group_min_flat(st, st.group_start(j), st.group_end(j, t), w);
                 best = best.min(da.saturating_add(db));

@@ -11,16 +11,19 @@
 //!   constrained BFS) with both the basic and the query-efficient
 //!   (WC-INDEX+) construction modes and every vertex-ordering strategy.
 //! * [`index::WcIndex`] — the index itself: `distance`, `within`, statistics,
-//!   minimality verification and binary snapshots.
+//!   statistics and minimality verification; its snapshot is the `WCIF`
+//!   image of [`flat::FlatIndex`].
 //! * [`flat::Flat`] — the read-optimized *serve* representation, stored as
 //!   its own versioned `WCIF` snapshot image: a struct-of-arrays entry arena
 //!   under a CSR per-vertex hub-group directory. One type over two word
 //!   backings: the owned [`flat::FlatIndex`] and the borrowed
 //!   [`flat::FlatView`], which answers from the encoded bytes in place.
 //!   Lossless conversion from/to [`index::WcIndex`], bit-identical answers.
-//! * [`query`] — the three query implementations (Algorithms 2, 4 and 5).
-//! * [`kernel`] — branch-free chunked column kernels and the batch
-//!   `distances_from` evaluator behind [`index::QueryImpl::Chunked`]:
+//! * [`query`] — the paper's three query algorithms over label sets: `Query⁺`
+//!   (Algorithm 5), which every index serves with, and Algorithms 2 and 4,
+//!   kept for the Section IV.C ablation.
+//! * [`kernel`] — branch-free chunked column kernels behind
+//!   [`index::QueryImpl::Chunked`]:
 //!   masked-min lane loops over the flat `dists`/`qualities` columns with a
 //!   probe/chunk/search crossover, bit-identical to the `Query⁺` merge.
 //! * [`overlay`] — the boundary-vertex overlay composing per-shard answers

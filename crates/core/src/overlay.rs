@@ -473,6 +473,12 @@ impl OverlayIndex {
         if num_shards == 0 && n > 0 {
             return Err("overlay snapshot has vertices but zero shards".to_string());
         }
+        // Every shard of a partition this overlay came from holds a vertex
+        // (or the graph is empty), and the per-shard boundary lists are
+        // allocated from this count: bound it before trusting it.
+        if num_shards as usize > n.max(1) {
+            return Err(format!("overlay snapshot has {num_shards} shards for {n} vertices"));
+        }
         if assignment.iter().any(|&s| s >= num_shards) {
             return Err("overlay assignment names an unknown shard".to_string());
         }
@@ -723,6 +729,16 @@ mod tests {
         // First assignment word: point it past the shard count.
         bad_shard[WCSO_HEADER..WCSO_HEADER + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(OverlayIndex::decode(&bad_shard).is_err());
+        // A 28-byte overlay claiming u32::MAX shards over 0 vertices: the
+        // header and the one CSR offset word, and nothing else to check. It
+        // must be refused before a boundary list is allocated per shard.
+        let mut huge = WCSO_MAGIC.to_vec();
+        for word in [WCSO_VERSION, u32::MAX, 0, 0, 0, 0] {
+            huge.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(huge.len(), 28);
+        let err = OverlayIndex::decode(&huge).unwrap_err();
+        assert!(err.contains("shards"), "unexpected error: {err}");
     }
 
     #[test]

@@ -8,54 +8,13 @@
 //! over the [`QueryEngine`], so the nested [`crate::WcIndex`], the flat
 //! [`crate::FlatIndex`] and the borrowed [`crate::FlatView`] all work.
 //!
-//! Within each worker's slice, runs of consecutive queries that share a
-//! source vertex are routed through [`QueryEngine::distances_from`] — for the
-//! flat engines that is the batch kernel of [`crate::kernel`], which walks
-//! the source's hub-group directory once per run. The router's per-shard
-//! concatenated batches and replayed hot keys both produce such runs.
-//!
 //! This is the *read side* of the crate's parallelism story: queries share one
 //! finished index and need no coordination at all. The *write side* —
 //! constructing the index itself on multiple threads while keeping the result
 //! byte-identical to a sequential build — lives in [`crate::parallel_build`].
 
 use crate::index::{QueryEngine, QueryImpl};
-use std::sync::Mutex;
 use wcsd_graph::{Distance, Quality, VertexId};
-
-/// Minimum run of consecutive equal-source queries routed through the batch
-/// kernel ([`QueryEngine::distances_from`]): below this, materializing the
-/// source's directory is not amortized and the per-query path wins.
-const MIN_SOURCE_RUN: usize = 4;
-
-/// Answers one worker's slice, routing runs of consecutive queries that share
-/// a source through the batch kernel. Only the merge-family implementations
-/// take that route — the batch kernel *is* a merge, so `PairScan`/`HubBucket`
-/// ablation runs stay honest per-query measurements.
-fn answer_slice<E: QueryEngine>(
-    index: &E,
-    chunk: &[(VertexId, VertexId, Quality)],
-    imp: QueryImpl,
-    out: &mut Vec<Option<Distance>>,
-) {
-    let batchable = matches!(imp, QueryImpl::Merge | QueryImpl::Chunked);
-    let mut k = 0;
-    while k < chunk.len() {
-        let s = chunk[k].0;
-        let mut end = k + 1;
-        while end < chunk.len() && chunk[end].0 == s {
-            end += 1;
-        }
-        if batchable && end - k >= MIN_SOURCE_RUN {
-            let targets: Vec<(VertexId, Quality)> =
-                chunk[k..end].iter().map(|&(_, t, w)| (t, w)).collect();
-            out.extend(index.distances_from(s, &targets));
-        } else {
-            out.extend(chunk[k..end].iter().map(|&(s, t, w)| index.distance_with(s, t, w, imp)));
-        }
-        k = end;
-    }
-}
 
 /// Answers a batch of `(s, t, w)` queries using `num_threads` worker threads.
 ///
@@ -90,41 +49,24 @@ pub fn par_distances_with<E: QueryEngine>(
     num_threads: usize,
     imp: QueryImpl,
 ) -> Vec<Option<Distance>> {
-    if queries.is_empty() {
-        return Vec::new();
-    }
+    let answer = |&(s, t, w): &(VertexId, VertexId, Quality)| index.distance_with(s, t, w, imp);
     if num_threads <= 1 || queries.len() < 2 * num_threads {
-        let mut out = Vec::with_capacity(queries.len());
-        answer_slice(index, queries, imp, &mut out);
-        return out;
+        return queries.iter().map(answer).collect();
     }
-
+    // Each worker fills its own disjoint chunk of the one output buffer, so
+    // answers land in input order with no shared state between workers.
     let chunk_size = queries.len().div_ceil(num_threads);
-    // Indexed result slots so output order matches input order regardless of
-    // which worker finishes first.
-    let results: Mutex<Vec<Option<Option<Distance>>>> = Mutex::new(vec![None; queries.len()]);
-
+    let mut out = vec![None; queries.len()];
     std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in queries.chunks(chunk_size).enumerate() {
-            let results = &results;
+        for (slots, chunk) in out.chunks_mut(chunk_size).zip(queries.chunks(chunk_size)) {
             scope.spawn(move || {
-                let base = chunk_idx * chunk_size;
-                let mut local: Vec<Option<Distance>> = Vec::with_capacity(chunk.len());
-                answer_slice(index, chunk, imp, &mut local);
-                let mut guard = results.lock().expect("query workers never panic");
-                for (offset, answer) in local.into_iter().enumerate() {
-                    guard[base + offset] = Some(answer);
+                for (slot, query) in slots.iter_mut().zip(chunk) {
+                    *slot = answer(query);
                 }
             });
         }
     });
-
-    results
-        .into_inner()
-        .expect("query workers never panic")
-        .into_iter()
-        .map(|slot| slot.expect("every slot is filled by exactly one worker"))
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -157,17 +99,16 @@ mod tests {
         let index = IndexBuilder::default().build(&paper_figure3());
         let queries = vec![(2u32, 5u32, 2u32), (0, 4, 3), (1, 3, 4)];
         let expected = vec![Some(2), Some(4), Some(2)];
-        for imp in [QueryImpl::PairScan, QueryImpl::HubBucket, QueryImpl::Merge, QueryImpl::Chunked]
-        {
+        for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
             assert_eq!(par_distances_with(&index, &queries, 2, imp), expected);
         }
     }
 
     #[test]
     fn equal_source_runs_match_per_query_answers() {
-        // Runs of equal sources (longer than MIN_SOURCE_RUN, plus stragglers)
-        // take the batch-kernel path; answers and ordering must not change,
-        // on the nested and the flat engine alike.
+        // Runs of equal sources, as the router's row fetches send them, plus
+        // a straggler: answers and ordering must not change across the
+        // worker chunks, on the nested and the flat engine alike.
         let g = barabasi_albert(120, 3, &QualityAssigner::uniform(5), 23);
         let index = IndexBuilder::wc_index_plus().build(&g);
         let flat = crate::FlatIndex::from_index(&index);

@@ -97,7 +97,7 @@ pub enum Request {
     /// `RELOAD path` — swap the served snapshot for the one at `path` (a
     /// path on the *server's* filesystem).
     Reload {
-        /// Path to a `WCIF` (or `WCIX`) snapshot, resolved server-side.
+        /// Path to a `WCIF` snapshot, resolved server-side.
         path: String,
     },
     /// `SHUTDOWN` — stop the server gracefully.

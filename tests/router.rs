@@ -2,8 +2,8 @@
 //! index composed through the boundary overlay must be **bit-identical** to
 //! the unsharded index, in process and over the wire.
 //!
-//! * a seeded fuzz sweep (48 seeds × {road, social} shapes × all four
-//!   query implementations) comparing [`ShardedIndex`] against a full
+//! * a seeded fuzz sweep (48 seeds × {road, social} shapes × both query
+//!   implementations) comparing [`ShardedIndex`] against a full
 //!   [`FlatIndex`] for `QUERY`, `BATCH`, and `WITHIN` — including
 //!   unreachable pairs, `s == t`, and out-of-range quality constraints;
 //! * an exhaustive small-graph sweep pinning both against the online
@@ -40,8 +40,7 @@ use wcsd_server::cache::ENTRY_OVERHEAD_CELLS;
 /// property-test convention in `tests/properties.rs`).
 const CASES: u64 = 48;
 
-const IMPLS: [QueryImpl; 4] =
-    [QueryImpl::PairScan, QueryImpl::HubBucket, QueryImpl::Merge, QueryImpl::Chunked];
+const IMPLS: [QueryImpl; 2] = [QueryImpl::Merge, QueryImpl::Chunked];
 
 /// A road-network-like shard workload: grids partition along geography, so
 /// the cut is small and most pairs cross it.
@@ -61,7 +60,7 @@ fn full_flat(g: &Graph) -> FlatIndex {
 }
 
 /// The fuzz sweep: for every seed and shape, a sharded index over a 2–4-way
-/// partition answers exactly like the unsharded index under all four query
+/// partition answers exactly like the unsharded index under both query
 /// implementations.
 #[test]
 fn sharded_matches_unsharded_fuzz() {

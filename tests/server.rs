@@ -483,9 +483,10 @@ fn reload_swaps_snapshot_and_keeps_cache_coherent() {
     handle.join().unwrap();
 }
 
-/// A corrupt `WCIX` snapshot (its order names vertex 5 of a 1-vertex index)
-/// gets an `ERR` reply instead of unwinding the pool worker that loads it:
-/// with a single worker, a `BATCH` afterwards is still answered.
+/// Any file that is not a `WCIF` snapshot — here a nested `WCIX` file, the
+/// retired format, whose order also names vertex 5 of a 1-vertex index — is
+/// refused with an `ERR` reply instead of unwinding the pool worker that
+/// loads it: with a single worker, a `BATCH` afterwards is still answered.
 #[test]
 fn reload_of_corrupt_nested_snapshot_is_an_error() {
     let mut crafted = b"WCIX".to_vec();
