@@ -13,9 +13,10 @@
 //! * `reactor` *(private module)* — the event-loop core: nonblocking sockets
 //!   multiplexed through a minimal `poll(2)` wrapper, per-connection
 //!   read/parse/execute/write state machines, and a bounded worker pool
-//!   for `BATCH` fan-out (via [`wcsd_core::parallel::par_distances`]) and
-//!   `RELOAD` snapshot decoding. Connections scale with file descriptors,
-//!   not threads.
+//!   for `BATCH` answering and `RELOAD` snapshot decoding. The pool is the
+//!   only level of query parallelism (a large batch is split across idle
+//!   workers, never across spawned threads). Connections scale with file
+//!   descriptors, not threads.
 //! * [`protocol`] — the newline-delimited text protocol (`QUERY`, `BATCH`,
 //!   `WITHIN`, `STATS`, `RELOAD`, `SHUTDOWN`) and the protocol-neutral
 //!   [`protocol::Reply`] type.

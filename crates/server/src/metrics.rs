@@ -67,6 +67,8 @@ pub(crate) struct ServerMetrics {
     pub(crate) queries: Arc<Counter>,
     pub(crate) batches: Arc<Counter>,
     pub(crate) batch_queries: Arc<Counter>,
+    /// `BATCH` requests answered in more than one part across idle workers.
+    pub(crate) batch_splits: Arc<Counter>,
     pub(crate) errors: [Arc<Counter>; 2],
     /// Requests shed with a busy reply because the pending-job queue was
     /// full, by protocol.
@@ -160,6 +162,10 @@ impl ServerMetrics {
             batches: registry.counter("wcsd_batches_total", "BATCH requests answered"),
             batch_queries: registry
                 .counter("wcsd_batch_queries_total", "Individual queries answered inside batches"),
+            batch_splits: registry.counter(
+                "wcsd_batch_splits_total",
+                "BATCH requests split into parts across idle workers",
+            ),
             errors,
             shed,
             pending_jobs: registry
@@ -245,8 +251,15 @@ impl ServerMetrics {
 
     /// Finishes a worker-executed request whose durations were measured on
     /// the worker: verb counter plus queue/execute samples, all recorded on
-    /// the reactor thread (see module docs).
-    pub(crate) fn finish_offloaded(&self, proto: usize, verb: usize, timing: Option<(u64, u64)>) {
+    /// the reactor thread (see module docs). `detail` is only rendered for a
+    /// slow-query event.
+    pub(crate) fn finish_offloaded(
+        &self,
+        proto: usize,
+        verb: usize,
+        timing: Option<(u64, u64)>,
+        detail: impl FnOnce() -> String,
+    ) {
         self.verbs[proto][verb].inc();
         if let Some((queue_us, exec_us)) = timing {
             self.phase_us(proto, PHASE_QUEUE, queue_us);
@@ -254,7 +267,7 @@ impl ServerMetrics {
             if let Some(limit) = self.slow_query_us {
                 if exec_us >= limit && verb == VERB_BATCH {
                     self.slow_queries.inc();
-                    self.registry.tracer().record("slow_query", "BATCH", exec_us);
+                    self.registry.tracer().record("slow_query", &detail(), exec_us);
                 }
             }
         }

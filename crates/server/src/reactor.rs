@@ -13,9 +13,11 @@
 //!   length-prefixed binary, negotiated by the first byte — see
 //!   [`crate::binary`]);
 //! * **execute** — point lookups, `WITHIN`, and `STATS` run inline (they are
-//!   microsecond index probes); `BATCH` fan-out and `RELOAD` snapshot
+//!   microsecond index probes); `BATCH` answering and `RELOAD` snapshot
 //!   decoding are shipped to the bounded worker pool so a large job never
-//!   stalls the loop;
+//!   stalls the loop. The pool is the server's only level of query
+//!   parallelism: a batch runs on the worker that dequeues it, and only a
+//!   large batch arriving while workers sit idle is split across them;
 //! * **write** — replies accumulate in an output buffer flushed as the
 //!   socket accepts them, with a stall deadline replacing the old blocking
 //!   `WRITE_TIMEOUT`.
@@ -46,15 +48,24 @@ use crate::protocol::{self, ReloadInfo, Reply, Request};
 use crate::server::{load_flat_snapshot, Shared, MAX_LINE, WRITE_TIMEOUT};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use wcsd_core::{parallel, FlatIndex};
-use wcsd_graph::{Quality, VertexId};
+use wcsd_core::FlatIndex;
+use wcsd_graph::{Quality, VertexId, INF_DIST};
 
 /// One `(s, t, w)` point query.
 pub(crate) type Query = (VertexId, VertexId, Quality);
+
+/// Fewest queries a `BATCH` must hold before the reactor splits it across
+/// idle workers. Below it, handing half the batch to a parked worker (a
+/// channel send plus a wake) costs as much as the merges it takes over.
+/// Measured with one idle lane per batch length, inline against a two-part
+/// split: on one shard of a 40×40 road grid (0.6 µs merges) the split tied
+/// at 8–16 queries and won from 32; on a 96×96 grid (3.5 µs) it won from 8.
+const SPLIT_MIN: usize = 32;
 
 /// Upper bound on one poll sleep. Nothing correctness-critical hangs off
 /// this tick — completions arrive via the wake pipe — it only bounds how
@@ -267,25 +278,13 @@ pub(crate) fn listen_reuseaddr(port: u16) -> std::io::Result<TcpListener> {
 /// completion for a connection that died (and whose slot was reused) is
 /// recognised and dropped.
 pub(crate) enum Job {
-    /// A `BATCH` fan-out over the snapshot captured at submission. Pinning
-    /// `(epoch, index)` here is what makes every batch reply consistent with
-    /// exactly one snapshot across a concurrent `RELOAD`.
+    /// One part of a `BATCH`. A batch is a single part unless the reactor
+    /// split it across idle workers.
     Batch {
-        /// Connection slot awaiting the reply.
-        conn: usize,
-        /// Generation of that slot at submission time.
-        gen: u64,
-        /// Cache epoch paired with `index`.
-        epoch: u64,
-        /// The snapshot this batch is answered from.
-        index: Arc<FlatIndex>,
-        /// The batch body.
-        queries: Vec<Query>,
-        /// Protocol index of the submitting connection (metric attribution).
-        proto: usize,
-        /// Submission time when timing is enabled; the worker derives the
-        /// queue/execute split from it and ships both back in `Done`.
-        submitted: Option<Instant>,
+        /// The batch, shared by all of its parts.
+        batch: Arc<BatchJob>,
+        /// Which part this job answers, in `0..batch.parts`.
+        part: usize,
     },
     /// A `RELOAD`: read + decode + validate a snapshot off the reactor
     /// thread. The reactor performs the actual swap on completion, so
@@ -304,22 +303,71 @@ pub(crate) enum Job {
     },
 }
 
+/// A `BATCH` in the worker pool, shared by its parts. Pinning
+/// `(epoch, index)` here is what makes every batch reply consistent with
+/// exactly one snapshot across a concurrent `RELOAD`, however many parts
+/// answer it. Every line was range-checked against `index` before the
+/// batch reached the pool.
+pub(crate) struct BatchJob {
+    /// Connection slot awaiting the reply.
+    conn: usize,
+    /// Generation of that slot at submission time.
+    gen: u64,
+    /// Protocol index of the submitting connection (metric attribution).
+    proto: usize,
+    /// Cache epoch paired with `index`.
+    epoch: u64,
+    /// The snapshot every part answers from.
+    index: Arc<FlatIndex>,
+    /// The batch body.
+    queries: Vec<Query>,
+    /// Parts the batch runs as; 1 means inline on one worker.
+    parts: usize,
+    /// Submission time when timing is enabled; the queue/execute split is
+    /// derived from it and shipped back in `Done`.
+    submitted: Option<Instant>,
+    /// When the first part was picked up (set only when timing is enabled).
+    started: OnceLock<Instant>,
+    /// The one output buffer, by input position. Each part stores only into
+    /// its own range; [`INF_DIST`] marks an unreachable pair.
+    answers: Vec<AtomicU32>,
+    /// Set by part 0 when the `worker.batch` failpoint fails the batch.
+    injected_failure: AtomicBool,
+    /// Parts still running; the part that takes it to zero replies.
+    remaining: AtomicUsize,
+}
+
+impl BatchJob {
+    /// The input positions part `part` answers. The ranges of all parts tile
+    /// `0..queries.len()` and differ in length by at most one.
+    fn part_range(&self, part: usize) -> Range<usize> {
+        let n = self.queries.len();
+        part * n / self.parts..(part + 1) * n / self.parts
+    }
+
+    /// How the batch ran, for the slow-query log.
+    fn describe(&self) -> String {
+        match self.parts {
+            1 => format!("BATCH {} inline", self.queries.len()),
+            parts => format!("BATCH {} split into {parts} parts", self.queries.len()),
+        }
+    }
+}
+
 /// A completion flowing back from a worker.
 pub(crate) enum Done {
-    /// Answers (or a validation error) for a submitted batch.
+    /// Answers (or the injected failure) for a submitted batch, sent once by
+    /// whichever of its parts finished last.
     Batch {
-        /// Connection slot the job belonged to.
-        conn: usize,
-        /// Slot generation at submission time.
-        gen: u64,
-        /// Protocol index of the submitting connection.
-        proto: usize,
+        /// The batch that completed.
+        batch: Arc<BatchJob>,
         /// In-order answers, or why the batch was rejected.
         result: Result<Vec<Option<u32>>, String>,
-        /// `(queue_us, execute_us)` measured on the worker, present when
-        /// timing is enabled. The reactor records these into the phase
-        /// histograms at completion, keeping every histogram mutation on
-        /// the reactor thread (see [`crate::metrics`]).
+        /// `(queue_us, execute_us)` measured on the workers, from the first
+        /// part's pickup to the last part's end, present when timing is
+        /// enabled. The reactor records these into the phase histograms at
+        /// completion, keeping every histogram mutation on the reactor
+        /// thread (see [`crate::metrics`]).
         timing: Option<(u64, u64)>,
     },
     /// A decoded snapshot (or the load error) for a submitted reload.
@@ -387,28 +435,17 @@ pub(crate) fn worker(
         let Ok(job) = job else { return };
         shared.metrics.workers_busy.inc();
         let completion = match job {
-            Job::Batch { conn, gen, epoch, index, queries, proto, submitted } => {
-                let started = submitted.map(|_| Instant::now());
-                // Chaos site: `fail` poisons this batch (the client sees an
-                // ERR, never a wrong answer); `delay:<ms>` stalls the worker
-                // so tests can fill the pending queue deterministically.
-                let result = match crate::failpoint::fire("worker.batch") {
-                    Some(crate::failpoint::Action::Fail | crate::failpoint::Action::Refuse) => {
-                        Err("injected batch failure".to_string())
-                    }
-                    _ => run_batch(shared, epoch, &index, &queries),
-                };
-                let timing = job_timing(submitted, started);
-                Done::Batch { conn, gen, proto, result, timing }
-            }
+            Job::Batch { batch, part } => run_part(shared, &batch, part),
             Job::Reload { conn, gen, path, proto, submitted } => {
                 let started = submitted.map(|_| Instant::now());
                 let result = load_flat_snapshot(&path);
                 let timing = job_timing(submitted, started);
-                Done::Reload { conn, gen, proto, result, timing }
+                Some(Done::Reload { conn, gen, proto, result, timing })
             }
         };
         shared.metrics.workers_busy.dec();
+        // Only the last part of a split batch has a completion to send.
+        let Some(completion) = completion else { continue };
         if done.send(completion).is_err() {
             return; // reactor gone: shutdown finished without us
         }
@@ -440,38 +477,45 @@ fn proto_idx(mode: Mode) -> usize {
     }
 }
 
-/// Answers one batch against the pinned snapshot: range-validate, serve
-/// cache hits, fan the misses out across [`parallel::par_distances`], insert
-/// the computed answers back under the pinned epoch.
-fn run_batch(
-    shared: &Shared,
-    epoch: u64,
-    index: &FlatIndex,
-    queries: &[Query],
-) -> Result<Vec<Option<u32>>, String> {
-    for (i, &(s, t, _)) in queries.iter().enumerate() {
-        check_range(index, s, t).map_err(|reason| format!("batch line {}: {reason}", i + 1))?;
+/// Runs one part of a batch on the calling worker, serially. The part that
+/// finishes last returns the batch's one completion; the others return
+/// `None`.
+fn run_part(shared: &Shared, batch: &Arc<BatchJob>, part: usize) -> Option<Done> {
+    if batch.submitted.is_some() {
+        batch.started.get_or_init(Instant::now);
     }
-    let mut answers: Vec<Option<Option<u32>>> = Vec::with_capacity(queries.len());
-    let mut misses: Vec<Query> = Vec::new();
-    let mut miss_slots: Vec<usize> = Vec::new();
-    for (i, &(s, t, w)) in queries.iter().enumerate() {
-        match shared.cache.get(&(epoch, s, t, w)) {
-            Some(answer) => answers.push(Some(answer)),
-            None => {
-                answers.push(None);
-                misses.push((s, t, w));
-                miss_slots.push(i);
-            }
+    // Chaos site, once per batch: `fail` poisons the batch (the client sees
+    // an ERR, never a wrong answer); `delay:<ms>` stalls the worker so tests
+    // can fill the pending queue deterministically.
+    let injected = part == 0
+        && matches!(
+            crate::failpoint::fire("worker.batch"),
+            Some(crate::failpoint::Action::Fail | crate::failpoint::Action::Refuse)
+        );
+    if injected {
+        batch.injected_failure.store(true, Ordering::Relaxed);
+    } else {
+        let range = batch.part_range(part);
+        for (slot, &(s, t, w)) in batch.answers[range.clone()].iter().zip(&batch.queries[range]) {
+            let answer = shared.cached_distance(batch.epoch, &batch.index, s, t, w);
+            slot.store(answer.unwrap_or(INF_DIST), Ordering::Relaxed);
         }
     }
-    let computed =
-        parallel::par_distances_with(index, &misses, shared.batch_threads, shared.query_impl);
-    for (slot, (&(s, t, w), answer)) in miss_slots.into_iter().zip(misses.iter().zip(computed)) {
-        shared.cache.insert((epoch, s, t, w), answer);
-        answers[slot] = Some(answer);
+    // AcqRel: the last part acquires every other part's stores.
+    if batch.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+        return None;
     }
-    Ok(answers.into_iter().map(|a| a.expect("every slot answered")).collect())
+    let result = if batch.injected_failure.load(Ordering::Relaxed) {
+        Err("injected batch failure".to_string())
+    } else {
+        Ok(batch
+            .answers
+            .iter()
+            .map(|slot| Some(slot.load(Ordering::Relaxed)).filter(|&d| d != INF_DIST))
+            .collect())
+    };
+    let timing = job_timing(batch.submitted, batch.started.get().copied());
+    Some(Done::Batch { batch: Arc::clone(batch), result, timing })
 }
 
 /// Wire framing of one connection, negotiated from its first byte.
@@ -631,8 +675,12 @@ pub(crate) struct Reactor<'a> {
     /// `apply_completion` — both on the reactor thread, so the admission
     /// check in `submit_*` reads an exact count with no atomics. At
     /// `Shared::max_pending_jobs`, new offloaded work is shed with
-    /// [`Reply::Busy`].
+    /// [`Reply::Busy`]. A split batch counts once.
     pending_jobs: usize,
+    /// Pool jobs submitted and not yet completed, counting every part of a
+    /// split batch: the workers they occupy. Kept on this thread like
+    /// `pending_jobs`, so the idle-worker check in `submit_batch` is exact.
+    pending_parts: usize,
 }
 
 impl<'a> Reactor<'a> {
@@ -654,6 +702,7 @@ impl<'a> Reactor<'a> {
             free: Vec::new(),
             next_gen: 0,
             pending_jobs: 0,
+            pending_parts: 0,
         }
     }
 
@@ -767,14 +816,15 @@ impl<'a> Reactor<'a> {
     /// thread, with the durations the worker measured — which is what keeps
     /// every `METRICS` payload self-consistent (see [`crate::metrics`]).
     fn apply_completion(&mut self, done: Done) {
-        self.retire_job();
         // Copy the `&Shared` out so the metrics borrow does not pin `self`
         // (delivery below needs `&mut self`).
         let shared = self.shared;
         let m = &shared.metrics;
         match done {
-            Done::Batch { conn, gen, proto, result, timing } => {
-                m.finish_offloaded(proto, VERB_BATCH, timing);
+            Done::Batch { batch, result, timing } => {
+                self.retire_job(batch.parts);
+                let proto = batch.proto;
+                m.finish_offloaded(proto, VERB_BATCH, timing, || batch.describe());
                 let reply = match result {
                     Ok(answers) => {
                         // Counted here, not at submission, so STATS counts
@@ -783,6 +833,9 @@ impl<'a> Reactor<'a> {
                         // reaches the pool at all.
                         m.batches.inc();
                         m.batch_queries.add(answers.len() as u64);
+                        if batch.parts > 1 {
+                            m.batch_splits.inc();
+                        }
                         Reply::Batch(answers)
                     }
                     Err(reason) => {
@@ -790,9 +843,10 @@ impl<'a> Reactor<'a> {
                         Reply::Err(reason)
                     }
                 };
-                self.deliver(conn, gen, reply);
+                self.deliver(batch.conn, batch.gen, reply);
             }
             Done::Reload { conn, gen, proto, result, timing } => {
+                self.retire_job(1);
                 let reply = match result {
                     Ok(flat) => {
                         let stats = flat.stats();
@@ -1207,10 +1261,11 @@ impl<'a> Reactor<'a> {
     }
 
     /// Admission control for offloaded work: either reserves a pending-job
-    /// slot (returns `true`) or sheds the request with [`Reply::Busy`]. The
-    /// count is exact — mutated only on this thread — so the pending queue
-    /// is bounded by construction, not by sampling.
-    fn admit_job(&mut self, conn: &mut Conn, proto: usize) -> bool {
+    /// slot for a request running as `parts` pool jobs (returns `true`) or
+    /// sheds the request with [`Reply::Busy`]. The count is exact — mutated
+    /// only on this thread — so the pending queue is bounded by
+    /// construction, not by sampling.
+    fn admit_job(&mut self, conn: &mut Conn, proto: usize, parts: usize) -> bool {
         if self.pending_jobs >= self.shared.max_pending_jobs {
             // Shed without executing: the error counter moves (like a parse
             // failure, the verb never ran) plus the dedicated shed counter,
@@ -1221,23 +1276,57 @@ impl<'a> Reactor<'a> {
             return false;
         }
         self.pending_jobs += 1;
+        self.pending_parts += parts;
         self.shared.metrics.pending_jobs.set(self.pending_jobs as i64);
         true
     }
 
-    /// Ships a batch to the worker pool, pinning the current snapshot.
+    /// Ships a batch to the worker pool, pinning the current snapshot. The
+    /// whole batch is range-checked here first, so a bad line is answered
+    /// with its `batch line N` error and never reaches the pool. A batch runs
+    /// inline on the worker that dequeues it, unless it holds at least
+    /// [`SPLIT_MIN`] queries while workers sit idle: then it is split into
+    /// one part per idle worker, at most `batch_threads` parts.
     fn submit_batch(&mut self, conn: &mut Conn, slot: usize, queries: Vec<Query>) {
         let shared = self.shared;
         let proto = proto_idx(conn.mode);
-        if !self.admit_job(conn, proto) {
+        let submitted = shared.metrics.timer();
+        let (epoch, index) = shared.current();
+        for (i, &(s, t, _)) in queries.iter().enumerate() {
+            if let Err(reason) = check_range(&index, s, t) {
+                shared.metrics.errors[proto].inc();
+                shared.metrics.finish_request(proto, VERB_BATCH, submitted, || {
+                    format!("BATCH {}", queries.len())
+                });
+                conn.push_reply(&Reply::Err(format!("batch line {}: {reason}", i + 1)));
+                return;
+            }
+        }
+        let idle = shared.batch_workers.saturating_sub(self.pending_parts);
+        let parts =
+            if queries.len() >= SPLIT_MIN { idle.min(shared.batch_threads).max(1) } else { 1 };
+        if !self.admit_job(conn, proto, parts) {
             return;
         }
-        let (epoch, index) = shared.current();
-        let submitted = shared.metrics.timer();
         conn.state = ConnState::AwaitJob;
-        let job = Job::Batch { conn: slot, gen: conn.gen, epoch, index, queries, proto, submitted };
-        if self.jobs.send(job).is_err() {
-            self.retire_job();
+        let batch = Arc::new(BatchJob {
+            conn: slot,
+            gen: conn.gen,
+            proto,
+            epoch,
+            index,
+            answers: queries.iter().map(|_| AtomicU32::new(INF_DIST)).collect(),
+            queries,
+            parts,
+            submitted,
+            started: OnceLock::new(),
+            injected_failure: AtomicBool::new(false),
+            remaining: AtomicUsize::new(parts),
+        });
+        let sent = (0..parts)
+            .all(|part| self.jobs.send(Job::Batch { batch: batch.clone(), part }).is_ok());
+        if !sent {
+            self.retire_job(parts);
             conn.state = ConnState::Ready;
             // Rejected inline, so account it inline: the completion path
             // that would normally count the verb will never run.
@@ -1251,14 +1340,14 @@ impl<'a> Reactor<'a> {
     fn submit_reload(&mut self, conn: &mut Conn, slot: usize, path: String) {
         let shared = self.shared;
         let proto = proto_idx(conn.mode);
-        if !self.admit_job(conn, proto) {
+        if !self.admit_job(conn, proto, 1) {
             return;
         }
         let submitted = shared.metrics.timer();
         conn.state = ConnState::AwaitJob;
         let job = Job::Reload { conn: slot, gen: conn.gen, path, proto, submitted };
         if self.jobs.send(job).is_err() {
-            self.retire_job();
+            self.retire_job(1);
             conn.state = ConnState::Ready;
             shared.metrics.errors[proto].inc();
             shared.metrics.finish_request(proto, VERB_RELOAD, submitted, || "RELOAD".to_string());
@@ -1266,10 +1355,11 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Releases one pending-job slot (completion arrived, or submission
-    /// failed after the reservation).
-    fn retire_job(&mut self) {
+    /// Releases one pending-job slot and its `parts` pool jobs (completion
+    /// arrived, or submission failed after the reservation).
+    fn retire_job(&mut self, parts: usize) {
         self.pending_jobs = self.pending_jobs.saturating_sub(1);
+        self.pending_parts = self.pending_parts.saturating_sub(parts);
         self.shared.metrics.pending_jobs.set(self.pending_jobs as i64);
     }
 

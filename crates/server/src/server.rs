@@ -11,11 +11,12 @@
 //! Connection handling is a single-threaded event-loop reactor (the
 //! private `reactor` module): nonblocking sockets multiplexed through a small
 //! `poll(2)` wrapper, per-connection read/parse/execute/write state
-//! machines, and a bounded worker pool for `BATCH` fan-out (through
-//! [`wcsd_core::parallel::par_distances`]) and `RELOAD` snapshot decoding.
-//! Concurrent connections therefore scale with file descriptors, not
-//! threads, and an idle server sleeps in `poll` instead of busy-polling
-//! `accept`.
+//! machines, and a bounded worker pool for `BATCH` answering and `RELOAD`
+//! snapshot decoding. The pool is the only level of query parallelism: a
+//! batch runs on the worker that dequeues it, and a large batch is split
+//! across the same pool only while workers are idle. Concurrent connections
+//! therefore scale with file descriptors, not threads, and an idle server
+//! sleeps in `poll` instead of busy-polling `accept`.
 //!
 //! The served index lives in a swappable slot guarded by one mutex: a
 //! `RELOAD <path>` request decodes a new snapshot off-loop, installs it with
@@ -54,19 +55,23 @@ pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// [`protocol::MAX_BATCH`]).
 pub(crate) const MAX_LINE: usize = 64 * 1024;
 
-/// Server tuning knobs. `Default` picks a kernel-assigned port, one
-/// intra-batch thread per core, two batch workers, and a 64Ki-entry cache
-/// over 16 shards.
+/// Server tuning knobs. `Default` picks a kernel-assigned port, two batch
+/// workers, `BATCH` splits of at most one part per core, and a 64Ki-entry
+/// cache over 16 shards.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// TCP port to listen on (0 = kernel-assigned; see
     /// [`Server::local_addr`]). The server always binds loopback.
     pub port: u16,
-    /// Worker threads *inside* one `BATCH` evaluation
-    /// ([`wcsd_core::parallel::par_distances`] fan-out).
+    /// Most parts one `BATCH` may be split into. A batch runs serially on
+    /// the pool worker that dequeues it; only a large batch arriving while
+    /// workers are idle is split, one part per idle worker, so the split is
+    /// also bounded by `batch_workers`. 1 never splits. No thread is spawned
+    /// per batch either way.
     pub batch_threads: usize,
-    /// Concurrently executing jobs (batches/reloads). Bounds the pool the
-    /// reactor offloads to.
+    /// Concurrently executing jobs (batches/reloads and the parts of split
+    /// batches). Bounds the pool the reactor offloads to, which is the
+    /// server's only level of query parallelism.
     pub batch_workers: usize,
     /// Admission cap on jobs queued or executing in the worker pool. Once
     /// this many offloaded jobs are pending, new `BATCH`/`RELOAD` work is
@@ -253,6 +258,7 @@ pub(crate) struct SnapshotSlot {
 pub(crate) struct Shared {
     pub(crate) slot: Mutex<SnapshotSlot>,
     pub(crate) cache: ResultCache,
+    /// Most parts one `BATCH` is split into ([`ServerConfig::batch_threads`]).
     pub(crate) batch_threads: usize,
     pub(crate) batch_workers: usize,
     pub(crate) max_pending_jobs: usize,

@@ -38,7 +38,11 @@
 //! `wcsd_core::kernel`.
 //!
 //! `serve` loads the graph and index once, then answers queries over a
-//! loopback TCP socket until a client sends `SHUTDOWN`; `client` sends one
+//! loopback TCP socket until a client sends `SHUTDOWN`. Its worker pool is
+//! the only level of query parallelism: a `BATCH` runs on the worker that
+//! dequeues it, and `serve --threads N` caps how many parts a large batch
+//! arriving while workers are idle may be split into (default: one per core;
+//! 1 never splits). No thread is spawned per request. `client` sends one
 //! protocol command and prints the reply; `reload` hot-swaps the served
 //! snapshot for another index file without dropping connections (the path
 //! is resolved on the serving host — `reload` absolutizes it first, since
@@ -183,6 +187,7 @@ fn main() -> ExitCode {
             eprintln!("  wcsd-cli stats <host:port> [--json]");
             eprintln!("  wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl merge|chunked] [--dimacs]");
             eprintln!("  wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--impl I] [--no-metrics] [--dimacs]");
+            eprintln!("      (serve --threads N: most parts one BATCH is split into across idle workers; default: one per core)");
             eprintln!("  wcsd-cli client <host:port> <command> [args...]");
             eprintln!("  wcsd-cli metrics <host:port> [--recent]");
             eprintln!("  wcsd-cli reload <host:port> <index-file>");
@@ -355,6 +360,8 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(port) = flag_value(args, "--port")? {
                 config.port = port;
             }
+            // --threads N caps the parts one BATCH is split into across
+            // idle pool workers; it spawns no threads of its own.
             if let Some(threads) = flag_value(args, "--threads")? {
                 config.batch_threads = threads;
             }
@@ -384,7 +391,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let server = Server::bind_flat(index, config.clone())
                 .map_err(|e| format!("cannot bind: {e}"))?;
             println!(
-                "wcsd-server listening on {} ({} vertices, {} entries, {} batch threads, cache {})",
+                "wcsd-server listening on {} ({} vertices, {} entries, BATCH split into at most {} parts, cache {})",
                 server.local_addr(),
                 stats.num_vertices,
                 stats.total_entries,

@@ -53,6 +53,20 @@ fn start_server(g: &Graph) -> (String, WcIndex, std::thread::JoinHandle<ServerSn
     (addr, reference, handle)
 }
 
+/// A config that can split a large `BATCH` into two parts on an idle pool,
+/// whatever the host's core count.
+fn two_worker_config() -> ServerConfig {
+    ServerConfig { batch_workers: 2, batch_threads: 2, ..ServerConfig::default() }
+}
+
+/// `wcsd_batch_splits_total` as the server renders it right now.
+fn batch_splits(client: &mut Client) -> u64 {
+    let payload = client.metrics(false).expect("metrics scrape");
+    wcsd_obs::scrape::Scrape::parse(&payload)
+        .value("wcsd_batch_splits_total")
+        .expect("split counter rendered") as u64
+}
+
 /// Opens a raw socket speaking the protocol by hand (for malformed input).
 fn raw_connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -191,6 +205,81 @@ fn out_of_range_vertices_are_rejected() {
 
     // In-range traffic still works on the same connection.
     assert!(client.query(0, 1, 1).is_ok());
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A `BATCH` big enough to split runs as two parts on an idle two-worker
+/// pool, over both protocols: the answers come back in input order and equal
+/// the in-process index with cache hits mixed in, and a bad vertex in either
+/// part gets the same global `batch line N` error one part would give.
+#[test]
+fn split_batches_answer_in_order_with_global_line_errors() {
+    let g = test_graph();
+    let n = g.num_vertices() as u32;
+    let index = IndexBuilder::wc_index_plus().build(&g);
+    let flat = FlatIndex::from_index(&index);
+    let server = Server::bind(index, two_worker_config()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    // 1 031 queries do not halve evenly: the parts hold lines 1–515 and
+    // 516–1 031.
+    let queries = QueryWorkload::uniform(&g, 1031, 61).queries().to_vec();
+    let expected: Vec<Option<u32>> =
+        queries.iter().map(|&(s, t, w)| flat.distance(s, t, w)).collect();
+    let mut admin = Client::connect(&*addr).unwrap();
+    // Warm every seventh key, so both parts mix cache hits with misses.
+    for &(s, t, w) in queries.iter().step_by(7) {
+        assert_eq!(admin.query(s, t, w), Ok(flat.distance(s, t, w)));
+    }
+    let range_error = |line: usize, v: u32| {
+        format!("batch line {line}: vertex {v} out of range (index covers 0..{n})")
+    };
+    for proto in [Protocol::Text, Protocol::Binary] {
+        let mut client = Client::connect_with(&*addr, proto).unwrap();
+        let hits_before = client.stats().unwrap().cache_hits;
+        assert_eq!(client.batch(&queries).unwrap(), expected, "{proto:?}");
+        assert!(client.stats().unwrap().cache_hits > hits_before, "{proto:?}: no cache hit");
+
+        let mut bad = queries.clone();
+        bad[899].1 = n;
+        let err = client.batch(&bad).unwrap_err();
+        assert!(err.contains(&range_error(900, n)), "{proto:?}, second part: {err}");
+        bad[99].0 = n + 3;
+        let err = client.batch(&bad).unwrap_err();
+        assert!(err.contains(&range_error(100, n + 3)), "{proto:?}, both parts: {err}");
+        // The connection is intact after the errors.
+        assert_eq!(client.batch(&queries[..3]).unwrap(), expected[..3], "{proto:?}");
+    }
+    assert_eq!(batch_splits(&mut admin), 2, "one split per protocol's answered batch");
+    admin.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// `wcsd_batch_splits_total` counts a batch once when an idle two-worker
+/// pool splits it and leaves a small batch uncounted, and the slow-query log
+/// says how each batch ran.
+#[test]
+fn split_counter_and_slow_query_log_show_how_a_batch_ran() {
+    let g = test_graph();
+    let index = IndexBuilder::wc_index_plus().build(&g);
+    let config = ServerConfig { slow_query_ms: Some(0), ..two_worker_config() };
+    let server = Server::bind(index, config).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(&*addr).unwrap();
+    let queries = QueryWorkload::uniform(&g, 1024, 5).queries().to_vec();
+    assert_eq!(batch_splits(&mut client), 0);
+    assert_eq!(client.batch(&queries).unwrap().len(), 1024);
+    assert_eq!(batch_splits(&mut client), 1, "a BATCH of 1024 splits once");
+    assert_eq!(client.batch(&queries[..16]).unwrap().len(), 16);
+    assert_eq!(batch_splits(&mut client), 1, "a BATCH of 16 runs inline");
+
+    let trace = client.metrics(true).expect("recent trace");
+    assert!(trace.contains("BATCH 1024 split into 2 parts"), "{trace}");
+    assert!(trace.contains("BATCH 16 inline"), "{trace}");
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
@@ -520,7 +609,8 @@ fn reload_of_corrupt_nested_snapshot_is_an_error() {
 /// Hot reload under load: concurrent connections stream batches across a
 /// `RELOAD` to a different snapshot. No connection drops, and every batch
 /// reply is consistent with exactly one snapshot (all-A or all-B, never
-/// torn), even though the answers are served through the shared cache.
+/// torn), even though the answers are served through the shared cache and
+/// every batch, including the ones running at the swap, is split.
 #[test]
 fn reload_under_load_drops_nothing_and_tears_nothing() {
     let (path_a, index_a) = write_snapshot(&test_graph(), "a");
@@ -528,54 +618,69 @@ fn reload_under_load_drops_nothing_and_tears_nothing() {
     let served = std::sync::Arc::new(
         FlatIndex::decode(&std::fs::read(&path_a).unwrap()).expect("snapshot decodes"),
     );
-    let server = Server::bind_flat(served, ServerConfig::default()).expect("bind");
+    // Two lanes of two parts each, plus a worker for the RELOAD: every batch
+    // finds two idle workers when it arrives, so every batch splits.
+    const LANES: usize = 2;
+    let config = ServerConfig { batch_workers: 2 * LANES + 1, ..two_worker_config() };
+    let server = Server::bind_flat(served, config).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
 
     // A probe batch whose answer vector differs between the snapshots, so a
-    // torn (mixed-snapshot) reply is detectable.
+    // torn (mixed-snapshot) reply is detectable — including one whose parts
+    // answered from different snapshots.
     let probes: Vec<(u32, u32, u32)> =
-        QueryWorkload::uniform(&test_graph(), 40, 47).queries().to_vec();
+        QueryWorkload::uniform(&test_graph(), 600, 47).queries().to_vec();
     let answers_a: Vec<Option<u32>> =
         probes.iter().map(|&(s, t, w)| index_a.distance(s, t, w)).collect();
     let answers_b: Vec<Option<u32>> =
         probes.iter().map(|&(s, t, w)| index_b.distance(s, t, w)).collect();
     assert_ne!(answers_a, answers_b, "snapshots must be distinguishable");
 
-    let saw_b = AtomicUsize::new(0);
+    let batches = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for worker in 0..4 {
+        for worker in 0..LANES {
             let addr = &addr;
             let (probes, answers_a, answers_b) = (&probes, &answers_a, &answers_b);
-            let saw_b = &saw_b;
+            let batches = &batches;
             scope.spawn(move || {
                 let mut client = Client::connect_with(
                     &**addr,
                     if worker % 2 == 0 { Protocol::Text } else { Protocol::Binary },
                 )
                 .expect("connect");
-                for round in 0..30 {
+                // Stream until B has answered a few batches, so every lane
+                // runs split batches before, across and after the swap.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let (mut round, mut from_b) = (0, 0);
+                while from_b < 3 {
+                    assert!(Instant::now() < deadline, "worker {worker}: B never answered");
                     let got = client.batch(probes).expect("no dropped connections");
+                    batches.fetch_add(1, Ordering::Relaxed);
                     if got == *answers_b {
-                        saw_b.fetch_add(1, Ordering::Relaxed);
+                        from_b += 1;
                     } else {
                         assert_eq!(got, *answers_a, "worker {worker} round {round}: torn batch");
                     }
+                    round += 1;
                 }
             });
         }
-        // Let the workers build up traffic, then swap mid-run.
-        std::thread::sleep(Duration::from_millis(50));
+        // Swap mid-run, once split batches are streaming.
         let mut admin = Client::connect(&*addr).expect("admin connect");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while batch_splits(&mut admin) < 2 * LANES as u64 {
+            assert!(Instant::now() < deadline, "too few batches were split");
+            std::thread::sleep(Duration::from_millis(2));
+        }
         let info = admin.reload(&path_b).expect("reload under load");
         assert_eq!(info.generation, 2);
     });
-    // After the swap completes, fresh batches answer from B. (Whether the
-    // workers observed B mid-run depends on timing — `saw_b` is informative
-    // and the torn-batch assertion above is the real invariant.)
+    // After the swap completes, fresh batches answer from B.
     let mut client = Client::connect(&*addr).unwrap();
     assert_eq!(client.batch(&probes).unwrap(), answers_b);
-    let _races_observed = saw_b.load(Ordering::Relaxed);
+    let answered = batches.load(Ordering::Relaxed) as u64 + 1;
+    assert_eq!(batch_splits(&mut client), answered, "every batch split");
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.generation, 2);
