@@ -1,14 +1,14 @@
 //! Exp 12 (ours): branch-free query kernels. Builds the same WC-INDEX+ on a
 //! road and a social subset and measures, within one run, mean point-query
-//! latency through the scalar `Query⁺` merge, the chunked branch-free kernel
-//! on the canonical layout, and the chunked kernel on the hot-group
-//! (rank-ordered) layout. Every kernel is cross-checked query by query
-//! against the scalar merge before anything is timed, so the experiment
-//! doubles as an end-to-end parity test.
+//! latency through the scalar reference `Query⁺` merge and the default
+//! chunked branch-free kernel, both over the index's one rank-ordered
+//! layout. The kernel is cross-checked query by query against the scalar
+//! merge before anything is timed, so the experiment doubles as an
+//! end-to-end parity test.
 //!
 //! The host is typically a shared single-core container, so only the
-//! within-run ratios (`chunked_speedup`, `hot_speedup`) are meaningful; both
-//! are part of the JSON output recorded in RESULTS.md.
+//! within-run ratio (`chunked_speedup`) is meaningful; it is part of the
+//! JSON output recorded in RESULTS.md.
 //!
 //! With `--max-regression R` the binary exits non-zero when the chunked
 //! kernel is more than `R` slower than the scalar merge on any dataset
@@ -61,16 +61,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let workload = QueryWorkload::uniform(&g, num_queries, 0xC41A);
         let r = kernel_comparison(&d.name, &g, &workload, reps);
         eprintln!(
-            "[exp12]   scalar {:.3}µs chunked {:.3}µs ({:.2}x) hot {:.3}µs ({:.2}x)",
-            r.scalar_us, r.chunked_us, r.chunked_speedup, r.chunked_hot_us, r.hot_speedup
+            "[exp12]   scalar {:.3}µs chunked {:.3}µs ({:.2}x)",
+            r.scalar_us, r.chunked_us, r.chunked_speedup
         );
         results.push(r);
     }
 
     println!("{}", kernel_table("Exp 12 — branch-free query kernels", &results));
-    // The guard compares the chunked kernel on the canonical layout against
-    // the scalar merge: that pair shares one memory layout, so the ratio
-    // isolates the kernel itself.
+    // Both kernels read the same layout, so the ratio isolates the kernel.
     let worst =
         results.iter().map(|r| r.chunked_us / r.scalar_us - 1.0).fold(f64::NEG_INFINITY, f64::max);
     let over_budget = max_regression.is_some_and(|limit| worst > limit);

@@ -370,9 +370,9 @@ pub fn flat_query_comparison(
 }
 
 /// One row of the branch-free kernel comparison (Exp 12): the same WC-INDEX+
-/// flat representation queried through the scalar `Query⁺` merge
-/// ([`QueryImpl::Merge`]), the chunked branch-free kernel
-/// ([`QueryImpl::Chunked`]) on both the canonical and the hot-group layout.
+/// flat index, in its one rank-ordered layout, queried through the scalar
+/// reference `Query⁺` merge ([`QueryImpl::Merge`]) and the default chunked
+/// branch-free kernel ([`QueryImpl::Chunked`]).
 ///
 /// The speedup fields are within-run ratios (scalar / kernel), which is the
 /// meaningful number on a shared single-core host.
@@ -386,19 +386,15 @@ pub struct KernelResult {
     pub queries: usize,
     /// Mean scalar `Query⁺` merge time over the `FlatIndex`, microseconds.
     pub scalar_us: f64,
-    /// Mean chunked-kernel time over the canonical `FlatIndex`, microseconds.
+    /// Mean chunked-kernel time over the same `FlatIndex`, microseconds.
     pub chunked_us: f64,
-    /// Mean chunked-kernel time over the hot-group layout, microseconds.
-    pub chunked_hot_us: f64,
     /// Within-run ratio `scalar_us / chunked_us` (≥ 1.0 = kernel wins).
     pub chunked_speedup: f64,
-    /// Within-run ratio `scalar_us / chunked_hot_us`.
-    pub hot_speedup: f64,
 }
 
 /// Builds WC-INDEX+ on `g` and measures the scalar merge against the chunked
-/// kernel on the canonical and the hot-group layout (Exp 12). Every kernel is cross-checked query by query against
-/// the scalar merge before anything is timed, so the experiment doubles as an
+/// kernel (Exp 12). The kernel is cross-checked query by query against the
+/// scalar merge before anything is timed, so the experiment doubles as an
 /// end-to-end parity test.
 pub fn kernel_comparison(
     dataset: &str,
@@ -408,34 +404,26 @@ pub fn kernel_comparison(
 ) -> KernelResult {
     let index = IndexBuilder::wc_index_plus().build(g);
     let flat = FlatIndex::from_index(&index);
-    let hot = flat.to_hot();
     for &(s, t, w) in workload.queries() {
-        let expected = flat.distance_with(s, t, w, QueryImpl::Merge);
-        for (name, got) in [
-            ("chunked", flat.distance_with(s, t, w, QueryImpl::Chunked)),
-            ("chunked+hot", hot.distance_with(s, t, w, QueryImpl::Chunked)),
-        ] {
-            assert_eq!(got, expected, "{name} kernel diverged on {dataset} Q({s},{t},{w})");
-        }
+        assert_eq!(
+            flat.distance_with(s, t, w, QueryImpl::Chunked),
+            flat.distance_with(s, t, w, QueryImpl::Merge),
+            "chunked kernel diverged on {dataset} Q({s},{t},{w})"
+        );
     }
 
     let scalar_us =
         best_pass_us(workload, reps, |s, t, w| flat.distance_with(s, t, w, QueryImpl::Merge));
     let chunked_us =
         best_pass_us(workload, reps, |s, t, w| flat.distance_with(s, t, w, QueryImpl::Chunked));
-    let chunked_hot_us =
-        best_pass_us(workload, reps, |s, t, w| hot.distance_with(s, t, w, QueryImpl::Chunked));
 
-    let ratio = |base: f64, new: f64| if new > 0.0 { base / new } else { 0.0 };
     KernelResult {
         dataset: dataset.to_string(),
         entries: index.total_entries(),
         queries: workload.len(),
         scalar_us,
         chunked_us,
-        chunked_hot_us,
-        chunked_speedup: ratio(scalar_us, chunked_us),
-        hot_speedup: ratio(scalar_us, chunked_hot_us),
+        chunked_speedup: if chunked_us > 0.0 { scalar_us / chunked_us } else { 0.0 },
     }
 }
 
@@ -508,8 +496,8 @@ mod tests {
         let r = kernel_comparison("t", &g, &workload, 2);
         assert_eq!(r.queries, 96);
         assert!(r.entries > 0);
-        assert!(r.scalar_us > 0.0 && r.chunked_us > 0.0 && r.chunked_hot_us > 0.0);
-        assert!(r.chunked_speedup > 0.0 && r.hot_speedup > 0.0);
+        assert!(r.scalar_us > 0.0 && r.chunked_us > 0.0);
+        assert!(r.chunked_speedup > 0.0);
     }
 
     #[test]

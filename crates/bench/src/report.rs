@@ -90,22 +90,18 @@ pub fn flat_query_table(title: &str, results: &[FlatQueryResult]) -> String {
 }
 
 /// Renders branch-free kernel comparison results (Exp 12): one row per
-/// dataset, columns for scalar/chunked/hot point-query latency and the two
-/// within-run ratios.
+/// dataset, columns for scalar/chunked point-query latency and their
+/// within-run ratio.
 pub fn kernel_table(title: &str, results: &[KernelResult]) -> String {
     let datasets: Vec<String> = results.iter().map(|r| r.dataset.clone()).collect();
-    let methods: Vec<String> = ["scalar µs", "chunk µs", "hot µs", "chunk ×", "hot ×"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    render_matrix(title, "µs/query, ratios", &datasets, &methods, |d, m| {
+    let methods: Vec<String> =
+        ["scalar µs", "chunk µs", "chunk ×"].iter().map(|s| s.to_string()).collect();
+    render_matrix(title, "µs/query, ratio", &datasets, &methods, |d, m| {
         let r = results.iter().find(|r| r.dataset == d)?;
         Some(match m {
             "scalar µs" => r.scalar_us,
             "chunk µs" => r.chunked_us,
-            "hot µs" => r.chunked_hot_us,
-            "chunk ×" => r.chunked_speedup,
-            _ => r.hot_speedup,
+            _ => r.chunked_speedup,
         })
     })
 }
@@ -177,9 +173,7 @@ impl JsonRecord for KernelResult {
             ("queries", self.queries.to_string()),
             ("scalar_us", json_f64(self.scalar_us)),
             ("chunked_us", json_f64(self.chunked_us)),
-            ("chunked_hot_us", json_f64(self.chunked_hot_us)),
             ("chunked_speedup", json_f64(self.chunked_speedup)),
-            ("hot_speedup", json_f64(self.hot_speedup)),
         ]
     }
 }

@@ -12,13 +12,15 @@ use wcsd_order::VertexOrder;
 /// [`query::query_pair_scan`] and [`query::query_hub_bucket`] over label sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryImpl {
-    /// Algorithm 5 (`Query⁺`): linear merge. The default.
-    #[default]
+    /// Algorithm 5 (`Query⁺`): the scalar linear merge, kept as the
+    /// reference the chunked kernel is checked and measured against.
     Merge,
     /// `Query⁺` with the branch-free chunked column kernels of
-    /// [`crate::kernel`] in the matched-hub step. Answers are bit-identical
-    /// to [`Self::Merge`]. Chunking is a property of the flat struct-of-arrays
-    /// layout, so on the nested [`WcIndex`] this selects the plain merge.
+    /// [`crate::kernel`] in the matched-hub step. The default; answers are
+    /// bit-identical to [`Self::Merge`]. Chunking is a property of the flat
+    /// struct-of-arrays layout, so on the nested [`WcIndex`] this selects
+    /// the plain merge.
+    #[default]
     Chunked,
 }
 
@@ -41,9 +43,9 @@ pub trait QueryEngine: Sync {
         imp: QueryImpl,
     ) -> Option<Distance>;
 
-    /// Answers `Q(s, t, w)` with the default `Query⁺` merge.
+    /// Answers `Q(s, t, w)` with the default [`QueryImpl`].
     fn distance(&self, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
-        self.distance_with(s, t, w, QueryImpl::Merge)
+        self.distance_with(s, t, w, QueryImpl::default())
     }
 
     /// Returns `true` if some `w`-path of length at most `d` connects `s`
@@ -240,7 +242,7 @@ mod tests {
         assert!(decode(b"WCIX\xff\xff\xff\xff").is_err());
     }
 
-    /// A 1-vertex `WCIF` image: `L(v0)` as `(hub, [(dist, quality)])` groups
+    /// A 1-vertex `WCIF` image: `L(v0)` as `(key, [(dist, quality)])` groups
     /// in directory order, then the one order word.
     fn one_vertex_image(groups: &[(u32, &[(u32, u32)])], order: u32) -> Vec<u8> {
         let (mut hubs, mut starts, mut dists, mut qualities) = (vec![], vec![], vec![], vec![]);
@@ -253,7 +255,7 @@ mod tests {
             }
         }
         let (m, g) = (dists.len() as u32, hubs.len() as u32);
-        let header = [u32::from_le_bytes(*b"WCIF"), 1, 1, m, g, 0, m, 0, g];
+        let header = [u32::from_le_bytes(*b"WCIF"), 2, 1, m, g, 0, m, 0, g];
         let words = [&header[..], &hubs, &starts, &dists, &qualities, &[order]].concat();
         words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
@@ -262,7 +264,7 @@ mod tests {
     fn decode_rejects_out_of_order_entries() {
         const SELF: &[(u32, u32)] = &[(0, u32::MAX)];
         assert!(decode(&one_vertex_image(&[(0, SELF)], 0)).is_ok());
-        // Two groups of hub 0: the directory is not strictly hub-ascending.
+        // Two groups of key 0: the directory is not strictly key-ascending.
         let err = decode(&one_vertex_image(&[(0, &[(2, 3)]), (0, SELF)], 0)).unwrap_err();
         assert!(err.contains("ascending"), "unexpected error: {err}");
         // Duplicate (hub, dist) pairs are equally non-canonical.
@@ -275,14 +277,14 @@ mod tests {
         // `VertexOrder::from_permutation`.
         let err = decode(&one_vertex_image(&[], 5)).unwrap_err();
         assert!(err.contains("permutation"), "unexpected error: {err}");
-        // A hub id outside 0..n is rejected before any query or re-layout
-        // can index by it.
+        // A group key outside 0..n is rejected before any query or
+        // `label_entries` can index the order by it.
         let err = decode(&one_vertex_image(&[(7, &[(0, u32::MAX)])], 0)).unwrap_err();
         assert!(err.contains("key 7"), "unexpected error: {err}");
     }
 
     #[test]
-    fn query_impl_default_is_merge() {
-        assert_eq!(QueryImpl::default(), QueryImpl::Merge);
+    fn query_impl_default_is_chunked() {
+        assert_eq!(QueryImpl::default(), QueryImpl::Chunked);
     }
 }

@@ -1,8 +1,10 @@
 //! Branch-free query kernels over the flat label arena.
 //!
 //! [`crate::flat`] made the query path's memory layout contiguous; this module
-//! makes its inner loops straight-line. Two kernels, both bit-identical to
-//! the reference `Query⁺` merge (enforced by `tests/kernels.rs`):
+//! makes its inner loops straight-line, and its merge is the one every query
+//! takes by default ([`QueryImpl::Chunked`](crate::index::QueryImpl) is the
+//! default implementation). Two kernels, both bit-identical to the scalar
+//! reference `Query⁺` merge (enforced by `tests/kernels.rs`):
 //!
 //! * **Chunked masked-min** ([`masked_min_chunked`] and the store-generic
 //!   group-min behind [`QueryImpl::Chunked`](crate::index::QueryImpl)): the
@@ -27,7 +29,7 @@
 //! crate internal and take the borrowed [`FlatView`], through which the
 //! owned index queries too.
 
-use crate::flat::{advance_to_hub, FlatView};
+use crate::flat::{advance_to_key, FlatView};
 use wcsd_graph::{Distance, Quality, VertexId, INF_DIST};
 
 /// Accumulator lanes of the chunked masked-min scan. Eight `u32` lanes fill
@@ -172,19 +174,19 @@ pub(crate) fn group_min_flat(st: &FlatView<'_>, start: usize, end: usize, w: Qua
     }
 }
 
-/// `Query⁺` with chunked group kernels: the directory merge of
-/// `crate::flat::merge_flat`, but every matched group goes through
-/// [`group_min_flat`] and the two per-hub minima combine branch-free —
-/// [`INF_DIST`] saturates through `saturating_add` and loses every unsigned
+/// `Query⁺` with chunked group kernels, the default query path: the
+/// directory merge of `crate::flat::merge_flat`, but every matched group goes
+/// through [`group_min_flat`] and the two per-hub minima combine branch-free
+/// — [`INF_DIST`] saturates through `saturating_add` and loses every unsigned
 /// `min`, so the unreachable cases need no `Option` plumbing.
 pub(crate) fn merge_chunked(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
     let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
     while i < i_end && j < j_end {
-        let ha = st.group_hub(i);
-        let hb = st.group_hub(j);
-        if ha == hb {
+        let ka = st.group_key(i);
+        let kb = st.group_key(j);
+        if ka == kb {
             let da = group_min_flat(st, st.group_start(i), st.group_end(i, s), w);
             // The t side only matters when the s side qualified; skipping it
             // otherwise saves a group scan on every quality-filtered hub.
@@ -196,10 +198,10 @@ pub(crate) fn merge_chunked(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Qual
             }
             i += 1;
             j += 1;
-        } else if ha < hb {
-            i = advance_to_hub(st, i, i_end, hb);
+        } else if ka < kb {
+            i = advance_to_key(st, i, i_end, kb);
         } else {
-            j = advance_to_hub(st, j, j_end, ha);
+            j = advance_to_key(st, j, j_end, ka);
         }
     }
     best

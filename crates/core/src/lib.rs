@@ -15,7 +15,8 @@
 //!   image of [`flat::FlatIndex`].
 //! * [`flat::Flat`] — the read-optimized *serve* representation, stored as
 //!   its own versioned `WCIF` snapshot image: a struct-of-arrays entry arena
-//!   under a CSR per-vertex hub-group directory. One type over two word
+//!   under a CSR per-vertex hub-group directory, keyed and ordered by hub
+//!   rank. One type over two word
 //!   backings: the owned [`flat::FlatIndex`] and the borrowed
 //!   [`flat::FlatView`], which answers from the encoded bytes in place.
 //!   Lossless conversion from/to [`index::WcIndex`], bit-identical answers.
@@ -23,7 +24,7 @@
 //!   (Algorithm 5), which every index serves with, and Algorithms 2 and 4,
 //!   kept for the Section IV.C ablation.
 //! * [`kernel`] — branch-free chunked column kernels behind
-//!   [`index::QueryImpl::Chunked`]:
+//!   [`index::QueryImpl::Chunked`], the default query implementation:
 //!   masked-min lane loops over the flat `dists`/`qualities` columns with a
 //!   probe/chunk/search crossover, bit-identical to the `Query⁺` merge.
 //! * [`overlay`] — the boundary-vertex overlay composing per-shard answers

@@ -621,9 +621,9 @@ impl ShardedIndex {
     }
 
     /// Answers `Q(s, t, w)` exactly, composing shard answers through the
-    /// overlay.
+    /// overlay, with the default per-shard [`QueryImpl`].
     pub fn distance(&self, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
-        self.distance_with(s, t, w, QueryImpl::Merge)
+        self.distance_with(s, t, w, QueryImpl::default())
     }
 
     /// [`Self::distance`] with an explicit per-shard query implementation.

@@ -33,7 +33,7 @@ pub fn par_distances<E: QueryEngine>(
     queries: &[(VertexId, VertexId, Quality)],
     num_threads: usize,
 ) -> Vec<Option<Distance>> {
-    par_distances_with(index, queries, num_threads, QueryImpl::Merge)
+    par_distances_with(index, queries, num_threads, QueryImpl::default())
 }
 
 /// Same as [`par_distances`] but with an explicit query implementation.

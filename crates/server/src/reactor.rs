@@ -1250,14 +1250,15 @@ impl<'a> Reactor<'a> {
     }
 
     /// Inline `WITHIN` execution (uncached, like the thread-per-connection
-    /// server).
+    /// server), through the configured query implementation.
     fn exec_within(&self, s: VertexId, t: VertexId, w: Quality, d: u32) -> Reply {
         let (_epoch, index) = self.shared.current();
         if let Err(reason) = check_range(&index, s, t) {
             return Reply::Err(reason);
         }
         self.shared.metrics.queries.inc();
-        Reply::Bool(index.within(s, t, w, d))
+        let answer = index.distance_with(s, t, w, self.shared.query_impl);
+        Reply::Bool(answer.is_some_and(|x| x <= d))
     }
 
     /// Admission control for offloaded work: either reserves a pending-job

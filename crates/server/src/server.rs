@@ -96,10 +96,11 @@ pub struct ServerConfig {
     /// `wcsd-cli serve` passes [`wcsd_obs::global()`] so core build/repair
     /// instrumentation from the same process shows up in one scrape.
     pub registry: Option<Arc<Registry>>,
-    /// Query implementation used for every inline and batch answer
-    /// ([`QueryImpl::Merge`] by default; [`QueryImpl::Chunked`] selects the
-    /// branch-free kernels of [`wcsd_core::kernel`]). All implementations are
-    /// bit-identical, so this is a pure performance knob.
+    /// Query implementation used for every `QUERY`, `BATCH` and `WITHIN`
+    /// answer ([`QueryImpl::default()`], the branch-free kernels of
+    /// [`wcsd_core::kernel`]; [`QueryImpl::Merge`] selects the scalar
+    /// reference merge). All implementations are bit-identical, so this is a
+    /// pure performance knob.
     pub query_impl: QueryImpl,
 }
 
@@ -115,7 +116,7 @@ impl Default for ServerConfig {
             slow_query_ms: None,
             metrics_enabled: true,
             registry: None,
-            query_impl: QueryImpl::Merge,
+            query_impl: QueryImpl::default(),
         }
     }
 }
@@ -262,8 +263,8 @@ pub(crate) struct Shared {
     pub(crate) batch_threads: usize,
     pub(crate) batch_workers: usize,
     pub(crate) max_pending_jobs: usize,
-    /// Query implementation for inline and batch answers (bit-identical
-    /// across variants; see [`ServerConfig::query_impl`]).
+    /// Query implementation for every answer (bit-identical across
+    /// variants; see [`ServerConfig::query_impl`]).
     pub(crate) query_impl: QueryImpl,
     pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,

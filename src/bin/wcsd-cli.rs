@@ -2,11 +2,11 @@
 //! WC-INDEX snapshots from edge-list or DIMACS graph files.
 //!
 //! ```text
-//! wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--hot] [--dimacs]
+//! wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--dimacs]
 //! wcsd-cli stats <graph-file> [--dimacs]
 //! wcsd-cli stats <host:port> [--json]
-//! wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl merge|chunked] [--dimacs]
-//! wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--impl I] [--no-metrics] [--dimacs]
+//! wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--dimacs]
+//! wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--no-metrics] [--dimacs]
 //! wcsd-cli client <host:port> <command> [args...]
 //! wcsd-cli metrics <host:port> [--recent]
 //! wcsd-cli reload <host:port> <index-file>
@@ -24,17 +24,11 @@
 //! latency (`--json` additionally writes the machine-readable record).
 //!
 //! `build` writes the read-optimized `WCIF` snapshot, the index's one
-//! snapshot format (contiguous struct-of-arrays arena; loads with a
-//! validated bulk copy, no per-vertex allocation or re-sort). `build --hot`
-//! additionally applies the hot-group layout — each vertex's hub groups
-//! reordered by rank, `WCIF` version 2 — which the chunked merge kernel
-//! walks with better locality; answers are bit-identical either way. `query`,
-//! `serve` and `reload` accept either layout and refuse any other file.
-//!
-//! `--impl merge|chunked` selects the query implementation (`query` answers
-//! with it; `serve` uses it for every inline and `BATCH` answer). Both are
-//! bit-identical — `merge` is the paper's `Query⁺` directory merge and the
-//! default; `chunked` is the branch-free masked-min kernel of
+//! snapshot format (contiguous struct-of-arrays arena, each vertex's hub
+//! groups ordered by hub rank; loads with a validated bulk copy, no
+//! per-vertex allocation or re-sort). `query`, `serve` and `reload` refuse
+//! any other file, including a `WCIF` version-1 image, which must be rebuilt.
+//! Every answer goes through the branch-free chunked `Query⁺` kernel of
 //! `wcsd_core::kernel`.
 //!
 //! `serve` loads the graph and index once, then answers queries over a
@@ -182,11 +176,11 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--hot] [--dimacs]");
+            eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--dimacs]");
             eprintln!("  wcsd-cli stats <graph-file> [--dimacs]");
             eprintln!("  wcsd-cli stats <host:port> [--json]");
-            eprintln!("  wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--impl merge|chunked] [--dimacs]");
-            eprintln!("  wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--impl I] [--no-metrics] [--dimacs]");
+            eprintln!("  wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--dimacs]");
+            eprintln!("  wcsd-cli serve <graph-file> <index-file-or-snapshot-dir> [--port P] [--threads N] [--cache-size N] [--max-pending N] [--slow-query-ms N] [--no-metrics] [--dimacs]");
             eprintln!("      (serve --threads N: most parts one BATCH is split into across idle workers; default: one per core)");
             eprintln!("  wcsd-cli client <host:port> <command> [args...]");
             eprintln!("  wcsd-cli metrics <host:port> [--recent]");
@@ -220,7 +214,6 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
         "--seed",
         "--backend-timeout-ms",
         "--probe-interval-ms",
-        "--impl",
     ];
     const WITH_JSON_PATH: &[&str] = &[
         "--ordering",
@@ -236,7 +229,6 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
         "--seed",
         "--backend-timeout-ms",
         "--probe-interval-ms",
-        "--impl",
         "--json",
     ];
     match args.iter().find(|a| !a.starts_with("--")).map(|s| s.as_str()) {
@@ -247,7 +239,6 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
 
 fn run(args: &[String]) -> Result<(), String> {
     let use_dimacs = args.iter().any(|a| a == "--dimacs");
-    let use_hot = args.iter().any(|a| a == "--hot");
     let ordering = parse_ordering(args)?;
     let positional = positional_args(args, value_flags(args));
 
@@ -263,15 +254,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let start = std::time::Instant::now();
             let index = IndexBuilder::new().ordering(ordering).threads(threads).build(&graph);
             let stats = index.stats();
-            // --hot: rank-order each vertex's hub groups (WCIF v2) for the
-            // chunked kernel's access pattern.
-            let flat = FlatIndex::from_index(&index);
-            let encoded = if use_hot { flat.to_hot().encode() } else { flat.encode() };
-            std::fs::write(index_path, &encoded)
+            std::fs::write(index_path, FlatIndex::from_index(&index).encode())
                 .map_err(|e| format!("cannot write {index_path}: {e}"))?;
             println!(
-                "built {} index for {} vertices / {} edges in {:.2?} ({} thread(s)): {} entries ({:.2} per vertex, {:.3} MiB) -> {index_path}",
-                if use_hot { "WCIF v2, hot groups" } else { "WCIF" },
+                "built WCIF index for {} vertices / {} edges in {:.2?} ({} thread(s)): {} entries ({:.2} per vertex, {:.3} MiB) -> {index_path}",
                 graph.num_vertices(),
                 graph.num_edges(),
                 start.elapsed(),
@@ -319,8 +305,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     return Err(format!("vertex {v} out of range (graph has vertices 0..{n})"));
                 }
             }
-            let imp = parse_impl(args)?.unwrap_or(QueryImpl::Merge);
-            let answer = index.distance_with(s, t, w, imp);
+            let answer = index.distance(s, t, w);
             match answer {
                 Some(d) => println!("dist_{w}({s}, {t}) = {d}"),
                 None => println!("dist_{w}({s}, {t}) = INF (no {w}-constrained path)"),
@@ -379,11 +364,6 @@ fn run(args: &[String]) -> Result<(), String> {
             // histogram/trace recording off (counters stay on for STATS).
             config.slow_query_ms = flag_value(args, "--slow-query-ms")?;
             config.metrics_enabled = !args.iter().any(|a| a == "--no-metrics");
-            // Query implementation for every inline and BATCH answer (all
-            // bit-identical; `chunked` selects the branch-free kernels).
-            if let Some(imp) = parse_impl(args)? {
-                config.query_impl = imp;
-            }
             // The process-global registry, so core build/repair phases from
             // this process and the serving metrics share one METRICS scrape.
             config.registry = Some(wcsd_obs::global().clone());
@@ -761,19 +741,6 @@ fn server_stats(addr: &str, json: bool) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Parses `--impl` into a [`QueryImpl`] (`None` when the flag is absent, so
-/// callers keep their own default).
-fn parse_impl(args: &[String]) -> Result<Option<QueryImpl>, String> {
-    match args.iter().position(|a| a == "--impl") {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("merge") => Ok(Some(QueryImpl::Merge)),
-            Some("chunked") => Ok(Some(QueryImpl::Chunked)),
-            other => Err(format!("unknown query impl {other:?} (expected merge|chunked)")),
-        },
-    }
 }
 
 fn parse_ordering(args: &[String]) -> Result<OrderingStrategy, String> {

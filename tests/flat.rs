@@ -184,31 +184,29 @@ fn wcif_corruption_never_panics() {
     }
 }
 
-/// A group key outside `0..n` is rejected by both readers in both layouts.
-/// Ascending keys alone do not catch it, and the hot layout would later
-/// index the vertex order with it (`label_entries`, `to_canonical`).
+/// A group key outside `0..n` is rejected by both readers. Ascending keys
+/// alone do not catch it, and `label_entries` would later index the vertex
+/// order with it.
 #[test]
 fn wcif_rejects_group_keys_outside_the_vertex_range() {
     let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&paper_figure3()));
-    for layout in [flat.clone(), flat.to_hot()] {
-        let bytes = layout.encode().to_vec();
-        let header = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
-        let (n, g) = (header(2) as usize, header(4) as usize);
-        // The last key of the last vertex: raising it keeps keys ascending.
-        let last_key = 4 * (5 + 2 * (n + 1) + g - 1);
-        for key in [n as u32, 1000] {
-            let mut corrupt = bytes.clone();
-            corrupt[last_key..last_key + 4].copy_from_slice(&key.to_le_bytes());
-            let hot = layout.hot_groups();
-            assert!(FlatIndex::decode(&corrupt).is_err(), "key {key} accepted (hot: {hot})");
-            assert!(FlatView::parse(&corrupt).is_err(), "key {key} parsed (hot: {hot})");
-        }
+    let bytes = flat.encode().to_vec();
+    let header = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+    let (n, g) = (header(2) as usize, header(4) as usize);
+    // The last key of the last vertex: raising it keeps keys ascending.
+    let last_key = 4 * (5 + 2 * (n + 1) + g - 1);
+    for key in [n as u32, 1000] {
+        let mut corrupt = bytes.clone();
+        corrupt[last_key..last_key + 4].copy_from_slice(&key.to_le_bytes());
+        assert!(FlatIndex::decode(&corrupt).is_err(), "key {key} accepted");
+        assert!(FlatView::parse(&corrupt).is_err(), "key {key} parsed");
     }
 }
 
-/// The header magic distinguishes the snapshot formats: the index decoder
-/// refuses an overlay and the retired nested `WCIX` magic, and the overlay
-/// decoder refuses an index, all with a clean error.
+/// The header distinguishes the snapshot formats: the index decoder refuses
+/// an overlay, the retired nested `WCIX` magic and a retired `WCIF` version-1
+/// image (hub-id group keys), and the overlay decoder refuses an index, all
+/// with a clean error.
 #[test]
 fn snapshot_formats_are_not_confusable() {
     let g = random_graph(5, 20, 60, 4);
@@ -220,6 +218,10 @@ fn snapshot_formats_are_not_confusable() {
     nested[..4].copy_from_slice(b"WCIX");
     assert!(FlatIndex::decode(&nested).is_err());
     assert!(FlatView::parse(&nested).is_err());
+    let mut v1 = flat.encode().to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert!(FlatIndex::decode(&v1).is_err());
+    assert!(FlatView::parse(&v1).is_err());
 }
 
 /// A dynamic index re-frozen after updates answers exactly like its live

@@ -1,11 +1,10 @@
 //! Parity fuzz suite for the branch-free query kernels (`wcsd_core::kernel`):
-//! the chunked masked-min merge behind [`QueryImpl::Chunked`] must answer
-//! **bit-identically** to the scalar `Query⁺` merge and the pair-scan
-//! baseline (Algorithm 2 over the nested labels) — on the owned [`FlatIndex`],
-//! the zero-copy [`FlatView`], and the hot-group (rank-ordered, `WCIF` v2)
-//! layout of both — across 48 random graphs per property, including
-//! out-of-range quality constraints, unreachable pairs, reflexive pairs, and
-//! empty labels.
+//! the chunked masked-min merge behind the default [`QueryImpl::Chunked`]
+//! must answer **bit-identically** to the scalar `Query⁺` merge and the
+//! pair-scan baseline (Algorithm 2 over the nested labels) — on the owned
+//! [`FlatIndex`] and the zero-copy [`FlatView`] of its rank-ordered `WCIF`
+//! image — across 48 random graphs per property, including out-of-range
+//! quality constraints, unreachable pairs, reflexive pairs, and empty labels.
 //!
 //! Mirrors the seeded-fuzzer idiom of `tests/flat.rs` / `tests/properties.rs`.
 
@@ -41,43 +40,35 @@ fn random_queries(rng: &mut StdRng, n: u32, max_q: u32, count: usize) -> Vec<(u3
         .collect()
 }
 
-/// The nested source index and all four flat representations of it: owned
-/// and borrowed, in the canonical and the hot-group layout. The `Vec`s keep
-/// the snapshot bytes alive for the borrowed views.
+/// The nested source index and both flat representations of it: owned and
+/// borrowed. The `Vec` keeps the snapshot bytes alive for the borrowed view.
 struct Engines {
     idx: WcIndex,
     flat: FlatIndex,
-    hot: FlatIndex,
-    canonical_bytes: Vec<u8>,
-    hot_bytes: Vec<u8>,
+    bytes: Vec<u8>,
 }
 
 impl Engines {
     fn build(g: &Graph) -> Self {
         let idx = IndexBuilder::wc_index_plus().build(g);
         let flat = FlatIndex::from_index(&idx);
-        let hot = flat.to_hot();
-        let canonical_bytes = flat.encode().to_vec();
-        let hot_bytes = hot.encode().to_vec();
-        Self { idx, flat, hot, canonical_bytes, hot_bytes }
+        let bytes = flat.encode().to_vec();
+        Self { idx, flat, bytes }
     }
 
-    fn views(&self) -> (FlatView<'_>, FlatView<'_>) {
-        (
-            FlatView::parse(&self.canonical_bytes).expect("canonical snapshot parses"),
-            FlatView::parse(&self.hot_bytes).expect("hot snapshot parses"),
-        )
+    fn view(&self) -> FlatView<'_> {
+        FlatView::parse(&self.bytes).expect("own snapshot parses")
     }
 }
 
 /// `Chunked` answers bit-identically to the scalar merge and the pair-scan
-/// baseline on every representation, including the hot-group layout.
+/// baseline on both representations.
 #[test]
 fn chunked_matches_merge_and_pairscan_everywhere() {
     for seed in 0..CASES {
         let g = random_graph(seed, 28, 90, 5);
         let e = Engines::build(&g);
-        let (view, hot_view) = e.views();
+        let view = e.view();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC41A);
         for (s, t, w) in random_queries(&mut rng, g.num_vertices() as u32, 5, 200) {
             let expected = e.flat.distance_with(s, t, w, QueryImpl::Merge);
@@ -89,9 +80,8 @@ fn chunked_matches_merge_and_pairscan_everywhere() {
             );
             for (name, got) in [
                 ("FlatIndex", e.flat.distance_with(s, t, w, QueryImpl::Chunked)),
-                ("FlatIndex(hot)", e.hot.distance_with(s, t, w, QueryImpl::Chunked)),
                 ("FlatView", view.distance_with(s, t, w, QueryImpl::Chunked)),
-                ("FlatView(hot)", hot_view.distance_with(s, t, w, QueryImpl::Chunked)),
+                ("FlatView merge", view.distance_with(s, t, w, QueryImpl::Merge)),
             ] {
                 assert_eq!(got, expected, "seed {seed}: {name} chunked Q({s},{t},{w})");
             }
@@ -106,16 +96,14 @@ fn chunked_matches_merge_and_pairscan_everywhere() {
 fn kernels_handle_empty_labels_and_unreachable_pairs() {
     let g = GraphBuilder::new(6).build();
     let e = Engines::build(&g);
-    let (view, hot_view) = e.views();
+    let view = e.view();
     for s in 0..6 {
         for t in 0..6 {
             for w in [1, 3, u32::MAX] {
                 let expected = if s == t { Some(0) } else { None };
                 for got in [
                     e.flat.distance_with(s, t, w, QueryImpl::Chunked),
-                    e.hot.distance_with(s, t, w, QueryImpl::Chunked),
                     view.distance_with(s, t, w, QueryImpl::Chunked),
-                    hot_view.distance_with(s, t, w, QueryImpl::Chunked),
                 ] {
                     assert_eq!(got, expected, "edgeless Q({s},{t},{w})");
                 }
@@ -130,9 +118,9 @@ fn kernels_handle_empty_labels_and_unreachable_pairs() {
     }
 }
 
-/// The hot-group permutation is invisible to every query implementation: both
-/// impls agree between the canonical and the hot layout on the same random
-/// workloads (the layout only reorders each vertex's groups).
+/// The hot (rank-ordered) group layout is invisible to every query
+/// implementation: both impls on the flat index agree with the nested index,
+/// whose hub groups ascend by hub id, and so does the default `distance`.
 #[test]
 fn hot_layout_is_transparent_to_all_impls() {
     for seed in 0..CASES {
@@ -140,13 +128,15 @@ fn hot_layout_is_transparent_to_all_impls() {
         let e = Engines::build(&g);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x407);
         for (s, t, w) in random_queries(&mut rng, g.num_vertices() as u32, 4, 80) {
+            let nested = e.idx.distance(s, t, w);
             for imp in [QueryImpl::Merge, QueryImpl::Chunked] {
                 assert_eq!(
-                    e.hot.distance_with(s, t, w, imp),
                     e.flat.distance_with(s, t, w, imp),
+                    nested,
                     "seed {seed}: hot layout diverges on Q({s},{t},{w}) under {imp:?}"
                 );
             }
+            assert_eq!(e.flat.distance(s, t, w), nested, "seed {seed}: default Q({s},{t},{w})");
         }
     }
 }
