@@ -12,8 +12,9 @@
 //!    (Lemma 1);
 //! 3. before a label `(vₖ, d, w)` is added to `L(u)`, a *cover query* checks
 //!    whether the labels built so far already certify a `w`-path of length
-//!    `≤ d` between `vₖ` and `u`; if so the entry is pruned and the BFS does
-//!    not expand through `u` (Line 11);
+//!    `≤ d` between `vₖ` and `u` — a hub `h` with `(h, d₁, w₁) ∈ L(vₖ)` and
+//!    `(h, d₂, w₂) ∈ L(u)`, `min(w₁, w₂) ≥ w` and `d₁ + d₂ ≤ d`; if so the
+//!    entry is pruned and the BFS does not expand through `u` (Line 11);
 //! 4. only vertices ranked *after* `vₖ` in the vertex order are visited, the
 //!    standard pruned-landmark-labeling restriction.
 //!
@@ -21,12 +22,22 @@
 //! evaluated:
 //!
 //! * **Basic** — scan `L(u)` × `L(vₖ)` pairwise (Algorithm 2 style).
-//! * **Query-efficient** — a hub-indexed view `T` of `L(vₖ)` is prepared once
-//!   per root, each cover query walks `L(u)` once with a binary search per
-//!   group (`O(|L(u)|)`), and a per-root memo of already-covered qualities
-//!   ("further pruning") short-circuits repeated queries. Index contents are
-//!   identical; only construction time changes — which is exactly what the
-//!   paper reports (Exp 1 vs Exp 2).
+//! * **Query-efficient** — the hub-indexed view `T` of `L(vₖ)` is a dense
+//!   array `T_w[h] = min { f.dist : f ∈ L(vₖ), f.hub = h, f.quality ≥ w }`
+//!   (`∞` where no entry qualifies). It depends only on the root and the
+//!   frontier quality `w`, so it is refilled from `L(vₖ)`'s hub groups only
+//!   when `w` changes, and each cover query is one flat pass over `L(u)`:
+//!   covered iff some `e ∈ L(u)` has `e.quality ≥ w` and
+//!   `e.dist + T_w[e.hub] ≤ d` (`O(|L(u)|)`, no group walk, no search).
+//!   Index contents are identical; only construction time changes — which
+//!   is exactly what the paper reports (Exp 1 vs Exp 2).
+//!
+//! The paper's "further pruning" memo (remember the highest `w` proven
+//! covered for `u` and skip later queries at no larger `w`) is deliberately
+//! absent: within one root it can never fire. A vertex enters a frontier
+//! only when its `R` value strictly improves and is queried with that sealed
+//! `R` value, so every cover query for `u` asks a strictly higher `w` than
+//! all earlier ones for `u` — no earlier cover can answer it.
 //!
 //! # Sweeps run against a snapshot
 //!
@@ -48,7 +59,7 @@ use crate::label::{LabelEntry, LabelSet};
 use crate::parallel_build::{self, BatchJob};
 use std::sync::Mutex;
 use std::time::Instant;
-use wcsd_graph::{Distance, Graph, Quality, VertexId, INF_QUALITY};
+use wcsd_graph::{Distance, Graph, Quality, VertexId, INF_DIST, INF_QUALITY};
 use wcsd_order::{OrderingStrategy, VertexOrder};
 
 /// Which cover-query implementation the builder uses (WC-INDEX vs WC-INDEX+).
@@ -56,7 +67,7 @@ use wcsd_order::{OrderingStrategy, VertexOrder};
 pub enum ConstructionMode {
     /// Basic WC-INDEX: pairwise cover queries.
     Basic,
-    /// WC-INDEX+: hub-indexed cover queries plus further pruning.
+    /// WC-INDEX+: cover queries against a dense per-root distance array.
     #[default]
     QueryEfficient,
 }
@@ -261,23 +272,21 @@ impl BatchJob for UndirectedJob<'_, '_> {
     }
 }
 
-/// Reusable scratch state for one worker running root sweeps. The `R`,
-/// cover-memo and `T`-view arrays are allocated once and reset sparsely via
-/// touched lists (the "Efficient Initialization" paragraph of Section IV.C).
+/// Reusable scratch state for one worker running root sweeps. The `R` and
+/// `T_w` arrays are allocated once and reset sparsely (the "Efficient
+/// Initialization" paragraph of Section IV.C).
 pub(crate) struct SweepEngine {
     /// `R(v)`: best bottleneck quality of any path from the current root to v.
     best_quality: Vec<Quality>,
     touched_quality: Vec<VertexId>,
-    /// Further-pruning memo: highest `w` already proven covered for `v`
-    /// against the current root (at some distance ≤ the current frontier
-    /// distance).
-    covered_quality: Vec<Quality>,
-    touched_covered: Vec<VertexId>,
-    /// Hub-indexed view of `L(root)`: `t_start[h]..t_start[h]+t_len[h]`
-    /// indexes the root's label entries.
-    t_start: Vec<u32>,
-    t_len: Vec<u32>,
-    touched_t: Vec<VertexId>,
+    /// `T_w[h]`: shortest distance from the current root to hub `h` among
+    /// the root's entries of quality `≥ root_dist_quality` (`INF_DIST` if
+    /// none). Only hubs of `L(root)` are ever written.
+    root_dist: Vec<Distance>,
+    /// The `w` that `root_dist` holds; `None` until the root's first cover
+    /// query. Frontier qualities are always `≥ 1` (a vertex is enqueued only
+    /// when its `R` value rises above 0), but the cache does not rely on it.
+    root_dist_quality: Option<Quality>,
     /// Scratch: whether a vertex is already queued for the next frontier.
     queued: Vec<bool>,
 }
@@ -287,11 +296,8 @@ impl SweepEngine {
         Self {
             best_quality: vec![0; n],
             touched_quality: Vec::new(),
-            covered_quality: vec![0; n],
-            touched_covered: Vec::new(),
-            t_start: vec![0; n],
-            t_len: vec![0; n],
-            touched_t: Vec::new(),
+            root_dist: vec![INF_DIST; n],
+            root_dist_quality: None,
             queued: vec![false; n],
         }
     }
@@ -311,9 +317,6 @@ impl SweepEngine {
     ) {
         out.clear();
         let root_rank = rank[root as usize];
-        if mode == ConstructionMode::QueryEfficient {
-            self.prepare_root_view(labels, root);
-        }
 
         // Frontier of the current distance; every entry is (vertex, quality).
         let mut frontier: Vec<(VertexId, Quality)> = vec![(root, INF_QUALITY)];
@@ -327,8 +330,8 @@ impl SweepEngine {
             // with the largest bottleneck quality first (the paper's second
             // priority). With the R-array deduplication this does not change
             // the produced labels, but it keeps the processing order aligned
-            // with the proof of Theorem 1 and costs a negligible sort of an
-            // already-small frontier.
+            // with the proof of Theorem 1, and it makes `w` change at most
+            // once per distinct quality of a level for the `T_w` refill.
             frontier.sort_unstable_by_key(|&(v, w)| (std::cmp::Reverse(w), v));
 
             for &(u, w) in &frontier {
@@ -336,7 +339,13 @@ impl SweepEngine {
                 if !is_root {
                     // Line 11: prune if the current index already covers the
                     // pair (root, u) at quality w within distance `dist`.
-                    if self.is_covered(labels, root, u, w, dist, mode) {
+                    let covered = match mode {
+                        ConstructionMode::Basic => is_covered_basic(labels, root, u, w, dist),
+                        ConstructionMode::QueryEfficient => {
+                            self.is_covered_efficient(labels, root, u, w, dist)
+                        }
+                    };
+                    if covered {
                         continue;
                     }
                     // Line 12: the entry is minimal and necessary — keep it.
@@ -375,62 +384,21 @@ impl SweepEngine {
             dist += 1;
         }
 
-        self.reset_root_state(mode);
-    }
-
-    /// Builds the hub-indexed view `T` of `L(root)` used by query-efficient
-    /// cover queries. `L(root)` is grouped by hub in insertion order (hubs are
-    /// processed in rank order, distances ascend within a hub), so each hub's
-    /// entries are contiguous.
-    fn prepare_root_view(&mut self, labels: &[LabelSet], root: VertexId) {
-        let entries = labels[root as usize].entries();
-        let mut i = 0usize;
-        while i < entries.len() {
-            let hub = entries[i].hub;
-            let start = i;
-            while i < entries.len() && entries[i].hub == hub {
-                i += 1;
-            }
-            self.t_start[hub as usize] = start as u32;
-            self.t_len[hub as usize] = (i - start) as u32;
-            self.touched_t.push(hub);
-        }
-    }
-
-    fn reset_root_state(&mut self, mode: ConstructionMode) {
         for v in self.touched_quality.drain(..) {
             self.best_quality[v as usize] = 0;
         }
-        for v in self.touched_covered.drain(..) {
-            self.covered_quality[v as usize] = 0;
-        }
-        if mode == ConstructionMode::QueryEfficient {
-            for h in self.touched_t.drain(..) {
-                self.t_len[h as usize] = 0;
+        if self.root_dist_quality.take().is_some() {
+            for f in labels[root as usize].entries() {
+                self.root_dist[f.hub as usize] = INF_DIST;
             }
         }
     }
 
-    /// The cover query of Line 11: is there a hub `h` with entries
-    /// `(h, d₁, w₁) ∈ L(root)` and `(h, d₂, w₂) ∈ L(u)` such that
-    /// `min(w₁, w₂) ≥ w` and `d₁ + d₂ ≤ d`?
-    fn is_covered(
-        &mut self,
-        labels: &[LabelSet],
-        root: VertexId,
-        u: VertexId,
-        w: Quality,
-        d: Distance,
-        mode: ConstructionMode,
-    ) -> bool {
-        match mode {
-            ConstructionMode::Basic => is_covered_basic(labels, root, u, w, d),
-            ConstructionMode::QueryEfficient => self.is_covered_efficient(labels, root, u, w, d),
-        }
-    }
-
-    /// WC-INDEX+ cover query: one pass over `L(u)`, binary search within the
-    /// root's hub group, plus the further-pruning memo.
+    /// WC-INDEX+ cover query: one pass over `L(u)` against `T_w`, which is
+    /// refilled from `L(root)` first if `w` differs from the quality it
+    /// holds. Each hub's entries are contiguous in `L(root)` (hubs commit
+    /// whole, in rank order, or the set is finalized) and form a Theorem-3
+    /// group, so the refill overwrites every hub of `L(root)` once.
     fn is_covered_efficient(
         &mut self,
         labels: &[LabelSet],
@@ -439,43 +407,18 @@ impl SweepEngine {
         w: Quality,
         d: Distance,
     ) -> bool {
-        // Further pruning: a cover proven earlier in this root's BFS was at a
-        // distance no larger than the current one, so it still applies if the
-        // remembered quality is at least as strict.
-        if self.covered_quality[u as usize] >= w && self.covered_quality[u as usize] > 0 {
-            return true;
+        if self.root_dist_quality != Some(w) {
+            for (hub, group) in labels[root as usize].hub_groups() {
+                self.root_dist[hub as usize] =
+                    LabelSet::min_dist_in_group(group, w).unwrap_or(INF_DIST);
+            }
+            self.root_dist_quality = Some(w);
         }
-        let lu = labels[u as usize].entries();
-        let lr = labels[root as usize].entries();
-        let mut idx = 0usize;
-        let mut covered = false;
-        while idx < lu.len() {
-            let hub = lu[idx].hub;
-            let start = idx;
-            while idx < lu.len() && lu[idx].hub == hub {
-                idx += 1;
-            }
-            let len = self.t_len[hub as usize] as usize;
-            if len == 0 {
-                continue;
-            }
-            let group_u = &lu[start..idx];
-            let t0 = self.t_start[hub as usize] as usize;
-            let group_r = &lr[t0..t0 + len];
-            let Some(du) = LabelSet::min_dist_in_group(group_u, w) else { continue };
-            let Some(dr) = LabelSet::min_dist_in_group(group_r, w) else { continue };
-            if du.saturating_add(dr) <= d {
-                covered = true;
-                break;
-            }
-        }
-        if covered {
-            if self.covered_quality[u as usize] == 0 {
-                self.touched_covered.push(u);
-            }
-            self.covered_quality[u as usize] = self.covered_quality[u as usize].max(w);
-        }
-        covered
+        let root_dist = &self.root_dist;
+        labels[u as usize]
+            .entries()
+            .iter()
+            .any(|e| e.quality >= w && root_dist[e.hub as usize].saturating_add(e.dist) <= d)
     }
 }
 
@@ -508,8 +451,10 @@ mod tests {
     use super::*;
     use crate::index::QueryImpl;
     use crate::query;
-    use wcsd_graph::generators::{paper_figure2, paper_figure3, path_graph, star_graph};
-    use wcsd_graph::INF_DIST;
+    use wcsd_graph::generators::{
+        barabasi_albert, paper_figure2, paper_figure3, path_graph, road_grid, star_graph,
+        QualityAssigner, RoadGridConfig,
+    };
     use wcsd_order::natural_order;
 
     /// Reference oracle: constrained BFS on the graph itself.
@@ -608,15 +553,30 @@ mod tests {
 
     #[test]
     fn both_modes_produce_identical_indexes() {
+        let assert_modes_agree = |g: &Graph, order: VertexOrder, case: &str| {
+            let basic = IndexBuilder::new()
+                .mode(ConstructionMode::Basic)
+                .build_with_order(g, order.clone());
+            let plus = IndexBuilder::new()
+                .mode(ConstructionMode::QueryEfficient)
+                .build_with_order(g, order);
+            assert_eq!(basic.total_entries(), plus.total_entries(), "{case}");
+            for v in 0..g.num_vertices() as VertexId {
+                assert_eq!(basic.labels(v), plus.labels(v), "{case}: labels differ at v{v}");
+            }
+        };
         let g = paper_figure2();
-        let order = natural_order(&g);
-        let basic =
-            IndexBuilder::new().mode(ConstructionMode::Basic).build_with_order(&g, order.clone());
-        let plus =
-            IndexBuilder::new().mode(ConstructionMode::QueryEfficient).build_with_order(&g, order);
-        assert_eq!(basic.total_entries(), plus.total_entries());
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(basic.labels(v), plus.labels(v), "labels differ at vertex {v}");
+        assert_modes_agree(&g, natural_order(&g), "figure 2, natural order");
+        // With 20 levels a BFS level holds many distinct qualities, so the
+        // query-efficient `T_w` array is refilled within a level.
+        for levels in [1, 5, 20] {
+            let qualities = QualityAssigner::uniform(levels);
+            let road = road_grid(&RoadGridConfig::square(12), &qualities, 7);
+            let social = barabasi_albert(150, 3, &qualities, 7);
+            for (name, g) in [("road_grid(12)", road), ("barabasi_albert(150, 3)", social)] {
+                let order = OrderingStrategy::Hybrid.compute(&g);
+                assert_modes_agree(&g, order, &format!("{name}, {levels} levels"));
+            }
         }
     }
 

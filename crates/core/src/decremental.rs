@@ -157,7 +157,7 @@ fn bfs_levels(graph: &Graph, source: VertexId, w: Quality, dist: &mut [Distance]
 mod tests {
     use super::*;
     use crate::build::IndexBuilder;
-    use wcsd_graph::generators::paper_figure3;
+    use wcsd_graph::generators::{paper_figure3, road_grid, QualityAssigner, RoadGridConfig};
     use wcsd_graph::GraphBuilder;
 
     #[test]
@@ -218,6 +218,31 @@ mod tests {
         let fresh = builder.build_with_order(&g2, order);
         for v in 0..g2.num_vertices() as VertexId {
             assert_eq!(index.labels(v), fresh.labels(v), "label set of v{v} diverged");
+        }
+    }
+
+    #[test]
+    fn repair_matches_fresh_build_with_twenty_quality_levels() {
+        // Many distinct qualities per BFS level: the re-sweeps refill the
+        // construction engine's per-root distance array within a level.
+        let mut g = road_grid(&RoadGridConfig::square(10), &QualityAssigner::uniform(20), 11);
+        let builder = IndexBuilder::wc_index_plus();
+        let mut index = builder.build(&g);
+        let order = index.order().clone();
+        for pick in [0, 60, 120] {
+            let e = g.edges().nth(pick).expect("the grid has enough edges");
+            let affected = affected_hubs(&g, e.u, e.v, e.quality);
+            let mut b = GraphBuilder::new(g.num_vertices());
+            for f in g.edges().filter(|f| (f.u, f.v) != (e.u, e.v)) {
+                b.add_edge(f.u, f.v, f.quality);
+            }
+            g = b.build();
+            let stats = repair(&mut index, &g, builder.config().mode, &affected);
+            assert!(stats.affected_hubs > 0);
+            let fresh = builder.build_with_order(&g, order.clone());
+            for v in 0..g.num_vertices() as VertexId {
+                assert_eq!(index.labels(v), fresh.labels(v), "edge #{pick}: v{v} diverged");
+            }
         }
     }
 }
