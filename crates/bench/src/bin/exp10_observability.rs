@@ -196,7 +196,7 @@ fn measure(
     let (scrape, traces) = attribution_run(name, g, workload)?;
     // Interleave the on/off reps so slow drift on a shared container biases
     // both sides equally; best-of-reps on each side.
-    let index = Arc::new(FlatIndex::from_index(&IndexBuilder::wc_index_plus().threads(1).build(g)));
+    let index = Arc::new(FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(g)));
     let mut best = [[0.0f64; 2]; 2]; // [batch_idx][on/off]
     for _ in 0..reps.max(1) {
         for (bi, batch) in [0usize, 16].into_iter().enumerate() {
@@ -255,7 +255,7 @@ fn attribution_run(
     g: &Graph,
     workload: &QueryWorkload,
 ) -> Result<(Scrape, String), String> {
-    let mut dyn_idx = DynamicWcIndex::new(g, IndexBuilder::wc_index_plus().threads(1));
+    let mut dyn_idx = DynamicWcIndex::new(g, IndexBuilder::wc_index_plus());
     dyn_idx.set_repair_threshold(1.0);
     let config = ServerConfig {
         slow_query_ms: Some(0),

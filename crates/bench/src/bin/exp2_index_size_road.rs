@@ -5,9 +5,9 @@
 //! labels under the same ordering) but because WC-INDEX+ uses the hybrid
 //! vertex ordering, which yields fewer entries than plain degree ordering.
 //!
-//! Usage: `cargo run -p wcsd-bench --release --bin exp2_index_size_road [scale] [--threads N]`
+//! Usage: `cargo run -p wcsd-bench --release --bin exp2_index_size_road [scale]`
 
-use wcsd_bench::measure::{build_method_threads, MethodKind};
+use wcsd_bench::measure::{build_method, MethodKind};
 use wcsd_bench::report::index_size_table;
 use wcsd_bench::{parse_exp_args, Dataset};
 
@@ -18,7 +18,7 @@ fn main() {
         let g = d.generate();
         eprintln!("[exp2] {} : |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         for m in MethodKind::indexing_methods() {
-            let (_, r) = build_method_threads(&d.name, m, &g, args.threads);
+            let (_, r) = build_method(&d.name, m, &g);
             eprintln!(
                 "[exp2]   {:<10} {:.3} MiB ({} entries)",
                 r.method,

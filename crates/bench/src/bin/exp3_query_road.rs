@@ -3,9 +3,9 @@
 //! Expected shape: index-based methods are orders of magnitude faster than
 //! the online searches; Dijkstra is the slowest online method.
 //!
-//! Usage: `cargo run -p wcsd-bench --release --bin exp3_query_road [scale] [num_queries] [--threads N]`
+//! Usage: `cargo run -p wcsd-bench --release --bin exp3_query_road [scale] [num_queries]`
 
-use wcsd_bench::measure::{build_method_threads, run_queries, MethodKind};
+use wcsd_bench::measure::{build_method, run_queries, MethodKind};
 use wcsd_bench::report::query_time_table;
 use wcsd_bench::{parse_exp_args, Dataset, QueryWorkload};
 
@@ -22,7 +22,7 @@ fn main() {
         let workload_online = QueryWorkload::uniform(&g, num_queries.min(200), 42);
         eprintln!("[exp3] {} : |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         for m in MethodKind::query_methods() {
-            let (built, _) = build_method_threads(&d.name, m, &g, args.threads);
+            let (built, _) = build_method(&d.name, m, &g);
             let workload = match m {
                 MethodKind::CBfs | MethodKind::Dijkstra | MethodKind::WBfs => &workload_online,
                 _ => &workload_full,

@@ -2,9 +2,9 @@
 //! quality values grows to |w| = 20. Expected shape: the Naive method's cost
 //! scales with |w| while WC-INDEX/WC-INDEX+ stay a single index.
 //!
-//! Usage: `cargo run -p wcsd-bench --release --bin exp4_large_w [scale] [levels] [--threads N]`
+//! Usage: `cargo run -p wcsd-bench --release --bin exp4_large_w [scale] [levels]`
 
-use wcsd_bench::measure::{build_method_threads, MethodKind};
+use wcsd_bench::measure::{build_method, MethodKind};
 use wcsd_bench::report::{index_size_table, indexing_time_table};
 use wcsd_bench::{parse_exp_args, Dataset};
 
@@ -24,7 +24,7 @@ fn main() {
             g.num_distinct_qualities()
         );
         for m in MethodKind::indexing_methods() {
-            let (_, r) = build_method_threads(&d.name, m, &g, args.threads);
+            let (_, r) = build_method(&d.name, m, &g);
             eprintln!(
                 "[exp4]   {:<10} {:.3}s / {:.3} MiB",
                 r.method,

@@ -2,9 +2,9 @@
 //! networks. Dijkstra is omitted from the query comparison exactly as in the
 //! paper (unit edge lengths make it identical to W-BFS).
 //!
-//! Usage: `cargo run -p wcsd-bench --release --bin exp5_social [scale] [num_queries] [--threads N]`
+//! Usage: `cargo run -p wcsd-bench --release --bin exp5_social [scale] [num_queries]`
 
-use wcsd_bench::measure::{build_method_threads, run_queries, MethodKind};
+use wcsd_bench::measure::{build_method, run_queries, MethodKind};
 use wcsd_bench::report::{index_size_table, indexing_time_table, query_time_table};
 use wcsd_bench::{parse_exp_args, Dataset, QueryWorkload};
 
@@ -19,13 +19,13 @@ fn main() {
         let workload_full = QueryWorkload::uniform(&g, num_queries, 42);
         let workload_online = QueryWorkload::uniform(&g, num_queries.min(200), 42);
         for m in MethodKind::indexing_methods() {
-            let (built, r) = build_method_threads(&d.name, m, &g, args.threads);
+            let (built, r) = build_method(&d.name, m, &g);
             eprintln!("[exp5]   {:<10} build {:.3}s", r.method, r.build_seconds);
             indexing.push(r);
             queries.push(run_queries(&d.name, m, &built, &workload_full));
         }
         for m in [MethodKind::WBfs, MethodKind::CBfs] {
-            let (built, _) = build_method_threads(&d.name, m, &g, args.threads);
+            let (built, _) = build_method(&d.name, m, &g);
             queries.push(run_queries(&d.name, m, &built, &workload_online));
         }
     }

@@ -74,8 +74,8 @@ fn main() {
     for d in &subset {
         let g = d.generate();
         eprintln!("[exp9] {} : |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
-        repair_results.push(repair_vs_rebuild(&d.name, &g, deletions, args.threads));
-        feed_results.push(feed_freshness(&d.name, &g, args.threads));
+        repair_results.push(repair_vs_rebuild(&d.name, &g, deletions));
+        feed_results.push(feed_freshness(&d.name, &g));
     }
 
     for r in &repair_results {
@@ -99,8 +99,8 @@ fn main() {
 
 /// Times the decremental repair of `deletions` sampled edges against a
 /// fresh same-order rebuild of the post-deletion graph.
-fn repair_vs_rebuild(name: &str, g: &Graph, deletions: usize, threads: usize) -> RepairResult {
-    let builder = IndexBuilder::wc_index_plus().threads(threads);
+fn repair_vs_rebuild(name: &str, g: &Graph, deletions: usize) -> RepairResult {
+    let builder = IndexBuilder::wc_index_plus();
     let base = DynamicWcIndex::new(g, builder.clone());
     let order = base.index().order().clone();
     let edges: Vec<_> = g.edges().collect();
@@ -135,8 +135,8 @@ fn repair_vs_rebuild(name: &str, g: &Graph, deletions: usize, threads: usize) ->
 
 /// Runs the feed pipeline against a live in-process server and returns the
 /// freshness record.
-fn feed_freshness(name: &str, g: &Graph, threads: usize) -> wcsd_bench::FeedResult {
-    let mut dyn_idx = DynamicWcIndex::new(g, IndexBuilder::wc_index_plus().threads(threads));
+fn feed_freshness(name: &str, g: &Graph) -> wcsd_bench::FeedResult {
+    let mut dyn_idx = DynamicWcIndex::new(g, IndexBuilder::wc_index_plus());
     dyn_idx.set_repair_threshold(1.0);
     let server = Server::bind_flat(dyn_idx.freeze(), ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();

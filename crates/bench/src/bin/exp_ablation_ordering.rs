@@ -2,7 +2,7 @@
 //! ordering strategy affects indexing time and index size on a road-like and a
 //! social-like graph.
 //!
-//! Usage: `cargo run -p wcsd-bench --release --bin exp_ablation_ordering [scale] [--threads N]`
+//! Usage: `cargo run -p wcsd-bench --release --bin exp_ablation_ordering [scale]`
 
 use std::time::Instant;
 use wcsd_bench::report::{index_size_table, indexing_time_table};
@@ -28,7 +28,7 @@ fn main() {
         eprintln!("[ablation] {} : |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         for strat in strategies {
             let start = Instant::now();
-            let idx = IndexBuilder::new().ordering(strat).threads(args.threads).build(&g);
+            let idx = IndexBuilder::new().ordering(strat).build(&g);
             let stats = idx.stats();
             results.push(IndexingResult {
                 dataset: d.name.clone(),

@@ -1,21 +1,18 @@
 //! Runs every experiment in sequence at the given scale (default `tiny`, so a
 //! complete sweep finishes quickly). Individual experiments can be run at
-//! larger scales via their dedicated binaries. A `--threads N` flag is
-//! forwarded to every experiment that builds WC-INDEX structures.
+//! larger scales via their dedicated binaries.
 //!
-//! Usage: `cargo run -p wcsd-bench --release --bin exp_all [scale] [--threads N]`
+//! Usage: `cargo run -p wcsd-bench --release --bin exp_all [scale]`
 
 use std::process::Command;
-use wcsd_cliutil::{flag_value, positional_args};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let threads: Option<usize> = flag_value(&argv, "--threads").unwrap_or_else(|msg| {
+    if let Err(msg) = wcsd_bench::cliargs::parse_exp_argv(&argv) {
         eprintln!("error: {msg}");
         std::process::exit(2);
-    });
-    let positional = positional_args(&argv, &["--threads"]);
-    let scale = positional.first().map(|s| s.to_string()).unwrap_or_else(|| "tiny".to_string());
+    }
+    let scale = argv.first().cloned().unwrap_or_else(|| "tiny".to_string());
 
     let exe_dir = std::env::current_exe()
         .expect("current executable path")
@@ -30,19 +27,13 @@ fn main() {
         "exp4_large_w",
         "exp5_social",
         "exp_ablation_ordering",
-        "exp6_parallel_build",
     ];
     for exp in experiments {
         println!("\n================ {exp} (scale: {scale}) ================\n");
-        let mut cmd = Command::new(exe_dir.join(exp));
-        cmd.arg(&scale);
-        if let Some(threads) = threads {
-            // exp_datasets builds no index and takes no --threads flag.
-            if exp != "exp_datasets" {
-                cmd.arg("--threads").arg(threads.to_string());
-            }
-        }
-        let status = cmd.status().unwrap_or_else(|e| panic!("failed to launch {exp}: {e}"));
+        let status = Command::new(exe_dir.join(exp))
+            .arg(&scale)
+            .status()
+            .unwrap_or_else(|e| panic!("failed to launch {exp}: {e}"));
         assert!(status.success(), "{exp} exited with {status}");
     }
 }

@@ -14,7 +14,6 @@
 //! | Fig. 10/11/12 — social networks | `exp5_social` | `indexing_social`, `query_social` |
 //! | (ours) ordering ablation | `exp_ablation_ordering` | `ordering_ablation` |
 //! | (ours) query implementation ablation | — | `query_impl_ablation` |
-//! | (ours) parallel construction speedup | `exp6_parallel_build` | — |
 //! | (ours) flat vs. nested query engine | `exp7_flat_query` | `flat_query` |
 //! | (ours) server throughput/latency | `loadgen` | — |
 //! | (ours) update freshness & decremental repair | `exp9_freshness` | — |
@@ -24,9 +23,8 @@
 //! | everything above in one run | `exp_all` | — |
 //!
 //! Binaries accept a scale argument (`tiny`, `small`, `medium`, `large`) so
-//! the full suite stays runnable on a laptop, plus `--threads N` to run the
-//! WC-INDEX builders on N construction workers (`0` = all cores; the index
-//! is identical for every thread count). The *shape* of the results
+//! the full suite stays runnable on a laptop; every index is built by the
+//! one sequential rank-order sweep of Algorithm 3. The *shape* of the results
 //! (who wins, by how many orders of magnitude, where the Naïve method becomes
 //! infeasible) is what reproduces the paper, not the absolute numbers.
 
@@ -45,7 +43,5 @@ pub use cliargs::{parse_exp_args, ExpArgs};
 pub use datasets::{Dataset, DatasetKind, Scale};
 pub use freshness::{EdgeUpdate, FeedConfig, FeedResult};
 pub use loadgen::{LoadgenConfig, LoadgenResult};
-pub use measure::{
-    BuildSpeedupResult, FlatQueryResult, IndexingResult, KernelResult, MethodKind, QueryResult,
-};
+pub use measure::{FlatQueryResult, IndexingResult, KernelResult, MethodKind, QueryResult};
 pub use workload::QueryWorkload;

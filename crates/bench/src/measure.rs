@@ -133,25 +133,12 @@ impl BuiltMethod<'_> {
     }
 }
 
-/// Builds one method on a graph sequentially, returning the built structure
-/// and its indexing measurement.
+/// Builds one method on a graph, returning the built structure and its
+/// indexing measurement.
 pub fn build_method<'g>(
     dataset: &str,
     method: MethodKind,
     g: &'g Graph,
-) -> (BuiltMethod<'g>, IndexingResult) {
-    build_method_threads(dataset, method, g, 1)
-}
-
-/// Builds one method on a graph, returning the built structure and its
-/// indexing measurement. `threads` applies to the WC-INDEX/WC-INDEX+
-/// builders (any thread count yields an identical index); the baselines
-/// build sequentially regardless.
-pub fn build_method_threads<'g>(
-    dataset: &str,
-    method: MethodKind,
-    g: &'g Graph,
-    threads: usize,
 ) -> (BuiltMethod<'g>, IndexingResult) {
     let start = Instant::now();
     let built = match method {
@@ -164,12 +151,9 @@ pub fn build_method_threads<'g>(
             IndexBuilder::new()
                 .ordering(OrderingStrategy::Degree)
                 .mode(ConstructionMode::Basic)
-                .threads(threads)
                 .build(g),
         ),
-        MethodKind::WcIndexPlus => {
-            BuiltMethod::Wc(IndexBuilder::wc_index_plus().threads(threads).build(g))
-        }
+        MethodKind::WcIndexPlus => BuiltMethod::Wc(IndexBuilder::wc_index_plus().build(g)),
     };
     let build_seconds = start.elapsed().as_secs_f64();
     let result = IndexingResult {
@@ -180,60 +164,6 @@ pub fn build_method_threads<'g>(
         entries: built.entries(),
     };
     (built, result)
-}
-
-/// One cell of the parallel-construction speedup experiment: WC-INDEX+ built
-/// on one dataset with one thread count.
-#[derive(Debug, Clone)]
-pub struct BuildSpeedupResult {
-    /// Dataset name.
-    pub dataset: String,
-    /// Worker threads used for construction.
-    pub threads: usize,
-    /// Wall-clock construction time in seconds.
-    pub build_seconds: f64,
-    /// Speedup relative to the single-threaded build of the same dataset.
-    pub speedup: f64,
-    /// Total label entries (identical across thread counts by construction).
-    pub entries: usize,
-}
-
-/// Measures WC-INDEX+ construction speedup on `g` across `thread_counts`
-/// (e.g. `[1, 2, 4, 8]`). The single-threaded build is always measured first
-/// as the baseline; every multi-threaded build is verified to produce the
-/// same number of label entries.
-pub fn build_speedup(dataset: &str, g: &Graph, thread_counts: &[usize]) -> Vec<BuildSpeedupResult> {
-    let base_start = Instant::now();
-    let base_index = IndexBuilder::wc_index_plus().threads(1).build(g);
-    let base_seconds = base_start.elapsed().as_secs_f64();
-    let entries = base_index.total_entries();
-    drop(base_index);
-
-    let mut results = vec![BuildSpeedupResult {
-        dataset: dataset.to_string(),
-        threads: 1,
-        build_seconds: base_seconds,
-        speedup: 1.0,
-        entries,
-    }];
-    for &threads in thread_counts.iter().filter(|&&t| t != 1) {
-        let start = Instant::now();
-        let index = IndexBuilder::wc_index_plus().threads(threads).build(g);
-        let seconds = start.elapsed().as_secs_f64();
-        assert_eq!(
-            index.total_entries(),
-            entries,
-            "parallel build diverged from sequential on {dataset} with {threads} threads"
-        );
-        results.push(BuildSpeedupResult {
-            dataset: dataset.to_string(),
-            threads,
-            build_seconds: seconds,
-            speedup: if seconds > 0.0 { base_seconds / seconds } else { f64::INFINITY },
-            entries,
-        });
-    }
-    results
 }
 
 /// Replays a workload against a built method and reports the mean query time.

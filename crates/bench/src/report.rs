@@ -1,9 +1,7 @@
 //! Table/JSON rendering of experiment results, mimicking the rows and series
 //! the paper's figures plot.
 
-use crate::measure::{
-    BuildSpeedupResult, FlatQueryResult, IndexingResult, KernelResult, QueryResult,
-};
+use crate::measure::{FlatQueryResult, IndexingResult, KernelResult, QueryResult};
 
 /// Renders a plain-text table with one row per dataset and one column per
 /// method, from `(dataset, method, value)` cells.
@@ -53,16 +51,6 @@ pub fn index_size_table(title: &str, results: &[IndexingResult]) -> String {
             .iter()
             .find(|r| r.dataset == d && r.method == m)
             .map(|r| r.index_bytes as f64 / (1024.0 * 1024.0))
-    })
-}
-
-/// Renders parallel-construction speedup results: one row per dataset, one
-/// column per thread count, cells are speedups relative to one thread.
-pub fn build_speedup_table(title: &str, results: &[BuildSpeedupResult]) -> String {
-    let (datasets, threads) =
-        axes(results.iter().map(|r| (r.dataset.clone(), format!("{}T", r.threads))));
-    render_matrix(title, "speedup ×", &datasets, &threads, |d, t| {
-        results.iter().find(|r| r.dataset == d && format!("{}T", r.threads) == t).map(|r| r.speedup)
     })
 }
 
@@ -131,18 +119,6 @@ impl JsonRecord for IndexingResult {
             ("method", json_string(&self.method)),
             ("build_seconds", json_f64(self.build_seconds)),
             ("index_bytes", self.index_bytes.to_string()),
-            ("entries", self.entries.to_string()),
-        ]
-    }
-}
-
-impl JsonRecord for BuildSpeedupResult {
-    fn json_fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("dataset", json_string(&self.dataset)),
-            ("threads", self.threads.to_string()),
-            ("build_seconds", json_f64(self.build_seconds)),
-            ("speedup", json_f64(self.speedup)),
             ("entries", self.entries.to_string()),
         ]
     }

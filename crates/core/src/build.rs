@@ -49,15 +49,12 @@
 //! own cover queries: a vertex re-enters the frontier only when its bottleneck
 //! quality *strictly improves* (the R-array rule), so every earlier own-label
 //! at `u` has strictly smaller quality than the entry currently being tested,
-//! while a cover needs quality at least as large. Decoupling "read committed
-//! labels" from "publish new labels" is what allows
-//! [`crate::parallel_build`] to run many root sweeps concurrently against one
-//! immutable snapshot and still commit a byte-identical index.
+//! while a cover needs quality at least as large. The decremental repair
+//! ([`crate::decremental`]) relies on the same argument when it re-sweeps one
+//! hub against otherwise committed labels.
 
 use crate::index::WcIndex;
 use crate::label::{LabelEntry, LabelSet};
-use crate::parallel_build::{self, BatchJob};
-use std::sync::Mutex;
 use std::time::Instant;
 use wcsd_graph::{Distance, Graph, Quality, VertexId, INF_DIST, INF_QUALITY};
 use wcsd_order::{OrderingStrategy, VertexOrder};
@@ -79,20 +76,11 @@ pub struct BuildConfig {
     pub ordering: OrderingStrategy,
     /// Cover-query implementation used while building.
     pub mode: ConstructionMode,
-    /// Number of worker threads for the construction sweeps. `1` builds
-    /// strictly sequentially; `0` means "use all available parallelism".
-    /// Any thread count produces a byte-identical index (see
-    /// [`crate::parallel_build`]).
-    pub threads: usize,
 }
 
 impl Default for BuildConfig {
     fn default() -> Self {
-        Self {
-            ordering: OrderingStrategy::Degree,
-            mode: ConstructionMode::QueryEfficient,
-            threads: 1,
-        }
+        Self { ordering: OrderingStrategy::Degree, mode: ConstructionMode::QueryEfficient }
     }
 }
 
@@ -104,7 +92,7 @@ pub struct IndexBuilder {
 
 impl IndexBuilder {
     /// Builder with the default configuration (degree ordering,
-    /// query-efficient construction, sequential).
+    /// query-efficient construction).
     pub fn new() -> Self {
         Self::default()
     }
@@ -121,23 +109,12 @@ impl IndexBuilder {
         self
     }
 
-    /// Sets the number of construction threads (`0` = all available cores).
-    ///
-    /// The produced index is byte-identical for every thread count; see
-    /// [`crate::parallel_build`] for the batching scheme and why determinism
-    /// holds.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// The paper's basic WC-INDEX configuration with degree ordering.
     pub fn wc_index() -> Self {
         Self {
             config: BuildConfig {
                 ordering: OrderingStrategy::Degree,
                 mode: ConstructionMode::Basic,
-                threads: 1,
             },
         }
     }
@@ -149,7 +126,6 @@ impl IndexBuilder {
             config: BuildConfig {
                 ordering: OrderingStrategy::Hybrid,
                 mode: ConstructionMode::QueryEfficient,
-                threads: 1,
             },
         }
     }
@@ -175,12 +151,18 @@ impl IndexBuilder {
             "vertex order must cover every vertex of the graph"
         );
         let t_total = Instant::now();
-        let threads = parallel_build::effective_threads(self.config.threads);
-        let mut job = UndirectedJob::new(g, &order, self.config.mode, threads);
-        parallel_build::run_batched(&mut job, threads);
+        let n = g.num_vertices();
+        let mut labels: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut engine = SweepEngine::new(n);
+        let mut out = Vec::new();
+        for &root in order.as_slice() {
+            engine.run_root(g, order.ranks(), &labels, root, self.config.mode, &mut out);
+            for &(v, d, w) in &out {
+                labels[v as usize].push_unordered(LabelEntry::new(root, d, w));
+            }
+        }
         record_build_phase("sweep", t_total.elapsed());
         let t_finalize = Instant::now();
-        let mut labels = job.labels;
         for set in &mut labels {
             set.finalize();
         }
@@ -190,11 +172,7 @@ impl IndexBuilder {
         obs.counter("wcsd_builds_total", "Index builds completed").inc();
         obs.tracer().record(
             "build",
-            &format!(
-                "vertices={} entries={} threads={threads}",
-                index.num_vertices(),
-                index.total_entries()
-            ),
+            &format!("vertices={} entries={}", index.num_vertices(), index.total_entries()),
             u64::try_from(t_total.elapsed().as_micros()).unwrap_or(u64::MAX),
         );
         index
@@ -214,65 +192,7 @@ fn record_build_phase(phase: &'static str, took: std::time::Duration) {
         .record_duration(took);
 }
 
-/// The [`BatchJob`] instance behind [`IndexBuilder`]: unweighted undirected
-/// WC-INDEX construction.
-struct UndirectedJob<'g, 'o> {
-    graph: &'g Graph,
-    order: &'o VertexOrder,
-    mode: ConstructionMode,
-    labels: Vec<LabelSet>,
-    engines: Vec<Mutex<SweepEngine>>,
-}
-
-impl<'g, 'o> UndirectedJob<'g, 'o> {
-    fn new(
-        graph: &'g Graph,
-        order: &'o VertexOrder,
-        mode: ConstructionMode,
-        threads: usize,
-    ) -> Self {
-        let n = graph.num_vertices();
-        Self {
-            graph,
-            order,
-            mode,
-            labels: (0..n as VertexId).map(LabelSet::self_label).collect(),
-            engines: (0..threads.max(1)).map(|_| Mutex::new(SweepEngine::new(n))).collect(),
-        }
-    }
-}
-
-impl BatchJob for UndirectedJob<'_, '_> {
-    type Candidates = Vec<(VertexId, Distance, Quality)>;
-
-    fn num_roots(&self) -> usize {
-        self.order.len()
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn root_vertex(&self, pos: usize) -> VertexId {
-        self.order.vertex_at(pos)
-    }
-
-    fn sweep(&self, pos: usize, slot: usize, out: &mut Self::Candidates) {
-        let root = self.order.vertex_at(pos);
-        let mut engine = self.engines[slot].lock().expect("sweep engines never panic");
-        engine.run_root(self.graph, self.order.ranks(), &self.labels, root, self.mode, out);
-    }
-
-    fn commit(&mut self, pos: usize, out: &mut Self::Candidates, labeled: &mut Vec<VertexId>) {
-        let root = self.order.vertex_at(pos);
-        for &(v, d, w) in out.iter() {
-            self.labels[v as usize].push_unordered(LabelEntry::new(root, d, w));
-            labeled.push(v);
-        }
-    }
-}
-
-/// Reusable scratch state for one worker running root sweeps. The `R` and
+/// Reusable scratch state for running root sweeps. The `R` and
 /// `T_w` arrays are allocated once and reset sparsely (the "Efficient
 /// Initialization" paragraph of Section IV.C).
 pub(crate) struct SweepEngine {
@@ -619,31 +539,5 @@ mod tests {
         let g = paper_figure3();
         let small = VertexOrder::from_permutation(vec![0, 1, 2]);
         let _ = IndexBuilder::default().build_with_order(&g, small);
-    }
-
-    #[test]
-    fn threaded_build_matches_sequential_on_paper_graphs() {
-        for g in [paper_figure3(), paper_figure2(), star_graph(8, 2), path_graph(9, 1)] {
-            let sequential = IndexBuilder::default().build(&g);
-            for threads in [2, 3, 8] {
-                let parallel = IndexBuilder::default().threads(threads).build(&g);
-                for v in 0..g.num_vertices() as VertexId {
-                    assert_eq!(
-                        sequential.labels(v),
-                        parallel.labels(v),
-                        "labels differ at vertex {v} with {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_threads_means_auto() {
-        let g = paper_figure3();
-        let auto = IndexBuilder::default().threads(0).build(&g);
-        let seq = IndexBuilder::default().build(&g);
-        assert_eq!(auto.total_entries(), seq.total_entries());
-        assert_matches_oracle(&g, &auto);
     }
 }

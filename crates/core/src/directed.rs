@@ -7,9 +7,7 @@
 //! vertices) and once over in-edges (populating `L_out`).
 
 use crate::label::{LabelEntry, LabelSet};
-use crate::parallel_build::{self, BatchJob};
 use crate::query;
-use std::sync::Mutex;
 use wcsd_graph::{DiGraph, Distance, Quality, VertexId, INF_DIST, INF_QUALITY};
 use wcsd_order::VertexOrder;
 
@@ -26,31 +24,35 @@ impl DirectedWcIndex {
     /// Builds the directed index using a degree-style ordering
     /// (out-degree + in-degree, non-ascending).
     pub fn build(g: &DiGraph) -> Self {
-        Self::build_threads(g, 1)
-    }
-
-    /// Builds the directed index with the default ordering on `threads`
-    /// worker threads (`0` = all available cores). The produced index is
-    /// identical for every thread count (see [`crate::parallel_build`]).
-    pub fn build_threads(g: &DiGraph, threads: usize) -> Self {
         let mut by_degree: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
         by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v) + g.in_degree(v)), v));
-        Self::build_with_order_threads(g, VertexOrder::from_permutation(by_degree), threads)
+        Self::build_with_order(g, VertexOrder::from_permutation(by_degree))
     }
 
-    /// Builds the directed index under a caller-supplied vertex order.
+    /// Builds the directed index under a caller-supplied vertex order: two
+    /// pruned constrained BFS sweeps per root, in rank order, both run
+    /// against the labels committed by earlier roots.
     pub fn build_with_order(g: &DiGraph, order: VertexOrder) -> Self {
-        Self::build_with_order_threads(g, order, 1)
-    }
-
-    /// Builds the directed index under a caller-supplied vertex order on
-    /// `threads` worker threads (`0` = all available cores).
-    pub fn build_with_order_threads(g: &DiGraph, order: VertexOrder, threads: usize) -> Self {
         assert_eq!(order.len(), g.num_vertices());
-        let threads = parallel_build::effective_threads(threads);
-        let mut job = DirectedJob::new(g, &order, threads);
-        parallel_build::run_batched(&mut job, threads);
-        let (mut l_out, mut l_in) = (job.l_out, job.l_in);
+        let n = g.num_vertices();
+        let mut l_out: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut l_in: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut engine = DirectedEngine::new(n);
+        let (mut forward, mut backward) = (Vec::new(), Vec::new());
+        let rank = order.ranks();
+        for &root in order.as_slice() {
+            // Forward sweep: paths root ⇝ u certify entries in L_in(u); the
+            // cover query intersects L_out(root) with L_in(u).
+            engine.run_root(g, rank, &l_out, &l_in, root, Direction::Forward, &mut forward);
+            // Backward sweep: paths u ⇝ root certify entries in L_out(u).
+            engine.run_root(g, rank, &l_out, &l_in, root, Direction::Backward, &mut backward);
+            for &(v, d, w) in &forward {
+                l_in[v as usize].push_unordered(LabelEntry::new(root, d, w));
+            }
+            for &(v, d, w) in &backward {
+                l_out[v as usize].push_unordered(LabelEntry::new(root, d, w));
+            }
+        }
         for set in l_out.iter_mut().chain(l_in.iter_mut()) {
             set.finalize();
         }
@@ -85,93 +87,7 @@ enum Direction {
     Backward,
 }
 
-/// Candidate labels of one root: the forward sweep feeds `L_in`, the backward
-/// sweep feeds `L_out`.
-#[derive(Default)]
-struct DirectedCandidates {
-    forward: Vec<(VertexId, Distance, Quality)>,
-    backward: Vec<(VertexId, Distance, Quality)>,
-}
-
-/// The [`BatchJob`] behind [`DirectedWcIndex`]: two pruned constrained BFS
-/// sweeps per root (out-edges then in-edges) against the committed snapshot.
-struct DirectedJob<'g, 'o> {
-    graph: &'g DiGraph,
-    order: &'o VertexOrder,
-    l_out: Vec<LabelSet>,
-    l_in: Vec<LabelSet>,
-    engines: Vec<Mutex<DirectedEngine>>,
-}
-
-impl<'g, 'o> DirectedJob<'g, 'o> {
-    fn new(graph: &'g DiGraph, order: &'o VertexOrder, threads: usize) -> Self {
-        let n = graph.num_vertices();
-        Self {
-            graph,
-            order,
-            l_out: (0..n as VertexId).map(LabelSet::self_label).collect(),
-            l_in: (0..n as VertexId).map(LabelSet::self_label).collect(),
-            engines: (0..threads.max(1)).map(|_| Mutex::new(DirectedEngine::new(n))).collect(),
-        }
-    }
-}
-
-impl BatchJob for DirectedJob<'_, '_> {
-    type Candidates = DirectedCandidates;
-
-    fn num_roots(&self) -> usize {
-        self.order.len()
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn root_vertex(&self, pos: usize) -> VertexId {
-        self.order.vertex_at(pos)
-    }
-
-    fn sweep(&self, pos: usize, slot: usize, out: &mut Self::Candidates) {
-        let root = self.order.vertex_at(pos);
-        let rank = self.order.ranks();
-        let mut engine = self.engines[slot].lock().expect("sweep engines never panic");
-        // Forward sweep: paths root ⇝ u certify entries in L_in(u); the
-        // cover query intersects L_out(root) with L_in(u).
-        engine.run_root(
-            self.graph,
-            rank,
-            &self.l_out,
-            &self.l_in,
-            root,
-            Direction::Forward,
-            &mut out.forward,
-        );
-        // Backward sweep: paths u ⇝ root certify entries in L_out(u).
-        engine.run_root(
-            self.graph,
-            rank,
-            &self.l_out,
-            &self.l_in,
-            root,
-            Direction::Backward,
-            &mut out.backward,
-        );
-    }
-
-    fn commit(&mut self, pos: usize, out: &mut Self::Candidates, labeled: &mut Vec<VertexId>) {
-        let root = self.order.vertex_at(pos);
-        for &(v, d, w) in &out.forward {
-            self.l_in[v as usize].push_unordered(LabelEntry::new(root, d, w));
-            labeled.push(v);
-        }
-        for &(v, d, w) in &out.backward {
-            self.l_out[v as usize].push_unordered(LabelEntry::new(root, d, w));
-            labeled.push(v);
-        }
-    }
-}
-
-/// Per-worker scratch for the directed sweeps.
+/// Scratch state for the directed sweeps.
 struct DirectedEngine {
     best_quality: Vec<Quality>,
     touched: Vec<VertexId>,

@@ -23,9 +23,8 @@
 //!   used instead.
 //!
 //! Rebuilds (explicit or threshold-triggered) reuse the [`IndexBuilder`] the
-//! dynamic index was created with, so configuring it with
-//! [`IndexBuilder::threads`] makes every full-rebuild fallback run on the
-//! multi-threaded builder of [`crate::parallel_build`].
+//! dynamic index was created with, so a full-rebuild fallback keeps its
+//! vertex ordering and construction mode.
 
 use crate::build::IndexBuilder;
 use crate::decremental::{self, RepairStats};
@@ -495,24 +494,6 @@ mod tests {
             }
             assert_full_agreement(&dyn_idx);
             assert_eq!(dyn_idx.rebuild_count(), 0);
-        }
-    }
-
-    #[test]
-    fn threaded_builder_drives_rebuild_fallback() {
-        let g = paper_figure3();
-        let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default().threads(4));
-        dyn_idx.set_repair_threshold(0.0);
-        assert!(dyn_idx.remove_edge(3, 4), "deletion falls back to a (parallel) rebuild");
-        assert_eq!(dyn_idx.rebuild_count(), 1);
-        assert_full_agreement(&dyn_idx);
-        let reference = DynamicWcIndex::new(dyn_idx.graph(), IndexBuilder::default());
-        for v in 0..dyn_idx.graph().num_vertices() as VertexId {
-            assert_eq!(
-                dyn_idx.index().labels(v),
-                reference.index().labels(v),
-                "parallel rebuild diverged at vertex {v}"
-            );
         }
     }
 

@@ -8,8 +8,9 @@
 //! are answered from one index in microseconds.
 //!
 //! * [`build::IndexBuilder`] — Algorithm 3 (quality- and distance-prioritized
-//!   constrained BFS) with both the basic and the query-efficient
-//!   (WC-INDEX+) construction modes and every vertex-ordering strategy.
+//!   constrained BFS, one root at a time in rank order) with both the basic
+//!   and the query-efficient (WC-INDEX+) construction modes and every
+//!   vertex-ordering strategy.
 //! * [`index::WcIndex`] — the index itself: `distance`, `within`, statistics,
 //!   statistics and minimality verification; its snapshot is the `WCIF`
 //!   image of [`flat::FlatIndex`].
@@ -34,11 +35,6 @@
 //!   parent pointers, Section V).
 //! * [`parallel`] — scoped-thread batch query evaluation for large
 //!   workloads.
-//! * [`parallel_build`] — the multi-threaded construction driver behind
-//!   [`IndexBuilder::threads`](build::IndexBuilder::threads) and the
-//!   `*_threads` constructors of every index variant: rank-batched root
-//!   sweeps against immutable label snapshots, committed deterministically so
-//!   any thread count yields a byte-identical index.
 //! * [`directed::DirectedWcIndex`] — the `L_in`/`L_out` extension for
 //!   directed graphs (Section V).
 //! * [`weighted::WeightedWcIndex`] — the constrained-Dijkstra extension for
@@ -76,7 +72,6 @@ pub mod kernel;
 pub mod label;
 pub mod overlay;
 pub mod parallel;
-pub mod parallel_build;
 pub mod path;
 pub mod query;
 pub mod stats;

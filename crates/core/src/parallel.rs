@@ -2,7 +2,6 @@
 //! soak and the bench tools answer a batch across scoped threads
 //! ([`std::thread::scope`]) over any [`QueryEngine`]. The query server does
 //! not call it; its resident worker pool is its only level of parallelism.
-//! The multi-threaded *build* lives in [`crate::parallel_build`].
 
 use crate::index::{QueryEngine, QueryImpl};
 use wcsd_graph::{Distance, Quality, VertexId};

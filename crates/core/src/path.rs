@@ -7,8 +7,6 @@
 //! parents from both endpoints towards the meeting hub.
 
 use crate::label::{LabelEntry, LabelSet};
-use crate::parallel_build::{self, BatchJob};
-use std::sync::Mutex;
 use wcsd_graph::{Distance, Graph, Quality, VertexId, INF_QUALITY};
 use wcsd_order::{OrderingStrategy, VertexOrder};
 
@@ -76,34 +74,35 @@ impl PathIndex {
         Self::build_with_ordering(g, OrderingStrategy::Degree)
     }
 
-    /// Builds a path-capable index with degree ordering on `threads` worker
-    /// threads (`0` = all available cores). The produced index — parent
-    /// pointers included — is identical for every thread count (see
-    /// [`crate::parallel_build`]).
-    pub fn build_threads(g: &Graph, threads: usize) -> Self {
-        Self::build_with_ordering_threads(g, OrderingStrategy::Degree, threads)
-    }
-
     /// Builds a path-capable index with the given vertex ordering strategy.
     ///
     /// The construction mirrors Algorithm 3 exactly, additionally threading
-    /// the BFS parent of every frontier vertex into the recorded label.
+    /// the BFS parent of every frontier vertex into the recorded label. The
+    /// plain-distance `cover` sets mirror `labels` minus the parent field and
+    /// serve the cover queries.
     pub fn build_with_ordering(g: &Graph, ordering: OrderingStrategy) -> Self {
-        Self::build_with_ordering_threads(g, ordering, 1)
-    }
-
-    /// Builds a path-capable index with the given vertex ordering strategy on
-    /// `threads` worker threads (`0` = all available cores).
-    pub fn build_with_ordering_threads(
-        g: &Graph,
-        ordering: OrderingStrategy,
-        threads: usize,
-    ) -> Self {
         let order = ordering.compute(g);
-        let threads = parallel_build::effective_threads(threads);
-        let mut job = PathJob::new(g, &order, threads);
-        parallel_build::run_batched(&mut job, threads);
-        let mut labels = job.labels;
+        let n = g.num_vertices();
+        let mut labels: Vec<PathLabelSet> = (0..n as VertexId)
+            .map(|v| PathLabelSet {
+                entries: vec![PathLabelEntry { hub: v, dist: 0, quality: INF_QUALITY, parent: v }],
+            })
+            .collect();
+        let mut cover: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut engine = PathEngine::new(n);
+        let mut out = Vec::new();
+        for &root in order.as_slice() {
+            engine.run_root(g, order.ranks(), &cover, root, &mut out);
+            for &(v, dist, quality, parent) in &out {
+                labels[v as usize].entries.push(PathLabelEntry {
+                    hub: root,
+                    dist,
+                    quality,
+                    parent,
+                });
+                cover[v as usize].push_unordered(LabelEntry::new(root, dist, quality));
+            }
+        }
         for set in &mut labels {
             set.finalize();
         }
@@ -191,76 +190,7 @@ fn skip(entries: &[PathLabelEntry], idx: usize) -> usize {
     k
 }
 
-/// The [`BatchJob`] behind [`PathIndex`]: the Algorithm 3 sweep augmented
-/// with BFS parents. The plain-distance `cover` sets always mirror `labels`
-/// minus the parent field and serve the cover queries.
-struct PathJob<'g, 'o> {
-    graph: &'g Graph,
-    order: &'o VertexOrder,
-    labels: Vec<PathLabelSet>,
-    cover: Vec<LabelSet>,
-    engines: Vec<Mutex<PathEngine>>,
-}
-
-impl<'g, 'o> PathJob<'g, 'o> {
-    fn new(graph: &'g Graph, order: &'o VertexOrder, threads: usize) -> Self {
-        let n = graph.num_vertices();
-        Self {
-            graph,
-            order,
-            labels: (0..n as VertexId)
-                .map(|v| PathLabelSet {
-                    entries: vec![PathLabelEntry {
-                        hub: v,
-                        dist: 0,
-                        quality: INF_QUALITY,
-                        parent: v,
-                    }],
-                })
-                .collect(),
-            cover: (0..n as VertexId).map(LabelSet::self_label).collect(),
-            engines: (0..threads.max(1)).map(|_| Mutex::new(PathEngine::new(n))).collect(),
-        }
-    }
-}
-
-impl BatchJob for PathJob<'_, '_> {
-    type Candidates = Vec<(VertexId, Distance, Quality, VertexId)>;
-
-    fn num_roots(&self) -> usize {
-        self.order.len()
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn root_vertex(&self, pos: usize) -> VertexId {
-        self.order.vertex_at(pos)
-    }
-
-    fn sweep(&self, pos: usize, slot: usize, out: &mut Self::Candidates) {
-        let root = self.order.vertex_at(pos);
-        let mut engine = self.engines[slot].lock().expect("sweep engines never panic");
-        engine.run_root(self.graph, self.order.ranks(), &self.cover, root, out);
-    }
-
-    fn commit(&mut self, pos: usize, out: &mut Self::Candidates, labeled: &mut Vec<VertexId>) {
-        let root = self.order.vertex_at(pos);
-        for &(v, dist, quality, parent) in out.iter() {
-            self.labels[v as usize].entries.push(PathLabelEntry {
-                hub: root,
-                dist,
-                quality,
-                parent,
-            });
-            self.cover[v as usize].push_unordered(LabelEntry::new(root, dist, quality));
-            labeled.push(v);
-        }
-    }
-}
-
-/// Per-worker scratch for the parent-recording sweeps.
+/// Scratch state for the parent-recording sweeps.
 struct PathEngine {
     best_quality: Vec<Quality>,
     touched: Vec<VertexId>,

@@ -8,11 +8,9 @@
 //! certified by the index built so far.
 
 use crate::label::{LabelEntry, LabelSet};
-use crate::parallel_build::{self, BatchJob};
 use crate::query;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 use wcsd_graph::{Distance, Quality, VertexId, WeightedGraph, INF_DIST, INF_QUALITY};
 use wcsd_order::VertexOrder;
 
@@ -27,31 +25,26 @@ pub struct WeightedWcIndex {
 impl WeightedWcIndex {
     /// Builds the weighted index with a degree ordering.
     pub fn build(g: &WeightedGraph) -> Self {
-        Self::build_threads(g, 1)
-    }
-
-    /// Builds the weighted index with a degree ordering on `threads` worker
-    /// threads (`0` = all available cores). The produced index is identical
-    /// for every thread count (see [`crate::parallel_build`]).
-    pub fn build_threads(g: &WeightedGraph, threads: usize) -> Self {
         let mut by_degree: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
         by_degree.sort_by_key(|&v| (Reverse(g.degree(v)), v));
-        Self::build_with_order_threads(g, VertexOrder::from_permutation(by_degree), threads)
+        Self::build_with_order(g, VertexOrder::from_permutation(by_degree))
     }
 
-    /// Builds the weighted index under a caller-supplied vertex order.
+    /// Builds the weighted index under a caller-supplied vertex order: one
+    /// constrained Dijkstra per root, in rank order, each committing its
+    /// candidates before the next root runs.
     pub fn build_with_order(g: &WeightedGraph, order: VertexOrder) -> Self {
-        Self::build_with_order_threads(g, order, 1)
-    }
-
-    /// Builds the weighted index under a caller-supplied vertex order on
-    /// `threads` worker threads (`0` = all available cores).
-    pub fn build_with_order_threads(g: &WeightedGraph, order: VertexOrder, threads: usize) -> Self {
         assert_eq!(order.len(), g.num_vertices());
-        let threads = parallel_build::effective_threads(threads);
-        let mut job = WeightedJob::new(g, &order, threads);
-        parallel_build::run_batched(&mut job, threads);
-        let mut labels = job.labels;
+        let n = g.num_vertices();
+        let mut labels: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut engine = WeightedEngine::new(n);
+        let mut out = Vec::new();
+        for &root in order.as_slice() {
+            engine.run_root(g, order.ranks(), &labels, root, &mut out);
+            for &(v, d, w) in &out {
+                labels[v as usize].push_unordered(LabelEntry::new(root, d, w));
+            }
+        }
         for set in &mut labels {
             set.finalize();
         }
@@ -75,58 +68,7 @@ impl WeightedWcIndex {
     }
 }
 
-/// The [`BatchJob`] behind [`WeightedWcIndex`]: one constrained Dijkstra per
-/// root instead of a constrained BFS, same snapshot/commit protocol.
-struct WeightedJob<'g, 'o> {
-    graph: &'g WeightedGraph,
-    order: &'o VertexOrder,
-    labels: Vec<LabelSet>,
-    engines: Vec<Mutex<WeightedEngine>>,
-}
-
-impl<'g, 'o> WeightedJob<'g, 'o> {
-    fn new(graph: &'g WeightedGraph, order: &'o VertexOrder, threads: usize) -> Self {
-        let n = graph.num_vertices();
-        Self {
-            graph,
-            order,
-            labels: (0..n as VertexId).map(LabelSet::self_label).collect(),
-            engines: (0..threads.max(1)).map(|_| Mutex::new(WeightedEngine::new(n))).collect(),
-        }
-    }
-}
-
-impl BatchJob for WeightedJob<'_, '_> {
-    type Candidates = Vec<(VertexId, Distance, Quality)>;
-
-    fn num_roots(&self) -> usize {
-        self.order.len()
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn root_vertex(&self, pos: usize) -> VertexId {
-        self.order.vertex_at(pos)
-    }
-
-    fn sweep(&self, pos: usize, slot: usize, out: &mut Self::Candidates) {
-        let root = self.order.vertex_at(pos);
-        let mut engine = self.engines[slot].lock().expect("sweep engines never panic");
-        engine.run_root(self.graph, self.order.ranks(), &self.labels, root, out);
-    }
-
-    fn commit(&mut self, pos: usize, out: &mut Self::Candidates, labeled: &mut Vec<VertexId>) {
-        let root = self.order.vertex_at(pos);
-        for &(v, d, w) in out.iter() {
-            self.labels[v as usize].push_unordered(LabelEntry::new(root, d, w));
-            labeled.push(v);
-        }
-    }
-}
-
-/// Per-worker scratch for the constrained Dijkstra sweeps.
+/// Scratch state for the constrained Dijkstra sweeps.
 struct WeightedEngine {
     /// Best quality among settled states per vertex for the current root.
     best_quality: Vec<Quality>,

@@ -2,7 +2,7 @@
 //! WC-INDEX snapshots from edge-list or DIMACS graph files.
 //!
 //! ```text
-//! wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--dimacs]
+//! wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--dimacs]
 //! wcsd-cli stats <graph-file> [--dimacs]
 //! wcsd-cli stats <host:port> [--json]
 //! wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--dimacs]
@@ -10,8 +10,8 @@
 //! wcsd-cli client <host:port> <command> [args...]
 //! wcsd-cli metrics <host:port> [--recent]
 //! wcsd-cli reload <host:port> <index-file>
-//! wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--threads N] [--ordering ...] [--repair-threshold F] [--json PATH] [--dimacs]
-//! wcsd-cli partition <graph-file> <out-dir> [--shards N] [--seed S] [--ordering ...] [--threads N] [--dimacs]
+//! wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--ordering ...] [--repair-threshold F] [--json PATH] [--dimacs]
+//! wcsd-cli partition <graph-file> <out-dir> [--shards N] [--seed S] [--ordering ...] [--dimacs]
 //! wcsd-cli route <overlay-file> <backend-group> [<backend-group>...] [--port P] [--backend-timeout-ms N] [--probe-interval-ms N] [--cache-size N] [--no-metrics]
 //! ```
 //!
@@ -176,7 +176,7 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--threads N] [--dimacs]");
+            eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--dimacs]");
             eprintln!("  wcsd-cli stats <graph-file> [--dimacs]");
             eprintln!("  wcsd-cli stats <host:port> [--json]");
             eprintln!("  wcsd-cli query <graph-file> <index-file> <s> <t> <w> [--dimacs]");
@@ -185,8 +185,8 @@ fn main() -> ExitCode {
             eprintln!("  wcsd-cli client <host:port> <command> [args...]");
             eprintln!("  wcsd-cli metrics <host:port> [--recent]");
             eprintln!("  wcsd-cli reload <host:port> <index-file>");
-            eprintln!("  wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--threads N] [--ordering degree|tree|hybrid] [--repair-threshold F] [--json PATH] [--dimacs]");
-            eprintln!("  wcsd-cli partition <graph-file> <out-dir> [--shards N] [--seed S] [--ordering degree|tree|hybrid] [--threads N] [--dimacs]");
+            eprintln!("  wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--ordering degree|tree|hybrid] [--repair-threshold F] [--json PATH] [--dimacs]");
+            eprintln!("  wcsd-cli partition <graph-file> <out-dir> [--shards N] [--seed S] [--ordering degree|tree|hybrid] [--dimacs]");
             eprintln!("  wcsd-cli route <overlay-file> <backend-group> [<backend-group>...] [--port P] [--backend-timeout-ms N] [--probe-interval-ms N] [--cache-size N] [--no-metrics]");
             eprintln!("      (<backend-group>: host:port[,host:port...] in shard order, or shard<N>=host:port[,...])");
             ExitCode::FAILURE
@@ -241,27 +241,31 @@ fn run(args: &[String]) -> Result<(), String> {
     let use_dimacs = args.iter().any(|a| a == "--dimacs");
     let ordering = parse_ordering(args)?;
     let positional = positional_args(args, value_flags(args));
+    let command = positional.first().map(|s| s.as_str());
+    // `--threads` is a value flag because `serve` takes it; anywhere an
+    // index is built it would be skipped silently, flag and value alike.
+    if matches!(command, Some("build" | "feed" | "partition"))
+        && args.iter().any(|a| a == "--threads")
+    {
+        return Err("index construction is sequential; --threads applies only to serve".to_string());
+    }
 
-    match positional.first().map(|s| s.as_str()) {
+    match command {
         Some("build") => {
             let [_, graph_path, index_path] = positional[..] else {
                 return Err("build requires <graph-file> <index-file>".to_string());
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
-            // --threads N: construction workers (0 = all cores); the index is
-            // identical for every thread count.
-            let threads: usize = flag_value(args, "--threads")?.unwrap_or(1);
             let start = std::time::Instant::now();
-            let index = IndexBuilder::new().ordering(ordering).threads(threads).build(&graph);
+            let index = IndexBuilder::new().ordering(ordering).build(&graph);
             let stats = index.stats();
             std::fs::write(index_path, FlatIndex::from_index(&index).encode())
                 .map_err(|e| format!("cannot write {index_path}: {e}"))?;
             println!(
-                "built WCIF index for {} vertices / {} edges in {:.2?} ({} thread(s)): {} entries ({:.2} per vertex, {:.3} MiB) -> {index_path}",
+                "built WCIF index for {} vertices / {} edges in {:.2?}: {} entries ({:.2} per vertex, {:.3} MiB) -> {index_path}",
                 graph.num_vertices(),
                 graph.num_edges(),
                 start.elapsed(),
-                threads,
                 stats.total_entries,
                 stats.avg_label_size,
                 stats.megabytes()
@@ -473,7 +477,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 ));
             }
             let seed: u64 = flag_value(args, "--seed")?.unwrap_or(0);
-            let threads: usize = flag_value(args, "--threads")?.unwrap_or(1);
             let out = std::path::Path::new(out_dir);
             std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
             let start = std::time::Instant::now();
@@ -489,7 +492,7 @@ fn run(args: &[String]) -> Result<(), String> {
             // unsharded index.
             for shard in 0..shards as u32 {
                 let sub = partition.shard_subgraph(&graph, shard);
-                let index = IndexBuilder::new().ordering(ordering).threads(threads).build(&sub);
+                let index = IndexBuilder::new().ordering(ordering).build(&sub);
                 let flat = FlatIndex::from_index(&index);
                 let path = out.join(format!("shard-{shard}.fidx"));
                 std::fs::write(&path, flat.encode())
@@ -588,9 +591,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let text = std::fs::read_to_string(updates_path)
                 .map_err(|e| format!("cannot read {updates_path}: {e}"))?;
             let updates = wcsd_bench::freshness::parse_update_stream(&text)?;
-            let threads: usize = flag_value(args, "--threads")?.unwrap_or(1);
             let start = std::time::Instant::now();
-            let builder = IndexBuilder::new().ordering(ordering).threads(threads);
+            let builder = IndexBuilder::new().ordering(ordering);
             let mut dyn_idx = wcsd::core::dynamic::DynamicWcIndex::new(&graph, builder);
             if let Some(threshold) = flag_value::<f64>(args, "--repair-threshold")? {
                 dyn_idx.set_repair_threshold(threshold);
@@ -767,4 +769,22 @@ fn load_index(path: &str, graph: &Graph) -> Result<FlatIndex, String> {
         ));
     }
     Ok(index)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    #[test]
+    fn build_commands_reject_threads() {
+        for cmd in [
+            &["build", "g.edges", "out.fidx", "--threads", "4"][..],
+            &["feed", "g.edges", "u.updates", "snaps", "--threads", "2"],
+            &["partition", "g.edges", "shards", "--threads", "2"],
+        ] {
+            let args: Vec<String> = cmd.iter().map(|a| a.to_string()).collect();
+            let err = run(&args).unwrap_err();
+            assert!(err.contains("--threads applies only to serve"), "{cmd:?}: {err}");
+        }
+    }
 }

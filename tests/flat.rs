@@ -247,3 +247,24 @@ fn refrozen_dynamic_index_matches_live_index() {
         }
     }
 }
+
+/// FNV-1a, 64-bit: a hash fixed by its definition, so a golden constant
+/// stays valid across Rust releases (`DefaultHasher` makes no such promise).
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Golden snapshot: the fixture graph built the way `wcsd-cli build` builds
+/// it (hybrid order, WC-INDEX+) encodes to exactly these `WCIF` bytes. Any
+/// change to the construction sweep, the vertex order or the image layout
+/// that moves a single byte fails here.
+#[test]
+fn fixture_build_matches_golden_wcif_hash() {
+    let g = wcsd::graph::io::read_graph_file("tests/fixtures/smoke.edges", false)
+        .expect("fixture graph must load");
+    let idx = IndexBuilder::new().ordering(OrderingStrategy::Hybrid).build(&g);
+    let bytes = FlatIndex::from_index(&idx).encode();
+    assert_eq!(fnv1a_64(&bytes), 0x70ef_1d8d_99cf_f71c, "WCIF image of {} bytes", bytes.len());
+}

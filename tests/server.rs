@@ -42,10 +42,7 @@ fn write_snapshot(g: &Graph, tag: &str) -> (String, WcIndex) {
 /// the address, a reference copy of the index for cross-checking, and the
 /// join handle that yields the final counter snapshot.
 fn start_server(g: &Graph) -> (String, WcIndex, std::thread::JoinHandle<ServerSnapshot>) {
-    // Exercise the parallel construction path end to end: the served index is
-    // identical to a sequential build (see tests/parallel_build.rs), so every
-    // wire-level assertion below also pins the parallel builder.
-    let index = IndexBuilder::wc_index_plus().threads(2).build(g);
+    let index = IndexBuilder::wc_index_plus().build(g);
     let reference = index.clone();
     let server = Server::bind(index, ServerConfig::default()).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();

@@ -55,16 +55,13 @@ fn sample_queries(g: &Graph, rng: &mut StdRng) -> Vec<(u32, u32, u32)> {
 fn thousand_vertex_invariant_soak() {
     for (name, g) in soak_graphs() {
         assert!(g.num_vertices() >= 1000, "{name} is not thousand-vertex scale");
-        // Build on the parallel construction path (threads = all cores) and
-        // pin it to the sequential build at soak scale before using it: the
-        // equivalence suite covers smaller graphs, this is the big-graph leg.
-        let idx = IndexBuilder::wc_index_plus().threads(0).build(&g);
-        let sequential_idx = IndexBuilder::wc_index_plus().build(&g);
-        assert!(
-            idx == sequential_idx,
-            "{name}: parallel build diverged from sequential at soak scale"
-        );
-        drop(sequential_idx);
+        // Determinism at soak scale: two builds of the same graph must be
+        // equal label for label (the golden WCIF test in tests/flat.rs pins
+        // the bytes on the small fixture; this is the big-graph leg).
+        let idx = IndexBuilder::wc_index_plus().build(&g);
+        let rebuilt = IndexBuilder::wc_index_plus().build(&g);
+        assert!(idx == rebuilt, "{name}: two builds of the same graph differ at soak scale");
+        drop(rebuilt);
         let mut rng = StdRng::seed_from_u64(0x50AC ^ g.num_vertices() as u64);
         let queries = sample_queries(&g, &mut rng);
 
