@@ -11,8 +11,10 @@
 //!   Elimination tree decomposition; the better choice for road networks
 //!   (Observation 3 / Definition 8).
 //! * [`hybrid_order`] — the paper's proposal: high-degree "core" vertices
-//!   ordered by degree first, "periphery" vertices ordered by the tree
-//!   decomposition elimination hierarchy.
+//!   ordered by degree first, then the "periphery" ordered by a
+//!   nested-dissection separator hierarchy; a periphery without small
+//!   separators (scale-free graphs) keeps a capped minimum-degree-elimination
+//!   hierarchy instead.
 //! * [`random_order`], [`natural_order`], [`bfs_level_order`] — ablation
 //!   baselines.
 //!

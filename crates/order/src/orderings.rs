@@ -96,38 +96,215 @@ pub struct HybridConfig {
 ///
 /// 1. vertices with degree above the threshold form the *core* and are ordered
 ///    by non-ascending degree (cheap, effective on hubs);
-/// 2. the remaining *periphery* vertices are ordered by the MDE tree
-///    decomposition hierarchy computed on the graph with the core removed
-///    conceptually (we cap bag growth at the threshold, which is equivalent
-///    in effect and avoids the dense-core blow-up);
+/// 2. the remaining *periphery* vertices are ordered by a nested-dissection
+///    separator hierarchy of the subgraph they induce (the core removed): a
+///    BFS-level separator of each connected part is ranked first, then the
+///    part below it and the part above it, recursively;
 /// 3. core vertices precede periphery vertices.
+///
+/// Nested dissection needs small separators, which road-like peripheries
+/// have and scale-free ones lack. So when the periphery's first separator
+/// exceeds `4·√|periphery|` (or no part is large enough to split), the
+/// periphery is instead ranked by a minimum-degree-elimination hierarchy
+/// whose bag growth is capped at the threshold, its uneliminated remainder
+/// ranked by degree.
 pub fn hybrid_order(g: &Graph, config: &HybridConfig) -> VertexOrder {
     let threshold =
         config.degree_threshold.unwrap_or_else(|| ((g.avg_degree() * 4.0).ceil() as usize).max(16));
 
-    let mut core: Vec<VertexId> =
+    let mut order: Vec<VertexId> =
         (0..g.num_vertices() as VertexId).filter(|&v| g.degree(v) > threshold).collect();
-    core.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    let mut is_core = vec![false; g.num_vertices()];
+    for &v in &order {
+        is_core[v as usize] = true;
+    }
+    let periphery: Vec<VertexId> =
+        (0..g.num_vertices() as VertexId).filter(|&v| !is_core[v as usize]).collect();
 
-    // Periphery hierarchy: run MDE but never eliminate a vertex whose transient
-    // degree exceeds the threshold — those end up in the decomposition's core,
-    // which we then order by degree (same rule as the core set above).
-    let td =
-        TreeDecomposition::build(g, &TreeDecompositionConfig { max_bag_degree: Some(threshold) });
-    let is_core: Vec<bool> = {
-        let mut flags = vec![false; g.num_vertices()];
-        for &v in &core {
-            flags[v as usize] = true;
-        }
-        flags
-    };
-    let mut order = core.clone();
-    for v in td.hierarchy_order(g) {
-        if !is_core[v as usize] {
-            order.push(v);
-        }
+    match Dissection::new(g).order(periphery) {
+        Some(periphery) => order.extend(periphery),
+        None => order.extend(capped_mde_order(g, threshold, &is_core)),
     }
     VertexOrder::from_permutation(order)
+}
+
+/// The periphery (vertices not flagged in `is_core`) ranked by an MDE
+/// hierarchy that never eliminates a vertex whose transient degree exceeds
+/// `threshold`; those end up in the decomposition's core, which
+/// `hierarchy_order` ranks by degree.
+fn capped_mde_order(g: &Graph, threshold: usize, is_core: &[bool]) -> Vec<VertexId> {
+    let td =
+        TreeDecomposition::build(g, &TreeDecompositionConfig { max_bag_degree: Some(threshold) });
+    td.hierarchy_order(g).into_iter().filter(|&v| !is_core[v as usize]).collect()
+}
+
+/// Parts of at most this many vertices are ranked by degree, not split.
+const ND_LEAF: usize = 16;
+/// A separator level is chosen among those whose cumulative vertex count
+/// (through the level) lies in this share of the part.
+const ND_BAND: (f64, f64) = (0.4, 0.6);
+/// The first separator may hold at most this many times `√|periphery|`
+/// vertices, or the periphery falls back to capped MDE.
+const ND_GUARD: f64 = 4.0;
+
+/// Nested dissection by BFS-level separators over a vertex subset.
+struct Dissection<'g> {
+    g: &'g Graph,
+    /// `part[v]` is the id of the part `v` was last placed in; a BFS walks only
+    /// vertices whose id is `current`.
+    part: Vec<u32>,
+    current: u32,
+    /// `level[v]` is `v`'s BFS level, valid where `seen[v] == sweep`.
+    level: Vec<u32>,
+    seen: Vec<u32>,
+    sweep: u32,
+    /// The vertices of the last BFS, in visit order (so by ascending level).
+    queue: Vec<VertexId>,
+}
+
+impl<'g> Dissection<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let n = g.num_vertices();
+        Self {
+            g,
+            part: vec![0; n],
+            current: 0,
+            level: vec![0; n],
+            seen: vec![0; n],
+            sweep: 0,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Ranks `vertices` (most important first) by nested dissection of the
+    /// subgraph they induce, or `None` if the guard rejects the first
+    /// separator. Parts wait on an explicit stack, lower part on top.
+    fn order(mut self, vertices: Vec<VertexId>) -> Option<Vec<VertexId>> {
+        let mut guard = Some((ND_GUARD * (vertices.len() as f64).sqrt()) as usize);
+        let mut order = Vec::with_capacity(vertices.len());
+        let mut stack = vec![vertices];
+        while let Some(part) = stack.pop() {
+            if part.len() <= ND_LEAF {
+                order.extend(self.by_degree(part));
+                continue;
+            }
+            self.enter(&part);
+            self.bfs(part[0]);
+            if self.queue.len() < part.len() {
+                // Largest first, so the guard judges the largest component's cut.
+                let mut components = self.components(&part);
+                components.sort_by_key(|c| std::cmp::Reverse(c.len()));
+                stack.extend(components.into_iter().rev());
+                continue;
+            }
+            // Two sweeps: the last vertex reached is pseudo-peripheral.
+            self.bfs(*self.queue.last().expect("non-empty part"));
+            let (lower, separator, upper) = self.split();
+            if guard.take().is_some_and(|limit| separator.len() > limit) {
+                return None;
+            }
+            order.extend(self.by_degree(separator));
+            stack.extend([upper, lower].into_iter().filter(|p| !p.is_empty()));
+        }
+        // No part was large enough to split: nothing to dissect.
+        guard.is_none().then_some(order)
+    }
+
+    /// Makes `vertices` the part BFS walks.
+    fn enter(&mut self, vertices: &[VertexId]) {
+        self.current += 1;
+        for &v in vertices {
+            self.part[v as usize] = self.current;
+        }
+    }
+
+    /// BFS from `src` inside the current part; fills `queue` and `level`.
+    fn bfs(&mut self, src: VertexId) {
+        self.sweep += 1;
+        self.queue.clear();
+        self.queue.push(src);
+        self.seen[src as usize] = self.sweep;
+        self.level[src as usize] = 0;
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for &v in self.g.neighbor_ids(u) {
+                let i = v as usize;
+                if self.part[i] == self.current && self.seen[i] != self.sweep {
+                    self.seen[i] = self.sweep;
+                    self.level[i] = self.level[u as usize] + 1;
+                    self.queue.push(v);
+                }
+            }
+        }
+    }
+
+    /// Splits the current part into its connected components, in the order
+    /// `part` first reaches them; the part is left empty.
+    fn components(&mut self, part: &[VertexId]) -> Vec<Vec<VertexId>> {
+        let mut components = Vec::new();
+        for &v in part {
+            if self.part[v as usize] == self.current {
+                self.bfs(v);
+                for &u in &self.queue {
+                    self.part[u as usize] = 0;
+                }
+                components.push(self.queue.clone());
+            }
+        }
+        components
+    }
+
+    /// Splits the last BFS's levels into `(lower, separator, upper)`. The
+    /// separator is the narrowest level whose cumulative count lies in
+    /// [`ND_BAND`] (ties: the most balanced), else the median level. A
+    /// separator vertex with no neighbour in the next level moves to the
+    /// lower part, which it cannot join to the upper one.
+    fn split(&self) -> (Vec<VertexId>, Vec<VertexId>, Vec<VertexId>) {
+        let q = &self.queue;
+        let total = q.len();
+        // Level `k` is `q[starts[k]..starts[k + 1]]`.
+        let mut starts: Vec<usize> = std::iter::once(0)
+            .chain(
+                (1..total).filter(|&i| self.level[q[i] as usize] != self.level[q[i - 1] as usize]),
+            )
+            .collect();
+        starts.push(total);
+        let levels = starts.len() - 1;
+        let band = (total as f64 * ND_BAND.0).ceil() as usize..=(total as f64 * ND_BAND.1) as usize;
+        let k = (0..levels)
+            .filter(|&k| band.contains(&starts[k + 1]))
+            .min_by_key(|&k| (starts[k + 1] - starts[k], (2 * starts[k + 1]).abs_diff(total)))
+            .unwrap_or_else(|| {
+                (0..levels)
+                    .find(|&k| 2 * starts[k + 1] >= total)
+                    .expect("the last level reaches total")
+            });
+
+        let mut lower = q[..starts[k]].to_vec();
+        let mut separator = Vec::new();
+        let (last, next) = (k + 1 == levels, (k + 1) as u32);
+        for &v in &q[starts[k]..starts[k + 1]] {
+            let feeds_upper = || {
+                self.g.neighbor_ids(v).iter().any(|&u| {
+                    self.part[u as usize] == self.current && self.level[u as usize] == next
+                })
+            };
+            if last || feeds_upper() {
+                separator.push(v);
+            } else {
+                lower.push(v);
+            }
+        }
+        (lower, separator, q[starts[k + 1]..].to_vec())
+    }
+
+    /// `vertices` by non-ascending degree, ties by id.
+    fn by_degree(&self, mut vertices: Vec<VertexId>) -> Vec<VertexId> {
+        vertices.sort_by_key(|&v| (std::cmp::Reverse(self.g.degree(v)), v));
+        vertices
+    }
 }
 
 /// BFS-level ordering: a BFS from the maximum-degree vertex assigns levels;
@@ -160,7 +337,8 @@ pub fn bfs_level_order(g: &Graph) -> VertexOrder {
 mod tests {
     use super::*;
     use wcsd_graph::generators::{
-        barabasi_albert, paper_figure3, road_grid, star_graph, QualityAssigner, RoadGridConfig,
+        barabasi_albert, paper_figure3, path_graph, road_grid, star_graph, QualityAssigner,
+        RoadGridConfig,
     };
 
     fn assert_is_permutation(o: &VertexOrder, n: usize) {
@@ -226,6 +404,54 @@ mod tests {
         let g = road_grid(&RoadGridConfig::square(10), &QualityAssigner::uniform(5), 9);
         let o = hybrid_order(&g, &HybridConfig::default());
         assert_is_permutation(&o, 100);
+    }
+
+    /// Today's fallback, rebuilt from its parts: the degree core, then the
+    /// capped-MDE periphery.
+    fn capped_mde_hybrid(g: &Graph) -> Vec<VertexId> {
+        let threshold = ((g.avg_degree() * 4.0).ceil() as usize).max(16);
+        let is_core: Vec<bool> =
+            (0..g.num_vertices() as VertexId).map(|v| g.degree(v) > threshold).collect();
+        let mut order: Vec<VertexId> =
+            (0..g.num_vertices() as VertexId).filter(|&v| is_core[v as usize]).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        order.extend(capped_mde_order(g, threshold, &is_core));
+        order
+    }
+
+    #[test]
+    fn hybrid_dissects_a_road_periphery() {
+        let g = road_grid(&RoadGridConfig::square(30), &QualityAssigner::uniform(5), 2);
+        let o = hybrid_order(&g, &HybridConfig::default());
+        assert_is_permutation(&o, 900);
+        assert_ne!(
+            o.as_slice(),
+            capped_mde_hybrid(&g),
+            "a grid must take the nested-dissection path"
+        );
+    }
+
+    #[test]
+    fn hybrid_guard_keeps_capped_mde_on_a_social_graph() {
+        let g = barabasi_albert(1000, 5, &QualityAssigner::uniform(5), 3);
+        let o = hybrid_order(&g, &HybridConfig::default());
+        assert_eq!(o.as_slice(), capped_mde_hybrid(&g));
+    }
+
+    #[test]
+    fn hybrid_ranks_a_path_from_its_middle() {
+        let o = hybrid_order(&path_graph(101, 1), &HybridConfig::default());
+        assert_is_permutation(&o, 101);
+        let first = o.vertex_at(0);
+        assert!((40..=60).contains(&first), "first-ranked vertex {first} is not central");
+    }
+
+    #[test]
+    fn hybrid_orders_tiny_graphs() {
+        for n in [0, 1] {
+            let g = wcsd_graph::GraphBuilder::new(n).build();
+            assert_is_permutation(&hybrid_order(&g, &HybridConfig::default()), n);
+        }
     }
 
     #[test]

@@ -59,9 +59,8 @@ impl TreeDecomposition {
             }
             if let Some(limit) = config.max_bag_degree {
                 if deg > limit {
-                    // Everything left is the core; the heap only ever grows
-                    // degrees for remaining vertices... not strictly, so stop
-                    // based on the *current minimum*, which `deg` is.
+                    // `deg` is the smallest degree left, so no remaining vertex
+                    // may be eliminated: everything left is the core.
                     break;
                 }
             }

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wcsd::graph::generators::paper_figure3;
+use wcsd::graph::generators::{barabasi_albert, paper_figure3, QualityAssigner};
 use wcsd::prelude::*;
 use wcsd_core::dynamic::DynamicWcIndex;
 use wcsd_core::query::query_pair_scan;
@@ -266,5 +266,17 @@ fn fixture_build_matches_golden_wcif_hash() {
         .expect("fixture graph must load");
     let idx = IndexBuilder::new().ordering(OrderingStrategy::Hybrid).build(&g);
     let bytes = FlatIndex::from_index(&idx).encode();
-    assert_eq!(fnv1a_64(&bytes), 0x70ef_1d8d_99cf_f71c, "WCIF image of {} bytes", bytes.len());
+    assert_eq!(fnv1a_64(&bytes), 0x665c_064b_cbbf_2402, "WCIF image of {} bytes", bytes.len());
+}
+
+/// Golden snapshot of the `social-point` graph, seed-1
+/// `barabasi_albert(2000, 5)` built as `wc_index_plus()` builds it. Its
+/// periphery has no small separator, so the hybrid order keeps the capped
+/// minimum-degree elimination and these bytes must never move with a change
+/// to the road-graph order.
+#[test]
+fn social_build_matches_golden_wcif_hash() {
+    let g = barabasi_albert(2000, 5, &QualityAssigner::uniform(5), 1);
+    let bytes = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g)).encode();
+    assert_eq!(fnv1a_64(&bytes), 0x0f90_a1a2_f2d4_30ff, "WCIF image of {} bytes", bytes.len());
 }

@@ -15,6 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wcsd::graph::generators::{barabasi_albert, road_grid, QualityAssigner, RoadGridConfig};
 use wcsd::prelude::*;
 use wcsd_baselines::online::constrained_bfs;
 use wcsd_core::dynamic::DynamicWcIndex;
@@ -122,6 +123,89 @@ fn query_implementations_agree() {
                     assert_eq!(b, c, "seed {seed}: Q({s},{t},{w})");
                     assert_eq!(idx.distance(s, t, w), (c != INF_DIST).then_some(c));
                 }
+            }
+        }
+    }
+}
+
+/// Appends `g` to `b` with its vertex ids shifted by `offset`.
+fn add_shifted(b: &mut GraphBuilder, g: &Graph, offset: u32) {
+    for e in g.edges() {
+        b.add_edge(e.u + offset, e.v + offset, e.quality);
+    }
+}
+
+/// The graphs the order agreement is checked on, each named: seeded road
+/// grids, scale-free graphs, a disconnected graph (two grids plus isolated
+/// vertices), and a grid whose periphery two columns of high-degree hubs cut
+/// into three pieces (each column is made a clique, so its vertices exceed
+/// the hybrid order's degree threshold and leave the periphery).
+fn order_agreement_graphs() -> Vec<(String, Graph)> {
+    let levels = QualityAssigner::uniform(5);
+    let mut graphs = Vec::new();
+    for seed in 0..2 {
+        let side = StdRng::seed_from_u64(seed ^ 0x0DE5).gen_range(20..40usize);
+        let g = road_grid(&RoadGridConfig::square(side), &levels, seed);
+        graphs.push((format!("road_grid({side}) seed {seed}"), g));
+        let n = 300 + 100 * seed as usize;
+        graphs.push((
+            format!("barabasi_albert({n}, 4) seed {seed}"),
+            barabasi_albert(n, 4, &levels, seed),
+        ));
+    }
+
+    let (a, b) = (
+        road_grid(&RoadGridConfig::square(12), &levels, 5),
+        road_grid(&RoadGridConfig::square(9), &levels, 6),
+    );
+    let mut builder = GraphBuilder::new(144 + 81 + 7);
+    add_shifted(&mut builder, &a, 0);
+    add_shifted(&mut builder, &b, 144);
+    graphs.push(("two grids and 7 isolated vertices".into(), builder.build()));
+
+    let side = 24u32;
+    let grid = road_grid(&RoadGridConfig::square(side as usize), &levels, 7);
+    let mut builder = GraphBuilder::new((side * side) as usize);
+    add_shifted(&mut builder, &grid, 0);
+    let mut rng = StdRng::seed_from_u64(7);
+    for col in [8, 16] {
+        for r1 in 0..side {
+            for r2 in r1 + 1..side {
+                builder.add_edge(r1 * side + col, r2 * side + col, rng.gen_range(1..=5));
+            }
+        }
+    }
+    graphs.push(("grid cut by two hub columns".into(), builder.build()));
+    graphs
+}
+
+/// Answers do not depend on the vertex order: indexes built under the
+/// degree, tree-decomposition and hybrid orders agree with each other on
+/// sampled queries, and with the online BFS oracle on a subset of them.
+#[test]
+fn orders_agree_with_each_other_and_the_oracle() {
+    let strategies =
+        [OrderingStrategy::Degree, OrderingStrategy::TreeDecomposition, OrderingStrategy::Hybrid];
+    for (case, (name, g)) in order_agreement_graphs().into_iter().enumerate() {
+        let n = g.num_vertices() as u32;
+        let indexes: Vec<_> = strategies
+            .iter()
+            .map(|&s| IndexBuilder::wc_index_plus().ordering(s).build(&g))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(case as u64 ^ 0x04DE_2500);
+        for i in 0..2000 {
+            let (s, t, w) = (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..=6u32));
+            let answers: Vec<_> = indexes.iter().map(|idx| idx.distance(s, t, w)).collect();
+            assert!(
+                answers.iter().all(|&a| a == answers[0]),
+                "{name}: Q({s},{t},{w}) = {answers:?}"
+            );
+            if i % 10 == 0 {
+                assert_eq!(
+                    answers[0],
+                    constrained_bfs(&g, s, t, w),
+                    "{name}: Q({s},{t},{w}) vs BFS"
+                );
             }
         }
     }
