@@ -22,6 +22,11 @@
 //! | `partial:<n>` | the site performs only the first `<n>` bytes of a      |
 //! |               | write, then reports failure (torn-write simulation)    |
 //!
+//! The sites: `reactor.accept` (each accepted connection, on a backend's and
+//! a router's reactor alike), `worker.batch` (each backend `BATCH` job, never
+//! a router job), `snapshot.write` ([`crate::write_snapshot_atomic`]) and
+//! `router.probe` (each prober health check).
+//!
 //! An optional `count*` prefix arms the action for exactly `count` firings,
 //! after which the site goes inert again — this is how a test says "refuse
 //! the next 3 accepts, then recover". Without a count the action persists

@@ -10,13 +10,20 @@
 //!   the swappable `Arc<`[`wcsd_core::FlatIndex`]`>` snapshot slot (hot
 //!   reloadable via the `RELOAD` verb, generation-tagged), the result
 //!   cache, and the counters behind `STATS`.
-//! * `reactor` *(private module)* — the event-loop core: nonblocking sockets
-//!   multiplexed through a minimal `poll(2)` wrapper, per-connection
-//!   read/parse/execute/write state machines, and a bounded worker pool
-//!   for `BATCH` answering and `RELOAD` snapshot decoding. The pool is the
-//!   only level of query parallelism (a large batch is split across idle
-//!   workers, never across spawned threads). Connections scale with file
-//!   descriptors, not threads.
+//! * [`router::Router`] — the scatter-gather front end over `N`
+//!   single-shard backends with replica failover: it answers from the
+//!   boundary overlay, a result cache and a potential cache, and fans cache
+//!   misses out over a worker pool that grows to one worker per request in
+//!   flight, each worker owning its backend connections.
+//! * `reactor` *(private module)* — the one event-loop core both serve on,
+//!   generic over a `Service` (the backend's or the router's): nonblocking
+//!   sockets multiplexed through a minimal `poll(2)` wrapper,
+//!   per-connection read/parse/execute/write state machines with the wire
+//!   limits, admission control, and a bounded worker pool for the jobs a
+//!   service offloads (`BATCH`, `RELOAD` decoding, routed cache misses). The
+//!   pool is the only level of query parallelism — fixed for the backend,
+//!   growing with the requests in flight for the router — and connections
+//!   scale with file descriptors, not threads.
 //! * [`protocol`] — the newline-delimited text protocol (`QUERY`, `BATCH`,
 //!   `WITHIN`, `STATS`, `RELOAD`, `SHUTDOWN`) and the protocol-neutral
 //!   [`protocol::Reply`] type.

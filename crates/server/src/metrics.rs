@@ -1,5 +1,5 @@
 //! The server's metric surface: every counter, gauge, and histogram the
-//! reactor records, resolved once at bind time into `Arc` handles so the hot
+//! reactor records — for a backend and a router alike — resolved once at bind time into `Arc` handles so the hot
 //! path never touches the registry lock.
 //!
 //! ## Reconciliation by construction
@@ -8,10 +8,9 @@
 //! *exactly* with the verb counters inside any single scrape, even under
 //! concurrent load. That property is not enforced by locking but by thread
 //! placement: every per-verb counter and every `execute` histogram sample is
-//! mutated **only on the reactor thread** — inline verbs at execution, batch
-//! and reload completions in `apply_completion` (workers measure durations
-//! and ship them back in `Done`) — and `METRICS` renders on that same
-//! thread. Within one rendered payload, `sum(wcsd_requests_total{proto=p})`
+//! mutated **only on the reactor thread** — inline verbs at execution,
+//! offloaded ones at completion (workers measure durations and ship them
+//! back with the outcome) — and `METRICS` renders on that same thread. Within one rendered payload, `sum(wcsd_requests_total{proto=p})`
 //! therefore equals `wcsd_request_phase_us_count{proto=p,phase="execute"}`
 //! whenever timing is enabled: the two are incremented together with no
 //! concurrent mutator.
@@ -91,14 +90,7 @@ pub(crate) struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    pub(crate) fn new(
-        registry: Arc<Registry>,
-        enabled: bool,
-        slow_query_ms: Option<u64>,
-        worker_pool_size: usize,
-        cache_capacity: usize,
-        max_pending_jobs: usize,
-    ) -> Self {
+    pub(crate) fn new(registry: Arc<Registry>, enabled: bool, slow_query_ms: Option<u64>) -> Self {
         let slow_query_us = slow_query_ms.map(|ms| ms.saturating_mul(1000));
         let verbs = std::array::from_fn(|p| {
             std::array::from_fn(|v| {
@@ -140,15 +132,6 @@ impl ServerMetrics {
                 "Requests shed with a busy reply because the pending-job queue was full",
             )
         });
-        registry
-            .gauge("wcsd_pending_jobs_limit", "Configured pending-job admission cap")
-            .set(max_pending_jobs as i64);
-        registry
-            .gauge("wcsd_worker_pool_size", "Configured batch worker threads")
-            .set(worker_pool_size as i64);
-        registry
-            .gauge("wcsd_cache_capacity", "Configured result cache capacity in entries")
-            .set(cache_capacity as i64);
         Self {
             enabled,
             slow_query_us,
@@ -216,59 +199,32 @@ impl ServerMetrics {
         }
     }
 
-    /// Records one phase sample from a duration already measured elsewhere
-    /// (worker-side batch/reload timings shipped back in `Done`).
-    #[inline]
-    pub(crate) fn phase_us(&self, proto: usize, phase: usize, us: u64) {
-        if self.enabled {
-            self.phases[proto][phase].record(us);
-        }
-    }
-
     /// Finishes one executed request: bumps its verb counter and, when
-    /// timing is on, records the `execute` phase and checks the slow-query
-    /// threshold. `detail` is only rendered for a slow-query event.
-    pub(crate) fn finish_request(
+    /// timing is on, records its `queue` phase (offloaded requests only) and
+    /// its `execute` phase and checks the slow-query threshold. Durations of
+    /// offloaded requests were measured on a worker; recording them here, on
+    /// the reactor thread, is what keeps scrapes reconciled (see module
+    /// docs). `detail` is only rendered for a slow-query event.
+    pub(crate) fn finish(
         &self,
         proto: usize,
         verb: usize,
-        started: Option<Instant>,
+        queue_us: Option<u64>,
+        execute_us: Option<u64>,
         detail: impl FnOnce() -> String,
     ) {
         self.verbs[proto][verb].inc();
-        let Some(t0) = started else { return };
-        let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let Some(us) = execute_us else { return };
         if self.enabled {
+            if let Some(queue_us) = queue_us {
+                self.phases[proto][PHASE_QUEUE].record(queue_us);
+            }
             self.phases[proto][PHASE_EXECUTE].record(us);
         }
         if let Some(limit) = self.slow_query_us {
             if us >= limit && matches!(verb, VERB_QUERY | VERB_WITHIN | VERB_BATCH) {
                 self.slow_queries.inc();
                 self.registry.tracer().record("slow_query", &detail(), us);
-            }
-        }
-    }
-
-    /// Finishes a worker-executed request whose durations were measured on
-    /// the worker: verb counter plus queue/execute samples, all recorded on
-    /// the reactor thread (see module docs). `detail` is only rendered for a
-    /// slow-query event.
-    pub(crate) fn finish_offloaded(
-        &self,
-        proto: usize,
-        verb: usize,
-        timing: Option<(u64, u64)>,
-        detail: impl FnOnce() -> String,
-    ) {
-        self.verbs[proto][verb].inc();
-        if let Some((queue_us, exec_us)) = timing {
-            self.phase_us(proto, PHASE_QUEUE, queue_us);
-            self.phase_us(proto, PHASE_EXECUTE, exec_us);
-            if let Some(limit) = self.slow_query_us {
-                if exec_us >= limit && verb == VERB_BATCH {
-                    self.slow_queries.inc();
-                    self.registry.tracer().record("slow_query", &detail(), exec_us);
-                }
             }
         }
     }

@@ -2,6 +2,25 @@
 //! thread, so concurrent connections scale past thread count and an idle
 //! server sleeps in `poll(2)` instead of busy-polling `accept`.
 //!
+//! ## One core, two services
+//!
+//! The reactor is generic over a [`Service`] — what a request *means* — and
+//! owns everything about how requests arrive and leave. It is monomorphized
+//! for its two services:
+//!
+//! * the **backend** ([`crate::server::Server`]): the swappable snapshot
+//!   slot, the epoch-tagged result cache, `BATCH` splitting across idle
+//!   workers, and `RELOAD`;
+//! * the **router** ([`crate::router::Router`]): the boundary overlay, the
+//!   result and potential caches, and the replica circuit breakers.
+//!
+//! Accept and poll, the first-byte protocol sniff, text and binary framing
+//! with their [`MAX_LINE`] / [`binary::MAX_FRAME`] limits, `BATCH` body
+//! assembly, output backpressure, the write-stall deadline, admission
+//! control and shedding, the per-verb counters and phase histograms,
+//! `STATS`/`METRICS`, and the `SHUTDOWN` drain therefore exist once, and the
+//! two servers cannot drift apart on any of them.
+//!
 //! ## Structure
 //!
 //! One reactor thread owns every connection. Each loop iteration polls the
@@ -12,26 +31,30 @@
 //! * **parse** — split the buffer into requests (newline-framed text or
 //!   length-prefixed binary, negotiated by the first byte — see
 //!   [`crate::binary`]);
-//! * **execute** — point lookups, `WITHIN`, and `STATS` run inline (they are
-//!   microsecond index probes); `BATCH` answering and `RELOAD` snapshot
-//!   decoding are shipped to the bounded worker pool so a large job never
-//!   stalls the loop. The pool is the server's only level of query
-//!   parallelism: a batch runs on the worker that dequeues it, and only a
-//!   large batch arriving while workers sit idle is split across them;
+//! * **execute** — the service answers each request either inline as a
+//!   [`Reply`] (index probes, cache hits, `STATS`) or as a job for the
+//!   bounded worker pool ([`Answer::Offload`]), so a large or blocking job
+//!   never stalls the loop. Each pool worker owns the service's per-worker
+//!   state ([`Service::Worker`]) for its lifetime. The pool is the server's
+//!   only level of parallelism: nothing is spawned per request. It grows
+//!   from [`Core::workers`] toward [`Core::max_workers`] while a job finds
+//!   every worker taken: the backend's is fixed (CPU-bound jobs), the
+//!   router's grows to one per request in flight (jobs blocked on backends);
 //! * **write** — replies accumulate in an output buffer flushed as the
-//!   socket accepts them, with a stall deadline replacing the old blocking
-//!   `WRITE_TIMEOUT`.
+//!   socket accepts them, with a stall deadline replacing a blocking write
+//!   timeout.
 //!
 //! A connection with a job in flight pauses parsing (replies stay in request
-//! order); its completion comes back over a channel and the worker wakes the
-//! reactor out of `poll` by writing one byte to a loopback socket pair (the
-//! self-pipe trick, kept std-only).
+//! order). Idle workers sleep on one condvar queue, so a job wakes exactly
+//! one of them; completions come back on a shared list, and the worker that
+//! makes it non-empty wakes the reactor out of `poll` by writing one byte to
+//! a socket pair (the self-pipe trick, kept std-only).
 //!
 //! ## The `poll(2)` wrapper
 //!
 //! [`sys`] is the one place the workspace touches FFI: a `#[repr(C)]`
 //! `pollfd` with a direct `extern "C"` declaration of `poll(2)`, plus the
-//! socket calls behind [`listen_reuseaddr`] (`SO_REUSEADDR` must be set
+//! socket calls behind [`Endpoint::bind`] (`SO_REUSEADDR` must be set
 //! before `bind`, which std's `TcpListener` cannot express — and without it
 //! a restarted backend cannot re-acquire its port for a TIME_WAIT minute).
 //! No new dependencies. Everything above it is safe Rust; non-Unix builds
@@ -40,32 +63,35 @@
 //! builds to a plain bind.
 
 use crate::binary::{self, BinRequest};
+use crate::cache::ResultCache;
 use crate::metrics::{
-    PHASE_EXECUTE, PHASE_PARSE, PHASE_QUEUE, PHASE_WRITE, PROTO_BINARY, PROTO_TEXT, VERB_BATCH,
+    ServerMetrics, PHASE_PARSE, PHASE_WRITE, PROTO_BINARY, PROTO_TEXT, VERB_BATCH, VERB_LABELS,
     VERB_METRICS, VERB_QUERY, VERB_RELOAD, VERB_SHUTDOWN, VERB_STATS, VERB_WITHIN,
 };
-use crate::protocol::{self, ReloadInfo, Reply, Request};
-use crate::server::{load_flat_snapshot, Shared, MAX_LINE, WRITE_TIMEOUT};
+use crate::protocol::{self, Reply, Request};
+use crate::server::ServerSnapshot;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use wcsd_core::FlatIndex;
-use wcsd_graph::{Quality, VertexId, INF_DIST};
+use wcsd_graph::{Distance, Quality, VertexId};
+use wcsd_obs::Gauge;
 
 /// One `(s, t, w)` point query.
 pub(crate) type Query = (VertexId, VertexId, Quality);
 
-/// Fewest queries a `BATCH` must hold before the reactor splits it across
-/// idle workers. Below it, handing half the batch to a parked worker (a
-/// channel send plus a wake) costs as much as the merges it takes over.
-/// Measured with one idle lane per batch length, inline against a two-part
-/// split: on one shard of a 40×40 road grid (0.6 µs merges) the split tied
-/// at 8–16 queries and won from 32; on a 96×96 grid (3.5 µs) it won from 8.
-const SPLIT_MIN: usize = 32;
+/// Upper bound on how long one connection's pending output may sit without
+/// the socket accepting a single byte. A client that stops reading its
+/// replies (so the kernel send buffer fills) gets its connection dropped
+/// after this long instead of pinning server memory forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest text request line accepted. Every legal request fits in a few
+/// dozen bytes; this bounds the memory a client streaming newline-free bytes
+/// can pin (the line-size analogue of [`protocol::MAX_BATCH`]).
+pub(crate) const MAX_LINE: usize = 64 * 1024;
 
 /// Upper bound on one poll sleep. Nothing correctness-critical hangs off
 /// this tick — completions arrive via the wake pipe — it only bounds how
@@ -263,208 +289,393 @@ mod sys {
     }
 }
 
-/// Binds `127.0.0.1:port` for listening with `SO_REUSEADDR` set (on Linux; a
-/// plain bind elsewhere), so a restarted server can re-acquire its port while
-/// connections from its previous life are still in TIME_WAIT — the
-/// self-healing story depends on a killed backend coming back on the same
-/// address. `port` 0 picks an ephemeral port, exactly like
-/// `TcpListener::bind`.
-pub(crate) fn listen_reuseaddr(port: u16) -> std::io::Result<TcpListener> {
-    sys::listen_reuseaddr(port)
+/// What every service shares with the reactor and the pool: the metric
+/// surface, the result cache behind `STATS`, the shutdown flag, and the
+/// pool's bounds.
+pub(crate) struct Core {
+    /// All counters/gauges/histograms. `STATS` reads the same atomics
+    /// `METRICS` renders, so the two views cannot disagree on totals.
+    pub(crate) metrics: ServerMetrics,
+    /// The service's `(epoch, s, t, w)` result cache.
+    pub(crate) cache: ResultCache,
+    pub(crate) started: Instant,
+    pub(crate) shutdown: AtomicBool,
+    /// Pool workers started with the reactor.
+    pub(crate) workers: usize,
+    /// Most pool workers: the pool grows toward it whenever a job arrives
+    /// with every worker taken, and never shrinks.
+    pub(crate) max_workers: usize,
+    /// Pool workers started so far.
+    pool_size: Arc<Gauge>,
+    /// Admission cap on jobs queued or executing; past it offloaded work is
+    /// shed with [`Reply::Busy`].
+    pub(crate) max_pending_jobs: usize,
 }
 
-/// Work shipped from the reactor to the bounded worker pool. Every job
-/// carries the connection slot and generation that requested it, so a
+impl Core {
+    /// Assembles the shared state and publishes its configured bounds; the
+    /// registry renders the cache's own live counters, one set of atomics
+    /// behind both `STATS` and `METRICS`.
+    pub(crate) fn new(
+        metrics: ServerMetrics,
+        cache: ResultCache,
+        cache_capacity: usize,
+        workers: usize,
+        max_workers: usize,
+        max_pending_jobs: usize,
+    ) -> Self {
+        let registry = &metrics.registry;
+        registry
+            .gauge("wcsd_pending_jobs_limit", "Configured pending-job admission cap")
+            .set(max_pending_jobs as i64);
+        let pool_size = registry.gauge("wcsd_worker_pool_size", "Worker pool threads started");
+        registry
+            .gauge("wcsd_cache_capacity", "Configured result cache capacity in entries")
+            .set(cache_capacity as i64);
+        registry.register_counter(
+            "wcsd_cache_hits_total",
+            &[],
+            "Result-cache hits",
+            cache.hit_counter(),
+        );
+        registry.register_counter(
+            "wcsd_cache_misses_total",
+            &[],
+            "Result-cache misses",
+            cache.miss_counter(),
+        );
+        Self {
+            metrics,
+            cache,
+            started: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            workers,
+            max_workers: max_workers.max(workers),
+            pool_size,
+            max_pending_jobs,
+        }
+    }
+
+    /// Publishes what is served: the generation and index-size gauges.
+    pub(crate) fn publish(&self, generation: u64, vertices: usize, entries: usize) {
+        self.metrics.generation.set(generation as i64);
+        self.metrics.index_vertices.set(vertices as i64);
+        self.metrics.index_entries.set(entries as i64);
+    }
+
+    /// Point-in-time counter snapshot behind `STATS`, one read per atomic:
+    /// what is served comes from the gauges [`Self::publish`] sets (on the
+    /// reactor thread, like every `STATS`), and the hit rate from this
+    /// snapshot's own hit/miss values.
+    pub(crate) fn snapshot(&self) -> ServerSnapshot {
+        let m = &self.metrics;
+        let gauge = |g: &Gauge| g.get().max(0) as u64;
+        ServerSnapshot {
+            vertices: gauge(&m.index_vertices) as usize,
+            entries: gauge(&m.index_entries) as usize,
+            generation: gauge(&m.generation),
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            connections: m.connections.get(),
+            live_connections: gauge(&m.live_connections),
+            text_connections: m.proto_connections[PROTO_TEXT].get(),
+            binary_connections: m.proto_connections[PROTO_BINARY].get(),
+            reloads: m.reloads.get(),
+            queries: m.queries.get(),
+            batches: m.batches.get(),
+            batch_queries: m.batch_queries.get(),
+            shed: m.shed[PROTO_TEXT].get() + m.shed[PROTO_BINARY].get(),
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+        }
+    }
+
+    /// Renders the full Prometheus exposition, refreshing the uptime gauge
+    /// first. Called on the reactor thread only, which is what makes the
+    /// counter/histogram reconciliation exact (see [`crate::metrics`]).
+    pub(crate) fn render_metrics(&self) -> String {
+        self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
+        self.metrics.registry.render()
+    }
+}
+
+/// What a service makes of one request.
+pub(crate) enum Answer<J> {
+    /// Answered on the reactor thread.
+    Reply(Reply),
+    /// Runs on the pool as one job.
+    Offload(J),
+    /// Runs on the pool as several jobs at once; the connection waits for
+    /// the one whose [`Service::run`] returns the outcome.
+    Split(Vec<J>),
+}
+
+/// What requests mean: the part of a server the reactor does not own. The
+/// reactor is monomorphized per implementation (no `dyn`); `STATS`,
+/// `METRICS`, `SHUTDOWN` and the empty `BATCH` are answered by the reactor
+/// itself.
+pub(crate) trait Service: Sync {
+    /// One unit of pool work.
+    type Job: Send;
+    /// What a finished job hands back to the reactor thread.
+    type Outcome: Send;
+    /// State each pool worker owns for its whole life.
+    type Worker;
+
+    /// The shared counters, cache, and pool bounds.
+    fn core(&self) -> &Core;
+    /// `QUERY s t w`.
+    fn query(&self, s: VertexId, t: VertexId, w: Quality) -> Answer<Self::Job>;
+    /// `WITHIN s t w d`.
+    fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> Answer<Self::Job>;
+    /// A non-empty `BATCH`; `idle` pool workers have nothing to do.
+    fn batch(&self, queries: Vec<Query>, idle: usize) -> Answer<Self::Job>;
+    /// `RELOAD <path>`.
+    fn reload(&self, path: String) -> Answer<Self::Job>;
+    /// Builds one pool worker's state, on that worker's thread.
+    fn worker(&self) -> Self::Worker;
+    /// Runs a job on a pool worker that picked it up at `picked` (set when
+    /// timing is on). Returns the outcome and when the request started
+    /// running — or `None` from every part of an [`Answer::Split`] but the
+    /// last to finish.
+    fn run(
+        &self,
+        worker: &mut Self::Worker,
+        job: Self::Job,
+        picked: Option<Instant>,
+    ) -> Option<(Self::Outcome, Option<Instant>)>;
+    /// Turns a finished job into its reply, on the reactor thread.
+    fn complete(&self, outcome: Self::Outcome) -> Reply;
+
+    /// The `METRICS` exposition.
+    fn render_metrics(&self) -> String {
+        self.core().render_metrics()
+    }
+}
+
+/// Where an offloaded request's reply goes and how it is accounted. Every
+/// job carries the connection slot and generation that requested it, so a
 /// completion for a connection that died (and whose slot was reused) is
 /// recognised and dropped.
-pub(crate) enum Job {
-    /// One part of a `BATCH`. A batch is a single part unless the reactor
-    /// split it across idle workers.
-    Batch {
-        /// The batch, shared by all of its parts.
-        batch: Arc<BatchJob>,
-        /// Which part this job answers, in `0..batch.parts`.
-        part: usize,
-    },
-    /// A `RELOAD`: read + decode + validate a snapshot off the reactor
-    /// thread. The reactor performs the actual swap on completion, so
-    /// installs are serialized.
-    Reload {
-        /// Connection slot awaiting the reply.
-        conn: usize,
-        /// Generation of that slot at submission time.
-        gen: u64,
-        /// Snapshot path on the server's filesystem.
-        path: String,
-        /// Protocol index of the submitting connection (metric attribution).
-        proto: usize,
-        /// Submission time when timing is enabled.
-        submitted: Option<Instant>,
-    },
-}
-
-/// A `BATCH` in the worker pool, shared by its parts. Pinning
-/// `(epoch, index)` here is what makes every batch reply consistent with
-/// exactly one snapshot across a concurrent `RELOAD`, however many parts
-/// answer it. Every line was range-checked against `index` before the
-/// batch reached the pool.
-pub(crate) struct BatchJob {
-    /// Connection slot awaiting the reply.
+#[derive(Clone, Copy)]
+struct Head {
     conn: usize,
-    /// Generation of that slot at submission time.
     gen: u64,
-    /// Protocol index of the submitting connection (metric attribution).
     proto: usize,
-    /// Cache epoch paired with `index`.
-    epoch: u64,
-    /// The snapshot every part answers from.
-    index: Arc<FlatIndex>,
-    /// The batch body.
-    queries: Vec<Query>,
-    /// Parts the batch runs as; 1 means inline on one worker.
+    verb: usize,
+    /// Queries the request carries (1 for a point verb).
+    size: usize,
+    /// Pool jobs the request runs as.
     parts: usize,
-    /// Submission time when timing is enabled; the queue/execute split is
-    /// derived from it and shipped back in `Done`.
+    /// Submission time when timing is enabled.
     submitted: Option<Instant>,
-    /// When the first part was picked up (set only when timing is enabled).
-    started: OnceLock<Instant>,
-    /// The one output buffer, by input position. Each part stores only into
-    /// its own range; [`INF_DIST`] marks an unreachable pair.
-    answers: Vec<AtomicU32>,
-    /// Set by part 0 when the `worker.batch` failpoint fails the batch.
-    injected_failure: AtomicBool,
-    /// Parts still running; the part that takes it to zero replies.
-    remaining: AtomicUsize,
 }
 
-impl BatchJob {
-    /// The input positions part `part` answers. The ranges of all parts tile
-    /// `0..queries.len()` and differ in length by at most one.
-    fn part_range(&self, part: usize) -> Range<usize> {
-        let n = self.queries.len();
-        part * n / self.parts..(part + 1) * n / self.parts
-    }
-
-    /// How the batch ran, for the slow-query log.
+impl Head {
+    /// How the request ran, for the slow-query log.
     fn describe(&self) -> String {
+        let verb = VERB_LABELS[self.verb].to_uppercase();
         match self.parts {
-            1 => format!("BATCH {} inline", self.queries.len()),
-            parts => format!("BATCH {} split into {parts} parts", self.queries.len()),
+            1 => format!("{verb} {} inline", self.size),
+            parts => format!("{verb} {} split into {parts} parts", self.size),
         }
     }
 }
 
-/// A completion flowing back from a worker.
-pub(crate) enum Done {
-    /// Answers (or the injected failure) for a submitted batch, sent once by
-    /// whichever of its parts finished last.
-    Batch {
-        /// The batch that completed.
-        batch: Arc<BatchJob>,
-        /// In-order answers, or why the batch was rejected.
-        result: Result<Vec<Option<u32>>, String>,
-        /// `(queue_us, execute_us)` measured on the workers, from the first
-        /// part's pickup to the last part's end, present when timing is
-        /// enabled. The reactor records these into the phase histograms at
-        /// completion, keeping every histogram mutation on the reactor
-        /// thread (see [`crate::metrics`]).
-        timing: Option<(u64, u64)>,
-    },
-    /// A decoded snapshot (or the load error) for a submitted reload.
-    Reload {
-        /// Connection slot the job belonged to.
-        conn: usize,
-        /// Slot generation at submission time.
-        gen: u64,
-        /// Protocol index of the submitting connection.
-        proto: usize,
-        /// The decoded snapshot, ready to install.
-        result: Result<FlatIndex, String>,
-        /// `(queue_us, decode_us)` measured on the worker; the reactor adds
-        /// the swap time it measures itself.
-        timing: Option<(u64, u64)>,
-    },
+/// One job of an offloaded request on its way to a worker.
+struct Ticket<J> {
+    head: Head,
+    job: J,
 }
 
-/// Write end of the reactor wake pipe, cloned into every worker.
-#[derive(Clone)]
-pub(crate) struct WakeSender(Arc<TcpStream>);
+/// A finished request on its way back to the reactor.
+struct Done<O> {
+    head: Head,
+    /// `(queue_us, run_us)` measured on the workers, present when timing is
+    /// enabled. The reactor records them into the phase histograms at
+    /// completion, keeping every histogram mutation on the reactor thread.
+    timing: Option<(u64, u64)>,
+    outcome: O,
+}
 
-impl WakeSender {
-    /// Nudges the reactor out of `poll`. A full pipe means a wake is already
-    /// pending, so every error is ignorable.
-    pub(crate) fn wake(&self) {
-        let _ = (&*self.0).write(&[1]);
+/// Finished jobs on their way back to the reactor, plus the write end of
+/// the self-pipe that wakes it out of `poll`: one byte whenever the list
+/// goes from empty to non-empty, so a burst of completions costs one wake.
+struct Completions<O> {
+    list: Mutex<Vec<Done<O>>>,
+    wake: WakeStream,
+}
+
+impl<O> Completions<O> {
+    fn push(&self, done: Done<O>) {
+        let mut list = self.list.lock().expect("completion list poisoned");
+        list.push(done);
+        if list.len() == 1 {
+            // A full pipe means a wake is already pending: ignorable.
+            let _ = (&self.wake).write(&[1]);
+        }
+    }
+
+    /// Swaps every pending completion into `into`, which must be empty.
+    fn take(&self, into: &mut Vec<Done<O>>) {
+        std::mem::swap(&mut *self.list.lock().expect("completion list poisoned"), into);
     }
 }
 
-/// Builds the self-pipe the workers use to wake the reactor: a loopback
-/// socket pair (std has no `pipe(2)`), both ends nonblocking.
-pub(crate) fn wake_pair() -> std::io::Result<(TcpStream, WakeSender)> {
-    let gate = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let tx = TcpStream::connect(gate.local_addr()?)?;
-    // The ephemeral gate port is globally connectable for an instant; only
-    // accept our own connect socket, not a stranger racing us to it.
-    let ours = tx.local_addr()?;
-    let rx = loop {
-        let (candidate, peer) = gate.accept()?;
-        if peer == ours {
-            break candidate;
+/// The pool's job queue. Idle workers sleep on the condvar, so a submitted
+/// job wakes exactly one of them.
+struct JobQueue<T> {
+    /// Queued jobs, and whether the reactor is gone.
+    state: Mutex<(VecDeque<T>, bool)>,
+    ready: Condvar,
+}
+
+impl<T> JobQueue<T> {
+    fn push(&self, job: T) {
+        self.state.lock().expect("job queue poisoned").0.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// Drops every queued job and lets the workers finish once their
+    /// running jobs have: nobody reads a completion after the reactor is
+    /// gone.
+    fn close(&self) {
+        let mut state = self.state.lock().expect("job queue poisoned");
+        state.0.clear();
+        state.1 = true;
+        drop(state);
+        self.ready.notify_all();
+    }
+
+    /// The next job, or `None` once the queue is closed.
+    fn pop(&self) -> Option<T> {
+        let mut state = self.state.lock().expect("job queue poisoned");
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self.ready.wait(state).expect("job queue poisoned");
         }
+    }
+}
+
+/// The wake pipe's stream: a Unix socket pair where there is one (std has
+/// no `pipe(2)`), a loopback TCP pair elsewhere.
+#[cfg(unix)]
+type WakeStream = std::os::unix::net::UnixStream;
+#[cfg(not(unix))]
+type WakeStream = TcpStream;
+
+/// Builds the self-pipe the workers use to wake the reactor, both ends
+/// nonblocking.
+fn wake_pair() -> std::io::Result<(WakeStream, WakeStream)> {
+    #[cfg(unix)]
+    let (rx, tx) = WakeStream::pair()?;
+    #[cfg(not(unix))]
+    let (rx, tx) = {
+        let gate = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
+        let tx = TcpStream::connect(gate.local_addr()?)?;
+        // The ephemeral gate port is globally connectable for an instant;
+        // only accept our own connect socket, not a stranger racing us.
+        let ours = tx.local_addr()?;
+        let rx = loop {
+            let (candidate, peer) = gate.accept()?;
+            if peer == ours {
+                break candidate;
+            }
+        };
+        tx.set_nodelay(true).ok();
+        (rx, tx)
     };
     rx.set_nonblocking(true)?;
     tx.set_nonblocking(true)?;
-    tx.set_nodelay(true).ok();
-    Ok((rx, WakeSender(Arc::new(tx))))
+    Ok((rx, tx))
 }
 
-/// Body of one pool worker: pull jobs until the reactor hangs up, answer
-/// each, wake the reactor. Workers share the receiver behind a mutex (the
-/// idle ones queue on the lock), so the pool is bounded by construction.
-pub(crate) fn worker(
-    shared: &Shared,
-    jobs: &Mutex<Receiver<Job>>,
-    done: Sender<Done>,
-    wake: WakeSender,
-) {
-    loop {
-        let job = match jobs.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return, // a worker panicked while holding the lock
-        };
-        let Ok(job) = job else { return };
-        shared.metrics.workers_busy.inc();
-        let completion = match job {
-            Job::Batch { batch, part } => run_part(shared, &batch, part),
-            Job::Reload { conn, gen, path, proto, submitted } => {
-                let started = submitted.map(|_| Instant::now());
-                let result = load_flat_snapshot(&path);
-                let timing = job_timing(submitted, started);
-                Some(Done::Reload { conn, gen, proto, result, timing })
-            }
-        };
-        shared.metrics.workers_busy.dec();
-        // Only the last part of a split batch has a completion to send.
-        let Some(completion) = completion else { continue };
-        if done.send(completion).is_err() {
-            return; // reactor gone: shutdown finished without us
-        }
-        wake.wake();
+/// A bound listener plus the wake pipe its reactor will poll: everything
+/// [`serve`] needs besides the service.
+pub(crate) struct Endpoint {
+    listener: TcpListener,
+    local_addr: SocketAddr,
+    wake_rx: WakeStream,
+    wake_tx: WakeStream,
+}
+
+impl Endpoint {
+    /// Binds `127.0.0.1:port` for listening with `SO_REUSEADDR` set (on
+    /// Linux; a plain bind elsewhere), so a restarted server can re-acquire
+    /// its port while connections from its previous life are still in
+    /// TIME_WAIT — the self-healing story depends on a killed backend coming
+    /// back on the same address. `port` 0 picks an ephemeral port.
+    pub(crate) fn bind(port: u16) -> std::io::Result<Self> {
+        let listener = sys::listen_reuseaddr(port)?;
+        let local_addr = listener.local_addr()?;
+        let (wake_rx, wake_tx) = wake_pair()?;
+        Ok(Self { listener, local_addr, wake_rx, wake_tx })
+    }
+
+    /// The address the listener is bound to.
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.local_addr
     }
 }
 
-/// `(queue_us, run_us)` for a worker job, when timing was enabled at
-/// submission. `started` is sampled once at pickup so the queue wait and the
-/// run share one boundary instant.
-fn job_timing(submitted: Option<Instant>, started: Option<Instant>) -> Option<(u64, u64)> {
-    submitted
-        .zip(started)
-        .map(|(sub, start)| (dur_us(start.saturating_duration_since(sub)), dur_us(start.elapsed())))
+/// Serves `endpoint` until a `SHUTDOWN`: runs the reactor on the calling
+/// thread, which starts the worker pool, and returns once the pool's running
+/// jobs have finished.
+pub(crate) fn serve<S: Service>(service: &S, endpoint: Endpoint) {
+    let Endpoint { listener, wake_rx, wake_tx, .. } = endpoint;
+    let jobs = JobQueue { state: Mutex::new((VecDeque::new(), false)), ready: Condvar::new() };
+    let done = Completions { list: Mutex::new(Vec::new()), wake: wake_tx };
+    std::thread::scope(|scope| {
+        let spawn = || {
+            scope.spawn(|| worker(service, &jobs, &done));
+        };
+        // Dropping the reactor, however `run` ends, closes the queue; the
+        // workers finish their running jobs and the scope joins them.
+        Reactor::new(service, listener, wake_rx, &jobs, &done, spawn).run();
+    });
+}
+
+/// Body of one pool worker: pull jobs until the reactor is gone, run each,
+/// hand the outcome back.
+fn worker<S: Service>(
+    service: &S,
+    jobs: &JobQueue<Ticket<S::Job>>,
+    done: &Completions<S::Outcome>,
+) {
+    let mut state = service.worker();
+    let busy = &service.core().metrics.workers_busy;
+    while let Some(Ticket { head, job }) = jobs.pop() {
+        busy.inc();
+        let picked = head.submitted.map(|_| Instant::now());
+        let finished = service.run(&mut state, job, picked);
+        busy.dec();
+        // Only the last part of a split job has a completion to send.
+        let Some((outcome, started)) = finished else { continue };
+        let timing = head.submitted.zip(started).map(|(sub, start)| {
+            (dur_us(start.saturating_duration_since(sub)), dur_us(start.elapsed()))
+        });
+        done.push(Done { head, timing, outcome });
+    }
 }
 
 /// Saturating microseconds of a duration.
-fn dur_us(d: Duration) -> u64 {
+pub(crate) fn dur_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Validates a query's endpoints against a vertex count — one wording for
+/// every service, so the router and a direct backend reject identically.
+pub(crate) fn check_range(n: usize, s: VertexId, t: VertexId) -> Result<(), String> {
+    for v in [s, t] {
+        if v as usize >= n {
+            return Err(format!("vertex {v} out of range (index covers 0..{n})"));
+        }
+    }
+    Ok(())
 }
 
 /// Maps a connection's wire mode to a metrics protocol index. `Detect`
@@ -475,47 +686,6 @@ fn proto_idx(mode: Mode) -> usize {
         Mode::Binary => PROTO_BINARY,
         Mode::Text | Mode::Detect => PROTO_TEXT,
     }
-}
-
-/// Runs one part of a batch on the calling worker, serially. The part that
-/// finishes last returns the batch's one completion; the others return
-/// `None`.
-fn run_part(shared: &Shared, batch: &Arc<BatchJob>, part: usize) -> Option<Done> {
-    if batch.submitted.is_some() {
-        batch.started.get_or_init(Instant::now);
-    }
-    // Chaos site, once per batch: `fail` poisons the batch (the client sees
-    // an ERR, never a wrong answer); `delay:<ms>` stalls the worker so tests
-    // can fill the pending queue deterministically.
-    let injected = part == 0
-        && matches!(
-            crate::failpoint::fire("worker.batch"),
-            Some(crate::failpoint::Action::Fail | crate::failpoint::Action::Refuse)
-        );
-    if injected {
-        batch.injected_failure.store(true, Ordering::Relaxed);
-    } else {
-        let range = batch.part_range(part);
-        for (slot, &(s, t, w)) in batch.answers[range.clone()].iter().zip(&batch.queries[range]) {
-            let answer = shared.cached_distance(batch.epoch, &batch.index, s, t, w);
-            slot.store(answer.unwrap_or(INF_DIST), Ordering::Relaxed);
-        }
-    }
-    // AcqRel: the last part acquires every other part's stores.
-    if batch.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-        return None;
-    }
-    let result = if batch.injected_failure.load(Ordering::Relaxed) {
-        Err("injected batch failure".to_string())
-    } else {
-        Ok(batch
-            .answers
-            .iter()
-            .map(|slot| Some(slot.load(Ordering::Relaxed)).filter(|&d| d != INF_DIST))
-            .collect())
-    };
-    let timing = job_timing(batch.submitted, batch.started.get().copied());
-    Some(Done::Batch { batch: Arc::clone(batch), result, timing })
 }
 
 /// Wire framing of one connection, negotiated from its first byte.
@@ -660,60 +830,83 @@ impl Conn {
 }
 
 /// The reactor itself; see the module docs. `run` consumes it and returns
-/// when a `SHUTDOWN` has been processed.
-pub(crate) struct Reactor<'a> {
-    shared: &'a Shared,
+/// when a `SHUTDOWN` has been processed. `spawn` starts one pool worker.
+struct Reactor<'a, S: Service, F: Fn()> {
+    service: &'a S,
+    core: &'a Core,
     listener: TcpListener,
-    wake_rx: TcpStream,
-    jobs: Sender<Job>,
-    done: Receiver<Done>,
+    wake_rx: WakeStream,
+    jobs: &'a JobQueue<Ticket<S::Job>>,
+    done: &'a Completions<S::Outcome>,
+    spawn: F,
+    /// Pool workers started so far.
+    workers: usize,
+    /// Reused buffer the completions are swapped into.
+    finished: Vec<Done<S::Outcome>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
-    /// Jobs submitted to the pool whose completions have not come back yet
-    /// (queued + executing). Incremented at submission and decremented in
-    /// `apply_completion` — both on the reactor thread, so the admission
-    /// check in `submit_*` reads an exact count with no atomics. At
-    /// `Shared::max_pending_jobs`, new offloaded work is shed with
-    /// [`Reply::Busy`]. A split batch counts once.
+    /// Requests submitted to the pool whose completions have not come back
+    /// yet (queued + executing). Incremented at submission and decremented
+    /// in `apply_completion` — both on the reactor thread, so the admission
+    /// check in `admit_job` reads an exact count with no atomics. At
+    /// [`Core::max_pending_jobs`], new offloaded work is shed with
+    /// [`Reply::Busy`]. A split job counts once.
     pending_jobs: usize,
     /// Pool jobs submitted and not yet completed, counting every part of a
-    /// split batch: the workers they occupy. Kept on this thread like
-    /// `pending_jobs`, so the idle-worker check in `submit_batch` is exact.
+    /// split job: the workers they occupy. Kept on this thread like
+    /// `pending_jobs`, so the idle-worker count a service splits by, and the
+    /// pool's growth, are exact.
     pending_parts: usize,
 }
 
-impl<'a> Reactor<'a> {
-    pub(crate) fn new(
-        shared: &'a Shared,
+impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
+    fn new(
+        service: &'a S,
         listener: TcpListener,
-        wake_rx: TcpStream,
-        jobs: Sender<Job>,
-        done: Receiver<Done>,
+        wake_rx: WakeStream,
+        jobs: &'a JobQueue<Ticket<S::Job>>,
+        done: &'a Completions<S::Outcome>,
+        spawn: F,
     ) -> Self {
         let _ = listener.set_nonblocking(true);
-        Self {
-            shared,
+        let mut reactor = Self {
+            service,
+            core: service.core(),
             listener,
             wake_rx,
             jobs,
             done,
+            spawn,
+            workers: 0,
+            finished: Vec::new(),
             conns: Vec::new(),
             free: Vec::new(),
             next_gen: 0,
             pending_jobs: 0,
             pending_parts: 0,
+        };
+        reactor.grow_pool(reactor.core.workers);
+        reactor
+    }
+
+    /// Starts pool workers until `want` run (or [`Core::max_workers`] do).
+    fn grow_pool(&mut self, want: usize) {
+        while self.workers < want.min(self.core.max_workers) {
+            (self.spawn)();
+            self.workers += 1;
+            self.core.pool_size.set(self.workers as i64);
         }
     }
 
     /// The event loop. Exits once the shutdown flag is observed, after a
     /// bounded wait for in-flight worker jobs and a best-effort final flush
     /// of every connection's pending output.
-    pub(crate) fn run(mut self) {
+    fn run(mut self) {
         let mut fds = Vec::new();
         let mut slots = Vec::new();
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.core.shutdown.load(Ordering::SeqCst) {
                 self.drain_and_close_all();
                 return;
             }
@@ -756,7 +949,7 @@ impl<'a> Reactor<'a> {
             for (i, &slot) in slots.iter().enumerate() {
                 let revents = fds[2 + i].revents;
                 if revents != 0 {
-                    self.service(slot, revents);
+                    self.service_conn(slot, revents);
                 }
             }
             self.reap_stalled();
@@ -781,8 +974,8 @@ impl<'a> Reactor<'a> {
                     }
                     let _ = stream.set_nonblocking(true);
                     stream.set_nodelay(true).ok();
-                    self.shared.metrics.connections.inc();
-                    self.shared.metrics.live_connections.inc();
+                    self.core.metrics.connections.inc();
+                    self.core.metrics.live_connections.inc();
                     self.next_gen += 1;
                     let conn = Conn::new(stream, self.next_gen);
                     match self.free.pop() {
@@ -805,89 +998,34 @@ impl<'a> Reactor<'a> {
 
     /// Applies every queued worker completion to its connection.
     fn drain_completions(&mut self) {
-        while let Ok(done) = self.done.try_recv() {
+        let mut finished = std::mem::take(&mut self.finished);
+        self.done.take(&mut finished);
+        for done in finished.drain(..) {
             self.apply_completion(done);
         }
+        self.finished = finished;
     }
 
-    /// Applies one worker completion: reloads install their snapshot here,
-    /// so swaps are serialized on the reactor thread. Verb counters and
-    /// phase samples for offloaded requests land here too — on the reactor
-    /// thread, with the durations the worker measured — which is what keeps
-    /// every `METRICS` payload self-consistent (see [`crate::metrics`]).
-    fn apply_completion(&mut self, done: Done) {
-        // Copy the `&Shared` out so the metrics borrow does not pin `self`
-        // (delivery below needs `&mut self`).
-        let shared = self.shared;
-        let m = &shared.metrics;
-        match done {
-            Done::Batch { batch, result, timing } => {
-                self.retire_job(batch.parts);
-                let proto = batch.proto;
-                m.finish_offloaded(proto, VERB_BATCH, timing, || batch.describe());
-                let reply = match result {
-                    Ok(answers) => {
-                        // Counted here, not at submission, so STATS counts
-                        // only batches that validated and were answered —
-                        // matching the parse-failure path, which never
-                        // reaches the pool at all.
-                        m.batches.inc();
-                        m.batch_queries.add(answers.len() as u64);
-                        if batch.parts > 1 {
-                            m.batch_splits.inc();
-                        }
-                        Reply::Batch(answers)
-                    }
-                    Err(reason) => {
-                        m.errors[proto].inc();
-                        Reply::Err(reason)
-                    }
-                };
-                self.deliver(batch.conn, batch.gen, reply);
-            }
-            Done::Reload { conn, gen, proto, result, timing } => {
-                self.retire_job(1);
-                let reply = match result {
-                    Ok(flat) => {
-                        let stats = flat.stats();
-                        let swap_t0 = m.timer();
-                        let generation = self.shared.install(Arc::new(flat));
-                        let swap_us = swap_t0.map(|t| dur_us(t.elapsed())).unwrap_or(0);
-                        if let Some((queue_us, decode_us)) = timing {
-                            m.phase_us(proto, PHASE_QUEUE, queue_us);
-                            m.phase_us(proto, PHASE_EXECUTE, decode_us + swap_us);
-                            if m.enabled {
-                                m.reload_decode_us.record(decode_us);
-                                m.reload_swap_us.record(swap_us);
-                                m.registry.tracer().record(
-                                    "reload",
-                                    &format!(
-                                        "generation={generation} vertices={} entries={}",
-                                        stats.num_vertices, stats.total_entries
-                                    ),
-                                    decode_us + swap_us,
-                                );
-                            }
-                        }
-                        Reply::Reloaded(ReloadInfo {
-                            generation,
-                            vertices: stats.num_vertices as u64,
-                            entries: stats.total_entries as u64,
-                        })
-                    }
-                    Err(reason) => {
-                        m.errors[proto].inc();
-                        if let Some((queue_us, decode_us)) = timing {
-                            m.phase_us(proto, PHASE_QUEUE, queue_us);
-                            m.phase_us(proto, PHASE_EXECUTE, decode_us);
-                        }
-                        Reply::Err(reason)
-                    }
-                };
-                m.verbs[proto][VERB_RELOAD].inc();
-                self.deliver(conn, gen, reply);
-            }
+    /// Applies one worker completion. The service turns the outcome into a
+    /// reply here, on the reactor thread (a backend installs a reloaded
+    /// snapshot here, so swaps are serialized). Verb counters and phase
+    /// samples for offloaded requests land here too — with the durations the
+    /// worker measured plus this completion step — which is what keeps every
+    /// `METRICS` payload self-consistent (see [`crate::metrics`]).
+    fn apply_completion(&mut self, done: Done<S::Outcome>) {
+        let Done { head, timing, outcome } = done;
+        self.retire_job(head.parts);
+        let core = self.core;
+        let t0 = core.metrics.timer();
+        let reply = self.service.complete(outcome);
+        let completed_us = t0.map_or(0, |t0| dur_us(t0.elapsed()));
+        self.account(head.proto, &reply);
+        if head.parts > 1 && matches!(reply, Reply::Batch(_)) {
+            core.metrics.batch_splits.inc();
         }
+        let (queue_us, execute_us) = (timing.map(|t| t.0), timing.map(|t| t.1 + completed_us));
+        core.metrics.finish(head.proto, head.verb, queue_us, execute_us, || head.describe());
+        self.deliver(head.conn, head.gen, reply);
     }
 
     /// Hands a completion reply to its connection — unless the connection
@@ -902,27 +1040,23 @@ impl<'a> Reactor<'a> {
             conn.push_reply(&reply);
         }
         // Resume the pipeline: parse whatever queued up behind the job.
-        self.service(slot, 0);
+        self.service_conn(slot, 0);
     }
 
     /// Runs one connection through read → parse/execute → write.
-    fn service(&mut self, slot: usize, revents: i16) {
+    fn service_conn(&mut self, slot: usize, revents: i16) {
         let Some(mut conn) = self.conns[slot].take() else { return };
         let mut alive = true;
         if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 && conn.wants_read() {
-            alive = self.read_into(&mut conn);
+            alive = read_into(&mut conn);
         }
         if alive {
             self.process(&mut conn, slot);
-            if conn.has_output() {
-                // The write phase is sampled per flush *with pending bytes*,
-                // not per request — pipelined replies share one flush.
-                let t0 = self.shared.metrics.timer();
-                alive = conn.flush();
-                self.shared.metrics.phase(proto_idx(conn.mode), PHASE_WRITE, t0);
-            } else {
-                alive = conn.flush();
-            }
+            // The write phase is sampled per flush *with pending bytes*, not
+            // per request — pipelined replies share one flush.
+            let t0 = conn.has_output().then(|| self.core.metrics.timer()).flatten();
+            alive = conn.flush();
+            self.core.metrics.phase(proto_idx(conn.mode), PHASE_WRITE, t0);
         }
         // A half-closed peer is served to completion: buffered complete
         // requests were just processed above, a pending job still owes a
@@ -942,37 +1076,8 @@ impl<'a> Reactor<'a> {
             // The conn was taken out of its slot above, so dropping it here
             // closes the socket; only the bookkeeping is left to do.
             drop(conn);
-            self.shared.metrics.live_connections.dec();
+            self.core.metrics.live_connections.dec();
             self.free.push(slot);
-        }
-    }
-
-    /// Drains the socket into the input buffer (up to the fairness budget).
-    /// Returns `false` when the connection is finished.
-    fn read_into(&mut self, conn: &mut Conn) -> bool {
-        let mut chunk = [0u8; 16 * 1024];
-        let mut total = 0;
-        loop {
-            match (&conn.stream).read(&mut chunk) {
-                Ok(0) => {
-                    // EOF — but bytes read before it may hold complete
-                    // requests (a client may write + half-close + await its
-                    // replies), so parsing and flushing still happen; the
-                    // caller closes once everything owed has been delivered.
-                    conn.peer_closed = true;
-                    return true;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
-                    total += n;
-                    if total >= READ_BUDGET {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
         }
     }
 
@@ -986,6 +1091,8 @@ impl<'a> Reactor<'a> {
     }
 
     fn process_inner(&mut self, conn: &mut Conn, slot: usize) {
+        let core = self.core;
+        let m = &core.metrics;
         loop {
             if conn.close_after_flush || matches!(conn.state, ConnState::AwaitJob) {
                 return;
@@ -1000,9 +1107,9 @@ impl<'a> Reactor<'a> {
                         let version = conn.input()[1];
                         conn.consume(2);
                         conn.mode = Mode::Binary;
-                        self.shared.metrics.proto_connections[PROTO_BINARY].inc();
+                        m.proto_connections[PROTO_BINARY].inc();
                         if version != binary::VERSION {
-                            self.shared.metrics.errors[PROTO_BINARY].inc();
+                            m.errors[PROTO_BINARY].inc();
                             conn.push_reply(&Reply::Err(format!(
                                 "unsupported binary protocol version {version} (expected {})",
                                 binary::VERSION
@@ -1011,7 +1118,7 @@ impl<'a> Reactor<'a> {
                         }
                     } else {
                         conn.mode = Mode::Text;
-                        self.shared.metrics.proto_connections[PROTO_TEXT].inc();
+                        m.proto_connections[PROTO_TEXT].inc();
                     }
                 }
                 Mode::Text => {
@@ -1020,7 +1127,7 @@ impl<'a> Reactor<'a> {
                         None => {
                             conn.scanned = conn.input().len();
                             if conn.scanned > MAX_LINE {
-                                self.overlong_line(conn);
+                                overlong_line(m, conn);
                             }
                             return;
                         }
@@ -1030,7 +1137,7 @@ impl<'a> Reactor<'a> {
                     // yet: an over-long-but-terminated line must not smuggle
                     // an unbounded token into parsing or the ERR echo.
                     if line_len > MAX_LINE {
-                        self.overlong_line(conn);
+                        overlong_line(m, conn);
                         return;
                     }
                     let line = String::from_utf8_lossy(&conn.input()[..line_len]).into_owned();
@@ -1056,36 +1163,31 @@ impl<'a> Reactor<'a> {
                     }
                     // Decode straight from the buffer (a max-size batch body
                     // is ~12 MB — no copy); the parsed request owns its data.
-                    let t_parse = self.shared.metrics.timer();
+                    let t_parse = m.timer();
                     let req = binary::decode_request(&input[4..4 + len]);
-                    self.shared.metrics.phase(PROTO_BINARY, PHASE_PARSE, t_parse);
+                    m.phase(PROTO_BINARY, PHASE_PARSE, t_parse);
                     conn.consume(4 + len);
                     match req {
                         // Framing is still intact after a bad body, so a
                         // malformed frame poisons one request, not the
                         // connection.
                         Err(reason) => {
-                            self.shared.metrics.errors[PROTO_BINARY].inc();
+                            m.errors[PROTO_BINARY].inc();
                             conn.push_reply(&Reply::Err(reason));
                         }
-                        Ok(req) => self.dispatch_binary(conn, slot, req),
+                        Ok(req) => self.dispatch(conn, slot, req),
                     }
                 }
             }
         }
     }
 
-    /// Rejects a text line longer than [`MAX_LINE`] and drops the
-    /// connection: the rest of the line is unread (or deliberately
-    /// unparsed), so framing is lost either way.
-    fn overlong_line(&mut self, conn: &mut Conn) {
-        self.shared.metrics.errors[PROTO_TEXT].inc();
-        conn.push_reply(&Reply::Err(format!("request line exceeds {MAX_LINE} bytes")));
-        conn.close_after_flush = true;
-    }
-
     /// One complete text line: either a request or a `BATCH` body line.
+    /// Requests are translated into the protocol-neutral [`BinRequest`]
+    /// shape, so both wire modes share one dispatch.
     fn handle_text_line(&mut self, conn: &mut Conn, slot: usize, line: &str) {
+        let core = self.core;
+        let m = &core.metrics;
         if let ConnState::TextBatch { expect, mut seen, mut queries, mut invalid } =
             std::mem::replace(&mut conn.state, ConnState::Ready)
         {
@@ -1104,10 +1206,10 @@ impl<'a> Reactor<'a> {
                         // Never executed, so no verb count or phase sample —
                         // only the error counter (matching binary decode
                         // failures, where the verb is unknowable).
-                        self.shared.metrics.errors[PROTO_TEXT].inc();
+                        m.errors[PROTO_TEXT].inc();
                         conn.push_reply(&Reply::Err(reason));
                     }
-                    None => self.submit_batch(conn, slot, queries),
+                    None => self.dispatch(conn, slot, BinRequest::Batch { queries }),
                 }
             } else {
                 conn.state = ConnState::TextBatch { expect, seen, queries, invalid };
@@ -1117,148 +1219,150 @@ impl<'a> Reactor<'a> {
         if line.trim().is_empty() {
             return; // blank keep-alive lines are not an error
         }
-        let shared = self.shared;
-        let m = &shared.metrics;
         let t_parse = m.timer();
         let parsed = protocol::parse_request(line);
         m.phase(PROTO_TEXT, PHASE_PARSE, t_parse);
-        match parsed {
+        let req = match parsed {
             Err(reason) => {
                 m.errors[PROTO_TEXT].inc();
                 conn.push_reply(&Reply::Err(reason));
+                return;
             }
-            Ok(Request::Query { s, t, w }) => {
-                let t0 = m.timer();
-                let reply = self.exec_query(s, t, w);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_TEXT].inc();
-                }
-                m.finish_request(PROTO_TEXT, VERB_QUERY, t0, || format!("QUERY {s} {t} {w}"));
-                conn.push_reply(&reply);
-            }
-            Ok(Request::Within { s, t, w, d }) => {
-                let t0 = m.timer();
-                let reply = self.exec_within(s, t, w, d);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_TEXT].inc();
-                }
-                m.finish_request(PROTO_TEXT, VERB_WITHIN, t0, || format!("WITHIN {s} {t} {w} {d}"));
-                conn.push_reply(&reply);
-            }
-            Ok(Request::Batch { n: 0 }) => {
-                let t0 = m.timer();
-                m.batches.inc();
-                m.finish_request(PROTO_TEXT, VERB_BATCH, t0, || "BATCH 0".to_string());
-                conn.push_reply(&Reply::Batch(Vec::new()));
-            }
-            Ok(Request::Batch { n }) => {
-                // Verb counted when the body completes (see `apply_completion`
-                // and the invalid-body arm above).
+            Ok(Request::Batch { n }) if n > 0 => {
+                // Verb counted when the body completes.
                 conn.state = ConnState::TextBatch {
                     expect: n,
                     seen: 0,
                     queries: Vec::with_capacity(n.min(4096)),
                     invalid: None,
                 };
+                return;
             }
-            Ok(Request::Stats) => {
-                let t0 = m.timer();
-                let reply = Reply::Stats(shared.snapshot().encode());
-                m.finish_request(PROTO_TEXT, VERB_STATS, t0, || "STATS".to_string());
-                conn.push_reply(&reply);
-            }
-            Ok(Request::Metrics { recent }) => {
-                let t0 = m.timer();
-                let payload = metrics_payload(shared, recent);
-                // Counted *after* rendering: the in-flight METRICS request is
-                // absent from both its own counter and its own histogram, so
-                // the payload stays internally consistent.
-                m.finish_request(PROTO_TEXT, VERB_METRICS, t0, || "METRICS".to_string());
-                conn.push_reply(&Reply::Metrics(payload));
-            }
-            Ok(Request::Reload { path }) => self.submit_reload(conn, slot, path),
-            Ok(Request::Shutdown) => {
-                let t0 = m.timer();
-                self.begin_shutdown(conn);
-                m.finish_request(PROTO_TEXT, VERB_SHUTDOWN, t0, || "SHUTDOWN".to_string());
-            }
-        }
+            Ok(Request::Batch { .. }) => BinRequest::Batch { queries: Vec::new() },
+            Ok(Request::Query { s, t, w }) => BinRequest::Query { s, t, w },
+            Ok(Request::Within { s, t, w, d }) => BinRequest::Within { s, t, w, d },
+            Ok(Request::Stats) => BinRequest::Stats,
+            Ok(Request::Metrics { recent }) => BinRequest::Metrics { recent },
+            Ok(Request::Reload { path }) => BinRequest::Reload { path },
+            Ok(Request::Shutdown) => BinRequest::Shutdown,
+        };
+        self.dispatch(conn, slot, req);
     }
 
-    /// One parsed binary request.
-    fn dispatch_binary(&mut self, conn: &mut Conn, slot: usize, req: BinRequest) {
-        let shared = self.shared;
-        let m = &shared.metrics;
+    /// One parsed request, from either wire mode.
+    fn dispatch(&mut self, conn: &mut Conn, slot: usize, req: BinRequest) {
+        let (service, core) = (self.service, self.core);
+        let proto = proto_idx(conn.mode);
+        let t0 = core.metrics.timer();
         match req {
             BinRequest::Query { s, t, w } => {
-                let t0 = m.timer();
-                let reply = self.exec_query(s, t, w);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_BINARY].inc();
-                }
-                m.finish_request(PROTO_BINARY, VERB_QUERY, t0, || format!("QUERY {s} {t} {w}"));
-                conn.push_reply(&reply);
+                let answer = service.query(s, t, w);
+                let req = (proto, VERB_QUERY, 1, t0);
+                self.answer(conn, slot, req, answer, || format!("QUERY {s} {t} {w}"));
             }
             BinRequest::Within { s, t, w, d } => {
-                let t0 = m.timer();
-                let reply = self.exec_within(s, t, w, d);
-                if matches!(reply, Reply::Err(_)) {
-                    m.errors[PROTO_BINARY].inc();
-                }
-                m.finish_request(PROTO_BINARY, VERB_WITHIN, t0, || {
-                    format!("WITHIN {s} {t} {w} {d}")
+                let answer = service.within(s, t, w, d);
+                let req = (proto, VERB_WITHIN, 1, t0);
+                self.answer(conn, slot, req, answer, || format!("WITHIN {s} {t} {w} {d}"));
+            }
+            BinRequest::Batch { queries } => {
+                let n = queries.len();
+                let answer = if n == 0 {
+                    Answer::Reply(Reply::Batch(Vec::new()))
+                } else {
+                    service.batch(queries, self.workers.saturating_sub(self.pending_parts))
+                };
+                self.answer(conn, slot, (proto, VERB_BATCH, n, t0), answer, || {
+                    format!("BATCH {n}")
                 });
-                conn.push_reply(&reply);
             }
-            BinRequest::Batch { queries } if queries.is_empty() => {
-                let t0 = m.timer();
-                m.batches.inc();
-                m.finish_request(PROTO_BINARY, VERB_BATCH, t0, || "BATCH 0".to_string());
-                conn.push_reply(&Reply::Batch(Vec::new()));
+            BinRequest::Reload { path } => {
+                let answer = service.reload(path);
+                self.answer(conn, slot, (proto, VERB_RELOAD, 1, t0), answer, || "RELOAD".into());
             }
-            BinRequest::Batch { queries } => self.submit_batch(conn, slot, queries),
             BinRequest::Stats => {
-                let t0 = m.timer();
-                let reply = Reply::Stats(shared.snapshot().encode());
-                m.finish_request(PROTO_BINARY, VERB_STATS, t0, || "STATS".to_string());
-                conn.push_reply(&reply);
+                let answer = Answer::Reply(Reply::Stats(core.snapshot().encode()));
+                self.answer(conn, slot, (proto, VERB_STATS, 1, t0), answer, || "STATS".into());
             }
             BinRequest::Metrics { recent } => {
-                let t0 = m.timer();
-                let payload = metrics_payload(shared, recent);
-                // Counted after rendering — see the text-protocol arm.
-                m.finish_request(PROTO_BINARY, VERB_METRICS, t0, || "METRICS".to_string());
-                conn.push_reply(&Reply::Metrics(payload));
+                // Rendered *before* the request is counted: the in-flight
+                // METRICS request is absent from both its own counter and its
+                // own histogram, so the payload stays internally consistent.
+                let payload = if recent {
+                    let mut json = core.metrics.registry.tracer().dump_json();
+                    json.push('\n');
+                    json
+                } else {
+                    service.render_metrics()
+                };
+                let answer = Answer::Reply(Reply::Metrics(payload));
+                self.answer(conn, slot, (proto, VERB_METRICS, 1, t0), answer, || "METRICS".into());
             }
-            BinRequest::Reload { path } => self.submit_reload(conn, slot, path),
             BinRequest::Shutdown => {
-                let t0 = m.timer();
-                self.begin_shutdown(conn);
-                m.finish_request(PROTO_BINARY, VERB_SHUTDOWN, t0, || "SHUTDOWN".to_string());
+                // Acknowledge, close this connection once the ack flushes,
+                // and stop the loop on the next iteration.
+                let answer = Answer::Reply(Reply::Bye);
+                self.answer(conn, slot, (proto, VERB_SHUTDOWN, 1, t0), answer, || {
+                    "SHUTDOWN".into()
+                });
+                conn.close_after_flush = true;
+                core.shutdown.store(true, Ordering::SeqCst);
             }
         }
     }
 
-    /// Inline `QUERY` execution through the epoch-tagged cache.
-    fn exec_query(&self, s: VertexId, t: VertexId, w: Quality) -> Reply {
-        let (epoch, index) = self.shared.current();
-        if let Err(reason) = check_range(&index, s, t) {
-            return Reply::Err(reason);
+    /// Delivers an inline answer (counted at once) or submits an offloaded
+    /// one. `req` is `(proto, verb, size, started)`; `detail` is rendered
+    /// only for a slow-query event.
+    fn answer(
+        &mut self,
+        conn: &mut Conn,
+        slot: usize,
+        req: (usize, usize, usize, Option<Instant>),
+        answer: Answer<S::Job>,
+        detail: impl FnOnce() -> String,
+    ) {
+        let (proto, verb, size, started) = req;
+        let gen = conn.gen;
+        let head = |parts| Head { conn: slot, gen, proto, verb, size, parts, submitted: started };
+        match answer {
+            Answer::Reply(reply) => {
+                self.account(proto, &reply);
+                let execute_us = started.map(|t0| dur_us(t0.elapsed()));
+                self.core.metrics.finish(proto, verb, None, execute_us, detail);
+                conn.push_reply(&reply);
+            }
+            Answer::Offload(job) => self.submit(conn, head(1), [job]),
+            Answer::Split(jobs) => self.submit(conn, head(jobs.len()), jobs),
         }
-        self.shared.metrics.queries.inc();
-        Reply::Dist(self.shared.cached_distance(epoch, &index, s, t, w))
     }
 
-    /// Inline `WITHIN` execution (uncached, like the thread-per-connection
-    /// server), through the configured query implementation.
-    fn exec_within(&self, s: VertexId, t: VertexId, w: Quality, d: u32) -> Reply {
-        let (_epoch, index) = self.shared.current();
-        if let Err(reason) = check_range(&index, s, t) {
-            return Reply::Err(reason);
+    /// Counts what one reply answered: an error, a point request, or a batch.
+    fn account(&self, proto: usize, reply: &Reply) {
+        let m = &self.core.metrics;
+        match reply {
+            Reply::Err(_) => m.errors[proto].inc(),
+            Reply::Dist(_) | Reply::Bool(_) => m.queries.inc(),
+            Reply::Batch(answers) => {
+                m.batches.inc();
+                m.batch_queries.add(answers.len() as u64);
+            }
+            _ => {}
         }
-        self.shared.metrics.queries.inc();
-        let answer = index.distance_with(s, t, w, self.shared.query_impl);
-        Reply::Bool(answer.is_some_and(|x| x <= d))
+    }
+
+    /// Ships an offloaded request to the pool as its `head.parts` jobs,
+    /// after admission control, first growing the pool so that every
+    /// pending job has a worker.
+    fn submit(&mut self, conn: &mut Conn, head: Head, jobs: impl IntoIterator<Item = S::Job>) {
+        if !self.admit_job(conn, head.proto, head.parts) {
+            return;
+        }
+        self.grow_pool(self.pending_parts);
+        conn.state = ConnState::AwaitJob;
+        for job in jobs {
+            self.jobs.push(Ticket { head, job });
+        }
     }
 
     /// Admission control for offloaded work: either reserves a pending-job
@@ -1267,93 +1371,21 @@ impl<'a> Reactor<'a> {
     /// only on this thread — so the pending queue is bounded by
     /// construction, not by sampling.
     fn admit_job(&mut self, conn: &mut Conn, proto: usize, parts: usize) -> bool {
-        if self.pending_jobs >= self.shared.max_pending_jobs {
+        let core = self.core;
+        let m = &core.metrics;
+        if self.pending_jobs >= self.core.max_pending_jobs {
             // Shed without executing: the error counter moves (like a parse
             // failure, the verb never ran) plus the dedicated shed counter,
             // so overload is distinguishable from malformed traffic.
-            self.shared.metrics.shed[proto].inc();
-            self.shared.metrics.errors[proto].inc();
+            m.shed[proto].inc();
+            m.errors[proto].inc();
             conn.push_reply(&Reply::Busy);
             return false;
         }
         self.pending_jobs += 1;
         self.pending_parts += parts;
-        self.shared.metrics.pending_jobs.set(self.pending_jobs as i64);
+        m.pending_jobs.set(self.pending_jobs as i64);
         true
-    }
-
-    /// Ships a batch to the worker pool, pinning the current snapshot. The
-    /// whole batch is range-checked here first, so a bad line is answered
-    /// with its `batch line N` error and never reaches the pool. A batch runs
-    /// inline on the worker that dequeues it, unless it holds at least
-    /// [`SPLIT_MIN`] queries while workers sit idle: then it is split into
-    /// one part per idle worker, at most `batch_threads` parts.
-    fn submit_batch(&mut self, conn: &mut Conn, slot: usize, queries: Vec<Query>) {
-        let shared = self.shared;
-        let proto = proto_idx(conn.mode);
-        let submitted = shared.metrics.timer();
-        let (epoch, index) = shared.current();
-        for (i, &(s, t, _)) in queries.iter().enumerate() {
-            if let Err(reason) = check_range(&index, s, t) {
-                shared.metrics.errors[proto].inc();
-                shared.metrics.finish_request(proto, VERB_BATCH, submitted, || {
-                    format!("BATCH {}", queries.len())
-                });
-                conn.push_reply(&Reply::Err(format!("batch line {}: {reason}", i + 1)));
-                return;
-            }
-        }
-        let idle = shared.batch_workers.saturating_sub(self.pending_parts);
-        let parts =
-            if queries.len() >= SPLIT_MIN { idle.min(shared.batch_threads).max(1) } else { 1 };
-        if !self.admit_job(conn, proto, parts) {
-            return;
-        }
-        conn.state = ConnState::AwaitJob;
-        let batch = Arc::new(BatchJob {
-            conn: slot,
-            gen: conn.gen,
-            proto,
-            epoch,
-            index,
-            answers: queries.iter().map(|_| AtomicU32::new(INF_DIST)).collect(),
-            queries,
-            parts,
-            submitted,
-            started: OnceLock::new(),
-            injected_failure: AtomicBool::new(false),
-            remaining: AtomicUsize::new(parts),
-        });
-        let sent = (0..parts)
-            .all(|part| self.jobs.send(Job::Batch { batch: batch.clone(), part }).is_ok());
-        if !sent {
-            self.retire_job(parts);
-            conn.state = ConnState::Ready;
-            // Rejected inline, so account it inline: the completion path
-            // that would normally count the verb will never run.
-            shared.metrics.errors[proto].inc();
-            shared.metrics.finish_request(proto, VERB_BATCH, submitted, || "BATCH".to_string());
-            conn.push_reply(&Reply::Err("server is shutting down".to_string()));
-        }
-    }
-
-    /// Ships a reload to the worker pool (file read + decode off-loop).
-    fn submit_reload(&mut self, conn: &mut Conn, slot: usize, path: String) {
-        let shared = self.shared;
-        let proto = proto_idx(conn.mode);
-        if !self.admit_job(conn, proto, 1) {
-            return;
-        }
-        let submitted = shared.metrics.timer();
-        conn.state = ConnState::AwaitJob;
-        let job = Job::Reload { conn: slot, gen: conn.gen, path, proto, submitted };
-        if self.jobs.send(job).is_err() {
-            self.retire_job(1);
-            conn.state = ConnState::Ready;
-            shared.metrics.errors[proto].inc();
-            shared.metrics.finish_request(proto, VERB_RELOAD, submitted, || "RELOAD".to_string());
-            conn.push_reply(&Reply::Err("server is shutting down".to_string()));
-        }
     }
 
     /// Releases one pending-job slot and its `parts` pool jobs (completion
@@ -1361,30 +1393,18 @@ impl<'a> Reactor<'a> {
     fn retire_job(&mut self, parts: usize) {
         self.pending_jobs = self.pending_jobs.saturating_sub(1);
         self.pending_parts = self.pending_parts.saturating_sub(parts);
-        self.shared.metrics.pending_jobs.set(self.pending_jobs as i64);
-    }
-
-    /// `SHUTDOWN`: acknowledge, close this connection once the ack flushes,
-    /// and stop the loop on the next iteration.
-    fn begin_shutdown(&mut self, conn: &mut Conn) {
-        conn.push_reply(&Reply::Bye);
-        conn.close_after_flush = true;
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.core.metrics.pending_jobs.set(self.pending_jobs as i64);
     }
 
     /// Closes connections whose pending output made no progress for
-    /// [`WRITE_TIMEOUT`] — the nonblocking analogue of the old blocking
-    /// write timeout.
+    /// [`WRITE_TIMEOUT`] — the nonblocking analogue of a blocking write
+    /// timeout.
     fn reap_stalled(&mut self) {
         for slot in 0..self.conns.len() {
-            let stalled = match &self.conns[slot] {
-                Some(conn) => {
-                    conn.has_output()
-                        && conn.stalled_since.is_some_and(|since| since.elapsed() > WRITE_TIMEOUT)
-                }
-                None => false,
+            let stalled = |conn: &Conn| {
+                conn.has_output() && conn.stalled_since.is_some_and(|t| t.elapsed() > WRITE_TIMEOUT)
             };
-            if stalled {
+            if self.conns[slot].as_ref().is_some_and(stalled) {
                 self.release(slot);
             }
         }
@@ -1405,13 +1425,12 @@ impl<'a> Reactor<'a> {
                 break;
             }
             let Some(wait) = deadline.checked_duration_since(Instant::now()) else { break };
-            match self.done.recv_timeout(wait) {
-                Ok(done) => self.apply_completion(done), // delivers + flushes
-                Err(_) => break,
-            }
+            let _ = sys::poll_fds(&mut [sys::entry(&self.wake_rx, sys::POLLIN)], wait);
+            drain_wake(&self.wake_rx);
+            self.drain_completions(); // delivers + flushes
         }
-        // Final replies get the same delivery guarantee the old blocking
-        // writers gave them: switch each socket back to blocking with the
+        // Final replies get the delivery guarantee a blocking writer would
+        // give them: switch each socket back to blocking with the
         // write-stall budget and push the remaining bytes synchronously,
         // instead of dropping whatever one nonblocking pass left behind.
         for slot in 0..self.conns.len() {
@@ -1432,39 +1451,58 @@ impl<'a> Reactor<'a> {
     /// Frees a slot and its live-connection count.
     fn release(&mut self, slot: usize) {
         if self.conns[slot].take().is_some() {
-            self.shared.metrics.live_connections.dec();
+            self.core.metrics.live_connections.dec();
             self.free.push(slot);
         }
     }
 }
 
-/// Renders one `METRICS` reply body: the Prometheus exposition, or (with
-/// `recent`) the trace ring — the slow-query log plus reload events — as one
-/// JSON document. Both end in a newline so the sized text reply stays
-/// line-friendly.
-fn metrics_payload(shared: &Shared, recent: bool) -> String {
-    if recent {
-        let mut json = shared.metrics.registry.tracer().dump_json();
-        json.push('\n');
-        json
-    } else {
-        shared.render_metrics()
+impl<S: Service, F: Fn()> Drop for Reactor<'_, S, F> {
+    fn drop(&mut self) {
+        self.jobs.close();
     }
 }
 
-/// Validates a query's endpoints against one pinned snapshot.
-fn check_range(index: &FlatIndex, s: VertexId, t: VertexId) -> Result<(), String> {
-    let n = index.num_vertices();
-    for v in [s, t] {
-        if v as usize >= n {
-            return Err(format!("vertex {v} out of range (index covers 0..{n})"));
+/// Drains the socket into the input buffer (up to the fairness budget).
+/// Returns `false` when the connection is finished.
+fn read_into(conn: &mut Conn) -> bool {
+    let mut chunk = [0u8; 16 * 1024];
+    let mut total = 0;
+    loop {
+        match (&conn.stream).read(&mut chunk) {
+            Ok(0) => {
+                // EOF — but bytes read before it may hold complete requests
+                // (a client may write + half-close + await its replies), so
+                // parsing and flushing still happen; the caller closes once
+                // everything owed has been delivered.
+                conn.peer_closed = true;
+                return true;
+            }
+            Ok(n) => {
+                conn.inbuf.extend_from_slice(&chunk[..n]);
+                total += n;
+                if total >= READ_BUDGET {
+                    return true;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return false,
         }
     }
-    Ok(())
+}
+
+/// Rejects a text line longer than [`MAX_LINE`] and drops the connection:
+/// the rest of the line is unread (or deliberately unparsed), so framing is
+/// lost either way.
+fn overlong_line(m: &ServerMetrics, conn: &mut Conn) {
+    m.errors[PROTO_TEXT].inc();
+    conn.push_reply(&Reply::Err(format!("request line exceeds {MAX_LINE} bytes")));
+    conn.close_after_flush = true;
 }
 
 /// Empties the wake pipe so the next worker wake is observable.
-fn drain_wake(wake_rx: &TcpStream) {
+fn drain_wake(wake_rx: &WakeStream) {
     let mut sink = [0u8; 64];
     while let Ok(n) = (&*wake_rx).read(&mut sink) {
         if n == 0 || n < sink.len() {

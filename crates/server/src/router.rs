@@ -77,15 +77,23 @@
 //! `wcsd_router_probe_failures_total`; the deterministic failpoint site
 //! `router.probe` (`fail`/`refuse` actions) forces probe failures in tests.
 //!
-//! ## Connection state machine
+//! ## Serving
 //!
-//! Clients connect on the same wire protocols the backends speak: the first
-//! byte selects binary (magic `0xBF`) or text. Each client connection is
-//! served by one thread holding its *own* lazily-connected backend clients —
-//! request/reply exchanges never interleave on a backend socket, so a torn
-//! backend reply can only tear that one connection's request, never another
-//! client's. Per shard exchange the router walks the replica group in
-//! breaker order (closed first, open last) and, per replica:
+//! The router runs on the reactor the backends run on (`crate::reactor`),
+//! as its second service: clients speak the same wire protocols (the first
+//! byte selects binary, magic `0xBF`, or text), and framing, the line and
+//! frame limits, backpressure, shedding, `STATS`/`METRICS` and `SHUTDOWN`
+//! are the same code, so malformed input gets byte-identical replies from a
+//! router and a direct backend (`tests/router.rs` pins this). A request whose
+//! every answer is already in the result cache is answered inline on the
+//! reactor thread. Otherwise its distinct misses become one job for the
+//! reactor's worker pool, which grows to one worker per request in flight
+//! (`MAX_PENDING_JOBS` at most), so a stalled shard holds up only the
+//! requests that need it. Each worker owns one `BackendPool` — its own
+//! lazily-connected backend clients — so exchanges never interleave on a
+//! backend socket, and a torn backend reply can only tear the one request
+//! its worker was running. Per shard exchange the worker walks the replica
+//! group in breaker order (closed first, open last) and, per replica:
 //!
 //! 1. connects on demand (binary protocol, read timeout
 //!    [`RouterConfig::backend_timeout`]),
@@ -105,20 +113,16 @@
 //! refused (reload each backend's shard snapshot directly); `SHUTDOWN` stops
 //! the router itself, never the backends.
 
-use crate::binary::{self, BinRequest};
 use crate::cache::{QueryKey, ResultCache, ShardedLru, ENTRY_OVERHEAD_CELLS};
 use crate::client::{Client, Protocol};
 use crate::failpoint;
-use crate::metrics::{
-    PROTO_BINARY, PROTO_LABELS, PROTO_TEXT, VERB_BATCH, VERB_LABELS, VERB_METRICS, VERB_QUERY,
-    VERB_RELOAD, VERB_SHUTDOWN, VERB_STATS, VERB_WITHIN,
-};
-use crate::protocol::{self, Reply, Request};
+use crate::metrics::ServerMetrics;
+use crate::protocol::{self, Reply};
+use crate::reactor::{self, check_range, Answer, Core, Endpoint, Query, Service};
 use crate::server::ServerSnapshot;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wcsd_core::overlay::OverlayIndex;
@@ -126,9 +130,13 @@ use wcsd_core::FlatIndex;
 use wcsd_graph::{Distance, Quality, VertexId};
 use wcsd_obs::{Counter, Gauge, Histogram, Registry};
 
-/// How long a connection read may block before the handler re-checks the
-/// shutdown flag; bounds how long `Router::run` waits for handler threads.
-const POLL_INTERVAL: Duration = Duration::from_millis(250);
+/// Admission cap on router jobs queued or executing (a backend's default
+/// `max_pending_jobs`); past it a cache-missing request is shed. It is also
+/// the most pool workers the router runs: the pool starts empty and gains a
+/// worker whenever a cache-missing request arrives with every worker taken,
+/// so each request in flight has its own worker, and a request never queues
+/// behind workers that are waiting out a stalled shard's timeouts.
+const MAX_PENDING_JOBS: usize = 256;
 
 /// Circuit breaker: replica healthy (or not yet observed unhealthy).
 const BREAKER_CLOSED: u8 = 0;
@@ -193,23 +201,9 @@ fn potential_key(v: VertexId, w: Quality) -> QueryKey {
     (ROUTER_EPOCH, v, v, w)
 }
 
-/// Metric handles, resolved once at bind time (same discipline as the
-/// single-shard server: the hot path never touches the registry lock).
+/// Router-only metric handles, resolved once at bind time; the request,
+/// connection and phase families are the reactor's ([`ServerMetrics`]).
 struct RouterMetrics {
-    registry: Arc<Registry>,
-    enabled: bool,
-    connections: Arc<Counter>,
-    live_connections: Arc<Gauge>,
-    proto_connections: [Arc<Counter>; 2],
-    queries: Arc<Counter>,
-    batches: Arc<Counter>,
-    batch_queries: Arc<Counter>,
-    errors: [Arc<Counter>; 2],
-    /// `[proto][verb]` — same name/labels as the backends, so loadgen's
-    /// server-side deltas work unchanged against the router.
-    verbs: [[Arc<Counter>; 7]; 2],
-    /// `[proto]` execute-phase latency.
-    execute: [Arc<Histogram>; 2],
     /// Backend `BATCH` exchanges sent (including the retry of a failed one).
     fanout: Arc<Counter>,
     /// Individual per-shard queries fanned out inside those exchanges.
@@ -234,92 +228,44 @@ struct RouterMetrics {
     degraded: Arc<Gauge>,
     /// Distance cells resident in the potential cache (set at scrape time).
     potential_cells: Arc<Gauge>,
-    uptime_ms: Arc<Gauge>,
 }
 
 impl RouterMetrics {
-    fn new(registry: Arc<Registry>, enabled: bool, backends: &[Vec<String>]) -> Self {
-        let num_shards = backends.len();
-        let verbs = std::array::from_fn(|p| {
-            std::array::from_fn(|v| {
-                registry.counter_with(
-                    "wcsd_requests_total",
-                    &[("proto", PROTO_LABELS[p]), ("verb", VERB_LABELS[v])],
-                    "Requests executed, by protocol and verb",
-                )
-            })
-        });
-        let execute = std::array::from_fn(|p| {
-            registry.histogram_with(
-                "wcsd_request_phase_us",
-                &[("proto", PROTO_LABELS[p]), ("phase", "execute")],
-                "Request phase latency in microseconds",
-            )
-        });
-        let proto_connections = std::array::from_fn(|p| {
-            registry.counter_with(
-                "wcsd_proto_connections_total",
-                &[("proto", PROTO_LABELS[p])],
-                "Connections by negotiated protocol",
-            )
-        });
-        let errors = std::array::from_fn(|p| {
-            registry.counter_with(
-                "wcsd_request_errors_total",
-                &[("proto", PROTO_LABELS[p])],
-                "Requests rejected with an ERR reply",
-            )
-        });
+    fn new(registry: &Registry, backends: &[Vec<String>]) -> Self {
         let replica_requests = backends
             .iter()
             .enumerate()
             .map(|(shard, group)| {
-                let shard_label = shard.to_string();
-                group
-                    .iter()
-                    .map(|addr| {
-                        registry.counter_with(
-                            "wcsd_router_replica_requests_total",
-                            &[("shard", shard_label.as_str()), ("replica", addr.as_str())],
-                            "Backend BATCH exchange attempts, by replica",
-                        )
-                    })
-                    .collect()
+                let shard = shard.to_string();
+                let replica = |addr: &String| {
+                    registry.counter_with(
+                        "wcsd_router_replica_requests_total",
+                        &[("shard", shard.as_str()), ("replica", addr.as_str())],
+                        "Backend BATCH exchange attempts, by replica",
+                    )
+                };
+                group.iter().map(replica).collect()
             })
             .collect();
-        let backend_us = (0..num_shards)
+        let shards: Vec<String> = (0..backends.len()).map(|b| b.to_string()).collect();
+        let backend_us = shards
+            .iter()
             .map(|b| {
-                let label = b.to_string();
                 registry.histogram_with(
                     "wcsd_router_backend_us",
-                    &[("backend", label.as_str())],
+                    &[("backend", b.as_str())],
                     "Backend BATCH exchange latency in microseconds",
                 )
             })
             .collect();
-        let backend_errors = (0..num_shards)
+        let backend_errors = shards
+            .iter()
             .map(|b| {
-                let label = b.to_string();
-                registry.counter_with(
-                    "wcsd_router_backend_errors_total",
-                    &[("backend", label.as_str())],
-                    "Failed backend exchanges",
-                )
+                let help = "Failed backend exchanges";
+                registry.counter_with("wcsd_router_backend_errors_total", &[("backend", b)], help)
             })
             .collect();
         Self {
-            enabled,
-            connections: registry.counter("wcsd_connections_total", "Connections accepted"),
-            live_connections: registry.gauge("wcsd_live_connections", "Connections currently open"),
-            proto_connections,
-            queries: registry
-                .counter("wcsd_queries_total", "Point requests answered (QUERY and WITHIN)"),
-            batches: registry.counter("wcsd_batches_total", "BATCH requests answered"),
-            batch_queries: registry
-                .counter("wcsd_batch_queries_total", "Individual queries answered inside batches"),
-            errors,
-            verbs,
-            execute,
             fanout: registry.counter("wcsd_router_fanout_total", "Backend BATCH exchanges sent"),
             fanout_queries: registry.counter(
                 "wcsd_router_fanout_queries_total",
@@ -345,28 +291,23 @@ impl RouterMetrics {
                 "wcsd_router_potential_cells",
                 "Distance cells resident in the potential cache",
             ),
-            uptime_ms: registry.gauge("wcsd_uptime_ms", "Milliseconds since the router started"),
-            registry,
-        }
-    }
-
-    fn finish(&self, proto: usize, verb: usize, started: Option<Instant>) {
-        self.verbs[proto][verb].inc();
-        if let Some(t0) = started {
-            self.execute[proto].record_duration(t0.elapsed());
         }
     }
 }
 
 /// One backend replica: its address and its circuit-breaker state
-/// (`BREAKER_*`), shared by every handler thread and the prober.
+/// (`BREAKER_*`), shared by every pool worker and the prober.
 struct Replica {
     addr: String,
     breaker: AtomicU8,
 }
 
-/// Everything connection handlers share.
+/// Everything the reactor, the pool workers and the prober share.
 struct Shared {
+    /// Metrics, the result cache (keyed `(ROUTER_EPOCH, s, t, w)`,
+    /// [`ResultCache::disabled`] when [`RouterConfig::cache_capacity`] is 0),
+    /// the shutdown flag, and the pool bounds.
+    core: Core,
     overlay: OverlayIndex,
     /// `shards[i]` is shard `i`'s replica group; every replica serves the
     /// same shard snapshot, so answers are interchangeable bit-for-bit.
@@ -375,19 +316,12 @@ struct Shared {
     /// shard's *closed-breaker* replicas so load spreads across a healthy
     /// group instead of pinning replica 0.
     rr: Vec<AtomicU64>,
-    /// Router-side result cache in front of scatter-gather, keyed
-    /// `(ROUTER_EPOCH, s, t, w)`. [`ResultCache::disabled`] when
-    /// [`RouterConfig::cache_capacity`] is 0.
-    cache: ResultCache,
     /// Boundary potentials `P(v, w)` by [`potential_key`], budgeted in
     /// distance cells (see the module docs).
     potentials: ShardedLru<Arc<[Distance]>>,
     backend_timeout: Duration,
     probe_interval: Duration,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
-    started: Instant,
-    local_addr: SocketAddr,
 }
 
 impl Shared {
@@ -442,55 +376,22 @@ impl Shared {
         }
         order
     }
-
-    fn snapshot(&self) -> ServerSnapshot {
-        let m = &self.metrics;
-        ServerSnapshot {
-            vertices: self.overlay.num_vertices(),
-            entries: self.overlay.num_edges(),
-            generation: 1,
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            connections: m.connections.get(),
-            live_connections: m.live_connections.get().max(0) as u64,
-            text_connections: m.proto_connections[PROTO_TEXT].get(),
-            binary_connections: m.proto_connections[PROTO_BINARY].get(),
-            reloads: 0,
-            queries: m.queries.get(),
-            batches: m.batches.get(),
-            batch_queries: m.batch_queries.get(),
-            shed: 0,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-        }
-    }
-
-    fn metrics_payload(&self, recent: bool) -> String {
-        if recent {
-            let mut json = self.metrics.registry.tracer().dump_json();
-            json.push('\n');
-            json
-        } else {
-            self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
-            self.metrics.potential_cells.set(self.potentials.cells() as i64);
-            self.metrics.registry.render()
-        }
-    }
 }
 
 /// The scatter-gather front end. [`Router::bind`] validates the
 /// overlay/backend pairing and claims the port; [`Router::run`] serves until
 /// a client sends `SHUTDOWN`.
 pub struct Router {
-    listener: TcpListener,
-    shared: Arc<Shared>,
+    endpoint: Endpoint,
+    shared: Shared,
 }
 
 impl Router {
     /// Binds the router on loopback. `backends[i]` is shard `i`'s replica
     /// group — one or more addresses of reactors all serving shard `i`'s
     /// snapshot; the group count has to match the overlay's shard count and
-    /// no group may be empty. The backends are dialed lazily per client
-    /// connection, so they may come up after the router does.
+    /// no group may be empty. The backends are dialed lazily by each pool
+    /// worker, so they may come up after the router does.
     pub fn bind(
         overlay: OverlayIndex,
         backends: Vec<Vec<String>>,
@@ -512,42 +413,37 @@ impl Router {
                 format!("shard {shard} has an empty replica group"),
             ));
         }
-        let listener = crate::reactor::listen_reuseaddr(config.port)?;
-        let local_addr = listener.local_addr()?;
+        let endpoint = Endpoint::bind(config.port)?;
         let registry = config.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-        let metrics = RouterMetrics::new(registry, config.metrics_enabled, &backends);
+        let metrics = RouterMetrics::new(&registry, &backends);
+        let core_metrics = ServerMetrics::new(registry, config.metrics_enabled, None);
         let cache = if config.cache_capacity == 0 {
             ResultCache::disabled()
         } else {
             ResultCache::new(config.cache_capacity, ROUTER_CACHE_SHARDS)
         };
-        // Same metric names the single-shard server exposes, so dashboards
-        // and loadgen deltas read the router's cache identically.
-        metrics.registry.register_counter(
-            "wcsd_cache_hits_total",
-            &[],
-            "Result-cache hits",
-            cache.hit_counter(),
+        let core = Core::new(
+            core_metrics,
+            cache,
+            config.cache_capacity,
+            0,
+            MAX_PENDING_JOBS,
+            MAX_PENDING_JOBS,
         );
-        metrics.registry.register_counter(
-            "wcsd_cache_misses_total",
-            &[],
-            "Result-cache misses",
-            cache.miss_counter(),
-        );
+        core.publish(1, overlay.num_vertices(), overlay.num_edges());
         // The cells the answer cache's entries cost in bookkeeping, over as
         // many locks as still leave every shard room for one row.
         let budget = config.cache_capacity.saturating_mul(ENTRY_OVERHEAD_CELLS);
         let row_cells = ENTRY_OVERHEAD_CELLS + overlay.num_boundary();
         let potentials =
             ShardedLru::new(budget, (budget / row_cells).clamp(1, ROUTER_CACHE_SHARDS));
-        metrics.registry.register_counter(
+        core.metrics.registry.register_counter(
             "wcsd_router_potential_hits_total",
             &[],
             "Endpoint potential rows served from the potential cache",
             potentials.hit_counter(),
         );
-        metrics.registry.register_counter(
+        core.metrics.registry.register_counter(
             "wcsd_router_potential_misses_total",
             &[],
             "Endpoint potential rows fetched from a backend and recomputed",
@@ -563,49 +459,37 @@ impl Router {
                     .collect()
             })
             .collect();
-        let shared = Arc::new(Shared {
-            overlay,
-            shards,
-            rr,
-            cache,
-            potentials,
-            backend_timeout: config.backend_timeout,
-            probe_interval: config.probe_interval,
-            metrics,
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            local_addr,
-        });
-        Ok(Self { listener, shared })
+        Ok(Self {
+            endpoint,
+            shared: Shared {
+                core,
+                overlay,
+                shards,
+                rr,
+                potentials,
+                backend_timeout: config.backend_timeout,
+                probe_interval: config.probe_interval,
+                metrics,
+            },
+        })
     }
 
     /// The address the router is listening on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.endpoint.local_addr()
     }
 
-    /// Serves until a client sends `SHUTDOWN`, then joins the prober and
-    /// every connection handler (bounded by the poll interval plus in-flight
-    /// backend timeouts) and returns the final counters.
+    /// Serves until a client sends `SHUTDOWN`: starts the prober, runs the
+    /// reactor (and with it the worker pool) on the calling thread, then
+    /// joins them (bounded by the in-flight backend timeouts) and returns
+    /// the final counters.
     pub fn run(self) -> ServerSnapshot {
-        let prober = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || run_prober(&shared))
-        };
-        let mut handles = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&self.shared);
-            handles.push(std::thread::spawn(move || handle_connection(&shared, stream)));
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        let _ = prober.join();
-        self.shared.snapshot()
+        let Router { endpoint, shared } = self;
+        std::thread::scope(|scope| {
+            scope.spawn(|| run_prober(&shared));
+            reactor::serve(&shared, endpoint);
+        });
+        shared.core.snapshot()
     }
 }
 
@@ -616,10 +500,10 @@ fn run_prober(shared: &Shared) {
     if shared.probe_interval.is_zero() {
         return;
     }
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.core.shutdown.load(Ordering::SeqCst) {
         for (shard, group) in shared.shards.iter().enumerate() {
             for (replica, r) in group.iter().enumerate() {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.core.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 shared.metrics.probes.inc();
@@ -632,7 +516,7 @@ fn run_prober(shared: &Shared) {
         }
         let deadline = Instant::now() + shared.probe_interval;
         loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.core.shutdown.load(Ordering::SeqCst) {
                 return;
             }
             let now = Instant::now();
@@ -664,8 +548,8 @@ fn probe_replica(shared: &Shared, addr: &str) -> bool {
     client.stats().is_ok()
 }
 
-/// One lazily-dialed backend connection pool, private to one client
-/// connection (exchanges on a backend socket never interleave). Indexed
+/// One lazily-dialed backend connection pool, owned by one pool worker
+/// (exchanges on a backend socket never interleave). Indexed
 /// `[shard][replica]`.
 struct BackendPool {
     conns: Vec<Vec<Option<Client>>>,
@@ -769,7 +653,7 @@ impl BackendPool {
         let result = self.connect(shared, shard, replica).and_then(|client| client.batch(chunk));
         match result {
             Ok(answers) => {
-                if shared.metrics.enabled {
+                if shared.core.metrics.enabled {
                     shared.metrics.backend_us[shard].record_duration(t0.elapsed());
                 }
                 Ok(answers)
@@ -782,72 +666,156 @@ impl BackendPool {
     }
 }
 
-/// Validates a query's endpoints against the overlay's vertex range — same
-/// wording as the backend reactors, so the router and a direct backend reject
-/// identically.
-fn check_range(overlay: &OverlayIndex, s: VertexId, t: VertexId) -> Result<(), String> {
-    let n = overlay.num_vertices();
-    for v in [s, t] {
-        if v as usize >= n {
-            return Err(format!("vertex {v} out of range (index covers 0..{n})"));
+/// A router request that missed the result cache: the distinct misses a
+/// pool worker scatters, and where their answers go.
+struct Scatter {
+    /// What the reply is made of.
+    shape: Shape,
+    /// Every query's answer, a miss's slot still empty.
+    answers: Vec<Option<Distance>>,
+    /// `(position in answers, index into misses)` of every cache miss.
+    holes: Vec<(usize, usize)>,
+    /// The distinct misses, in first-seen order.
+    misses: Vec<Query>,
+}
+
+/// Which verb a [`Scatter`] answers.
+#[derive(Clone, Copy)]
+enum Shape {
+    Query,
+    Within(Distance),
+    Batch,
+}
+
+impl Shape {
+    fn reply(self, answers: Vec<Option<Distance>>) -> Reply {
+        match self {
+            Shape::Query => Reply::Dist(answers[0]),
+            Shape::Within(d) => Reply::Bool(answers[0].is_some_and(|x| x <= d)),
+            Shape::Batch => Reply::Batch(answers),
         }
     }
-    Ok(())
 }
 
-fn answer_distance(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    s: VertexId,
-    t: VertexId,
-    w: Quality,
-) -> Result<Option<Distance>, String> {
-    check_range(&shared.overlay, s, t)?;
-    Ok(answer_checked(shared, pool, &[(s, t, w)])?[0])
-}
-
-/// Answers a whole client `BATCH`. Any backend failure fails the whole batch
-/// — one `ERR` line, never a torn reply.
-fn answer_batch(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    queries: &[(VertexId, VertexId, Quality)],
-) -> Result<Vec<Option<Distance>>, String> {
-    for (i, &(s, t, _)) in queries.iter().enumerate() {
-        check_range(&shared.overlay, s, t)
-            .map_err(|reason| format!("batch line {}: {reason}", i + 1))?;
+impl Shared {
+    /// A point verb: inline from the result cache, else one scatter job.
+    fn point(&self, s: VertexId, t: VertexId, w: Quality, shape: Shape) -> Answer<Scatter> {
+        if let Err(reason) = check_range(self.overlay.num_vertices(), s, t) {
+            return Answer::Reply(Reply::Err(reason));
+        }
+        match self.core.cache.get(&(ROUTER_EPOCH, s, t, w)) {
+            Some(d) => Answer::Reply(match shape {
+                Shape::Within(bound) => Reply::Bool(d.is_some_and(|x| x <= bound)),
+                _ => Reply::Dist(d),
+            }),
+            None => Answer::Offload(Scatter {
+                shape,
+                answers: vec![None],
+                holes: vec![(0, 0)],
+                misses: vec![(s, t, w)],
+            }),
+        }
     }
-    answer_checked(shared, pool, queries)
+
+    /// Scatter-gathers distinct misses and inserts their answers into the
+    /// result cache.
+    fn scatter_cached(
+        &self,
+        pool: &mut BackendPool,
+        misses: &[Query],
+    ) -> Result<Vec<Option<Distance>>, String> {
+        let computed = scatter_batch(self, pool, misses)?;
+        for (&(s, t, w), &answer) in misses.iter().zip(&computed) {
+            self.core.cache.insert((ROUTER_EPOCH, s, t, w), answer);
+        }
+        Ok(computed)
+    }
 }
 
-/// Answers range-checked queries: cache hits are served from the router's
-/// memory, the distinct misses go through [`scatter_batch`] once each, and
-/// computed answers are inserted back.
-fn answer_checked(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    queries: &[(VertexId, VertexId, Quality)],
-) -> Result<Vec<Option<Distance>>, String> {
-    let mut misses: Vec<(VertexId, VertexId, Quality)> = Vec::new();
-    let mut miss_of = HashMap::new();
-    // Per query: the cached answer, or its index into `misses`.
-    let slots: Vec<Result<Option<Distance>, usize>> = queries
-        .iter()
-        .map(|&(s, t, w)| {
-            shared.cache.get(&(ROUTER_EPOCH, s, t, w)).ok_or_else(|| {
-                *miss_of.entry((s, t, w)).or_insert_with(|| {
-                    misses.push((s, t, w));
-                    misses.len() - 1
+impl Service for Shared {
+    type Job = Scatter;
+    type Outcome = Reply;
+    type Worker = BackendPool;
+
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn query(&self, s: VertexId, t: VertexId, w: Quality) -> Answer<Scatter> {
+        self.point(s, t, w, Shape::Query)
+    }
+
+    fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> Answer<Scatter> {
+        self.point(s, t, w, Shape::Within(d))
+    }
+
+    /// Range-checks the whole batch, then serves its cache hits; identical
+    /// misses inside one batch are scattered once. Any backend failure later
+    /// fails the whole batch — one `ERR` line, never a torn reply.
+    fn batch(&self, queries: Vec<Query>, _idle: usize) -> Answer<Scatter> {
+        for (i, &(s, t, _)) in queries.iter().enumerate() {
+            if let Err(reason) = check_range(self.overlay.num_vertices(), s, t) {
+                return Answer::Reply(Reply::Err(format!("batch line {}: {reason}", i + 1)));
+            }
+        }
+        let (mut holes, mut misses, mut miss_of) = (Vec::new(), Vec::new(), HashMap::new());
+        let answers = queries
+            .iter()
+            .enumerate()
+            .map(|(at, &(s, t, w))| {
+                self.core.cache.get(&(ROUTER_EPOCH, s, t, w)).unwrap_or_else(|| {
+                    let miss = *miss_of.entry((s, t, w)).or_insert_with(|| {
+                        misses.push((s, t, w));
+                        misses.len() - 1
+                    });
+                    holes.push((at, miss));
+                    None
                 })
             })
-        })
-        .collect();
-    let computed =
-        if misses.is_empty() { Vec::new() } else { scatter_batch(shared, pool, &misses)? };
-    for (&(s, t, w), &answer) in misses.iter().zip(&computed) {
-        shared.cache.insert((ROUTER_EPOCH, s, t, w), answer);
+            .collect();
+        if holes.is_empty() {
+            return Answer::Reply(Reply::Batch(answers));
+        }
+        Answer::Offload(Scatter { shape: Shape::Batch, answers, holes, misses })
     }
-    Ok(slots.into_iter().map(|slot| slot.unwrap_or_else(|miss| computed[miss])).collect())
+
+    fn reload(&self, _path: String) -> Answer<Scatter> {
+        Answer::Reply(Reply::Err(
+            "router serves a static overlay; RELOAD each backend directly".to_string(),
+        ))
+    }
+
+    fn worker(&self) -> BackendPool {
+        BackendPool::new(&self.shards)
+    }
+
+    fn run(
+        &self,
+        pool: &mut BackendPool,
+        job: Scatter,
+        picked: Option<Instant>,
+    ) -> Option<(Reply, Option<Instant>)> {
+        let Scatter { shape, mut answers, holes, misses } = job;
+        let reply = match self.scatter_cached(pool, &misses) {
+            Ok(computed) => {
+                for (at, miss) in holes {
+                    answers[at] = computed[miss];
+                }
+                shape.reply(answers)
+            }
+            Err(reason) => Reply::Err(reason),
+        };
+        Some((reply, picked))
+    }
+
+    fn complete(&self, reply: Reply) -> Reply {
+        reply
+    }
+
+    fn render_metrics(&self) -> String {
+        self.metrics.potential_cells.set(self.potentials.cells() as i64);
+        self.core.render_metrics()
+    }
 }
 
 /// Scatter-gathers distinct (range-checked) queries in the separable form:
@@ -923,291 +891,6 @@ fn scatter_batch(
             OverlayIndex::compose(direct, row(s, w), row(t, w))
         })
         .collect())
-}
-
-/// Outcome of handling one request.
-enum Action {
-    Reply(Reply),
-    /// Reply, then close the connection (`SHUTDOWN`).
-    Bye(Reply),
-}
-
-/// Executes one protocol-neutral request against the backends. Both wire
-/// loops funnel through here, so text and binary clients get identical
-/// behavior.
-fn execute(
-    shared: &Shared,
-    pool: &mut BackendPool,
-    proto: usize,
-    req: Request,
-    batch_body: Vec<(VertexId, VertexId, Quality)>,
-) -> Action {
-    let m = &shared.metrics;
-    let timer = m.enabled.then(Instant::now);
-    match req {
-        Request::Query { s, t, w } => {
-            let reply = match answer_distance(shared, pool, s, t, w) {
-                Ok(d) => {
-                    m.queries.inc();
-                    Reply::Dist(d)
-                }
-                Err(reason) => Reply::Err(reason),
-            };
-            m.finish(proto, VERB_QUERY, timer);
-            Action::Reply(reply)
-        }
-        Request::Within { s, t, w, d } => {
-            let reply = match answer_distance(shared, pool, s, t, w) {
-                Ok(found) => {
-                    m.queries.inc();
-                    Reply::Bool(found.is_some_and(|x| x <= d))
-                }
-                Err(reason) => Reply::Err(reason),
-            };
-            m.finish(proto, VERB_WITHIN, timer);
-            Action::Reply(reply)
-        }
-        Request::Batch { n } => {
-            debug_assert_eq!(n, batch_body.len());
-            let reply = match answer_batch(shared, pool, &batch_body) {
-                Ok(answers) => {
-                    m.batches.inc();
-                    m.batch_queries.add(answers.len() as u64);
-                    Reply::Batch(answers)
-                }
-                Err(reason) => Reply::Err(reason),
-            };
-            m.finish(proto, VERB_BATCH, timer);
-            Action::Reply(reply)
-        }
-        Request::Stats => {
-            let reply = Reply::Stats(shared.snapshot().encode());
-            m.finish(proto, VERB_STATS, timer);
-            Action::Reply(reply)
-        }
-        Request::Metrics { recent } => {
-            // Render before self-counting, mirroring the reactor: the scrape
-            // reconciles with the counters as of just before this request.
-            let payload = shared.metrics_payload(recent);
-            m.finish(proto, VERB_METRICS, timer);
-            Action::Reply(Reply::Metrics(payload))
-        }
-        Request::Reload { .. } => {
-            m.finish(proto, VERB_RELOAD, timer);
-            Action::Reply(Reply::Err(
-                "router serves a static overlay; RELOAD each backend directly".to_string(),
-            ))
-        }
-        Request::Shutdown => {
-            m.finish(proto, VERB_SHUTDOWN, timer);
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so `run` observes the flag.
-            let _ = TcpStream::connect(shared.local_addr);
-            Action::Bye(Reply::Bye)
-        }
-    }
-}
-
-/// What a polled read produced.
-enum ReadOutcome {
-    Data,
-    Closed,
-    Shutdown,
-}
-
-/// Reads exactly `buf.len()` bytes, polling the shutdown flag on every read
-/// timeout. A peer close mid-item is `Closed` either way — the connection is
-/// done.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-    ReadOutcome::Data
-}
-
-/// Reads one newline-terminated line (the partial line survives read
-/// timeouts: `read_until` appends what it consumed before erroring).
-fn read_line(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut Vec<u8>,
-    shared: &Shared,
-) -> ReadOutcome {
-    loop {
-        match reader.read_until(b'\n', line) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(_) if line.ends_with(b"\n") => return ReadOutcome::Data,
-            Ok(_) => return ReadOutcome::Closed, // EOF mid-line
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) || line.len() > crate::server::MAX_LINE {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-}
-
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    shared.metrics.connections.inc();
-    shared.metrics.live_connections.inc();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(crate::server::WRITE_TIMEOUT));
-
-    let mut first = [0u8; 1];
-    if matches!(read_full(&mut stream, &mut first, shared), ReadOutcome::Data) {
-        if first[0] == binary::MAGIC {
-            let mut version = [0u8; 1];
-            if matches!(read_full(&mut stream, &mut version, shared), ReadOutcome::Data)
-                && version[0] == binary::VERSION
-            {
-                shared.metrics.proto_connections[PROTO_BINARY].inc();
-                serve_binary(shared, stream);
-            }
-        } else {
-            shared.metrics.proto_connections[PROTO_TEXT].inc();
-            serve_text(shared, stream, first[0]);
-        }
-    }
-    shared.metrics.live_connections.dec();
-}
-
-fn serve_text(shared: &Shared, stream: TcpStream, first_byte: u8) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    let mut pool = BackendPool::new(&shared.shards);
-    let mut line: Vec<u8> = vec![first_byte];
-    // The first byte already consumed for protocol detection may itself be
-    // the newline of an empty first line.
-    loop {
-        if !line.ends_with(b"\n") {
-            match read_line(&mut reader, &mut line, shared) {
-                ReadOutcome::Data => {}
-                ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-            }
-        }
-        let text = String::from_utf8_lossy(&line).into_owned();
-        let action = match protocol::parse_request(text.trim_end_matches(['\r', '\n'])) {
-            Ok(Request::Batch { n }) => {
-                let mut body = Vec::with_capacity(n);
-                let mut invalid: Option<String> = None;
-                let mut body_line: Vec<u8> = Vec::new();
-                for seen in 1..=n {
-                    body_line.clear();
-                    match read_line(&mut reader, &mut body_line, shared) {
-                        ReadOutcome::Data => {}
-                        ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-                    }
-                    let text = String::from_utf8_lossy(&body_line);
-                    match protocol::parse_batch_line(text.trim_end_matches(['\r', '\n'])) {
-                        Ok(q) => body.push(q),
-                        Err(reason) => {
-                            invalid.get_or_insert(format!("batch line {seen}: {reason}"));
-                        }
-                    }
-                }
-                match invalid {
-                    None => execute(shared, &mut pool, PROTO_TEXT, Request::Batch { n }, body),
-                    Some(reason) => Action::Reply(Reply::Err(reason)),
-                }
-            }
-            Ok(req) => execute(shared, &mut pool, PROTO_TEXT, req, Vec::new()),
-            Err(reason) => Action::Reply(Reply::Err(reason)),
-        };
-        let (reply, done) = match action {
-            Action::Reply(reply) => (reply, false),
-            Action::Bye(reply) => (reply, true),
-        };
-        if matches!(reply, Reply::Err(_)) {
-            shared.metrics.errors[PROTO_TEXT].inc();
-        }
-        let mut out = Vec::new();
-        reply.encode_text(&mut out);
-        if writer.write_all(&out).and_then(|()| writer.flush()).is_err() || done {
-            return;
-        }
-        line.clear();
-    }
-}
-
-fn serve_binary(shared: &Shared, mut stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = BufWriter::new(write_half);
-    let mut pool = BackendPool::new(&shared.shards);
-    loop {
-        let mut len = [0u8; 4];
-        match read_full(&mut stream, &mut len, shared) {
-            ReadOutcome::Data => {}
-            ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-        }
-        let len = u32::from_le_bytes(len) as usize;
-        if len > binary::MAX_FRAME {
-            let mut out = Vec::new();
-            binary::encode_reply(
-                &Reply::Err(format!("frame of {len} bytes exceeds maximum")),
-                &mut out,
-            );
-            let _ = writer.write_all(&out).and_then(|()| writer.flush());
-            return;
-        }
-        let mut body = vec![0u8; len];
-        match read_full(&mut stream, &mut body, shared) {
-            ReadOutcome::Data => {}
-            ReadOutcome::Closed | ReadOutcome::Shutdown => return,
-        }
-        let action = match binary::decode_request(&body) {
-            Ok(bin) => {
-                let (req, batch_body) = match bin {
-                    BinRequest::Query { s, t, w } => (Request::Query { s, t, w }, Vec::new()),
-                    BinRequest::Batch { queries } => (Request::Batch { n: queries.len() }, queries),
-                    BinRequest::Within { s, t, w, d } => {
-                        (Request::Within { s, t, w, d }, Vec::new())
-                    }
-                    BinRequest::Stats => (Request::Stats, Vec::new()),
-                    BinRequest::Metrics { recent } => (Request::Metrics { recent }, Vec::new()),
-                    BinRequest::Reload { path } => (Request::Reload { path }, Vec::new()),
-                    BinRequest::Shutdown => (Request::Shutdown, Vec::new()),
-                };
-                execute(shared, &mut pool, PROTO_BINARY, req, batch_body)
-            }
-            Err(reason) => Action::Reply(Reply::Err(reason)),
-        };
-        let (reply, done) = match action {
-            Action::Reply(reply) => (reply, false),
-            Action::Bye(reply) => (reply, true),
-        };
-        if matches!(reply, Reply::Err(_)) {
-            shared.metrics.errors[PROTO_BINARY].inc();
-        }
-        let mut out = Vec::new();
-        binary::encode_reply(&reply, &mut out);
-        if writer.write_all(&out).and_then(|()| writer.flush()).is_err() || done {
-            return;
-        }
-    }
 }
 
 /// Convenience for tests and the CLI: loads per-shard `WCIF` snapshots and

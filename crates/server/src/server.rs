@@ -8,15 +8,12 @@
 //! `DynamicWcIndex::freeze`), so every query runs over the contiguous
 //! struct-of-arrays arena instead of per-vertex heap allocations.
 //!
-//! Connection handling is a single-threaded event-loop reactor (the
-//! private `reactor` module): nonblocking sockets multiplexed through a small
-//! `poll(2)` wrapper, per-connection read/parse/execute/write state
-//! machines, and a bounded worker pool for `BATCH` answering and `RELOAD`
-//! snapshot decoding. The pool is the only level of query parallelism: a
-//! batch runs on the worker that dequeues it, and a large batch is split
-//! across the same pool only while workers are idle. Concurrent connections
-//! therefore scale with file descriptors, not threads, and an idle server
-//! sleeps in `poll` instead of busy-polling `accept`.
+//! Connection handling is the event-loop reactor (the private `reactor`
+//! module), monomorphized for this module's backend service. Point verbs
+//! are answered inline; `BATCH` answering and `RELOAD` snapshot decoding go
+//! to its fixed worker pool, the only level of query parallelism: a batch
+//! runs on the worker that dequeues it, and a large batch is split across
+//! the same pool only while workers are idle.
 //!
 //! The served index lives in a swappable slot guarded by one mutex: a
 //! `RELOAD <path>` request decodes a new snapshot off-loop, installs it with
@@ -31,29 +28,25 @@
 
 use crate::cache::ResultCache;
 use crate::metrics::ServerMetrics;
-use crate::protocol;
-use crate::reactor::{self, Reactor};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::protocol::{self, ReloadInfo, Reply};
+use crate::reactor::{self, check_range, dur_us, Answer, Core, Endpoint, Query, Service};
+use std::net::SocketAddr;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 use wcsd_core::{FlatIndex, QueryImpl, WcIndex};
-use wcsd_graph::{Quality, VertexId};
+use wcsd_graph::{Distance, Quality, VertexId, INF_DIST};
 use wcsd_obs::Registry;
 
-/// Upper bound on how long one connection's pending output may sit without
-/// the socket accepting a single byte. A client that stops reading its
-/// replies (so the kernel send buffer fills) gets its connection dropped
-/// after this long instead of pinning server memory forever.
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Longest text request line the server accepts. Every legal request fits in
-/// a few dozen bytes; this bounds the memory a client streaming
-/// newline-free bytes can pin (the line-size analogue of
-/// [`protocol::MAX_BATCH`]).
-pub(crate) const MAX_LINE: usize = 64 * 1024;
+/// Fewest queries a `BATCH` must hold before the backend splits it across
+/// idle workers. Below it, handing half the batch to a parked worker (a
+/// queue push plus a wake) costs as much as the merges it takes over.
+/// Measured with one idle lane per batch length, inline against a two-part
+/// split: on one shard of a 40×40 road grid (0.6 µs merges) the split tied
+/// at 8–16 queries and won from 32; on a 96×96 grid (3.5 µs) it won from 8.
+const SPLIT_MIN: usize = 32;
 
 /// Server tuning knobs. `Default` picks a kernel-assigned port, two batch
 /// workers, `BATCH` splits of at most one part per core, and a 64Ki-entry
@@ -123,7 +116,7 @@ impl Default for ServerConfig {
 
 /// A point-in-time snapshot of the server counters, backing the `STATS`
 /// command and the summary returned by [`Server::run`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerSnapshot {
     /// Vertices covered by the currently served snapshot.
     pub vertices: usize,
@@ -201,23 +194,7 @@ impl ServerSnapshot {
     pub fn decode(line: &str) -> Result<Self, String> {
         let body =
             line.trim().strip_prefix("STATS ").ok_or_else(|| protocol::server_error(line))?;
-        let mut snap = Self {
-            vertices: 0,
-            entries: 0,
-            generation: 0,
-            uptime_ms: 0,
-            connections: 0,
-            live_connections: 0,
-            text_connections: 0,
-            binary_connections: 0,
-            reloads: 0,
-            queries: 0,
-            batches: 0,
-            batch_queries: 0,
-            shed: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-        };
+        let mut snap = Self::default();
         for pair in body.split_whitespace() {
             let (key, value) =
                 pair.split_once('=').ok_or_else(|| format!("malformed stats field {pair:?}"))?;
@@ -250,90 +227,100 @@ impl ServerSnapshot {
 /// The swappable serving slot: the epoch tags cache keys and is reported as
 /// the `STATS` generation; both change together under one lock, so a worker
 /// can never pair a snapshot with another generation's cache entries.
-pub(crate) struct SnapshotSlot {
-    pub(crate) epoch: u64,
-    pub(crate) index: Arc<FlatIndex>,
+struct SnapshotSlot {
+    epoch: u64,
+    index: Arc<FlatIndex>,
 }
 
-/// Shared state the reactor and the worker pool both borrow.
-pub(crate) struct Shared {
-    pub(crate) slot: Mutex<SnapshotSlot>,
-    pub(crate) cache: ResultCache,
+/// The backend service the reactor runs: point verbs answered inline from
+/// the served snapshot, batches and reloads on the pool.
+struct Backend {
+    core: Core,
+    slot: Mutex<SnapshotSlot>,
     /// Most parts one `BATCH` is split into ([`ServerConfig::batch_threads`]).
-    pub(crate) batch_threads: usize,
-    pub(crate) batch_workers: usize,
-    pub(crate) max_pending_jobs: usize,
+    batch_threads: usize,
     /// Query implementation for every answer (bit-identical across
     /// variants; see [`ServerConfig::query_impl`]).
-    pub(crate) query_impl: QueryImpl,
-    pub(crate) started: Instant,
-    pub(crate) shutdown: AtomicBool,
-    /// All server counters/gauges/histograms. `STATS` reads the same atomics
-    /// `METRICS` renders, so the two views cannot disagree on totals.
-    pub(crate) metrics: ServerMetrics,
+    query_impl: QueryImpl,
 }
 
-impl Shared {
+/// A backend pool job.
+enum BackendJob {
+    /// One part of a `BATCH`, which all of its parts share.
+    Batch(Arc<BatchJob>, usize),
+    /// A `RELOAD`: read + decode + validate a snapshot off the reactor
+    /// thread. The swap itself happens at completion, so installs are
+    /// serialized.
+    Reload(String),
+}
+
+/// What a finished backend job hands back to the reactor thread.
+enum BackendOutcome {
+    /// In-order answers, or why the batch was rejected.
+    Batch(Result<Vec<Option<Distance>>, String>),
+    /// The decoded snapshot (or the load error), with the decode time when
+    /// timing is enabled.
+    Reload(Result<FlatIndex, String>, Option<u64>),
+}
+
+/// A `BATCH` in the worker pool, shared by its parts. Pinning
+/// `(epoch, index)` here is what makes every batch reply consistent with
+/// exactly one snapshot across a concurrent `RELOAD`, however many parts
+/// answer it. Every line was range-checked against `index` before the
+/// batch reached the pool.
+struct BatchJob {
+    /// Cache epoch paired with `index`.
+    epoch: u64,
+    /// The snapshot every part answers from.
+    index: Arc<FlatIndex>,
+    /// The batch body.
+    queries: Vec<Query>,
+    /// Parts the batch runs as; 1 means inline on one worker.
+    parts: usize,
+    /// When the first part was picked up (set only when timing is enabled).
+    started: OnceLock<Instant>,
+    /// The one output buffer, by input position. Each part stores only into
+    /// its own range; [`INF_DIST`] marks an unreachable pair.
+    answers: Vec<AtomicU32>,
+    /// Set by part 0 when the `worker.batch` failpoint fails the batch.
+    injected_failure: AtomicBool,
+    /// Parts still running; the part that takes it to zero replies.
+    remaining: AtomicUsize,
+}
+
+impl BatchJob {
+    /// The input positions part `part` answers. The ranges of all parts tile
+    /// `0..queries.len()` and differ in length by at most one.
+    fn part_range(&self, part: usize) -> Range<usize> {
+        let n = self.queries.len();
+        part * n / self.parts..(part + 1) * n / self.parts
+    }
+}
+
+impl Backend {
     /// The snapshot being served right now, with its cache epoch.
-    pub(crate) fn current(&self) -> (u64, Arc<FlatIndex>) {
+    fn current(&self) -> (u64, Arc<FlatIndex>) {
         let slot = self.slot.lock().expect("snapshot slot poisoned");
         (slot.epoch, Arc::clone(&slot.index))
     }
 
     /// Installs a new snapshot, bumping the generation. In-flight holders of
     /// the previous `Arc` are unaffected. Returns the new generation.
-    pub(crate) fn install(&self, index: Arc<FlatIndex>) -> u64 {
+    fn install(&self, index: Arc<FlatIndex>) -> u64 {
         let stats = index.stats();
         let mut slot = self.slot.lock().expect("snapshot slot poisoned");
         slot.epoch += 1;
         slot.index = index;
         let epoch = slot.epoch;
         drop(slot);
-        self.metrics.reloads.inc();
-        self.metrics.generation.set(epoch as i64);
-        self.metrics.index_vertices.set(stats.num_vertices as i64);
-        self.metrics.index_entries.set(stats.total_entries as i64);
+        self.core.metrics.reloads.inc();
+        self.core.publish(epoch, stats.num_vertices, stats.total_entries);
         epoch
-    }
-
-    /// Point-in-time counter snapshot. One read per atomic; the derived
-    /// hit rate is computed from this snapshot's own hit/miss values, never
-    /// from a second load.
-    pub(crate) fn snapshot(&self) -> ServerSnapshot {
-        let (epoch, index) = self.current();
-        let stats = index.stats();
-        let m = &self.metrics;
-        ServerSnapshot {
-            vertices: stats.num_vertices,
-            entries: stats.total_entries,
-            generation: epoch,
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            connections: m.connections.get(),
-            live_connections: m.live_connections.get().max(0) as u64,
-            text_connections: m.proto_connections[crate::metrics::PROTO_TEXT].get(),
-            binary_connections: m.proto_connections[crate::metrics::PROTO_BINARY].get(),
-            reloads: m.reloads.get(),
-            queries: m.queries.get(),
-            batches: m.batches.get(),
-            batch_queries: m.batch_queries.get(),
-            shed: m.shed[crate::metrics::PROTO_TEXT].get()
-                + m.shed[crate::metrics::PROTO_BINARY].get(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-        }
-    }
-
-    /// Renders the full Prometheus exposition, refreshing the point-in-time
-    /// gauges first. Called on the reactor thread only, which is what makes
-    /// the counter/histogram reconciliation exact (see [`crate::metrics`]).
-    pub(crate) fn render_metrics(&self) -> String {
-        self.metrics.uptime_ms.set(self.started.elapsed().as_millis() as i64);
-        self.metrics.registry.render()
     }
 
     /// Answers one query through the epoch-tagged cache against a pinned
     /// snapshot.
-    pub(crate) fn cached_distance(
+    fn cached_distance(
         &self,
         epoch: u64,
         index: &FlatIndex,
@@ -342,12 +329,176 @@ impl Shared {
         w: Quality,
     ) -> Option<u32> {
         let key = (epoch, s, t, w);
-        if let Some(answer) = self.cache.get(&key) {
+        if let Some(answer) = self.core.cache.get(&key) {
             return answer;
         }
         let answer = index.distance_with(s, t, w, self.query_impl);
-        self.cache.insert(key, answer);
+        self.core.cache.insert(key, answer);
         answer
+    }
+
+    /// Runs one part of a batch on the calling worker, serially. The part
+    /// that finishes last returns the batch's one outcome and when its first
+    /// part was picked up; the others return `None`.
+    fn run_part(
+        &self,
+        batch: &BatchJob,
+        part: usize,
+        picked: Option<Instant>,
+    ) -> Option<(BackendOutcome, Option<Instant>)> {
+        if let Some(picked) = picked {
+            batch.started.get_or_init(|| picked);
+        }
+        // Chaos site, once per batch: `fail` poisons the batch (the client
+        // sees an ERR, never a wrong answer); `delay:<ms>` stalls the worker
+        // so tests can fill the pending queue deterministically.
+        let injected = part == 0
+            && matches!(
+                crate::failpoint::fire("worker.batch"),
+                Some(crate::failpoint::Action::Fail | crate::failpoint::Action::Refuse)
+            );
+        if injected {
+            batch.injected_failure.store(true, Ordering::Relaxed);
+        } else {
+            let range = batch.part_range(part);
+            for (slot, &(s, t, w)) in batch.answers[range.clone()].iter().zip(&batch.queries[range])
+            {
+                let answer = self.cached_distance(batch.epoch, &batch.index, s, t, w);
+                slot.store(answer.unwrap_or(INF_DIST), Ordering::Relaxed);
+            }
+        }
+        // AcqRel: the last part acquires every other part's stores.
+        if batch.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        let result = if batch.injected_failure.load(Ordering::Relaxed) {
+            Err("injected batch failure".to_string())
+        } else {
+            Ok(batch
+                .answers
+                .iter()
+                .map(|slot| Some(slot.load(Ordering::Relaxed)).filter(|&d| d != INF_DIST))
+                .collect())
+        };
+        Some((BackendOutcome::Batch(result), batch.started.get().copied()))
+    }
+}
+
+impl Service for Backend {
+    type Job = BackendJob;
+    type Outcome = BackendOutcome;
+    type Worker = ();
+
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn query(&self, s: VertexId, t: VertexId, w: Quality) -> Answer<BackendJob> {
+        let (epoch, index) = self.current();
+        Answer::Reply(match check_range(index.num_vertices(), s, t) {
+            Ok(()) => Reply::Dist(self.cached_distance(epoch, &index, s, t, w)),
+            Err(reason) => Reply::Err(reason),
+        })
+    }
+
+    /// Uncached, through the configured query implementation.
+    fn within(&self, s: VertexId, t: VertexId, w: Quality, d: Distance) -> Answer<BackendJob> {
+        let (_epoch, index) = self.current();
+        Answer::Reply(match check_range(index.num_vertices(), s, t) {
+            Ok(()) => {
+                Reply::Bool(index.distance_with(s, t, w, self.query_impl).is_some_and(|x| x <= d))
+            }
+            Err(reason) => Reply::Err(reason),
+        })
+    }
+
+    /// Pins the current snapshot and range-checks the whole batch first, so
+    /// a bad line is answered with its `batch line N` error and never
+    /// reaches the pool. A batch runs inline on the worker that dequeues it,
+    /// unless it holds at least [`SPLIT_MIN`] queries while workers sit idle:
+    /// then it is split into one part per idle worker, at most
+    /// `batch_threads` parts.
+    fn batch(&self, queries: Vec<Query>, idle: usize) -> Answer<BackendJob> {
+        let (epoch, index) = self.current();
+        for (i, &(s, t, _)) in queries.iter().enumerate() {
+            if let Err(reason) = check_range(index.num_vertices(), s, t) {
+                return Answer::Reply(Reply::Err(format!("batch line {}: {reason}", i + 1)));
+            }
+        }
+        let parts =
+            if queries.len() >= SPLIT_MIN { idle.min(self.batch_threads).max(1) } else { 1 };
+        let batch = Arc::new(BatchJob {
+            epoch,
+            index,
+            answers: queries.iter().map(|_| AtomicU32::new(INF_DIST)).collect(),
+            queries,
+            parts,
+            started: OnceLock::new(),
+            injected_failure: AtomicBool::new(false),
+            remaining: AtomicUsize::new(parts),
+        });
+        match parts {
+            1 => Answer::Offload(BackendJob::Batch(batch, 0)),
+            _ => Answer::Split(
+                (0..parts).map(|part| BackendJob::Batch(Arc::clone(&batch), part)).collect(),
+            ),
+        }
+    }
+
+    fn reload(&self, path: String) -> Answer<BackendJob> {
+        Answer::Offload(BackendJob::Reload(path))
+    }
+
+    fn worker(&self) {}
+
+    fn run(
+        &self,
+        _worker: &mut (),
+        job: BackendJob,
+        picked: Option<Instant>,
+    ) -> Option<(BackendOutcome, Option<Instant>)> {
+        match job {
+            BackendJob::Batch(batch, part) => self.run_part(&batch, part, picked),
+            BackendJob::Reload(path) => {
+                let result = load_flat_snapshot(&path);
+                let decode_us = picked.map(|t| dur_us(t.elapsed()));
+                Some((BackendOutcome::Reload(result, decode_us), picked))
+            }
+        }
+    }
+
+    /// A reloaded snapshot is installed here, on the reactor thread.
+    fn complete(&self, outcome: BackendOutcome) -> Reply {
+        let m = &self.core.metrics;
+        match outcome {
+            BackendOutcome::Batch(Ok(answers)) => Reply::Batch(answers),
+            BackendOutcome::Reload(Ok(flat), decode_us) => {
+                let stats = flat.stats();
+                let swap_t0 = m.timer();
+                let generation = self.install(Arc::new(flat));
+                if let Some(decode_us) = decode_us.filter(|_| m.enabled) {
+                    let swap_us = swap_t0.map_or(0, |t| dur_us(t.elapsed()));
+                    m.reload_decode_us.record(decode_us);
+                    m.reload_swap_us.record(swap_us);
+                    m.registry.tracer().record(
+                        "reload",
+                        &format!(
+                            "generation={generation} vertices={} entries={}",
+                            stats.num_vertices, stats.total_entries
+                        ),
+                        decode_us + swap_us,
+                    );
+                }
+                Reply::Reloaded(ReloadInfo {
+                    generation,
+                    vertices: stats.num_vertices as u64,
+                    entries: stats.total_entries as u64,
+                })
+            }
+            BackendOutcome::Batch(Err(reason)) | BackendOutcome::Reload(Err(reason), _) => {
+                Reply::Err(reason)
+            }
+        }
     }
 }
 
@@ -476,11 +627,8 @@ pub fn write_snapshot_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(),
 /// A bound but not yet running query server. Created with [`Server::bind`],
 /// driven to completion with [`Server::run`].
 pub struct Server {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    wake_rx: TcpStream,
-    wake_tx: reactor::WakeSender,
-    shared: Shared,
+    endpoint: Endpoint,
+    backend: Backend,
 }
 
 impl Server {
@@ -496,85 +644,42 @@ impl Server {
     /// can re-acquire the port of a killed predecessor) and serves the given
     /// frozen index.
     pub fn bind_flat(index: Arc<FlatIndex>, config: ServerConfig) -> std::io::Result<Self> {
-        let listener = reactor::listen_reuseaddr(config.port)?;
-        let local_addr = listener.local_addr()?;
-        let (wake_rx, wake_tx) = reactor::wake_pair()?;
+        let endpoint = Endpoint::bind(config.port)?;
         let registry = config.registry.clone().unwrap_or_else(|| Arc::new(Registry::new()));
         let batch_workers = config.batch_workers.max(1);
         let max_pending_jobs = config.max_pending_jobs.max(1);
+        let metrics = ServerMetrics::new(registry, config.metrics_enabled, config.slow_query_ms);
+        let stats = index.stats();
         let cache = ResultCache::new(config.cache_capacity, config.cache_shards);
-        let metrics = ServerMetrics::new(
-            registry,
-            config.metrics_enabled,
-            config.slow_query_ms,
-            batch_workers,
+        let core = Core::new(
+            metrics,
+            cache,
             config.cache_capacity,
+            batch_workers,
+            batch_workers,
             max_pending_jobs,
         );
-        // The registry renders the cache's own live counters — one set of
-        // atomics behind both STATS and METRICS.
-        metrics.registry.register_counter(
-            "wcsd_cache_hits_total",
-            &[],
-            "Result-cache hits",
-            cache.hit_counter(),
-        );
-        metrics.registry.register_counter(
-            "wcsd_cache_misses_total",
-            &[],
-            "Result-cache misses",
-            cache.miss_counter(),
-        );
-        let stats = index.stats();
-        metrics.generation.set(1);
-        metrics.index_vertices.set(stats.num_vertices as i64);
-        metrics.index_entries.set(stats.total_entries as i64);
-        Ok(Self {
-            listener,
-            local_addr,
-            wake_rx,
-            wake_tx,
-            shared: Shared {
-                slot: Mutex::new(SnapshotSlot { epoch: 1, index }),
-                cache,
-                batch_threads: config.batch_threads.max(1),
-                batch_workers,
-                max_pending_jobs,
-                query_impl: config.query_impl,
-                started: Instant::now(),
-                shutdown: AtomicBool::new(false),
-                metrics,
-            },
-        })
+        core.publish(1, stats.num_vertices, stats.total_entries);
+        let backend = Backend {
+            core,
+            slot: Mutex::new(SnapshotSlot { epoch: 1, index }),
+            batch_threads: config.batch_threads.max(1),
+            query_impl: config.query_impl,
+        };
+        Ok(Self { endpoint, backend })
     }
 
     /// The address the server listens on (useful with `port = 0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.endpoint.local_addr()
     }
 
     /// Serves connections until a client sends `SHUTDOWN`: spawns the
     /// bounded worker pool, then runs the reactor on the calling thread.
     /// Returns the final counter snapshot once the pool has drained.
     pub fn run(self) -> ServerSnapshot {
-        let Server { listener, wake_rx, wake_tx, shared, .. } = self;
-        let shared = &shared;
-        let (job_tx, job_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel();
-        let job_rx = Mutex::new(job_rx);
-        std::thread::scope(|scope| {
-            for _ in 0..shared.batch_workers {
-                let done_tx = done_tx.clone();
-                let wake = wake_tx.clone();
-                let job_rx = &job_rx;
-                scope.spawn(move || reactor::worker(shared, job_rx, done_tx, wake));
-            }
-            drop(done_tx);
-            // The reactor owns the job sender: when `run` returns it drops,
-            // the workers' `recv` disconnects, and the scope joins.
-            Reactor::new(shared, listener, wake_rx, job_tx, done_rx).run();
-        });
-        shared.snapshot()
+        reactor::serve(&self.backend, self.endpoint);
+        self.backend.core.snapshot()
     }
 }
 

@@ -15,10 +15,16 @@
 //! * an end-to-end TCP test: two real backend reactors plus the
 //!   scatter-gather router, checked for wire parity on both protocols and
 //!   for identical `ERR` wording against a direct (unsharded) server;
+//! * a malformed-input table sent over raw sockets to the router and to a
+//!   direct backend (same reply bytes, same closed/open state), and a
+//!   64 MiB newline-free stream the router must refuse within 8 MiB;
 //! * a fault-injection test: one backend is killed mid-workload and the
 //!   router must degrade to `ERR` within the backend timeout, keep serving
 //!   queries that avoid the dead shard, report the degradation through
 //!   `METRICS`, and never emit a torn (partial) batch reply;
+//! * a hung-shard test: sixteen requests wait on a replica that accepts
+//!   and never replies, and queries wholly inside the healthy shard are
+//!   still answered at once, with nothing shed;
 //! * a result-cache test: repeated workloads are served from router memory
 //!   with zero additional backend fan-out, bit-identically, with hits
 //!   reported consistently through `STATS` and `METRICS`;
@@ -397,6 +403,221 @@ fn router_wire_parity_end_to_end() {
     let mut c = Client::connect(&direct_addr).expect("connect direct");
     c.shutdown().expect("direct shutdown");
     direct_handle.join().expect("direct thread");
+}
+
+/// Writes `bytes` on a fresh raw connection, then reads until the peer
+/// closes or `quiet` passes without a byte. Returns everything read and
+/// whether the connection was closed. A write the peer refuses partway (it
+/// hung up first) is not an error: the reply is what counts.
+fn raw_exchange(addr: &str, bytes: &[u8], quiet: Duration) -> (Vec<u8>, bool) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.set_read_timeout(Some(quiet)).unwrap();
+    let _ = stream.write_all(bytes);
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 64 * 1024];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return (reply, true),
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return (reply, false)
+            }
+            Err(_) => return (reply, true), // reset after the reply
+        }
+    }
+}
+
+/// A reply, shortened for a failure message.
+fn shown(reply: &[u8]) -> String {
+    format!("{} bytes {:?}", reply.len(), String::from_utf8_lossy(&reply[..reply.len().min(96)]))
+}
+
+/// Malformed input gets byte-identical treatment from the router and a
+/// direct backend — same reply bytes, and the connection closed or left open
+/// alike — because both run on the one reactor.
+#[test]
+fn router_rejects_malformed_input_like_a_backend() {
+    let g = barabasi_albert(60, 2, &QualityAssigner::uniform(4), 11);
+    let cluster = start_cluster(&g, 2, 3, Duration::from_secs(2), 64 * 1024);
+    let direct = Server::bind(IndexBuilder::wc_index_plus().build(&g), ServerConfig::default())
+        .expect("bind direct server");
+    let direct_addr = direct.local_addr().to_string();
+    let direct_handle = std::thread::spawn(move || direct.run());
+
+    let mut huge_frame = vec![0xBF, 0x01];
+    huge_frame.extend_from_slice(&(64u32 << 20).to_le_bytes());
+    let mut long_line = vec![b'Q'; 128 * 1024];
+    long_line.push(b'\n');
+    // (row, bytes, whether the backend closes the connection)
+    let rows: [(&str, Vec<u8>, bool); 5] = [
+        ("bad binary version", vec![0xBF, 0x09], true),
+        ("64 MiB frame header", huge_frame, true),
+        ("128 KiB line with a newline", long_line, true),
+        ("256 KiB line without one", vec![b'Q'; 256 * 1024], true),
+        ("unknown verb", b"FROB 1 2\n".to_vec(), false),
+    ];
+    let quiet = Duration::from_secs(2);
+    for (row, bytes, closes) in rows {
+        let (want, want_closed) = raw_exchange(&direct_addr, &bytes, quiet);
+        assert!(!want.is_empty() && want_closed == closes, "{row}: backend {}", shown(&want));
+        let (got, got_closed) = raw_exchange(&cluster.router_addr, &bytes, quiet);
+        assert!(
+            got == want && got_closed == want_closed,
+            "{row}: router {} (closed: {got_closed}), backend {} (closed: {want_closed})",
+            shown(&got),
+            shown(&want)
+        );
+    }
+
+    cluster.shutdown();
+    let mut c = Client::connect(&direct_addr).expect("connect direct");
+    c.shutdown().expect("direct shutdown");
+    direct_handle.join().expect("direct thread");
+}
+
+/// A client streaming bytes with no newline cannot make the router buffer
+/// them: past the line limit it gets one `ERR` and the connection closes,
+/// long before 8 MiB of a 64 MiB stream have been written.
+#[test]
+fn router_bounds_an_unterminated_line() {
+    use std::io::{Read, Write};
+    let g = barabasi_albert(40, 2, &QualityAssigner::uniform(4), 2);
+    let cluster = start_cluster(&g, 2, 1, Duration::from_secs(2), 64 * 1024);
+    let mut stream = std::net::TcpStream::connect(&cluster.router_addr).expect("connect");
+    stream.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    let mut written = 0usize;
+    'stream: for _ in 0..64 {
+        let mut at = 0;
+        while at < chunk.len() {
+            match stream.write(&chunk[at..]) {
+                Ok(n) if n > 0 => at += n,
+                _ => break 'stream,
+            }
+        }
+        written += at;
+    }
+    assert!(written < 8 << 20, "the router accepted {written} bytes of one line");
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    let closed = loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(n) => reply.extend_from_slice(&buf[..n]),
+            Err(e) => {
+                break !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                )
+            }
+        }
+    };
+    assert_eq!(String::from_utf8_lossy(&reply), "ERR request line exceeds 65536 bytes\n");
+    assert!(closed, "the connection stays open after an over-long line");
+    cluster.shutdown();
+}
+
+/// A shard whose only replica accepts connections but never replies (a
+/// stopped process, a stall) holds up only the requests that need it. With
+/// more such requests in flight than a pool of a few fixed workers could
+/// hold, queries wholly inside the healthy shard are still answered at once,
+/// none is shed, and the stuck requests end in `ERR` after their timeouts.
+#[test]
+fn router_hung_shard_does_not_stall_healthy_shards() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let g = barabasi_albert(60, 2, &QualityAssigner::uniform(4), 5);
+    let flat = full_flat(&g);
+    let partition = Partition::build(&g, 2, 7);
+    let sharded = ShardedIndex::build(&g, &partition);
+    let healthy = Server::bind_flat(Arc::clone(&sharded.shards()[0]), ServerConfig::default())
+        .expect("bind backend 0");
+    let healthy_addr = healthy.local_addr().to_string();
+    let healthy_handle = std::thread::spawn(move || healthy.run());
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").expect("bind hung replica");
+    let hung_addr = hung.local_addr().unwrap().to_string();
+    hung.set_nonblocking(true).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let hung_handle = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                match hung.accept() {
+                    Ok((conn, _)) => held.push(conn),
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            }
+        })
+    };
+    let timeout = Duration::from_secs(2);
+    let config = RouterConfig {
+        backend_timeout: timeout,
+        probe_interval: Duration::ZERO,
+        cache_capacity: 0,
+        ..RouterConfig::default()
+    };
+    let groups = vec![vec![healthy_addr.clone()], vec![hung_addr]];
+    let router = Router::bind(sharded.overlay().clone(), groups, config).expect("bind router");
+    let router_addr = router.local_addr().to_string();
+    let router_handle = std::thread::spawn(move || router.run());
+
+    let in_shard = |shard: u32| -> Vec<u32> {
+        (0..g.num_vertices() as u32).filter(|&v| partition.shard_of(v) == shard).collect()
+    };
+    let (shard0, shard1) = (in_shard(0), in_shard(1));
+    const STUCK: usize = 16;
+    let stuck: Vec<_> = (0..STUCK)
+        .map(|i| {
+            let (addr, s, t) = (router_addr.clone(), shard0[i % shard0.len()], shard1[0]);
+            std::thread::spawn(move || {
+                let mut c = Client::connect_with(&addr, Protocol::Binary).expect("connect router");
+                c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+                c.query(s, t, 1)
+            })
+        })
+        .collect();
+    let mut probe = Client::connect(&router_addr).expect("connect router");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let in_flight = |c: &mut Client| {
+        let m = c.metrics(false).expect("router metrics");
+        m.lines().any(|l| l.trim() == format!("wcsd_pending_jobs {STUCK}"))
+    };
+    while !in_flight(&mut probe) {
+        assert!(Instant::now() < deadline, "the stuck requests never all reached the router");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut client = Client::connect(&router_addr).expect("connect router");
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    for (i, w) in (0..6).zip([1, 2, 3, 4].into_iter().cycle()) {
+        let (s, t) = (shard0[i], shard0[shard0.len() - 1 - i]);
+        let started = Instant::now();
+        let got = client.query(s, t, w).expect("a healthy-shard query is answered");
+        let took = started.elapsed();
+        assert_eq!(got, flat.distance_with(s, t, w, QueryImpl::Merge), "Q({s},{t},{w})");
+        assert!(took < timeout / 2, "a healthy-shard query waited {took:?} behind the hung shard");
+    }
+    assert_eq!(client.stats().expect("router stats").shed, 0, "nothing is shed");
+
+    for handle in stuck {
+        let err = handle.join().expect("stuck client").expect_err("the hung shard fails");
+        assert!(err.contains("backend 1") && err.contains("unavailable"), "diagnostic: {err}");
+    }
+    client.shutdown().expect("router shutdown");
+    router_handle.join().expect("router thread");
+    stop.store(true, Ordering::SeqCst);
+    hung_handle.join().expect("hung replica thread");
+    let mut c = Client::connect(&healthy_addr).expect("connect backend 0");
+    c.shutdown().expect("backend shutdown");
+    healthy_handle.join().expect("backend thread");
 }
 
 /// Fault injection: killing one backend mid-workload degrades affected
