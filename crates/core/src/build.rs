@@ -24,10 +24,10 @@
 //! * **Basic** — scan `L(u)` × `L(vₖ)` pairwise (Algorithm 2 style).
 //! * **Query-efficient** — the hub-indexed view `T` of `L(vₖ)` is a dense
 //!   array `T_w[h] = min { f.dist : f ∈ L(vₖ), f.hub = h, f.quality ≥ w }`
-//!   (`∞` where no entry qualifies). It depends only on the root and the
-//!   frontier quality `w`, so it is refilled from `L(vₖ)`'s hub groups only
-//!   when `w` changes, and each cover query is one flat pass over `L(u)`:
-//!   covered iff some `e ∈ L(u)` has `e.quality ≥ w` and
+//!   over hub *ranks* `h` (`∞` where no entry qualifies). It depends only on
+//!   the root and the frontier quality `w`, so it is refilled from `L(vₖ)`'s
+//!   hub groups only when `w` changes, and each cover query is one flat pass
+//!   over `L(u)`: covered iff some `e ∈ L(u)` has `e.quality ≥ w` and
 //!   `e.dist + T_w[e.hub] ≤ d` (`O(|L(u)|)`, no group walk, no search).
 //!   Index contents are identical; only construction time changes — which
 //!   is exactly what the paper reports (Exp 1 vs Exp 2).
@@ -38,6 +38,18 @@
 //! only when its `R` value strictly improves and is queried with that sealed
 //! `R` value, so every cover query for `u` asks a strictly higher `w` than
 //! all earlier ones for `u` — no earlier cover can answer it.
+//!
+//! # One label order
+//!
+//! Every label set starts empty. At root `vₖ`'s turn the builder first
+//! appends `vₖ`'s self label `(rank(vₖ), 0, ∞)` to `L(vₖ)`, then sweeps, then
+//! appends the root's entries — all keyed `rank(vₖ)` — to the sets of the
+//! lower-ranked vertices the sweep reached. Roots run in rank order, so
+//! every set is born ascending by `(hub rank, dist)` with its self label
+//! last, and nothing re-sorts it. Deferring the self label is safe because
+//! self labels never take part in a construction cover query: `L(u)` holds
+//! no entry of hub `vₖ` until `vₖ`'s sweep commits, and `L(vₖ)` never holds
+//! hub `u`, which is ranked after `vₖ`.
 //!
 //! # Sweeps run against a snapshot
 //!
@@ -152,13 +164,14 @@ impl IndexBuilder {
         );
         let t_total = Instant::now();
         let n = g.num_vertices();
-        let mut labels: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut labels = vec![LabelSet::new(); n];
         let mut engine = SweepEngine::new(n);
         let mut out = Vec::new();
-        for &root in order.as_slice() {
+        for (rank, &root) in (0..).zip(order.as_slice()) {
+            labels[root as usize].push(LabelEntry::self_label(rank));
             engine.run_root(g, order.ranks(), &labels, root, self.config.mode, &mut out);
             for &(v, d, w) in &out {
-                labels[v as usize].push_unordered(LabelEntry::new(root, d, w));
+                labels[v as usize].push(LabelEntry::new(rank, d, w));
             }
         }
         record_build_phase("sweep", t_total.elapsed());
@@ -199,9 +212,9 @@ pub(crate) struct SweepEngine {
     /// `R(v)`: best bottleneck quality of any path from the current root to v.
     best_quality: Vec<Quality>,
     touched_quality: Vec<VertexId>,
-    /// `T_w[h]`: shortest distance from the current root to hub `h` among
-    /// the root's entries of quality `≥ root_dist_quality` (`INF_DIST` if
-    /// none). Only hubs of `L(root)` are ever written.
+    /// `T_w[h]`: shortest distance from the current root to the hub ranked
+    /// `h` among the root's entries of quality `≥ root_dist_quality`
+    /// (`INF_DIST` if none). Only hubs of `L(root)` are ever written.
     root_dist: Vec<Distance>,
     /// The `w` that `root_dist` holds; `None` until the root's first cover
     /// query. Frontier qualities are always `≥ 1` (a vertex is enqueued only
@@ -317,8 +330,8 @@ impl SweepEngine {
     /// WC-INDEX+ cover query: one pass over `L(u)` against `T_w`, which is
     /// refilled from `L(root)` first if `w` differs from the quality it
     /// holds. Each hub's entries are contiguous in `L(root)` (hubs commit
-    /// whole, in rank order, or the set is finalized) and form a Theorem-3
-    /// group, so the refill overwrites every hub of `L(root)` once.
+    /// whole, in rank order) and form a Theorem-3 group, so the refill
+    /// overwrites every hub of `L(root)` once.
     fn is_covered_efficient(
         &mut self,
         labels: &[LabelSet],

@@ -111,14 +111,14 @@ pub(crate) fn repair(
     affected: &[VertexId],
 ) -> RepairStats {
     let n = graph.num_vertices();
+    let order = index.order().clone();
+    let rank = order.ranks();
     let mut drop_hub = vec![false; n];
     for &h in affected {
-        drop_hub[h as usize] = true;
+        drop_hub[rank[h as usize] as usize] = true;
     }
     let removed_entries = index.remove_entries_of_hubs(&drop_hub);
 
-    let order = index.order().clone();
-    let rank = order.ranks();
     let mut roots: Vec<VertexId> = affected.to_vec();
     roots.sort_unstable_by_key(|&h| rank[h as usize]);
 
@@ -128,7 +128,7 @@ pub(crate) fn repair(
     for &root in &roots {
         engine.run_root(graph, rank, index.labels_all(), root, mode, &mut out);
         for &(v, d, w) in &out {
-            index.insert_label_entry(v, LabelEntry::new(root, d, w));
+            index.insert_label_entry(v, LabelEntry::new(rank[root as usize], d, w));
         }
         reinserted_entries += out.len();
     }

@@ -16,7 +16,6 @@ use wcsd_order::VertexOrder;
 pub struct DirectedWcIndex {
     l_out: Vec<LabelSet>,
     l_in: Vec<LabelSet>,
-    #[allow(dead_code)]
     order: VertexOrder,
 }
 
@@ -31,26 +30,29 @@ impl DirectedWcIndex {
 
     /// Builds the directed index under a caller-supplied vertex order: two
     /// pruned constrained BFS sweeps per root, in rank order, both run
-    /// against the labels committed by earlier roots.
+    /// against the labels committed by earlier roots. Label sets are
+    /// rank-keyed and born sorted, as in [`crate::build`].
     pub fn build_with_order(g: &DiGraph, order: VertexOrder) -> Self {
         assert_eq!(order.len(), g.num_vertices());
         let n = g.num_vertices();
-        let mut l_out: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
-        let mut l_in: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut l_out = vec![LabelSet::new(); n];
+        let mut l_in = vec![LabelSet::new(); n];
         let mut engine = DirectedEngine::new(n);
         let (mut forward, mut backward) = (Vec::new(), Vec::new());
         let rank = order.ranks();
-        for &root in order.as_slice() {
+        for (root_rank, &root) in (0..).zip(order.as_slice()) {
+            l_out[root as usize].push(LabelEntry::self_label(root_rank));
+            l_in[root as usize].push(LabelEntry::self_label(root_rank));
             // Forward sweep: paths root ⇝ u certify entries in L_in(u); the
             // cover query intersects L_out(root) with L_in(u).
             engine.run_root(g, rank, &l_out, &l_in, root, Direction::Forward, &mut forward);
             // Backward sweep: paths u ⇝ root certify entries in L_out(u).
             engine.run_root(g, rank, &l_out, &l_in, root, Direction::Backward, &mut backward);
             for &(v, d, w) in &forward {
-                l_in[v as usize].push_unordered(LabelEntry::new(root, d, w));
+                l_in[v as usize].push(LabelEntry::new(root_rank, d, w));
             }
             for &(v, d, w) in &backward {
-                l_out[v as usize].push_unordered(LabelEntry::new(root, d, w));
+                l_out[v as usize].push(LabelEntry::new(root_rank, d, w));
             }
         }
         for set in l_out.iter_mut().chain(l_in.iter_mut()) {
@@ -65,7 +67,8 @@ impl DirectedWcIndex {
         (d != INF_DIST).then_some(d)
     }
 
-    /// Out-label set of `v` (for inspection / statistics).
+    /// Out-label set of `v` (for inspection / statistics); its hubs are
+    /// ranks in [`Self::order`].
     pub fn out_labels(&self, v: VertexId) -> &LabelSet {
         &self.l_out[v as usize]
     }
@@ -73,6 +76,11 @@ impl DirectedWcIndex {
     /// In-label set of `v`.
     pub fn in_labels(&self, v: VertexId) -> &LabelSet {
         &self.l_in[v as usize]
+    }
+
+    /// The vertex order the index was built with.
+    pub fn order(&self) -> &VertexOrder {
+        &self.order
     }
 
     /// Total number of entries across both label families.
@@ -126,22 +134,12 @@ impl DirectedEngine {
                 if u != root {
                     // Forward: does the index already certify root ⇝ u?
                     // Backward: does it certify u ⇝ root?
-                    let already = match dir {
-                        Direction::Forward => query::covered_building(
-                            &l_out[root as usize],
-                            &l_in[u as usize],
-                            rank,
-                            w,
-                            dist,
-                        ),
-                        Direction::Backward => query::covered_building(
-                            &l_out[u as usize],
-                            &l_in[root as usize],
-                            rank,
-                            w,
-                            dist,
-                        ),
+                    let (from, to) = match dir {
+                        Direction::Forward => (root, u),
+                        Direction::Backward => (u, root),
                     };
+                    let already =
+                        query::covered(&l_out[from as usize], &l_in[to as usize], w, dist);
                     if already {
                         continue;
                     }
@@ -267,6 +265,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Appends every label as `(vertex, hub id, dist, quality)`, sorted per
+    /// vertex by `(hub id, dist)`: all of `L_out`, then all of
+    /// `L_in`.
+    fn push_labels(idx: &DirectedWcIndex, words: &mut Vec<u32>) {
+        for family in [&idx.l_out, &idx.l_in] {
+            for (v, set) in family.iter().enumerate() {
+                let mut tuples: Vec<[u32; 3]> = set
+                    .entries()
+                    .iter()
+                    .map(|e| [idx.order.vertex_at(e.hub as usize), e.dist, e.quality])
+                    .collect();
+                tuples.sort_unstable();
+                for tuple in tuples {
+                    words.push(v as VertexId);
+                    words.extend(tuple);
+                }
+            }
+        }
+    }
+
+    /// Golden labels: the two-sweep directed builder writes exactly these
+    /// `L_out`/`L_in` entries on seeded random digraphs.
+    #[test]
+    fn seeded_builds_match_golden_label_hash() {
+        let mut words = Vec::new();
+        for seed in 0..4u64 {
+            push_labels(&DirectedWcIndex::build(&random_digraph(40, 150, 4, seed)), &mut words);
+        }
+        assert_eq!(crate::label::fnv1a_64(words), 0xd48f_9673_f29c_afbc);
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl DynamicWcIndex {
                 if covered {
                     continue;
                 }
-                self.insert_label(u, LabelEntry::new(root, dist, w));
+                self.insert_label(u, LabelEntry::new(root_rank, dist, w));
                 if best_quality[u as usize] == 0 {
                     touched.push(u);
                 }
@@ -327,7 +327,7 @@ fn pareto_via_index(
     for &w in quality_levels.iter().rev() {
         if let Some(d) = index.distance(root, x, w) {
             match frontier.last() {
-                Some(&(dprev, _)) if dprev_covers(dprev, d) => {
+                Some(&(dprev, _)) if dprev <= d => {
                     // A stricter level already achieved this distance; the
                     // current level adds nothing new.
                     continue;
@@ -337,11 +337,6 @@ fn pareto_via_index(
         }
     }
     frontier
-}
-
-#[inline]
-fn dprev_covers(dprev: Distance, d: Distance) -> bool {
-    dprev <= d
 }
 
 fn rebuild_graph(edges: &[(VertexId, VertexId, Quality)], n: usize) -> Graph {

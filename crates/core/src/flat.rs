@@ -4,7 +4,7 @@
 //!
 //! [`crate::index::WcIndex`] is the *build* representation: each vertex owns a
 //! `Vec<LabelEntry>`, which is exactly what the construction sweeps need
-//! (per-vertex growth, in-place finalization) but pessimal for serving — every
+//! (per-vertex growth, in-place insertion) but pessimal for serving — every
 //! query chases two pointers into scattered allocations, and the
 //! array-of-structs entry layout drags `hub` bytes through the cache while the
 //! binary search only wants `quality`. [`Flat`] is the *serve*
@@ -27,7 +27,7 @@
 //! * a struct-of-arrays entry arena (`dists`, `qualities`), concatenated over
 //!   all vertices in directory order;
 //! * the vertex order the index was built with, which maps a group key back
-//!   to its hub.
+//!   to its hub vertex.
 //!
 //! One struct serves over either word backing: [`FlatIndex`] owns its image
 //! (`Vec<[u8; 4]>`) and [`FlatView`] borrows one (`&[[u8; 4]]`, e.g. a read
@@ -42,9 +42,11 @@
 //!
 //! Conversion is lossless in both directions ([`FlatIndex::from_index`] /
 //! [`Flat::to_index`]) and answers are bit-identical to the nested index
-//! under both query implementations (enforced by `tests/flat.rs`): rank is a
-//! bijection on vertices, so two groups match under rank keys exactly when
-//! their hubs are equal, and within a group nothing moves.
+//! under both query implementations (enforced by `tests/flat.rs`). The nested
+//! label sets already key their hubs by rank, in the directory's order (see
+//! [`crate::label`]), so each direction is one copy pass: a group key *is*
+//! its entries' `hub`, and [`Flat::label_entries`] yields exactly the nested
+//! entries.
 
 use crate::index::{QueryEngine, QueryImpl, WcIndex};
 use crate::label::{LabelEntry, LabelSet};
@@ -120,33 +122,18 @@ pub type FlatIndex = Flat<Vec<[u8; 4]>>;
 pub type FlatView<'a> = Flat<&'a [[u8; 4]]>;
 
 impl FlatIndex {
-    /// Freezes a built [`WcIndex`] by writing its `WCIF` image directly, with
-    /// no intermediate image: each vertex's hub groups are keyed by the
-    /// hub's rank, sorted by key, and written in that order.
+    /// Freezes a built [`WcIndex`] by writing its `WCIF` image directly, in
+    /// one copy pass: the nested sets are already rank-keyed and ascending,
+    /// so each hub group's `hub` is its directory key.
     ///
     /// Lossless: [`Flat::to_index`] reconstructs an equal [`WcIndex`], and all
     /// queries return identical answers.
     pub fn from_index(index: &WcIndex) -> Self {
-        let n = index.num_vertices();
+        let labels = index.labels_all();
+        let n = labels.len();
         let m = index.total_entries();
         assert!(m <= u32::MAX as usize, "flat index arena limited to u32::MAX entries");
-        let order = index.order();
-        // Every vertex's hub groups as `rank << 32 | first entry` words,
-        // sorted per vertex: plain `u64`s sort far faster than `(key, slice)`
-        // pairs, and this pass doubles as the group count the layout needs.
-        let mut groups: Vec<u64> = Vec::new();
-        let mut group_ends = Vec::with_capacity(n);
-        for v in 0..n {
-            let entries = index.labels(v as VertexId).entries();
-            let start = groups.len();
-            groups.extend(entries.iter().enumerate().filter_map(|(i, entry)| {
-                let first = i == 0 || entries[i - 1].hub != entry.hub;
-                first.then(|| u64::from(order.rank_of(entry.hub)) << 32 | i as u64)
-            }));
-            groups[start..].sort_unstable();
-            group_ends.push(groups.len());
-        }
-        let g = groups.len();
+        let g = labels.iter().map(LabelSet::num_groups).sum();
         let at = Layout::new(n, m, g).expect("an in-memory index has a representable image");
         let mut flat = Self { words: vec![[0; 4]; at.words()], at };
         flat.words[0] = *WCIF_MAGIC;
@@ -154,15 +141,12 @@ impl FlatIndex {
             flat.set(1 + i, word);
         }
         let (mut e, mut k) = (0, 0);
-        for (v, &end) in group_ends.iter().enumerate() {
-            let entries = index.labels(v as VertexId).entries();
-            for &group in &groups[k..end] {
-                let first = group as u32 as usize;
-                let hub = entries[first].hub;
-                flat.set(at.group_keys + k, (group >> 32) as u32);
+        for (v, set) in labels.iter().enumerate() {
+            for (hub, group) in set.hub_groups() {
+                flat.set(at.group_keys + k, hub);
                 flat.set(at.group_starts + k, e as u32);
                 k += 1;
-                for entry in entries[first..].iter().take_while(|entry| entry.hub == hub) {
+                for entry in group {
                     flat.set(at.dists + e, entry.dist);
                     flat.set(at.qualities + e, entry.quality);
                     e += 1;
@@ -171,7 +155,7 @@ impl FlatIndex {
             flat.set(HEADER_WORDS + v + 1, e as u32);
             flat.set(at.group_offsets + v + 1, k as u32);
         }
-        for (k, v) in order.iter().enumerate() {
+        for (k, v) in index.order().iter().enumerate() {
             flat.set(at.order + k, v);
         }
         flat
@@ -257,16 +241,11 @@ impl<W: AsRef<[[u8; 4]]>> Flat<W> {
         Flat { words: self.words.as_ref().to_vec(), at: self.at }
     }
 
-    /// Thaws the flat index back into the nested build representation,
-    /// re-sorting each vertex's entries into the nested form's `(hub, dist)`
-    /// order. Off the serve path.
+    /// Thaws the flat index back into the nested build representation, one
+    /// copy of each vertex's entries in directory order. Off the serve path.
     pub fn to_index(&self) -> WcIndex {
         let labels = (0..self.at.n)
-            .map(|v| {
-                let mut entries: Vec<LabelEntry> = self.label_entries(v as VertexId).collect();
-                entries.sort_unstable_by_key(|e| (e.hub, e.dist));
-                LabelSet::from_sorted(entries)
-            })
+            .map(|v| LabelSet::from_sorted(self.label_entries(v as VertexId).collect()))
             .collect();
         WcIndex::from_parts(labels, self.order())
     }
@@ -295,14 +274,14 @@ impl<W: AsRef<[[u8; 4]]>> Flat<W> {
     }
 
     /// Iterates the entries of `L(v)` in directory order: hub groups by
-    /// ascending hub *rank*, each group's entries by ascending distance. The
-    /// hub id of each entry is recovered from its group's rank key through
-    /// the vertex order — the arena itself stores no per-entry hub column (it
+    /// ascending hub rank, each group's entries by ascending distance. Each
+    /// entry's `hub` is its group's rank key, exactly as in the nested
+    /// [`WcIndex`] — the arena itself stores no per-entry hub column (it
     /// would be fully redundant).
     pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = LabelEntry> + '_ {
         let st = self.view();
         (st.group_offset(v as usize)..st.group_offset(v as usize + 1)).flat_map(move |g| {
-            let hub = st.vertex_at(st.group_key(g) as usize);
+            let hub = st.group_key(g);
             (st.group_start(g)..st.group_end(g, v))
                 .map(move |e| LabelEntry::new(hub, st.dist(e), st.quality(e)))
         })
@@ -685,29 +664,25 @@ mod tests {
     }
 
     /// The hot layout — hub groups keyed and ordered by rank — is the one
-    /// layout, and entries keep their hub ids through it. The round trip and
-    /// the answers are pinned by `conversion_is_lossless` and
+    /// layout, and it is the nested sets' own order. The round trip and the
+    /// answers are pinned by `conversion_is_lossless` and
     /// `all_query_impls_match_nested`.
     #[test]
     fn hot_layout_roundtrips_and_answers_identically() {
         let (idx, flat) = sample();
-        let order = idx.order();
         let st = flat.view();
         for v in 0..6 {
-            // Directory keys are the hubs' ranks, strictly ascending.
+            // Directory keys are the nested sets' hub ranks, strictly
+            // ascending.
             let keys: Vec<u32> =
                 (st.group_offset(v)..st.group_offset(v + 1)).map(|g| st.group_key(g)).collect();
-            let mut ranks: Vec<u32> =
-                idx.labels(v as VertexId).hub_groups().map(|(hub, _)| order.rank_of(hub)).collect();
-            ranks.sort_unstable();
+            let ranks: Vec<u32> =
+                idx.labels(v as VertexId).hub_groups().map(|(hub, _)| hub).collect();
+            assert!(keys.windows(2).all(|p| p[0] < p[1]), "vertex {v}");
             assert_eq!(keys, ranks, "vertex {v}");
-            // Label entries carry real hub ids, in rank order, and hold
-            // exactly the nested entries.
+            // Label entries hold exactly the nested entries, in order.
             let entries: Vec<LabelEntry> = flat.label_entries(v as VertexId).collect();
-            assert!(entries.windows(2).all(|p| order.rank_of(p[0].hub) <= order.rank_of(p[1].hub)));
-            let mut sorted = entries.clone();
-            sorted.sort_unstable_by_key(|e| (e.hub, e.dist));
-            assert_eq!(sorted, idx.labels(v as VertexId).entries(), "vertex {v}");
+            assert_eq!(entries, idx.labels(v as VertexId).entries(), "vertex {v}");
         }
     }
 

@@ -79,7 +79,8 @@ impl QueryEngine for WcIndex {
 /// A complete WC-INDEX over a graph (Definition 6 of the paper).
 ///
 /// Construct one with [`crate::build::IndexBuilder`]. Queries never touch the
-/// graph again: only the two relevant label sets are inspected.
+/// graph again: only the two relevant label sets are inspected. Label entries
+/// name their hubs by rank in [`Self::order`] (see [`crate::label`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WcIndex {
     labels: Vec<LabelSet>,
@@ -97,7 +98,8 @@ impl WcIndex {
         self.labels.len()
     }
 
-    /// The label set `L(v)`.
+    /// The label set `L(v)`; `order().vertex_at(hub)` maps an entry's hub
+    /// rank back to the vertex.
     pub fn labels(&self, v: VertexId) -> &LabelSet {
         &self.labels[v as usize]
     }
@@ -119,14 +121,15 @@ impl WcIndex {
         &self.labels
     }
 
-    /// Drops every entry whose hub is flagged in `drop_hub` from every label
-    /// set (self labels stay), returning the total number of removed entries.
-    /// Used by the decremental repair.
+    /// Drops every entry whose hub rank is flagged in `drop_hub` from every
+    /// label set (self labels stay), returning the total number of removed
+    /// entries. Used by the decremental repair.
     pub(crate) fn remove_entries_of_hubs(&mut self, drop_hub: &[bool]) -> usize {
+        let rank = self.order.ranks();
         self.labels
             .iter_mut()
-            .enumerate()
-            .map(|(v, set)| set.remove_hub_entries(drop_hub, v as VertexId))
+            .zip(rank)
+            .map(|(set, &owner)| set.remove_hub_entries(drop_hub, owner))
             .sum()
     }
 
@@ -190,19 +193,16 @@ impl WcIndex {
         for (v, set) in self.labels.iter().enumerate() {
             let v = v as VertexId;
             for e in set.entries() {
-                if e.hub == v {
+                let hub = self.order.vertex_at(e.hub as usize);
+                if hub == v {
                     continue; // the self label is definitionally necessary
                 }
                 // Without this entry, can the index still certify a w-path of
-                // length <= e.dist between v and e.hub?
-                let mut pruned = LabelSet::new();
-                for other in set.entries() {
-                    if other != e {
-                        pruned.push_unordered(*other);
-                    }
-                }
-                pruned.finalize();
-                let lt = &self.labels[e.hub as usize];
+                // length <= e.dist between v and the hub?
+                let pruned = LabelSet::from_sorted(
+                    set.entries().iter().filter(|o| *o != e).copied().collect(),
+                );
+                let lt = &self.labels[hub as usize];
                 if query::covered(&pruned, lt, e.quality, e.dist) {
                     bad.push((v, *e));
                 }

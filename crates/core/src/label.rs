@@ -5,14 +5,24 @@
 //! paper). Within one vertex's label set the entries of a single hub are kept
 //! sorted by ascending distance; by Theorem 3 the qualities are then ascending
 //! as well, which is what makes the `Query⁺` binary search correct.
+//!
+//! Every label set names its hubs by **rank** in the vertex order it was
+//! built under, as pruned landmark labeling does, and keeps one order from
+//! build to freeze: ascending `(hub rank, dist)`. The builders produce that
+//! order as they go — `L(u)` grows one root at a time, in rank order, and
+//! gets its own self label at `u`'s turn, after every hub ranked before `u` —
+//! so no set is ever re-sorted, the self label is always the last entry, and
+//! the flat form's rank-keyed group directory is a copy of it. Hub ids appear
+//! only at the API edge, through the index's `VertexOrder`.
 
-use wcsd_graph::{Distance, Quality, VertexId};
+use wcsd_graph::{Distance, Quality};
 
 /// One 2-hop index entry `(hub, dist, quality)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelEntry {
-    /// The hub vertex `v`.
-    pub hub: VertexId,
+    /// The hub vertex `v`, as its rank in the index's vertex order
+    /// (`order().vertex_at(hub)` is the vertex).
+    pub hub: u32,
     /// The `quality`-constrained distance between the labelled vertex and `hub`.
     pub dist: Distance,
     /// The quality threshold `w̄` this entry certifies.
@@ -22,13 +32,20 @@ pub struct LabelEntry {
 impl LabelEntry {
     /// Creates a new label entry.
     #[inline]
-    pub fn new(hub: VertexId, dist: Distance, quality: Quality) -> Self {
+    pub fn new(hub: u32, dist: Distance, quality: Quality) -> Self {
         Self { hub, dist, quality }
     }
 
+    /// The self label `(v, 0, ∞)` of the vertex ranked `rank`: the last
+    /// entry of its own label set.
+    #[inline]
+    pub(crate) fn self_label(rank: u32) -> Self {
+        Self::new(rank, 0, wcsd_graph::INF_QUALITY)
+    }
+
     /// Returns `true` if `self` dominates `other` in the sense of
-    /// Definition 4: same hub, distance no larger and quality no smaller
-    /// (and not identical in both, which is mutual domination).
+    /// Definition 4: same hub, distance no larger and quality no smaller.
+    /// Identical entries dominate each other, so an entry dominates itself.
     #[inline]
     pub fn dominates(&self, other: &LabelEntry) -> bool {
         self.hub == other.hub && self.dist <= other.dist && self.quality >= other.quality
@@ -37,10 +54,10 @@ impl LabelEntry {
 
 /// The label set `L(u)` of a single vertex.
 ///
-/// Entries are stored sorted by `(hub, dist)`. All entries of one hub form a
-/// contiguous *group*; within a group both `dist` and `quality` are strictly
-/// increasing (Theorem 3), so the group is a Pareto frontier of
-/// (distance, quality) trade-offs.
+/// Entries are stored strictly ascending by `(hub rank, dist)`. All entries
+/// of one hub form a contiguous *group*; within a group both `dist` and
+/// `quality` are strictly increasing (Theorem 3), so the group is a Pareto
+/// frontier of (distance, quality) trade-offs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelSet {
     entries: Vec<LabelEntry>,
@@ -50,11 +67,6 @@ impl LabelSet {
     /// Creates an empty label set.
     pub fn new() -> Self {
         Self { entries: Vec::new() }
-    }
-
-    /// Creates the initial label set `{(v, 0, ∞)}` every vertex starts with.
-    pub fn self_label(v: VertexId) -> Self {
-        Self { entries: vec![LabelEntry::new(v, 0, wcsd_graph::INF_QUALITY)] }
     }
 
     /// Number of entries `|L(u)|`.
@@ -69,29 +81,31 @@ impl LabelSet {
         self.entries.is_empty()
     }
 
-    /// All entries, sorted by `(hub, dist)`.
+    /// All entries, strictly ascending by `(hub rank, dist)`.
     #[inline]
     pub fn entries(&self) -> &[LabelEntry] {
         &self.entries
     }
 
-    /// Appends an entry **without** restoring the sort order; used by the
-    /// index builder, which appends hubs in processing order and calls
-    /// [`Self::finalize`] once construction is complete.
+    /// Appends an entry that sorts after every entry already in the set;
+    /// the builders commit one root at a time in rank order, so their
+    /// appends always do. Debug builds assert the order.
     #[inline]
-    pub(crate) fn push_unordered(&mut self, entry: LabelEntry) {
+    pub(crate) fn push(&mut self, entry: LabelEntry) {
+        debug_assert!(
+            self.entries.last().is_none_or(|e| (e.hub, e.dist) < (entry.hub, entry.dist)),
+            "push requires strictly ascending (hub, dist) entries"
+        );
         self.entries.push(entry);
     }
 
-    /// Sorts entries into the canonical `(hub, dist)` order.
+    /// Ends construction: drops the growth slack of the appends.
     pub(crate) fn finalize(&mut self) {
-        self.entries.sort_unstable_by_key(|e| (e.hub, e.dist));
         self.entries.shrink_to_fit();
     }
 
-    /// Wraps entries that are **already** in canonical `(hub, dist)` order —
-    /// the snapshot decoders and the flat-index conversion use this to skip
-    /// [`Self::finalize`]'s O(n log n) re-sort. Debug builds assert the order.
+    /// Wraps entries that are already in canonical `(hub, dist)` order, as
+    /// the flat-index thaw yields them. Debug builds assert the order.
     pub(crate) fn from_sorted(entries: Vec<LabelEntry>) -> Self {
         debug_assert!(
             entries.windows(2).all(|p| (p[0].hub, p[0].dist) < (p[1].hub, p[1].dist)),
@@ -100,9 +114,9 @@ impl LabelSet {
         Self { entries }
     }
 
-    /// Inserts an entry into an already-finalized set, keeping the
-    /// `(hub, dist)` order and dropping any existing entries of the same hub
-    /// the new entry dominates. Used by the dynamic-update extension.
+    /// Inserts an entry into a built set, keeping the `(hub, dist)` order
+    /// and dropping any existing entries of the same hub the new entry
+    /// dominates. Used by the dynamic-update extension.
     pub(crate) fn insert_sorted(&mut self, entry: LabelEntry) {
         self.entries.retain(|e| !(e.hub == entry.hub && entry.dominates(e) && *e != entry));
         let pos = self.entries.partition_point(|e| (e.hub, e.dist) < (entry.hub, entry.dist));
@@ -111,24 +125,32 @@ impl LabelSet {
         }
     }
 
-    /// Removes every entry whose hub is flagged in `drop_hub`, except the
-    /// owner's self label, returning how many entries were dropped. Used by
-    /// the decremental repair to clear the affected hubs before re-sweeping.
-    pub(crate) fn remove_hub_entries(&mut self, drop_hub: &[bool], owner: VertexId) -> usize {
+    /// Removes every entry whose hub rank is flagged in `drop_hub`, except
+    /// the self label of the owner ranked `owner`, returning how many entries
+    /// were dropped. Used by the decremental repair to clear the affected
+    /// hubs before re-sweeping.
+    pub(crate) fn remove_hub_entries(&mut self, drop_hub: &[bool], owner: u32) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| e.hub == owner || !drop_hub[e.hub as usize]);
         before - self.entries.len()
     }
 
-    /// The contiguous slice of entries whose hub is `hub` (`L[u][hub]`), or an
-    /// empty slice if the hub does not occur.
-    pub fn hub_group(&self, hub: VertexId) -> &[LabelEntry] {
+    /// The contiguous slice of entries whose hub rank is `hub` (`L[u][hub]`),
+    /// or an empty slice if the hub does not occur.
+    pub fn hub_group(&self, hub: u32) -> &[LabelEntry] {
         let start = self.entries.partition_point(|e| e.hub < hub);
         let end = self.entries.partition_point(|e| e.hub <= hub);
         &self.entries[start..end]
     }
 
-    /// Iterates over `(hub, group)` pairs in ascending hub order.
+    /// Number of hub groups: one per hub change, plus the first group of a
+    /// nonempty set.
+    pub(crate) fn num_groups(&self) -> usize {
+        let hub_changes = self.entries.windows(2).filter(|p| p[0].hub != p[1].hub).count();
+        usize::from(!self.entries.is_empty()) + hub_changes
+    }
+
+    /// Iterates over `(hub rank, group)` pairs in ascending rank order.
     pub fn hub_groups(&self) -> HubGroups<'_> {
         HubGroups { entries: &self.entries, pos: 0 }
     }
@@ -206,7 +228,7 @@ pub struct HubGroups<'a> {
 }
 
 impl<'a> Iterator for HubGroups<'a> {
-    type Item = (VertexId, &'a [LabelEntry]);
+    type Item = (u32, &'a [LabelEntry]);
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.pos >= self.entries.len() {
@@ -221,13 +243,24 @@ impl<'a> Iterator for HubGroups<'a> {
     }
 }
 
+/// FNV-1a, 64-bit, over little-endian `u32` words: a hash fixed by its
+/// definition, so the builders' golden label tests can pin a constant.
+#[cfg(test)]
+pub(crate) fn fnv1a_64(words: impl IntoIterator<Item = u32>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u32::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wcsd_graph::INF_QUALITY;
 
     fn sample_set() -> LabelSet {
-        // Mirrors L(v5) from Table II of the paper (hub ids compressed).
+        // Mirrors L(v5) from Table II of the paper (natural order: ranks are
+        // the hub ids).
         let mut s = LabelSet::new();
         for (hub, d, w) in [
             (0, 2, 1),
@@ -242,7 +275,7 @@ mod tests {
             (4, 1, 3),
             (5, 0, INF_QUALITY),
         ] {
-            s.push_unordered(LabelEntry::new(hub, d, w));
+            s.push(LabelEntry::new(hub, d, w));
         }
         s.finalize();
         s
@@ -275,6 +308,8 @@ mod tests {
         assert_eq!(hubs, vec![0, 1, 2, 3, 4, 5]);
         let total: usize = s.hub_groups().map(|(_, g)| g.len()).sum();
         assert_eq!(total, s.len());
+        assert_eq!(s.num_groups(), hubs.len());
+        assert_eq!(LabelSet::new().num_groups(), 0);
     }
 
     #[test]
@@ -303,17 +338,14 @@ mod tests {
     fn detects_dominated_entries() {
         let clean = sample_set();
         assert!(!clean.has_dominated_entry());
-        let mut dirty = sample_set();
-        dirty.push_unordered(LabelEntry::new(0, 4, 1)); // dominated by (0, 2, 1)
-        dirty.finalize();
-        assert!(dirty.has_dominated_entry());
+        let mut entries = sample_set().entries().to_vec();
+        entries.insert(2, LabelEntry::new(0, 4, 1)); // dominated by (0, 2, 1)
+        assert!(LabelSet::from_sorted(entries).has_dominated_entry());
     }
 
     #[test]
     fn self_label_shape() {
-        let s = LabelSet::self_label(7);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.entries()[0], LabelEntry::new(7, 0, INF_QUALITY));
+        assert_eq!(LabelEntry::self_label(7), LabelEntry::new(7, 0, INF_QUALITY));
     }
 
     #[test]

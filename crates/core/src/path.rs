@@ -13,8 +13,8 @@ use wcsd_order::{OrderingStrategy, VertexOrder};
 /// A label quad `(hub, dist, quality, parent)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathLabelEntry {
-    /// The hub vertex.
-    pub hub: VertexId,
+    /// The hub vertex, as its rank in the index's vertex order.
+    pub hub: u32,
     /// Constrained distance to the hub.
     pub dist: Distance,
     /// Quality threshold this entry certifies.
@@ -24,18 +24,15 @@ pub struct PathLabelEntry {
     pub parent: VertexId,
 }
 
-/// Per-vertex quad label set, kept sorted by `(hub, dist)`.
+/// Per-vertex quad label set, ascending by `(hub rank, dist)` as it is
+/// built (see [`crate::label`]).
 #[derive(Debug, Clone, Default)]
 struct PathLabelSet {
     entries: Vec<PathLabelEntry>,
 }
 
 impl PathLabelSet {
-    fn finalize(&mut self) {
-        self.entries.sort_unstable_by_key(|e| (e.hub, e.dist));
-    }
-
-    fn hub_group(&self, hub: VertexId) -> &[PathLabelEntry] {
+    fn hub_group(&self, hub: u32) -> &[PathLabelEntry] {
         let start = self.entries.partition_point(|e| e.hub < hub);
         let end = self.entries.partition_point(|e| e.hub <= hub);
         &self.entries[start..end]
@@ -64,7 +61,6 @@ impl PathLabelSet {
 #[derive(Debug, Clone)]
 pub struct PathIndex {
     labels: Vec<PathLabelSet>,
-    #[allow(dead_code)]
     order: VertexOrder,
 }
 
@@ -83,28 +79,24 @@ impl PathIndex {
     pub fn build_with_ordering(g: &Graph, ordering: OrderingStrategy) -> Self {
         let order = ordering.compute(g);
         let n = g.num_vertices();
-        let mut labels: Vec<PathLabelSet> = (0..n as VertexId)
-            .map(|v| PathLabelSet {
-                entries: vec![PathLabelEntry { hub: v, dist: 0, quality: INF_QUALITY, parent: v }],
-            })
-            .collect();
-        let mut cover: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut labels = vec![PathLabelSet::default(); n];
+        let mut cover = vec![LabelSet::new(); n];
         let mut engine = PathEngine::new(n);
         let mut out = Vec::new();
-        for &root in order.as_slice() {
+        for (rank, &root) in (0..).zip(order.as_slice()) {
+            let quad = PathLabelEntry { hub: rank, dist: 0, quality: INF_QUALITY, parent: root };
+            labels[root as usize].entries.push(quad);
+            cover[root as usize].push(LabelEntry::self_label(rank));
             engine.run_root(g, order.ranks(), &cover, root, &mut out);
             for &(v, dist, quality, parent) in &out {
                 labels[v as usize].entries.push(PathLabelEntry {
-                    hub: root,
+                    hub: rank,
                     dist,
                     quality,
                     parent,
                 });
-                cover[v as usize].push_unordered(LabelEntry::new(root, dist, quality));
+                cover[v as usize].push(LabelEntry::new(rank, dist, quality));
             }
-        }
-        for set in &mut labels {
-            set.finalize();
         }
         Self { labels, order }
     }
@@ -127,10 +119,10 @@ impl PathIndex {
         Some(first)
     }
 
-    /// Finds the meeting hub minimising the combined distance.
-    fn best_meeting(&self, s: VertexId, t: VertexId, w: Quality) -> Option<(VertexId, Distance)> {
+    /// Finds the meeting hub minimising the combined distance, as its rank.
+    fn best_meeting(&self, s: VertexId, t: VertexId, w: Quality) -> Option<(u32, Distance)> {
         let (ls, lt) = (&self.labels[s as usize], &self.labels[t as usize]);
-        let mut best: Option<(VertexId, Distance)> = None;
+        let mut best: Option<(u32, Distance)> = None;
         let (a, b) = (&ls.entries, &lt.entries);
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() && j < b.len() {
@@ -157,15 +149,16 @@ impl PathIndex {
         best
     }
 
-    /// Walks parent pointers from `v` towards `hub`, returning the vertex
-    /// sequence `v, …, hub`.
-    fn walk_to_hub(&self, v: VertexId, hub: VertexId, w: Quality) -> Option<Vec<VertexId>> {
+    /// Walks parent pointers from `v` towards the hub ranked `hub`,
+    /// returning the vertex sequence `v, …, hub`.
+    fn walk_to_hub(&self, v: VertexId, hub: u32, w: Quality) -> Option<Vec<VertexId>> {
+        let hub_vertex = self.order.vertex_at(hub as usize);
         let mut path = vec![v];
         let mut current = v;
         // Each hop strictly decreases the recorded distance to the hub, so the
         // loop terminates after at most `dist` iterations.
         loop {
-            if current == hub {
+            if current == hub_vertex {
                 return Some(path);
             }
             let group = self.labels[current as usize].hub_group(hub);
@@ -235,13 +228,7 @@ impl PathEngine {
             frontier.sort_unstable_by_key(|&(v, w, _)| (std::cmp::Reverse(w), v));
             for &(u, w, parent) in &frontier {
                 if u != root {
-                    if crate::query::covered_building(
-                        &cover[root as usize],
-                        &cover[u as usize],
-                        rank,
-                        w,
-                        dist,
-                    ) {
+                    if crate::query::covered(&cover[root as usize], &cover[u as usize], w, dist) {
                         continue;
                     }
                     out.push((u, dist, w, parent));
@@ -350,6 +337,38 @@ mod tests {
         assert_eq!(idx.shortest_path(1, 1, 5), Some(vec![1]));
         assert_eq!(idx.shortest_path(0, 3, 2), Some(vec![0, 1, 2, 3]));
         assert_eq!(idx.shortest_path(0, 3, 3), None);
+    }
+
+    /// Appends every label as `(vertex, hub id, dist, quality, parent)`,
+    /// sorted per vertex by `(hub id, dist)`.
+    fn push_labels(idx: &PathIndex, words: &mut Vec<u32>) {
+        for (v, set) in idx.labels.iter().enumerate() {
+            let mut tuples: Vec<[u32; 4]> = set
+                .entries
+                .iter()
+                .map(|e| [idx.order.vertex_at(e.hub as usize), e.dist, e.quality, e.parent])
+                .collect();
+            tuples.sort_unstable();
+            for tuple in tuples {
+                words.push(v as VertexId);
+                words.extend(tuple);
+            }
+        }
+    }
+
+    /// Golden labels: the parent-recording builder writes exactly these quads
+    /// on a seeded random graph, under the degree and the hybrid order.
+    #[test]
+    fn seeded_builds_match_golden_label_hash() {
+        use wcsd_graph::generators::erdos_renyi;
+        let mut words = Vec::new();
+        for seed in [17, 23] {
+            let g = erdos_renyi(60, 0.08, &QualityAssigner::uniform(4), seed);
+            for ordering in [OrderingStrategy::Degree, OrderingStrategy::Hybrid] {
+                push_labels(&PathIndex::build_with_ordering(&g, ordering), &mut words);
+            }
+        }
+        assert_eq!(crate::label::fnv1a_64(words), 0x0c70_8060_3b89_5c5a);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   (Algorithm 4): iterate `L(t)`, look up the matching hub bucket in `L(s)`
 //!   and scan it.
 //! * [`query_merge`] — `Query⁺` (Algorithm 5): a single merge over the two
-//!   hub-sorted label lists with one binary search per shared hub, running in
-//!   `O(|L(s)| + |L(t)|)`.
+//!   label lists, which share one hub order (ascending hub rank), with one
+//!   binary search per shared hub, running in `O(|L(s)| + |L(t)|)`.
 //!
 //! All three return the same answers; the ablation benchmark
 //! (`query_impl_ablation`) measures their cost difference.
@@ -60,7 +60,7 @@ pub fn query_hub_bucket(ls: &LabelSet, lt: &LabelSet, w: Quality) -> Distance {
     best
 }
 
-/// `Query⁺` (Algorithm 5): merge the two hub-sorted label lists, spending
+/// `Query⁺` (Algorithm 5): merge the two rank-sorted label lists, spending
 /// `O(log)` per shared hub thanks to the Theorem-3 ordering; total time
 /// `O(|L(s)| + |L(t)|)`.
 pub fn query_merge(ls: &LabelSet, lt: &LabelSet, w: Quality) -> Distance {
@@ -106,99 +106,13 @@ fn skip_group(entries: &[LabelEntry], idx: usize) -> usize {
 
 /// The *cover query* used during index construction (Line 11 of Algorithm 3):
 /// does the current index already certify a `w`-path between the two vertices
-/// of length at most `d`?
-///
-/// Requires both sets to be finalized (hub-sorted); for sets still under
-/// construction use [`covered_building`].
+/// of length at most `d`? Sets under construction are already in their final
+/// order, so every builder asks this one query.
 pub fn covered(ls: &LabelSet, lt: &LabelSet, w: Quality, d: Distance) -> bool {
     // `query_merge` signals "no w-path" with `INF_DIST`, which must not count
     // as covered even for the loosest possible bound `d == INF_DIST`.
     let dist = query_merge(ls, lt, w);
     dist != INF_DIST && dist <= d
-}
-
-/// Cover query over two label sets that are still **under construction**.
-///
-/// While an index is being built, a label set is not yet hub-sorted: it
-/// starts with its owner's self-label and then appends one contiguous hub
-/// group per processed root, i.e. everything after the first entry is sorted
-/// by ascending *rank* of hub, not by hub id. [`covered`]'s id-ordered merge
-/// would silently skip matching hubs on such lists, so this variant pairs
-/// the two leading self-labels explicitly and merges the remainders by
-/// `rank`. Used by the weighted, directed and path builders (the plain
-/// builder has its own grouped cover walk in `build.rs`).
-pub fn covered_building(
-    ls: &LabelSet,
-    lt: &LabelSet,
-    rank: &[u32],
-    w: Quality,
-    d: Distance,
-) -> bool {
-    let a = ls.entries();
-    let b = lt.entries();
-    if a.is_empty() || b.is_empty() {
-        return false;
-    }
-    // The self-labels sit at position 0, outside the rank-sorted remainder;
-    // pair each against the other side's matching hub group.
-    if a[0].quality >= w {
-        if let Some(dt) = min_dist_for_hub(b, a[0].hub, rank, w) {
-            if a[0].dist.saturating_add(dt) <= d {
-                return true;
-            }
-        }
-    }
-    if b[0].quality >= w {
-        if let Some(ds) = min_dist_for_hub(a, b[0].hub, rank, w) {
-            if b[0].dist.saturating_add(ds) <= d {
-                return true;
-            }
-        }
-    }
-    // Merge the rank-sorted remainders.
-    let (mut i, mut j) = (1usize, 1usize);
-    while i < a.len() && j < b.len() {
-        let (ha, hb) = (a[i].hub, b[j].hub);
-        if ha == hb {
-            let ia_end = skip_group(a, i);
-            let jb_end = skip_group(b, j);
-            if let (Some(da), Some(db)) = (
-                LabelSet::min_dist_in_group(&a[i..ia_end], w),
-                LabelSet::min_dist_in_group(&b[j..jb_end], w),
-            ) {
-                if da.saturating_add(db) <= d {
-                    return true;
-                }
-            }
-            i = ia_end;
-            j = jb_end;
-        } else if rank[ha as usize] < rank[hb as usize] {
-            i = skip_group(a, i);
-        } else {
-            j = skip_group(b, j);
-        }
-    }
-    false
-}
-
-/// Minimal distance among `entries[1..]` (the rank-sorted remainder of an
-/// under-construction label set) with hub `hub` and quality at least `w`.
-fn min_dist_for_hub(
-    entries: &[LabelEntry],
-    hub: u32,
-    rank: &[u32],
-    w: Quality,
-) -> Option<Distance> {
-    let rest = &entries[1..];
-    let start = rest.partition_point(|e| rank[e.hub as usize] < rank[hub as usize]);
-    let mut end = start;
-    while end < rest.len() && rest[end].hub == hub {
-        end += 1;
-    }
-    if start == end {
-        return None;
-    }
-    LabelSet::min_dist_in_group(&rest[start..end], w)
 }
 
 #[cfg(test)]
@@ -208,12 +122,7 @@ mod tests {
     use wcsd_graph::INF_QUALITY;
 
     fn set(entries: &[(u32, u32, u32)]) -> LabelSet {
-        let mut s = LabelSet::new();
-        for &(h, d, w) in entries {
-            s.push_unordered(LabelEntry::new(h, d, w));
-        }
-        s.finalize();
-        s
+        LabelSet::from_sorted(entries.iter().map(|&(h, d, w)| LabelEntry::new(h, d, w)).collect())
     }
 
     /// The query of Example 3 in the paper: Q(v2, v5, 2) over the Table II
@@ -257,7 +166,7 @@ mod tests {
 
     #[test]
     fn self_label_gives_zero_distance() {
-        let s = LabelSet::self_label(3);
+        let s = set(&[(3, 0, INF_QUALITY)]);
         for f in [query_pair_scan, query_hub_bucket, query_merge] {
             assert_eq!(f(&s, &s, 100), 0);
         }

@@ -50,11 +50,8 @@ mod tests {
 
     #[test]
     fn stats_from_labels() {
-        let mut a = LabelSet::new();
-        a.push_unordered(LabelEntry::new(0, 0, u32::MAX));
-        a.push_unordered(LabelEntry::new(1, 2, 3));
-        a.finalize();
-        let b = LabelSet::self_label(1);
+        let a = LabelSet::from_sorted(vec![LabelEntry::new(0, 2, 3), LabelEntry::self_label(1)]);
+        let b = LabelSet::from_sorted(vec![LabelEntry::self_label(0)]);
         let stats = IndexStats::from_labels(&[a, b]);
         assert_eq!(stats.num_vertices, 2);
         assert_eq!(stats.total_entries, 3);

@@ -18,7 +18,6 @@ use wcsd_order::VertexOrder;
 #[derive(Debug, Clone)]
 pub struct WeightedWcIndex {
     labels: Vec<LabelSet>,
-    #[allow(dead_code)]
     order: VertexOrder,
 }
 
@@ -32,17 +31,19 @@ impl WeightedWcIndex {
 
     /// Builds the weighted index under a caller-supplied vertex order: one
     /// constrained Dijkstra per root, in rank order, each committing its
-    /// candidates before the next root runs.
+    /// candidates before the next root runs. Label sets are rank-keyed and
+    /// born sorted, as in [`crate::build`].
     pub fn build_with_order(g: &WeightedGraph, order: VertexOrder) -> Self {
         assert_eq!(order.len(), g.num_vertices());
         let n = g.num_vertices();
-        let mut labels: Vec<LabelSet> = (0..n as VertexId).map(LabelSet::self_label).collect();
+        let mut labels = vec![LabelSet::new(); n];
         let mut engine = WeightedEngine::new(n);
         let mut out = Vec::new();
-        for &root in order.as_slice() {
+        for (rank, &root) in (0..).zip(order.as_slice()) {
+            labels[root as usize].push(LabelEntry::self_label(rank));
             engine.run_root(g, order.ranks(), &labels, root, &mut out);
             for &(v, d, w) in &out {
-                labels[v as usize].push_unordered(LabelEntry::new(root, d, w));
+                labels[v as usize].push(LabelEntry::new(rank, d, w));
             }
         }
         for set in &mut labels {
@@ -57,9 +58,15 @@ impl WeightedWcIndex {
         (d != INF_DIST).then_some(d)
     }
 
-    /// The label set of a vertex (for statistics and tests).
+    /// The label set of a vertex (for statistics and tests); its hubs are
+    /// ranks in [`Self::order`].
     pub fn labels(&self, v: VertexId) -> &LabelSet {
         &self.labels[v as usize]
+    }
+
+    /// The vertex order the index was built with.
+    pub fn order(&self) -> &VertexOrder {
+        &self.order
     }
 
     /// Total number of label entries.
@@ -107,13 +114,7 @@ impl WeightedEngine {
                 continue;
             }
             if u != root {
-                if query::covered_building(
-                    &labels[root as usize],
-                    &labels[u as usize],
-                    rank,
-                    w,
-                    dist,
-                ) {
+                if query::covered(&labels[root as usize], &labels[u as usize], w, dist) {
                     // Pruned states do not expand (pruned-landmark rule).
                     continue;
                 }
@@ -247,6 +248,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Appends every label as `(vertex, hub id, dist, quality)`, sorted per
+    /// vertex by `(hub id, dist)`.
+    fn push_labels(idx: &WeightedWcIndex, words: &mut Vec<u32>) {
+        for (v, set) in idx.labels.iter().enumerate() {
+            let mut tuples: Vec<[u32; 3]> = set
+                .entries()
+                .iter()
+                .map(|e| [idx.order.vertex_at(e.hub as usize), e.dist, e.quality])
+                .collect();
+            tuples.sort_unstable();
+            for tuple in tuples {
+                words.push(v as VertexId);
+                words.extend(tuple);
+            }
+        }
+    }
+
+    /// Golden labels: the constrained-Dijkstra builder writes exactly these
+    /// entries on seeded random graphs, under the degree order and a
+    /// reversed-id order.
+    #[test]
+    fn seeded_builds_match_golden_label_hash() {
+        let mut words = Vec::new();
+        for seed in 0..3u64 {
+            let g = random_weighted(35, 120, 4, 9, seed);
+            push_labels(&WeightedWcIndex::build(&g), &mut words);
+            let reversed = VertexOrder::from_permutation((0..35).rev().collect());
+            push_labels(&WeightedWcIndex::build_with_order(&g, reversed), &mut words);
+        }
+        assert_eq!(crate::label::fnv1a_64(words), 0xad03_3959_ac21_7094);
     }
 
     #[test]

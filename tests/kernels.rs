@@ -120,7 +120,8 @@ fn kernels_handle_empty_labels_and_unreachable_pairs() {
 
 /// The hot (rank-ordered) group layout is invisible to every query
 /// implementation: both impls on the flat index agree with the nested index,
-/// whose hub groups ascend by hub id, and so does the default `distance`.
+/// whose hub groups ascend by the same ranks, and so does the default
+/// `distance`.
 #[test]
 fn hot_layout_is_transparent_to_all_impls() {
     for seed in 0..CASES {

@@ -11,6 +11,8 @@
 //! * reconstructed paths are valid `w`-paths of exactly the reported length;
 //! * distance is monotonically non-decreasing in the constraint `w`;
 //! * `index.within(s, t, w, d)` agrees with `distance` on all sampled triples;
+//! * every label set keeps the one `(hub rank, dist)` order, self label last,
+//!   from build through updates and thaw, and freezes to the same entries;
 //! * graph snapshots and builders are lossless.
 
 use rand::rngs::StdRng;
@@ -21,7 +23,8 @@ use wcsd_baselines::online::constrained_bfs;
 use wcsd_core::dynamic::DynamicWcIndex;
 use wcsd_core::path::PathIndex;
 use wcsd_core::query::{query_hub_bucket, query_merge, query_pair_scan};
-use wcsd_graph::{Graph, INF_DIST};
+use wcsd_core::LabelEntry;
+use wcsd_graph::{Graph, INF_DIST, INF_QUALITY};
 
 /// Number of random graphs each property is checked against.
 const CASES: u64 = 48;
@@ -394,6 +397,58 @@ fn dynamic_deletions_are_bit_identical_and_invalidate_freeze() {
                 "seed {seed}: L(v{v}) diverged from the fresh build"
             );
         }
+    }
+}
+
+/// The one label order: `L(v)` strictly ascends by `(hub, dist)` with its
+/// self label `(rank(v), 0, ∞)` last, and the frozen form lists exactly the
+/// same entries.
+fn assert_one_order(idx: &WcIndex, case: &str) {
+    let flat = FlatIndex::from_index(idx);
+    for v in 0..idx.num_vertices() as u32 {
+        let entries = idx.labels(v).entries();
+        assert!(
+            entries.windows(2).all(|p| (p[0].hub, p[0].dist) < (p[1].hub, p[1].dist)),
+            "{case}: L(v{v}) does not strictly ascend by (hub, dist)"
+        );
+        let self_label = LabelEntry::new(idx.order().rank_of(v), 0, INF_QUALITY);
+        assert_eq!(
+            entries.last(),
+            Some(&self_label),
+            "{case}: L(v{v}) does not end in its self label"
+        );
+        let frozen: Vec<LabelEntry> = flat.label_entries(v).collect();
+        assert_eq!(frozen, entries, "{case}: frozen L(v{v}) differs from the nested one");
+    }
+}
+
+/// Every label set is in the one `(hub rank, dist)` order after a build,
+/// an incremental insertion, a decremental repair and a freeze/thaw round
+/// trip, on a hybrid-ordered road grid and a scale-free graph.
+#[test]
+fn label_sets_keep_one_order_from_build_to_thaw() {
+    let qualities = QualityAssigner::uniform(5);
+    for (name, g) in [
+        ("road_grid(12)", road_grid(&RoadGridConfig::square(12), &qualities, 3)),
+        ("barabasi_albert(150, 3)", barabasi_albert(150, 3, &qualities, 3)),
+    ] {
+        let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::wc_index_plus());
+        dyn_idx.set_repair_threshold(1.0);
+        assert_one_order(dyn_idx.index(), &format!("{name}, build"));
+
+        let n = g.num_vertices() as u32;
+        let mut rng = StdRng::seed_from_u64(0x0DE7);
+        while !dyn_idx.insert_edge(rng.gen_range(0..n), rng.gen_range(0..n), 5) {}
+        assert_one_order(dyn_idx.index(), &format!("{name}, insert_edge"));
+
+        let e = g.edges().nth(g.num_edges() / 2).expect("the graph has edges");
+        assert!(dyn_idx.remove_edge(e.u, e.v));
+        assert!(dyn_idx.last_repair().is_some(), "{name}: the deletion must repair");
+        assert_one_order(dyn_idx.index(), &format!("{name}, remove_edge"));
+
+        let thawed = FlatIndex::from_index(dyn_idx.index()).to_index();
+        assert_eq!(&thawed, dyn_idx.index(), "{name}: thaw is lossless");
+        assert_one_order(&thawed, &format!("{name}, to_index"));
     }
 }
 
