@@ -280,7 +280,7 @@ fn attribution_run(
         loadgen::run_against(&addr, name, workload, &lg)?;
     }
 
-    // One decremental repair (scan + resweep samples) ...
+    // One decremental repair (the removal scans, the freeze re-sweeps) ...
     let edge = g.edges().next().ok_or("graph has no edges")?;
     if !dyn_idx.remove_edge(edge.u, edge.v) {
         return Err("sampled edge vanished".to_string());

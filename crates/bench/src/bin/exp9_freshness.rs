@@ -3,11 +3,11 @@
 //! Two measurements on a road/social subset:
 //!
 //! 1. **Repair vs. rebuild.** For a sample of existing edges, time
-//!    `DynamicWcIndex::remove_edge` with the decremental repair (threshold
-//!    1.0, never falls back) against a from-scratch
+//!    `DynamicWcIndex::remove_edge` plus the settle that repairs it
+//!    (threshold 1.0, never falls back) against a from-scratch
 //!    `IndexBuilder::build_with_order` of the post-deletion graph under the
-//!    same vertex order — the index both paths produce is bit-identical, so
-//!    the ratio is a pure cost comparison.
+//!    same vertex order — the labels both paths produce are asserted
+//!    bit-identical, so the ratio is a pure cost comparison.
 //! 2. **Freshness.** A live in-process server is fed a mixed add/remove
 //!    stream through the full `feed` pipeline (apply → freeze → `WCIF`
 //!    snapshot → `RELOAD`), reporting the update-to-servable latency
@@ -101,7 +101,7 @@ fn main() {
 /// fresh same-order rebuild of the post-deletion graph.
 fn repair_vs_rebuild(name: &str, g: &Graph, deletions: usize) -> RepairResult {
     let builder = IndexBuilder::wc_index_plus();
-    let base = DynamicWcIndex::new(g, builder.clone());
+    let mut base = DynamicWcIndex::new(g, builder.clone());
     let order = base.index().order().clone();
     let edges: Vec<_> = g.edges().collect();
     let stride = (edges.len() / deletions.max(1)).max(1);
@@ -112,6 +112,7 @@ fn repair_vs_rebuild(name: &str, g: &Graph, deletions: usize) -> RepairResult {
         dyn_idx.set_repair_threshold(1.0);
         let started = Instant::now();
         assert!(dyn_idx.remove_edge(e.u, e.v));
+        dyn_idx.index(); // the read settles the deletion
         repair_s += started.elapsed().as_secs_f64();
         let stats = dyn_idx.last_repair().expect("threshold 1.0 always repairs");
         affected += stats.affected_hubs;
@@ -120,7 +121,10 @@ fn repair_vs_rebuild(name: &str, g: &Graph, deletions: usize) -> RepairResult {
         let fresh = builder.build_with_order(dyn_idx.graph(), order.clone());
         rebuild_s += started.elapsed().as_secs_f64();
         // The comparison is only honest if both paths produce the same index.
-        assert_eq!(fresh.total_entries(), dyn_idx.index().total_entries(), "repair diverged");
+        let repaired = dyn_idx.index();
+        for v in 0..g.num_vertices() as u32 {
+            assert_eq!(fresh.labels(v), repaired.labels(v), "{name}: repaired L(v{v}) diverged");
+        }
         count += 1;
     }
     RepairResult {

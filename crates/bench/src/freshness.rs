@@ -9,10 +9,11 @@
 //! to the completed reload is the batch's **update-to-servable freshness
 //! latency**, the headline metric of [`FeedResult`].
 //!
-//! Deletions ride the decremental repair of `wcsd_core::decremental`;
-//! [`FeedResult`] counts how many fell back to a full rebuild and how many
-//! hubs the repairs touched, so a feed run doubles as an observability probe
-//! for the dynamic layer.
+//! Every update only flags the hubs it affects; the freeze of a batch settles
+//! them with one affected-hub repair of `wcsd_core::decremental`, or one full
+//! rebuild past the repair threshold. [`FeedResult`] counts which of the two
+//! each batch's settle ran and how many hubs the repairs touched, so a feed
+//! run doubles as an observability probe for the dynamic layer.
 
 use crate::loadgen::percentile;
 use crate::report::{json_string, JsonRecord};
@@ -43,9 +44,10 @@ pub enum EdgeUpdate {
     },
 }
 
-/// Parses an update stream: one `add u v q` or `remove u v` per line, with
-/// blank lines and `#` comments ignored.
-pub fn parse_update_stream(text: &str) -> Result<Vec<EdgeUpdate>, String> {
+/// Parses an update stream for a graph of `num_vertices` vertices: one
+/// `add u v q` or `remove u v` per line, with blank lines and `#` comments
+/// ignored. A vertex id at or past `num_vertices` is an error.
+pub fn parse_update_stream(text: &str, num_vertices: usize) -> Result<Vec<EdgeUpdate>, String> {
     let mut updates = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -56,11 +58,21 @@ pub fn parse_update_stream(text: &str) -> Result<Vec<EdgeUpdate>, String> {
         let parse = |s: &str| -> Result<u32, String> {
             s.parse().map_err(|_| format!("line {}: invalid number {s:?}", lineno + 1))
         };
+        let vertex = |s: &str| -> Result<VertexId, String> {
+            let v = parse(s)?;
+            if v as usize >= num_vertices {
+                return Err(format!(
+                    "line {}: vertex {v} out of range (the graph has {num_vertices} vertices)",
+                    lineno + 1
+                ));
+            }
+            Ok(v)
+        };
         match fields.as_slice() {
             ["add", u, v, q] => {
-                updates.push(EdgeUpdate::Add { u: parse(u)?, v: parse(v)?, q: parse(q)? })
+                updates.push(EdgeUpdate::Add { u: vertex(u)?, v: vertex(v)?, q: parse(q)? })
             }
-            ["remove", u, v] => updates.push(EdgeUpdate::Remove { u: parse(u)?, v: parse(v)? }),
+            ["remove", u, v] => updates.push(EdgeUpdate::Remove { u: vertex(u)?, v: vertex(v)? }),
             _ => {
                 return Err(format!(
                     "line {}: expected `add u v q` or `remove u v`, got {line:?}",
@@ -105,15 +117,19 @@ pub struct FeedResult {
     pub removes: usize,
     /// Updates that were no-ops (duplicate adds, missing removes).
     pub noops: usize,
-    /// Deletions handled by the decremental repair.
+    /// Batches whose settle ran the affected-hub repair (one per batch that
+    /// changed the graph and stayed under the repair threshold).
     pub repairs: usize,
-    /// Deletions that fell back to a full rebuild.
+    /// Batches whose settle fell back to a full rebuild instead.
     pub rebuild_fallbacks: usize,
-    /// Total affected hubs across all decremental repairs.
+    /// Total hubs re-swept across all repairs: per batch, the union of the
+    /// hubs its updates affected.
     pub affected_hubs: usize,
-    /// Mean time to apply one batch of updates, in microseconds.
+    /// Mean time to apply one batch of updates (edge list, graph and
+    /// affected-hub scan), in microseconds.
     pub apply_us_mean: f64,
-    /// Mean time to freeze + encode + write one snapshot, in microseconds.
+    /// Mean time to settle + freeze + encode + write one snapshot, in
+    /// microseconds.
     pub snapshot_us_mean: f64,
     /// Mean time for the server to complete one `RELOAD`, in microseconds
     /// (0 when running offline).
@@ -160,7 +176,7 @@ impl JsonRecord for FeedResult {
 pub fn summary(result: &FeedResult) -> String {
     format!(
         "{}: {} updates in {} batches ({} adds, {} removes, {} no-ops) -> \
-         {} decremental repairs ({} affected hubs), {} rebuild fallbacks; \
+         settled by {} decremental repairs ({} affected hubs) and {} rebuild fallbacks; \
          freshness p50/p90/max {:.1}/{:.1}/{:.1} µs \
          (apply/snapshot/reload mean {:.1}/{:.1}/{:.1} µs), generation {}",
         result.dataset,
@@ -249,6 +265,7 @@ pub fn run_feed(
     for (gen, chunk) in (first_gen..).zip(updates.chunks(batch_size)) {
         let batch_start = Instant::now();
         let rebuilds_before = dyn_idx.rebuild_count();
+        let changes_before = result.adds + result.removes;
         for &update in chunk {
             match update {
                 EdgeUpdate::Add { u, v, q } => {
@@ -261,21 +278,26 @@ pub fn run_feed(
                 EdgeUpdate::Remove { u, v } => {
                     if dyn_idx.remove_edge(u, v) {
                         result.removes += 1;
-                        if let Some(stats) = dyn_idx.last_repair() {
-                            result.repairs += 1;
-                            result.affected_hubs += stats.affected_hubs;
-                        }
                     } else {
                         result.noops += 1;
                     }
                 }
             }
         }
-        result.rebuild_fallbacks += dyn_idx.rebuild_count() - rebuilds_before;
         let applied = batch_start.elapsed();
 
         let path = snapshot_dir.join(format!("gen-{gen:06}.wcif"));
+        // The freeze settles the batch: one repair or one rebuild, if any
+        // update changed the graph.
         let encoded = dyn_idx.freeze().encode();
+        if result.adds + result.removes > changes_before {
+            let rebuilds = dyn_idx.rebuild_count() - rebuilds_before;
+            result.rebuild_fallbacks += rebuilds;
+            if let (0, Some(stats)) = (rebuilds, dyn_idx.last_repair()) {
+                result.repairs += 1;
+                result.affected_hubs += stats.affected_hubs;
+            }
+        }
         // Atomic temp-file + fsync + rename: a crash mid-write can leave a
         // torn temp file but never a torn generation, so a server recovering
         // from this directory always finds the previous snapshot intact.
@@ -364,7 +386,7 @@ mod tests {
     #[test]
     fn parses_streams_and_rejects_garbage() {
         let stream = "# warmup\nadd 1 2 3\n\nremove 4 5 # trailing comment\nadd 0 9 1\n";
-        let updates = parse_update_stream(stream).unwrap();
+        let updates = parse_update_stream(stream, 10).unwrap();
         assert_eq!(
             updates,
             vec![
@@ -373,9 +395,18 @@ mod tests {
                 EdgeUpdate::Add { u: 0, v: 9, q: 1 },
             ]
         );
-        assert!(parse_update_stream("add 1 2").unwrap_err().contains("line 1"));
-        assert!(parse_update_stream("remove 1 x").unwrap_err().contains("invalid number"));
-        assert!(parse_update_stream("drop 1 2").unwrap_err().contains("expected"));
+        assert!(parse_update_stream("add 1 2", 10).unwrap_err().contains("line 1"));
+        assert!(parse_update_stream("remove 1 x", 10).unwrap_err().contains("invalid number"));
+        assert!(parse_update_stream("drop 1 2", 10).unwrap_err().contains("expected"));
+    }
+
+    #[test]
+    fn rejects_vertices_outside_the_graph() {
+        let err = parse_update_stream("add 0 1 2\n\nadd 0 6 3\n", 6).unwrap_err();
+        assert!(err.starts_with("line 3: vertex 6 out of range"), "{err}");
+        let err = parse_update_stream("remove 9 0", 6).unwrap_err();
+        assert!(err.starts_with("line 1: vertex 9 out of range"), "{err}");
+        assert_eq!(parse_update_stream("remove 5 0", 6).unwrap().len(), 1);
     }
 
     #[test]

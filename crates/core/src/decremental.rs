@@ -1,4 +1,4 @@
-//! Decremental repair of a WC-INDEX after an edge deletion.
+//! Affected-hub repair of a WC-INDEX after edge updates.
 //!
 //! Deleting an edge can only *increase* constrained distances, so label
 //! entries can go stale in two ways: an entry's recorded distance is now too
@@ -6,12 +6,21 @@
 //! higher-ranked hub covered the pair) must now appear because the cover
 //! broke. Both effects are confined to the **affected hubs** of the deleted
 //! edge, which this module identifies and re-sweeps — everything else is left
-//! untouched, which is what makes deletions cheap on large graphs.
+//! untouched.
+//!
+//! The criterion runs both ways. Inserting `e` into `G` is deleting `e` from
+//! `G + e` run backwards, and whether a hub's canonical labels differ between
+//! two graphs does not depend on which one came first, so the hubs an
+//! insertion can change are the affected hubs of `e` on `G + e`. Either way
+//! the scan runs on the graph that **contains** the edge;
+//! [`crate::dynamic`] ORs the hubs of a batch of updates together and
+//! re-sweeps their union once.
 //!
 //! ## Which hubs are affected?
 //!
 //! For a deleted edge `(a, b)` of quality `q`, call a hub `h` *affected* at
-//! quality level `w ≤ q` when, **on the pre-deletion graph**,
+//! quality level `w ≤ q` when, **on the pre-deletion graph** (for an
+//! insertion: the post-insertion graph),
 //!
 //! ```text
 //! dist_w(h, a) and dist_w(h, b) are both finite and differ by exactly 1.
@@ -44,17 +53,17 @@
 //! `repair` drops **all** entries of the affected hubs from every label set
 //! (keeping self labels), then re-runs the construction sweep
 //! ([`crate::build`]'s pruned constrained BFS) from each affected hub in rank
-//! order against the post-deletion graph, committing each root's entries
+//! order against the updated graph, committing each root's entries
 //! before the next root starts — the same commit discipline as a fresh build.
 //! Retained entries of hubs ranked *below* the current root cannot perturb
 //! the sweep: the rank invariant keeps them out of `L(root)`, so cover
 //! queries never consult them, and the BFS only expands to lower-ranked
 //! vertices anyway. The committed state seen by each re-swept root thus
 //! matches what a fresh [`IndexBuilder::build_with_order`] pass under the
-//! same vertex order would see, so a delete-only history yields **bit
-//! identical** label sets to that fresh build (after insertions the index may
-//! legitimately carry extra sound-but-unnecessary entries; answers still
-//! agree).
+//! same vertex order would see, so any history of insertions, quality
+//! upgrades and deletions yields **bit identical** label sets to that fresh
+//! build. Re-sweeping an unaffected hub is harmless — it recomputes the same
+//! entries — so any superset of the affected hubs repairs too.
 //!
 //! [`IndexBuilder::build_with_order`]: crate::build::IndexBuilder::build_with_order
 
@@ -75,9 +84,11 @@ pub struct RepairStats {
     pub reinserted_entries: usize,
 }
 
-/// Identifies the affected hubs of deleting edge `(a, b)` with quality `q`.
+/// Identifies the affected hubs of inserting or deleting edge `(a, b)` with
+/// quality `q`.
 ///
-/// `graph` must be the **pre-deletion** graph. Runs two BFS traversals per
+/// `graph` must **contain** the edge: the pre-deletion graph for a deletion,
+/// the post-insertion graph for an insertion. Runs two BFS traversals per
 /// quality level `w ≤ q` and flags every vertex whose distances to the two
 /// endpoints are finite and differ by exactly one — the vertices with some
 /// shortest `w`-path through the edge (see the module docs for why this set
@@ -100,8 +111,8 @@ pub(crate) fn affected_hubs(graph: &Graph, a: VertexId, b: VertexId, q: Quality)
     (0..n as VertexId).filter(|&h| flagged[h as usize]).collect()
 }
 
-/// Repairs `index` in place after a deletion, given the `affected` hubs and
-/// the **post-deletion** `graph`: drops every entry of the affected hubs
+/// Repairs `index` in place after updates, given the `affected` hubs and
+/// the **updated** `graph`: drops every entry of the affected hubs
 /// (self labels stay), then re-sweeps each of them in rank order with the
 /// construction engine, committing per root.
 pub(crate) fn repair(

@@ -1,44 +1,54 @@
 //! Dynamic maintenance of a WC-INDEX under edge updates.
 //!
-//! The paper's future-work section sketches the intended approach: compute the
-//! set of affected vertices and update only the affected entries, using the
-//! existing index instead of re-running full constrained BFS traversals. This
-//! module implements that sketch in both directions:
+//! Every update — insertion, quality upgrade or deletion — runs through the
+//! one decremental mechanism of [`crate::decremental`], so after any history
+//! the labels are **bit-identical** to a fresh
+//! [`IndexBuilder::build_with_order`] of the current graph under the index's
+//! vertex order: the paper's minimal index, with no dominated or unnecessary
+//! entry.
 //!
-//! * **Insertions** resume one pruned constrained search per hub, seeded
-//!   *through* the new edge from the Pareto frontier of (distance, quality)
-//!   pairs the current index certifies between the hub and the edge's
-//!   endpoints — the natural generalisation of the resumed-BFS technique used
-//!   for dynamic pruned landmark labeling. New edges only create new paths,
-//!   so existing entries stay sound; the index may temporarily carry
-//!   non-minimal entries, which [`DynamicWcIndex::rebuild`] removes.
-//! * **Deletions** run the decremental repair of [`crate::decremental`]: the
-//!   affected hubs of the deleted edge — the vertices with some shortest
-//!   constrained path through it — are identified on the pre-deletion graph,
-//!   their entries dropped everywhere, and the construction sweep re-run from
-//!   just those hubs in rank order. On a delete-only history the repaired
-//!   labels are bit-identical to a fresh build under the same vertex order.
-//!   When the affected set exceeds [`DynamicWcIndex::repair_threshold`] times
-//!   the vertex count, a full [`DynamicWcIndex::rebuild`] is cheaper and is
-//!   used instead.
+//! * **Deletion.** Removing `e` from `G` can change only the canonical
+//!   labels of the hubs with some shortest constrained path through `e` in
+//!   `G`: [`decremental`]'s affected-hub criterion, evaluated on the graph
+//!   that still contains the edge.
+//! * **Insertion.** Inserting `e` into `G` is deleting `e` from `G + e` run
+//!   backwards, and "the canonical labels of `h` differ between `G` and
+//!   `G + e`" is symmetric in the two graphs. So the hubs an insertion can
+//!   change are exactly the affected hubs of `e` on `G + e`, again the graph
+//!   that contains the edge. A quality upgrade is an insertion at the levels
+//!   between the old and the new quality; its hubs are flagged on the
+//!   upgraded graph at the new quality, a superset of those levels.
+//! * **Union.** If a hub is flagged by none of the updates `G₀ → G₁ → … →
+//!   G_k`, its canonical labels are the same in every `G_i`, hence in `G₀`
+//!   and `G_k`. Re-sweeping the union of the flagged hubs once therefore
+//!   repairs any batch of updates, whatever their mix and order.
+//!
+//! Updates only change the edge list and the graph, scan for their affected
+//! hubs and OR them into one pending set. The repair waits for the next read
+//! ([`DynamicWcIndex::freeze`], [`DynamicWcIndex::index`],
+//! [`DynamicWcIndex::distance`], [`DynamicWcIndex::rebuild_count`]), which
+//! re-sweeps the pending hubs in rank order — or, when more than
+//! [`DynamicWcIndex::repair_threshold`] times the vertex count are pending,
+//! runs one full [`DynamicWcIndex::rebuild`] instead. A batch of updates thus
+//! costs one scan each plus one repair or rebuild per read, not one per
+//! update.
 //!
 //! Rebuilds (explicit or threshold-triggered) reuse the [`IndexBuilder`] the
 //! dynamic index was created with, so a full-rebuild fallback keeps its
 //! vertex ordering and construction mode.
+//!
+//! [`decremental`]: crate::decremental
+//! [`IndexBuilder::build_with_order`]: crate::build::IndexBuilder::build_with_order
 
 use crate::build::IndexBuilder;
 use crate::decremental::{self, RepairStats};
 use crate::flat::FlatIndex;
 use crate::index::WcIndex;
-use crate::label::LabelEntry;
-use crate::query;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 use wcsd_graph::{Distance, Graph, GraphBuilder, Quality, VertexId};
 
-/// Fraction of the vertex count above which an affected set triggers a full
+/// Fraction of the vertex count above which the pending hubs trigger a full
 /// rebuild instead of a decremental repair.
 const DEFAULT_REPAIR_THRESHOLD: f64 = 0.75;
 
@@ -52,6 +62,10 @@ pub struct DynamicWcIndex {
     rebuild_count: usize,
     repair_threshold: f64,
     last_repair: Option<RepairStats>,
+    /// Hubs flagged by updates since the last settle, indexed by vertex id.
+    pending: Vec<bool>,
+    /// How many entries of `pending` are set.
+    pending_hubs: usize,
     /// Cached frozen serve representation; invalidated by every update and
     /// re-frozen lazily by [`Self::freeze`].
     flat: Option<Arc<FlatIndex>>,
@@ -70,6 +84,8 @@ impl DynamicWcIndex {
             rebuild_count: 0,
             repair_threshold: DEFAULT_REPAIR_THRESHOLD,
             last_repair: None,
+            pending: vec![false; g.num_vertices()],
+            pending_hubs: 0,
             flat: None,
         }
     }
@@ -79,13 +95,15 @@ impl DynamicWcIndex {
         &self.graph
     }
 
-    /// The current index (read-only view).
-    pub fn index(&self) -> &WcIndex {
+    /// The current index, with every pending update settled.
+    pub fn index(&mut self) -> &WcIndex {
+        self.settle();
         &self.index
     }
 
-    /// Re-freezes the current index into the flat serve representation,
-    /// returning a shared handle suitable for handing to a query server.
+    /// Settles pending updates and freezes the index into the flat serve
+    /// representation, returning a shared handle suitable for handing to a
+    /// query server.
     ///
     /// The frozen index is cached: repeated calls without intervening updates
     /// return the same `Arc`, while every [`Self::insert_edge`],
@@ -94,45 +112,54 @@ impl DynamicWcIndex {
     /// valid — they are immutable snapshots of the index at freeze time,
     /// which is exactly the hand-over a serving loop wants during updates.
     pub fn freeze(&mut self) -> Arc<FlatIndex> {
+        self.settle();
         self.flat.get_or_insert_with(|| Arc::new(FlatIndex::from_index(&self.index))).clone()
     }
 
     /// How many full rebuilds have been performed (threshold fallbacks and
-    /// explicit [`Self::rebuild`] calls).
-    pub fn rebuild_count(&self) -> usize {
+    /// explicit [`Self::rebuild`] calls). Settles pending updates first, so
+    /// the count includes a fallback they cause.
+    pub fn rebuild_count(&mut self) -> usize {
+        self.settle();
         self.rebuild_count
     }
 
-    /// The affected-set fraction above which [`Self::remove_edge`] falls back
-    /// to a full rebuild.
+    /// The pending-hub fraction above which a settle falls back to a full
+    /// rebuild.
     pub fn repair_threshold(&self) -> f64 {
         self.repair_threshold
     }
 
-    /// Sets the fallback threshold: a deletion whose affected hubs number
-    /// more than `threshold * num_vertices` is handled by [`Self::rebuild`]
-    /// instead of the decremental repair. `1.0` (or more) never falls back;
-    /// `0.0` always rebuilds.
+    /// Sets the fallback threshold: when more than `threshold *
+    /// num_vertices` hubs are pending at a read, they are settled by
+    /// [`Self::rebuild`] instead of the decremental repair. `1.0` (or more)
+    /// never falls back; `0.0` always rebuilds.
     pub fn set_repair_threshold(&mut self, threshold: f64) {
         self.repair_threshold = threshold;
     }
 
-    /// Statistics of the most recent decremental repair, or `None` if the
-    /// last deletion fell back to a rebuild (or none happened yet).
+    /// Statistics of the most recent settle's decremental repair, or `None`
+    /// if it fell back to a rebuild (or none happened yet). Does not settle:
+    /// between an update and the next read it still describes the previous
+    /// settle.
     pub fn last_repair(&self) -> Option<RepairStats> {
         self.last_repair
     }
 
-    /// Answers a `w`-constrained distance query on the current graph.
-    pub fn distance(&self, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
-        self.index.distance(s, t, w)
+    /// Settles pending updates and answers a `w`-constrained distance query
+    /// on the current graph.
+    pub fn distance(&mut self, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
+        self.index().distance(s, t, w)
     }
 
-    /// Inserts the undirected edge `(a, b)` with quality `q` and incrementally
-    /// repairs the index. Returns `false` if the edge (with a quality at least
-    /// as high) already exists and nothing needed to change.
+    /// Inserts the undirected edge `(a, b)` with quality `q`, or upgrades an
+    /// existing edge to quality `q`, and flags the hubs it affects on the
+    /// updated graph. Returns `false`, changing nothing, for a self loop, an
+    /// endpoint outside the vertex range, or an existing edge whose quality
+    /// is already at least `q`.
     pub fn insert_edge(&mut self, a: VertexId, b: VertexId, q: Quality) -> bool {
-        if a == b {
+        let n = self.graph.num_vertices();
+        if a == b || a as usize >= n || b as usize >= n {
             return false;
         }
         if let Some(existing) = self.graph.edge_quality(a, b) {
@@ -151,20 +178,14 @@ impl DynamicWcIndex {
         } else {
             self.edges.push((a, b, q));
         }
-        self.graph =
-            rebuild_graph(&self.edges, self.graph.num_vertices().max(a.max(b) as usize + 1));
-        self.incremental_insert(a, b, q);
-        self.flat = None;
+        self.graph = rebuild_graph(&self.edges, n);
+        self.flag_affected(a, b, q);
         true
     }
 
-    /// Removes the undirected edge `(a, b)` and repairs the index
-    /// decrementally: the affected hubs of the edge are identified on the
-    /// pre-deletion graph and re-swept in rank order (see
-    /// [`crate::decremental`]); everything else is left untouched. If the
-    /// affected set exceeds [`Self::repair_threshold`] times the vertex
-    /// count, a full [`Self::rebuild`] is performed instead. Returns `false`
-    /// if the edge did not exist.
+    /// Removes the undirected edge `(a, b)` and flags the hubs it affects on
+    /// the pre-deletion graph. Returns `false`, changing nothing, if the edge
+    /// does not exist.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
         let n = self.graph.num_vertices();
         if a as usize >= n || b as usize >= n {
@@ -173,52 +194,14 @@ impl DynamicWcIndex {
         let Some(q) = self.graph.edge_quality(a, b) else {
             return false;
         };
-        let t_scan = Instant::now();
-        let affected = decremental::affected_hubs(&self.graph, a, b, q);
-        record_repair_phase("scan", t_scan.elapsed());
+        self.flag_affected(a, b, q);
         self.edges.retain(|&(u, v, _)| !((u == a && v == b) || (u == b && v == a)));
-        self.graph = rebuild_graph(&self.edges, self.graph.num_vertices());
-        self.flat = None;
-        let budget = self.repair_threshold * self.graph.num_vertices() as f64;
-        if affected.len() as f64 > budget {
-            self.rebuild();
-        } else {
-            let mode = self.builder.config().mode;
-            let t_resweep = Instant::now();
-            let stats = decremental::repair(&mut self.index, &self.graph, mode, &affected);
-            let resweep = t_resweep.elapsed();
-            record_repair_phase("resweep", resweep);
-            let obs = wcsd_obs::global();
-            obs.counter("wcsd_repairs_total", "Decremental repairs performed").inc();
-            obs.gauge(
-                "wcsd_repair_affected_hubs",
-                "Affected hubs in the most recent decremental repair",
-            )
-            .set(stats.affected_hubs as i64);
-            obs.gauge(
-                "wcsd_repair_removed_entries",
-                "Label entries dropped by the most recent decremental repair",
-            )
-            .set(stats.removed_entries as i64);
-            obs.gauge(
-                "wcsd_repair_reinserted_entries",
-                "Label entries re-inserted by the most recent decremental repair",
-            )
-            .set(stats.reinserted_entries as i64);
-            obs.tracer().record(
-                "repair",
-                &format!(
-                    "affected_hubs={} removed={} reinserted={}",
-                    stats.affected_hubs, stats.removed_entries, stats.reinserted_entries
-                ),
-                u64::try_from((t_scan.elapsed()).as_micros()).unwrap_or(u64::MAX),
-            );
-            self.last_repair = Some(stats);
-        }
+        self.graph = rebuild_graph(&self.edges, n);
         true
     }
 
-    /// Rebuilds the index from scratch, restoring minimality.
+    /// Rebuilds the index from scratch, which also settles every pending
+    /// update.
     pub fn rebuild(&mut self) {
         self.index = self.builder.build(&self.graph);
         wcsd_obs::global()
@@ -226,84 +209,76 @@ impl DynamicWcIndex {
             .inc();
         self.rebuild_count += 1;
         self.last_repair = None;
+        self.pending.fill(false);
+        self.pending_hubs = 0;
         self.flat = None;
     }
 
-    /// Incremental repair after inserting `(a, b, q)`: for every hub (in rank
-    /// order) resume a pruned constrained search through the new edge.
-    fn incremental_insert(&mut self, a: VertexId, b: VertexId, q: Quality) {
-        let order = self.index.order().clone();
-        let rank = order.ranks().to_vec();
-        let quality_levels = self.graph.distinct_qualities();
-        let n = self.graph.num_vertices();
-        let mut best_quality: Vec<Quality> = vec![0; n];
-        let mut touched: Vec<VertexId> = Vec::new();
-
-        for k in 0..order.len() {
-            let root = order.vertex_at(k);
-            let root_rank = rank[root as usize];
-            // Seed the resumed search through the new edge in both directions.
-            let mut heap: BinaryHeap<Reverse<(Distance, Reverse<Quality>, VertexId)>> =
-                BinaryHeap::new();
-            for (x, y) in [(a, b), (b, a)] {
-                if rank[y as usize] <= root_rank {
-                    continue;
-                }
-                for &(d, w) in pareto_via_index(&self.index, root, x, &quality_levels).iter() {
-                    let w_new = w.min(q);
-                    if w_new == 0 {
-                        continue;
-                    }
-                    heap.push(Reverse((d.saturating_add(1), Reverse(w_new), y)));
-                }
-            }
-            if heap.is_empty() {
-                continue;
-            }
-
-            while let Some(Reverse((dist, Reverse(w), u))) = heap.pop() {
-                if w <= best_quality[u as usize] {
-                    continue;
-                }
-                let covered =
-                    query::covered(self.index.labels(root), self.index.labels(u), w, dist);
-                if covered {
-                    continue;
-                }
-                self.insert_label(u, LabelEntry::new(root_rank, dist, w));
-                if best_quality[u as usize] == 0 {
-                    touched.push(u);
-                }
-                best_quality[u as usize] = w;
-                let ids = self.graph.neighbor_ids(u);
-                let quals = self.graph.neighbor_qualities(u);
-                for (idx, &v) in ids.iter().enumerate() {
-                    if rank[v as usize] <= root_rank {
-                        continue;
-                    }
-                    let w_new = w.min(quals[idx]);
-                    if w_new <= best_quality[v as usize] {
-                        continue;
-                    }
-                    heap.push(Reverse((dist + 1, Reverse(w_new), v)));
-                }
-            }
-            for v in touched.drain(..) {
-                best_quality[v as usize] = 0;
-            }
+    /// ORs the affected hubs of edge `(a, b, q)` on the current graph, which
+    /// must contain the edge, into the pending set, and drops the cached
+    /// freeze.
+    fn flag_affected(&mut self, a: VertexId, b: VertexId, q: Quality) {
+        let t_scan = Instant::now();
+        for h in decremental::affected_hubs(&self.graph, a, b, q) {
+            let flag = &mut self.pending[h as usize];
+            self.pending_hubs += usize::from(!*flag);
+            *flag = true;
         }
+        record_repair_phase("scan", t_scan.elapsed());
+        self.flat = None;
     }
 
-    fn insert_label(&mut self, v: VertexId, entry: LabelEntry) {
-        // WcIndex stores labels immutably from the outside; go through a
-        // crate-internal accessor.
-        self.index.insert_label_entry(v, entry);
+    /// Re-sweeps the pending hubs in rank order, or rebuilds when more than
+    /// [`Self::repair_threshold`] times the vertex count are pending.
+    fn settle(&mut self) {
+        if self.pending_hubs == 0 {
+            return;
+        }
+        if self.pending_hubs as f64 > self.repair_threshold * self.graph.num_vertices() as f64 {
+            self.rebuild();
+            return;
+        }
+        let hubs: Vec<VertexId> =
+            (0..self.pending.len() as VertexId).filter(|&h| self.pending[h as usize]).collect();
+        self.pending.fill(false);
+        self.pending_hubs = 0;
+        let mode = self.builder.config().mode;
+        let t_resweep = Instant::now();
+        let stats = decremental::repair(&mut self.index, &self.graph, mode, &hubs);
+        let resweep = t_resweep.elapsed();
+        record_repair_phase("resweep", resweep);
+        let obs = wcsd_obs::global();
+        obs.counter("wcsd_repairs_total", "Decremental repairs performed").inc();
+        obs.gauge(
+            "wcsd_repair_affected_hubs",
+            "Affected hubs in the most recent decremental repair",
+        )
+        .set(stats.affected_hubs as i64);
+        obs.gauge(
+            "wcsd_repair_removed_entries",
+            "Label entries dropped by the most recent decremental repair",
+        )
+        .set(stats.removed_entries as i64);
+        obs.gauge(
+            "wcsd_repair_reinserted_entries",
+            "Label entries re-inserted by the most recent decremental repair",
+        )
+        .set(stats.reinserted_entries as i64);
+        obs.tracer().record(
+            "repair",
+            &format!(
+                "affected_hubs={} removed={} reinserted={}",
+                stats.affected_hubs, stats.removed_entries, stats.reinserted_entries
+            ),
+            u64::try_from(resweep.as_micros()).unwrap_or(u64::MAX),
+        );
+        self.last_repair = Some(stats);
     }
 }
 
 /// Records one decremental-repair phase into the process-global metrics
-/// registry as `wcsd_repair_phase_us{phase=...}`: `scan` is the affected-hub
-/// identification on the pre-deletion graph, `resweep` the label drop plus
+/// registry as `wcsd_repair_phase_us{phase=...}`: `scan` is one update's
+/// affected-hub identification, `resweep` one settle's label drop plus
 /// per-hub construction sweeps.
 fn record_repair_phase(phase: &'static str, took: std::time::Duration) {
     wcsd_obs::global()
@@ -313,30 +288,6 @@ fn record_repair_phase(phase: &'static str, took: std::time::Duration) {
             "Decremental repair phase latency in microseconds",
         )
         .record_duration(took);
-}
-
-/// Pareto frontier of `(distance, quality)` pairs the index certifies between
-/// `root` and `x`, probed once per distinct quality level.
-fn pareto_via_index(
-    index: &WcIndex,
-    root: VertexId,
-    x: VertexId,
-    quality_levels: &[Quality],
-) -> Vec<(Distance, Quality)> {
-    let mut frontier: Vec<(Distance, Quality)> = Vec::new();
-    for &w in quality_levels.iter().rev() {
-        if let Some(d) = index.distance(root, x, w) {
-            match frontier.last() {
-                Some(&(dprev, _)) if dprev <= d => {
-                    // A stricter level already achieved this distance; the
-                    // current level adds nothing new.
-                    continue;
-                }
-                _ => frontier.push((d, w)),
-            }
-        }
-    }
-    frontier
 }
 
 fn rebuild_graph(edges: &[(VertexId, VertexId, Quality)], n: usize) -> Graph {
@@ -372,8 +323,8 @@ mod tests {
         (dist[t as usize] != u32::MAX).then(|| dist[t as usize])
     }
 
-    fn assert_full_agreement(dyn_idx: &DynamicWcIndex) {
-        let g = dyn_idx.graph();
+    fn assert_full_agreement(dyn_idx: &mut DynamicWcIndex) {
+        let g = &dyn_idx.graph().clone();
         let levels = g.distinct_qualities();
         for s in 0..g.num_vertices() as VertexId {
             for t in 0..g.num_vertices() as VertexId {
@@ -392,12 +343,13 @@ mod tests {
     fn insertion_creates_shortcut() {
         let g = paper_figure3();
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
+        dyn_idx.set_repair_threshold(1.0);
         assert_eq!(dyn_idx.distance(0, 4, 3), Some(4));
         assert!(dyn_idx.insert_edge(0, 4, 5));
         assert_eq!(dyn_idx.distance(0, 4, 3), Some(1));
         assert_eq!(dyn_idx.distance(0, 4, 5), Some(1));
-        assert_full_agreement(&dyn_idx);
-        assert_eq!(dyn_idx.rebuild_count(), 0, "insertion must not trigger a rebuild");
+        assert_full_agreement(&mut dyn_idx);
+        assert_eq!(dyn_idx.rebuild_count(), 0, "threshold 1.0 repairs the insertion");
     }
 
     #[test]
@@ -407,7 +359,7 @@ mod tests {
         assert!(!dyn_idx.insert_edge(0, 1, 2), "edge (0,1) already has quality 3");
         assert!(!dyn_idx.insert_edge(2, 2, 5), "self loops are ignored");
         assert!(dyn_idx.insert_edge(0, 1, 4), "higher quality upgrades the edge");
-        assert_full_agreement(&dyn_idx);
+        assert_full_agreement(&mut dyn_idx);
     }
 
     #[test]
@@ -422,7 +374,7 @@ mod tests {
         let stats = dyn_idx.last_repair().expect("repair ran");
         assert!(stats.affected_hubs > 0);
         assert!(stats.removed_entries > 0);
-        assert_full_agreement(&dyn_idx);
+        assert_full_agreement(&mut dyn_idx);
         // v4 now only reaches the rest through v5.
         assert_eq!(dyn_idx.distance(0, 4, 1), Some(3));
     }
@@ -456,7 +408,7 @@ mod tests {
         assert!(dyn_idx.remove_edge(3, 4));
         assert_eq!(dyn_idx.rebuild_count(), 1, "threshold 0 must always rebuild");
         assert!(dyn_idx.last_repair().is_none());
-        assert_full_agreement(&dyn_idx);
+        assert_full_agreement(&mut dyn_idx);
     }
 
     #[test]
@@ -472,7 +424,7 @@ mod tests {
         // A genuinely new edge still appends exactly one tuple.
         assert!(dyn_idx.insert_edge(0, 4, 2));
         assert_eq!(dyn_idx.edges.len(), before + 1);
-        assert_full_agreement(&dyn_idx);
+        assert_full_agreement(&mut dyn_idx);
     }
 
     #[test]
@@ -481,14 +433,20 @@ mod tests {
         for seed in 0..3u64 {
             let g = erdos_renyi(30, 0.06, &QualityAssigner::uniform(4), seed);
             let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
+            dyn_idx.set_repair_threshold(1.0);
+            let order = dyn_idx.index().order().clone();
             for _ in 0..12 {
                 let a = rng.gen_range(0..30u32);
                 let b = rng.gen_range(0..30u32);
                 let q = rng.gen_range(1..=4u32);
                 dyn_idx.insert_edge(a, b, q);
             }
-            assert_full_agreement(&dyn_idx);
-            assert_eq!(dyn_idx.rebuild_count(), 0);
+            assert_full_agreement(&mut dyn_idx);
+            assert_eq!(dyn_idx.rebuild_count(), 0, "threshold 1.0 repairs every insertion");
+            let fresh = IndexBuilder::default().build_with_order(dyn_idx.graph(), order);
+            for v in 0..30 {
+                assert_eq!(dyn_idx.index().labels(v), fresh.labels(v), "seed {seed}: L(v{v})");
+            }
         }
     }
 
@@ -530,6 +488,73 @@ mod tests {
         let removed = dyn_idx.remove_edge(0, 24);
         assert!(removed);
         dyn_idx.insert_edge(3, 9, 2);
-        assert_full_agreement(&dyn_idx);
+        assert_full_agreement(&mut dyn_idx);
+    }
+
+    #[test]
+    fn out_of_range_insert_is_a_noop() {
+        let g = paper_figure3();
+        let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
+        let edges = dyn_idx.edges.clone();
+        let frozen = dyn_idx.freeze();
+        assert!(!dyn_idx.insert_edge(0, 6, 3), "vertex 6 is outside the 6-vertex graph");
+        assert!(!dyn_idx.insert_edge(u32::MAX, 2, 1));
+        assert_eq!(dyn_idx.edges, edges, "the edge list is unchanged");
+        assert_eq!(dyn_idx.graph().num_vertices(), 6);
+        assert_eq!(dyn_idx.graph().num_edges(), g.num_edges());
+        assert!(Arc::ptr_eq(&frozen, &dyn_idx.freeze()), "nothing to settle");
+        assert_full_agreement(&mut dyn_idx);
+    }
+
+    #[test]
+    fn updates_settle_once_per_read() {
+        // Two disjoint copies of Figure 3 (vertices 0–5 and 6–11): updates
+        // in different copies flag disjoint hubs, so only a re-sweep of
+        // their union repairs the batch.
+        let fig3 = paper_figure3();
+        let mut b = GraphBuilder::new(12);
+        for e in fig3.edges() {
+            b.add_edge(e.u, e.v, e.quality);
+            b.add_edge(e.u + 6, e.v + 6, e.quality);
+        }
+        let g = b.build();
+        let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
+        dyn_idx.set_repair_threshold(1.0);
+        let order = dyn_idx.index().order().clone();
+
+        let mut flagged = Vec::new();
+        flagged.push(decremental::affected_hubs(dyn_idx.graph(), 3, 4, 4));
+        assert!(dyn_idx.remove_edge(3, 4));
+        assert!(dyn_idx.insert_edge(6, 10, 3));
+        flagged.push(decremental::affected_hubs(dyn_idx.graph(), 6, 10, 3));
+        assert!(dyn_idx.insert_edge(10, 6, 5), "quality upgrade");
+        flagged.push(decremental::affected_hubs(dyn_idx.graph(), 6, 10, 5));
+        assert!(dyn_idx.last_repair().is_none(), "updates alone repair nothing");
+        let mut union: Vec<VertexId> = flagged.concat();
+        union.sort_unstable();
+        union.dedup();
+        assert!(flagged.iter().all(|hubs| hubs.len() < union.len()));
+
+        let frozen = dyn_idx.freeze();
+        let stats = dyn_idx.last_repair().expect("the freeze ran one repair");
+        assert_eq!(stats.affected_hubs, union.len(), "one re-sweep of the union");
+        assert_eq!(dyn_idx.rebuild_count(), 0);
+        assert!(Arc::ptr_eq(&frozen, &dyn_idx.freeze()), "no update → same frozen Arc");
+        assert_eq!(dyn_idx.last_repair(), Some(stats), "a second read settles nothing");
+        let fresh = IndexBuilder::default().build_with_order(dyn_idx.graph(), order);
+        for v in 0..12 {
+            assert_eq!(dyn_idx.index().labels(v), fresh.labels(v), "L(v{v}) diverged");
+        }
+
+        // Past the threshold, the next batch settles with one rebuild.
+        dyn_idx.set_repair_threshold(0.0);
+        assert!(dyn_idx.insert_edge(3, 4, 4));
+        assert!(dyn_idx.remove_edge(6, 10));
+        assert!(dyn_idx.insert_edge(6, 10, 1));
+        let refrozen = dyn_idx.freeze();
+        assert_eq!(dyn_idx.rebuild_count(), 1, "one rebuild for the whole batch");
+        assert!(dyn_idx.last_repair().is_none());
+        assert!(Arc::ptr_eq(&refrozen, &dyn_idx.freeze()));
+        assert_full_agreement(&mut dyn_idx);
     }
 }

@@ -110,7 +110,7 @@ impl WcIndex {
     }
 
     /// Inserts a label entry into `L(v)` keeping the canonical order; used by
-    /// the dynamic-update extension.
+    /// the affected-hub repair's re-sweeps.
     pub(crate) fn insert_label_entry(&mut self, v: VertexId, entry: LabelEntry) {
         self.labels[v as usize].insert_sorted(entry);
     }

@@ -39,9 +39,11 @@
 //!   directed graphs (Section V).
 //! * [`weighted::WeightedWcIndex`] — the constrained-Dijkstra extension for
 //!   weighted graphs (Section V).
-//! * [`dynamic::DynamicWcIndex`] — incremental edge insertions (the paper's
-//!   future-work sketch) and decremental deletions via the affected-hub
-//!   repair of [`decremental`], with a configurable full-rebuild fallback.
+//! * [`dynamic::DynamicWcIndex`] — edge insertions, quality upgrades and
+//!   deletions (the paper's future-work sketch), all settled at the next
+//!   read by one affected-hub repair of [`decremental`], with a
+//!   configurable full-rebuild fallback; every history leaves the labels a
+//!   fresh same-order build would have.
 //!
 //! ## Quickstart
 //!

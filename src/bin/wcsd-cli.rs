@@ -590,7 +590,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let graph = read_graph_file(graph_path, use_dimacs)?;
             let text = std::fs::read_to_string(updates_path)
                 .map_err(|e| format!("cannot read {updates_path}: {e}"))?;
-            let updates = wcsd_bench::freshness::parse_update_stream(&text)?;
+            let updates = wcsd_bench::freshness::parse_update_stream(&text, graph.num_vertices())?;
             let start = std::time::Instant::now();
             let builder = IndexBuilder::new().ordering(ordering);
             let mut dyn_idx = wcsd::core::dynamic::DynamicWcIndex::new(&graph, builder);

@@ -314,9 +314,9 @@ fn within_agrees_with_distance() {
 }
 
 /// Random mixed insert/delete sequences: the decremental repair never falls
-/// back to a rebuild (threshold 1.0), and afterwards every query
-/// implementation agrees with a from-scratch rebuild under the same vertex
-/// order *and* with the BFS oracle.
+/// back to a rebuild (threshold 1.0), and afterwards the labels equal a
+/// from-scratch rebuild under the same vertex order, and every query
+/// implementation agrees with that rebuild *and* with the BFS oracle.
 #[test]
 fn dynamic_mixed_updates_match_rebuild() {
     for seed in 0..CASES {
@@ -342,6 +342,9 @@ fn dynamic_mixed_updates_match_rebuild() {
         assert_eq!(dyn_idx.rebuild_count(), 0, "seed {seed}: repair must never rebuild");
 
         let rebuilt = IndexBuilder::wc_index_plus().build_with_order(dyn_idx.graph(), order);
+        for v in 0..n {
+            assert_eq!(dyn_idx.index().labels(v), rebuilt.labels(v), "seed {seed}: L(v{v})");
+        }
         let levels = dyn_idx.graph().distinct_qualities();
         for s in 0..n {
             for t in 0..n {
@@ -400,6 +403,82 @@ fn dynamic_deletions_are_bit_identical_and_invalidate_freeze() {
     }
 }
 
+/// One random update of a settle batch: an insertion, a quality upgrade of
+/// an existing edge, a removal, or an insertion of a new edge immediately
+/// removed again. Returns whether it was a quality upgrade.
+fn random_update(dyn_idx: &mut DynamicWcIndex, rng: &mut StdRng, max_q: u32) -> bool {
+    let n = dyn_idx.graph().num_vertices() as u32;
+    let edges: Vec<_> = dyn_idx.graph().edges().collect();
+    let (a, b, q) = (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..=max_q));
+    match rng.gen_range(0..4u32) {
+        0 => {
+            dyn_idx.insert_edge(a, b, q);
+        }
+        1 => {
+            if let Some(e) = edges.iter().filter(|e| e.quality < max_q).nth(a as usize) {
+                let upgraded = rng.gen_range(e.quality + 1..=max_q);
+                assert!(dyn_idx.insert_edge(e.v, e.u, upgraded), "an upgrade changes the edge");
+                return true;
+            }
+        }
+        2 => {
+            if !edges.is_empty() {
+                let e = edges[rng.gen_range(0..edges.len())];
+                assert!(dyn_idx.remove_edge(e.u, e.v), "the edge existed");
+            }
+        }
+        _ => {
+            if !dyn_idx.graph().has_edge(a, b) && dyn_idx.insert_edge(a, b, q) {
+                assert!(dyn_idx.remove_edge(b, a), "the edge was just inserted");
+            }
+        }
+    }
+    false
+}
+
+/// Any update history settles to the fresh build: after every batch of 1–5
+/// random updates (insert, quality upgrade, remove, insert-then-remove)
+/// the read's settle leaves every label set equal to a fresh same-order
+/// build, with no dominated entry, on road and social shapes under both
+/// construction modes.
+#[test]
+fn any_update_history_settles_to_the_fresh_build() {
+    let qualities = QualityAssigner::uniform(4);
+    let mut upgrades = 0;
+    for seed in 0..CASES {
+        let g = if seed % 2 == 0 {
+            road_grid(&RoadGridConfig::square(4 + (seed % 3) as usize), &qualities, seed)
+        } else {
+            barabasi_albert(20 + (seed % 5) as usize * 4, 2, &qualities, seed)
+        };
+        for builder in [IndexBuilder::wc_index(), IndexBuilder::wc_index_plus()] {
+            let mode = builder.config().mode;
+            let mut dyn_idx = DynamicWcIndex::new(&g, builder.clone());
+            dyn_idx.set_repair_threshold(1.0);
+            let order = dyn_idx.index().order().clone();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x05E7_71E5);
+            for read in 0..4 {
+                for _ in 0..rng.gen_range(1..=5u32) {
+                    upgrades += usize::from(random_update(&mut dyn_idx, &mut rng, 4));
+                }
+                dyn_idx.index();
+                let fresh = builder.build_with_order(dyn_idx.graph(), order.clone());
+                let settled = dyn_idx.index();
+                for v in 0..g.num_vertices() as u32 {
+                    assert_eq!(
+                        settled.labels(v),
+                        fresh.labels(v),
+                        "seed {seed}, {mode:?}, read {read}: L(v{v}) diverged"
+                    );
+                }
+                assert!(settled.dominated_entries().is_empty(), "seed {seed}, {mode:?}");
+            }
+            assert_eq!(dyn_idx.rebuild_count(), 0, "seed {seed}: threshold 1.0 never rebuilds");
+        }
+    }
+    assert!(upgrades > 0, "the fuzz must exercise quality upgrades");
+}
+
 /// The one label order: `L(v)` strictly ascends by `(hub, dist)` with its
 /// self label `(rank(v), 0, ∞)` last, and the frozen form lists exactly the
 /// same entries.
@@ -423,7 +502,7 @@ fn assert_one_order(idx: &WcIndex, case: &str) {
 }
 
 /// Every label set is in the one `(hub rank, dist)` order after a build,
-/// an incremental insertion, a decremental repair and a freeze/thaw round
+/// an insertion's repair, a deletion's repair and a freeze/thaw round
 /// trip, on a hybrid-ordered road grid and a scale-free graph.
 #[test]
 fn label_sets_keep_one_order_from_build_to_thaw() {
