@@ -4,8 +4,8 @@
 //! The index is built by one *quality- and distance-prioritized constrained
 //! BFS* per vertex, in vertex-order sequence. For the BFS rooted at hub `vₖ`:
 //!
-//! 1. a frontier holds `(vertex, bottleneck quality)` pairs, all at the same
-//!    distance `d` (distance order);
+//! 1. a frontier holds `(vertex, bottleneck quality, BFS parent)` triples,
+//!    all at the same distance `d` (distance order);
 //! 2. the per-vertex array `R` remembers the best bottleneck quality of any
 //!    path from `vₖ` discovered so far, so each vertex enters a frontier at
 //!    most once per distance and only when its quality strictly improves
@@ -53,15 +53,20 @@
 //!
 //! # Sweeps run against a snapshot
 //!
-//! The per-root BFS is implemented by the crate-internal `SweepEngine`, which *reads*
-//! the label sets committed by previously processed roots but *writes* its own
-//! candidate labels to a side buffer that is committed after the sweep
-//! finishes. This is observably identical to mutating `L(u)` in place during
-//! the sweep, because a root's own fresh labels can never satisfy one of its
-//! own cover queries: a vertex re-enters the frontier only when its bottleneck
-//! quality *strictly improves* (the R-array rule), so every earlier own-label
-//! at `u` has strictly smaller quality than the entry currently being tested,
-//! while a cover needs quality at least as large. The decremental repair
+//! The per-root BFS is implemented by the crate-internal `SweepEngine`, the
+//! crate's one unweighted constrained BFS. The build runs it, and so do the
+//! decremental repair, the path index ([`crate::path`], which keeps each
+//! entry's BFS parent) and the directed index ([`crate::directed`], one sweep
+//! over out-arcs and one over in-arcs per root, each testing one label family
+//! of the root against the other family). It *reads* the label sets
+//! committed by previously processed roots but *writes* its own candidate
+//! labels to a side buffer that is committed after the sweep finishes. This
+//! is observably identical to mutating `L(u)` in place during the sweep,
+//! because a root's own fresh labels can never satisfy one of its own cover
+//! queries: a vertex re-enters the frontier only when its bottleneck quality
+//! *strictly improves* (the R-array rule), so every earlier own-label at `u`
+//! has strictly smaller quality than the entry currently being tested, while
+//! a cover needs quality at least as large. The decremental repair
 //! ([`crate::decremental`]) relies on the same argument when it re-sweeps one
 //! hub against otherwise committed labels.
 
@@ -163,17 +168,7 @@ impl IndexBuilder {
             "vertex order must cover every vertex of the graph"
         );
         let t_total = Instant::now();
-        let n = g.num_vertices();
-        let mut labels = vec![LabelSet::new(); n];
-        let mut engine = SweepEngine::new(n);
-        let mut out = Vec::new();
-        for (rank, &root) in (0..).zip(order.as_slice()) {
-            labels[root as usize].push(LabelEntry::self_label(rank));
-            engine.run_root(g, order.ranks(), &labels, root, self.config.mode, &mut out);
-            for &(v, d, w) in &out {
-                labels[v as usize].push(LabelEntry::new(rank, d, w));
-            }
-        }
+        let mut labels = sweep_roots(|u| g.neighbors(u), &order, self.config.mode, |_, _| {});
         record_build_phase("sweep", t_total.elapsed());
         let t_finalize = Instant::now();
         for set in &mut labels {
@@ -205,16 +200,53 @@ fn record_build_phase(phase: &'static str, took: std::time::Duration) {
         .record_duration(took);
 }
 
-/// Reusable scratch state for running root sweeps. The `R` and
+/// One label entry a sweep keeps: `(vertex, dist, quality, parent)`, where
+/// `parent` is the vertex's predecessor on the recorded BFS path from the
+/// root (the root itself for the root's neighbours).
+pub(crate) type Candidate = (VertexId, Distance, Quality, VertexId);
+
+/// Algorithm 3's outer loop over `order`: at each root's turn, appends its
+/// self label, sweeps it against the committed labels and appends its kept
+/// entries, all keyed by the root's rank. `arcs(u)` yields `u`'s neighbours
+/// with edge qualities. `entry_parent(v, parent)` is called once per entry
+/// appended to `L(v)`, in append order, with the entry's BFS parent (`v`
+/// itself for the self label).
+pub(crate) fn sweep_roots<I: Iterator<Item = (VertexId, Quality)>>(
+    arcs: impl Fn(VertexId) -> I,
+    order: &VertexOrder,
+    mode: ConstructionMode,
+    mut entry_parent: impl FnMut(VertexId, VertexId),
+) -> Vec<LabelSet> {
+    let n = order.len();
+    let mut labels = vec![LabelSet::new(); n];
+    let mut engine = SweepEngine::new(n, mode);
+    let mut out = Vec::new();
+    for (rank, &root) in (0..).zip(order.as_slice()) {
+        labels[root as usize].push(LabelEntry::self_label(rank));
+        entry_parent(root, root);
+        engine.run_root(&arcs, order.ranks(), root, &labels[root as usize], &labels, &mut out);
+        for &(v, d, w, parent) in &out {
+            labels[v as usize].push(LabelEntry::new(rank, d, w));
+            entry_parent(v, parent);
+        }
+    }
+    labels
+}
+
+/// Reusable scratch state for running root sweeps. The `R`, parent and
 /// `T_w` arrays are allocated once and reset sparsely (the "Efficient
 /// Initialization" paragraph of Section IV.C).
 pub(crate) struct SweepEngine {
+    mode: ConstructionMode,
     /// `R(v)`: best bottleneck quality of any path from the current root to v.
     best_quality: Vec<Quality>,
     touched_quality: Vec<VertexId>,
+    /// The vertex whose expansion last raised `R(v)`: `v`'s BFS parent once
+    /// `v`'s frontier is sealed.
+    parent_of: Vec<VertexId>,
     /// `T_w[h]`: shortest distance from the current root to the hub ranked
     /// `h` among the root's entries of quality `≥ root_dist_quality`
-    /// (`INF_DIST` if none). Only hubs of `L(root)` are ever written.
+    /// (`INF_DIST` if none). Only hubs of the root's label set are written.
     root_dist: Vec<Distance>,
     /// The `w` that `root_dist` holds; `None` until the root's first cover
     /// query. Frontier qualities are always `≥ 1` (a vertex is enqueued only
@@ -225,10 +257,12 @@ pub(crate) struct SweepEngine {
 }
 
 impl SweepEngine {
-    pub(crate) fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize, mode: ConstructionMode) -> Self {
         Self {
+            mode,
             best_quality: vec![0; n],
             touched_quality: Vec::new(),
+            parent_of: vec![0; n],
             root_dist: vec![INF_DIST; n],
             root_dist_quality: None,
             queued: vec![false; n],
@@ -236,26 +270,33 @@ impl SweepEngine {
     }
 
     /// Runs the quality- and distance-prioritized constrained BFS rooted at
-    /// `root` against the committed `labels`, clearing `out` and pushing one
-    /// `(vertex, dist, quality)` candidate per label entry that survives the
-    /// cover-query pruning.
-    pub(crate) fn run_root(
+    /// `root` over `arcs`, clearing `out` and pushing one candidate per label
+    /// entry that survives the cover-query pruning. A cover query for `u`
+    /// tests the root's own label set `root_labels` against `labels[u]`, the
+    /// family the sweep's entries join: `L(root)` against `L` on an
+    /// undirected graph; on a digraph `L_out(root)` against `L_in` for the
+    /// forward sweep over out-arcs and `L_in(root)` against `L_out` for the
+    /// backward sweep over in-arcs.
+    pub(crate) fn run_root<I: Iterator<Item = (VertexId, Quality)>>(
         &mut self,
-        graph: &Graph,
+        arcs: impl Fn(VertexId) -> I,
         rank: &[u32],
-        labels: &[LabelSet],
         root: VertexId,
-        mode: ConstructionMode,
-        out: &mut Vec<(VertexId, Distance, Quality)>,
+        root_labels: &LabelSet,
+        labels: &[LabelSet],
+        out: &mut Vec<Candidate>,
     ) {
         out.clear();
         let root_rank = rank[root as usize];
 
-        // Frontier of the current distance; every entry is (vertex, quality).
-        let mut frontier: Vec<(VertexId, Quality)> = vec![(root, INF_QUALITY)];
+        // Frontier of the current distance; every entry is (vertex, quality,
+        // parent), the last two captured when the frontier is sealed so that
+        // same-round improvements (which belong to the *next* distance level)
+        // cannot corrupt the entry recorded here.
+        let mut frontier: Vec<(VertexId, Quality, VertexId)> = vec![(root, INF_QUALITY, root)];
         self.best_quality[root as usize] = INF_QUALITY;
         self.touched_quality.push(root);
-        let mut next: Vec<(VertexId, Quality)> = Vec::new();
+        let mut next: Vec<(VertexId, Quality, VertexId)> = Vec::new();
         let mut dist: Distance = 0;
 
         while !frontier.is_empty() {
@@ -265,34 +306,32 @@ impl SweepEngine {
             // the produced labels, but it keeps the processing order aligned
             // with the proof of Theorem 1, and it makes `w` change at most
             // once per distinct quality of a level for the `T_w` refill.
-            frontier.sort_unstable_by_key(|&(v, w)| (std::cmp::Reverse(w), v));
+            frontier.sort_unstable_by_key(|&(v, w, _)| (std::cmp::Reverse(w), v));
 
-            for &(u, w) in &frontier {
-                let is_root = u == root;
-                if !is_root {
+            for &(u, w, parent) in &frontier {
+                if u != root {
                     // Line 11: prune if the current index already covers the
                     // pair (root, u) at quality w within distance `dist`.
-                    let covered = match mode {
-                        ConstructionMode::Basic => is_covered_basic(labels, root, u, w, dist),
+                    let lu = &labels[u as usize];
+                    let covered = match self.mode {
+                        ConstructionMode::Basic => is_covered_basic(root_labels, lu, w, dist),
                         ConstructionMode::QueryEfficient => {
-                            self.is_covered_efficient(labels, root, u, w, dist)
+                            self.is_covered_efficient(root_labels, lu, w, dist)
                         }
                     };
                     if covered {
                         continue;
                     }
                     // Line 12: the entry is minimal and necessary — keep it.
-                    out.push((u, dist, w));
+                    out.push((u, dist, w, parent));
                 }
                 // Lines 13-16: expand to less important neighbours whose best
                 // known bottleneck quality improves.
-                let ids = graph.neighbor_ids(u);
-                let quals = graph.neighbor_qualities(u);
-                for (idx, &v) in ids.iter().enumerate() {
+                for (v, q) in arcs(u) {
                     if rank[v as usize] <= root_rank {
                         continue;
                     }
-                    let w_new = w.min(quals[idx]);
+                    let w_new = w.min(q);
                     if w_new <= self.best_quality[v as usize] {
                         continue;
                     }
@@ -300,9 +339,10 @@ impl SweepEngine {
                         self.touched_quality.push(v);
                     }
                     self.best_quality[v as usize] = w_new;
+                    self.parent_of[v as usize] = u;
                     if !self.queued[v as usize] {
                         self.queued[v as usize] = true;
-                        next.push((v, 0));
+                        next.push((v, 0, v));
                     }
                 }
             }
@@ -310,6 +350,7 @@ impl SweepEngine {
             // Line 17: seal the next frontier with the final R values.
             for entry in &mut next {
                 entry.1 = self.best_quality[entry.0 as usize];
+                entry.2 = self.parent_of[entry.0 as usize];
                 self.queued[entry.0 as usize] = false;
             }
             frontier.clear();
@@ -321,56 +362,46 @@ impl SweepEngine {
             self.best_quality[v as usize] = 0;
         }
         if self.root_dist_quality.take().is_some() {
-            for f in labels[root as usize].entries() {
+            for f in root_labels.entries() {
                 self.root_dist[f.hub as usize] = INF_DIST;
             }
         }
     }
 
-    /// WC-INDEX+ cover query: one pass over `L(u)` against `T_w`, which is
-    /// refilled from `L(root)` first if `w` differs from the quality it
-    /// holds. Each hub's entries are contiguous in `L(root)` (hubs commit
-    /// whole, in rank order) and form a Theorem-3 group, so the refill
-    /// overwrites every hub of `L(root)` once.
+    /// WC-INDEX+ cover query: one pass over `lu` against `T_w`, which is
+    /// refilled from `root_labels` first if `w` differs from the quality it
+    /// holds. Each hub's entries are contiguous in `root_labels` (hubs
+    /// commit whole, in rank order) and form a Theorem-3 group, so the
+    /// refill overwrites every hub of `root_labels` once.
     fn is_covered_efficient(
         &mut self,
-        labels: &[LabelSet],
-        root: VertexId,
-        u: VertexId,
+        root_labels: &LabelSet,
+        lu: &LabelSet,
         w: Quality,
         d: Distance,
     ) -> bool {
         if self.root_dist_quality != Some(w) {
-            for (hub, group) in labels[root as usize].hub_groups() {
+            for (hub, group) in root_labels.hub_groups() {
                 self.root_dist[hub as usize] =
                     LabelSet::min_dist_in_group(group, w).unwrap_or(INF_DIST);
             }
             self.root_dist_quality = Some(w);
         }
         let root_dist = &self.root_dist;
-        labels[u as usize]
-            .entries()
+        lu.entries()
             .iter()
             .any(|e| e.quality >= w && root_dist[e.hub as usize].saturating_add(e.dist) <= d)
     }
 }
 
-/// Basic WC-INDEX cover query: for every entry of `L(u)` scan the whole of
-/// `L(root)` for matching hubs (the Algorithm 2 strategy).
-fn is_covered_basic(
-    labels: &[LabelSet],
-    root: VertexId,
-    u: VertexId,
-    w: Quality,
-    d: Distance,
-) -> bool {
-    let lu = labels[u as usize].entries();
-    let lr = labels[root as usize].entries();
-    for eu in lu {
+/// Basic WC-INDEX cover query: for every entry of `lu` scan the whole of
+/// `root_labels` for matching hubs (the Algorithm 2 strategy).
+fn is_covered_basic(root_labels: &LabelSet, lu: &LabelSet, w: Quality, d: Distance) -> bool {
+    for eu in lu.entries() {
         if eu.quality < w || eu.dist > d {
             continue;
         }
-        for er in lr {
+        for er in root_labels.entries() {
             if er.hub == eu.hub && er.quality >= w && er.dist.saturating_add(eu.dist) <= d {
                 return true;
             }

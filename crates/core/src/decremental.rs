@@ -133,12 +133,20 @@ pub(crate) fn repair(
     let mut roots: Vec<VertexId> = affected.to_vec();
     roots.sort_unstable_by_key(|&h| rank[h as usize]);
 
-    let mut engine = SweepEngine::new(n);
-    let mut out: Vec<(VertexId, Distance, Quality)> = Vec::new();
+    let mut engine = SweepEngine::new(n, mode);
+    let mut out = Vec::new();
     let mut reinserted_entries = 0usize;
     for &root in &roots {
-        engine.run_root(graph, rank, index.labels_all(), root, mode, &mut out);
-        for &(v, d, w) in &out {
+        let labels = index.labels_all();
+        engine.run_root(
+            |u| graph.neighbors(u),
+            rank,
+            root,
+            &labels[root as usize],
+            labels,
+            &mut out,
+        );
+        for &(v, d, w, _) in &out {
             index.insert_label_entry(v, LabelEntry::new(rank[root as usize], d, w));
         }
         reinserted_entries += out.len();

@@ -2,13 +2,14 @@
 //!
 //! Every vertex keeps two label sets: `L_out(v)` certifies constrained paths
 //! *from* `v` to hubs, `L_in(v)` certifies paths from hubs *to* `v`. The index
-//! is built by running the quality/distance-prioritized constrained BFS from
-//! each root twice — once over out-edges (populating `L_in` of reached
-//! vertices) and once over in-edges (populating `L_out`).
+//! is built by running [`crate::build`]'s quality/distance-prioritized
+//! constrained BFS from each root twice — once over out-arcs (populating
+//! `L_in` of reached vertices) and once over in-arcs (populating `L_out`).
 
+use crate::build::{ConstructionMode, SweepEngine};
 use crate::label::{LabelEntry, LabelSet};
 use crate::query;
-use wcsd_graph::{DiGraph, Distance, Quality, VertexId, INF_DIST, INF_QUALITY};
+use wcsd_graph::{DiGraph, Distance, Quality, VertexId, INF_DIST};
 use wcsd_order::VertexOrder;
 
 /// 2-hop index for directed quality-labelled graphs.
@@ -37,21 +38,22 @@ impl DirectedWcIndex {
         let n = g.num_vertices();
         let mut l_out = vec![LabelSet::new(); n];
         let mut l_in = vec![LabelSet::new(); n];
-        let mut engine = DirectedEngine::new(n);
+        let mut engine = SweepEngine::new(n, ConstructionMode::QueryEfficient);
         let (mut forward, mut backward) = (Vec::new(), Vec::new());
         let rank = order.ranks();
         for (root_rank, &root) in (0..).zip(order.as_slice()) {
-            l_out[root as usize].push(LabelEntry::self_label(root_rank));
-            l_in[root as usize].push(LabelEntry::self_label(root_rank));
+            let r = root as usize;
+            l_out[r].push(LabelEntry::self_label(root_rank));
+            l_in[r].push(LabelEntry::self_label(root_rank));
             // Forward sweep: paths root ⇝ u certify entries in L_in(u); the
             // cover query intersects L_out(root) with L_in(u).
-            engine.run_root(g, rank, &l_out, &l_in, root, Direction::Forward, &mut forward);
+            engine.run_root(|u| g.out_neighbors(u), rank, root, &l_out[r], &l_in, &mut forward);
             // Backward sweep: paths u ⇝ root certify entries in L_out(u).
-            engine.run_root(g, rank, &l_out, &l_in, root, Direction::Backward, &mut backward);
-            for &(v, d, w) in &forward {
+            engine.run_root(|u| g.in_neighbors(u), rank, root, &l_in[r], &l_out, &mut backward);
+            for &(v, d, w, _) in &forward {
                 l_in[v as usize].push(LabelEntry::new(root_rank, d, w));
             }
-            for &(v, d, w) in &backward {
+            for &(v, d, w, _) in &backward {
                 l_out[v as usize].push(LabelEntry::new(root_rank, d, w));
             }
         }
@@ -86,98 +88,6 @@ impl DirectedWcIndex {
     /// Total number of entries across both label families.
     pub fn total_entries(&self) -> usize {
         self.l_out.iter().chain(self.l_in.iter()).map(|l| l.len()).sum()
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Forward,
-    Backward,
-}
-
-/// Scratch state for the directed sweeps.
-struct DirectedEngine {
-    best_quality: Vec<Quality>,
-    touched: Vec<VertexId>,
-    queued: Vec<bool>,
-}
-
-impl DirectedEngine {
-    fn new(n: usize) -> Self {
-        Self { best_quality: vec![0; n], touched: Vec::new(), queued: vec![false; n] }
-    }
-
-    /// One pruned constrained BFS from `root` along the given edge direction,
-    /// pushing surviving `(vertex, dist, quality)` candidates onto `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_root(
-        &mut self,
-        g: &DiGraph,
-        rank: &[u32],
-        l_out: &[LabelSet],
-        l_in: &[LabelSet],
-        root: VertexId,
-        dir: Direction,
-        out: &mut Vec<(VertexId, Distance, Quality)>,
-    ) {
-        out.clear();
-        let root_rank = rank[root as usize];
-        let mut frontier: Vec<(VertexId, Quality)> = vec![(root, INF_QUALITY)];
-        self.best_quality[root as usize] = INF_QUALITY;
-        self.touched.push(root);
-        let mut next: Vec<(VertexId, Quality)> = Vec::new();
-        let mut dist: Distance = 0;
-
-        while !frontier.is_empty() {
-            frontier.sort_unstable_by_key(|&(v, w)| (std::cmp::Reverse(w), v));
-            for &(u, w) in &frontier {
-                if u != root {
-                    // Forward: does the index already certify root ⇝ u?
-                    // Backward: does it certify u ⇝ root?
-                    let (from, to) = match dir {
-                        Direction::Forward => (root, u),
-                        Direction::Backward => (u, root),
-                    };
-                    let already =
-                        query::covered(&l_out[from as usize], &l_in[to as usize], w, dist);
-                    if already {
-                        continue;
-                    }
-                    out.push((u, dist, w));
-                }
-                let neighbors: Vec<(VertexId, Quality)> = match dir {
-                    Direction::Forward => g.out_neighbors(u).collect(),
-                    Direction::Backward => g.in_neighbors(u).collect(),
-                };
-                for (v, q) in neighbors {
-                    if rank[v as usize] <= root_rank {
-                        continue;
-                    }
-                    let w_new = w.min(q);
-                    if w_new <= self.best_quality[v as usize] {
-                        continue;
-                    }
-                    if self.best_quality[v as usize] == 0 {
-                        self.touched.push(v);
-                    }
-                    self.best_quality[v as usize] = w_new;
-                    if !self.queued[v as usize] {
-                        self.queued[v as usize] = true;
-                        next.push((v, 0));
-                    }
-                }
-            }
-            for entry in &mut next {
-                entry.1 = self.best_quality[entry.0 as usize];
-                self.queued[entry.0 as usize] = false;
-            }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-            dist += 1;
-        }
-        for v in self.touched.drain(..) {
-            self.best_quality[v as usize] = 0;
-        }
     }
 }
 

@@ -23,8 +23,9 @@
 //!   and `G_k`. Re-sweeping the union of the flagged hubs once therefore
 //!   repairs any batch of updates, whatever their mix and order.
 //!
-//! Updates only change the edge list and the graph, scan for their affected
-//! hubs and OR them into one pending set. The repair waits for the next read
+//! Updates only rebuild the graph from its own edges with the one edge
+//! added, upgraded or removed, scan for their affected hubs and OR them into
+//! one pending set. The repair waits for the next read
 //! ([`DynamicWcIndex::freeze`], [`DynamicWcIndex::index`],
 //! [`DynamicWcIndex::distance`], [`DynamicWcIndex::rebuild_count`]), which
 //! re-sweeps the pending hubs in rank order — or, when more than
@@ -46,6 +47,7 @@ use crate::flat::FlatIndex;
 use crate::index::WcIndex;
 use std::sync::Arc;
 use std::time::Instant;
+use wcsd_graph::types::Edge;
 use wcsd_graph::{Distance, Graph, GraphBuilder, Quality, VertexId};
 
 /// Fraction of the vertex count above which the pending hubs trigger a full
@@ -55,7 +57,6 @@ const DEFAULT_REPAIR_THRESHOLD: f64 = 0.75;
 /// A WC-INDEX paired with its graph, supporting edge insertions and deletions.
 #[derive(Debug, Clone)]
 pub struct DynamicWcIndex {
-    edges: Vec<(VertexId, VertexId, Quality)>,
     graph: Graph,
     index: WcIndex,
     builder: IndexBuilder,
@@ -74,10 +75,8 @@ pub struct DynamicWcIndex {
 impl DynamicWcIndex {
     /// Builds the initial index for `g` with the given builder configuration.
     pub fn new(g: &Graph, builder: IndexBuilder) -> Self {
-        let edges: Vec<_> = g.edges().map(|e| (e.u, e.v, e.quality)).collect();
         let index = builder.build(g);
         Self {
-            edges,
             graph: g.clone(),
             index,
             builder,
@@ -162,23 +161,12 @@ impl DynamicWcIndex {
         if a == b || a as usize >= n || b as usize >= n {
             return false;
         }
-        if let Some(existing) = self.graph.edge_quality(a, b) {
-            if existing >= q {
-                return false;
-            }
-            // Quality upgrade: replace the stale tuple in place instead of
-            // appending next to it, so the edge list cannot grow without
-            // bound under repeated upgrades.
-            let pos = self
-                .edges
-                .iter()
-                .position(|&(u, v, _)| (u == a && v == b) || (u == b && v == a))
-                .expect("graph and edge list agree on edge existence");
-            self.edges[pos] = (a, b, q);
-        } else {
-            self.edges.push((a, b, q));
+        if self.graph.edge_quality(a, b).is_some_and(|existing| existing >= q) {
+            return false;
         }
-        self.graph = rebuild_graph(&self.edges, n);
+        // An upgrade's new edge replaces the old one: the builder keeps the
+        // higher quality of parallel edges.
+        self.graph = rebuild_graph(self.graph.edges().chain([Edge::new(a, b, q)]), n);
         self.flag_affected(a, b, q);
         true
     }
@@ -195,8 +183,8 @@ impl DynamicWcIndex {
             return false;
         };
         self.flag_affected(a, b, q);
-        self.edges.retain(|&(u, v, _)| !((u == a && v == b) || (u == b && v == a)));
-        self.graph = rebuild_graph(&self.edges, n);
+        let removed = Edge::new(a, b, q).canonical();
+        self.graph = rebuild_graph(self.graph.edges().filter(|&e| e != removed), n);
         true
     }
 
@@ -290,13 +278,12 @@ fn record_repair_phase(phase: &'static str, took: std::time::Duration) {
         .record_duration(took);
 }
 
-fn rebuild_graph(edges: &[(VertexId, VertexId, Quality)], n: usize) -> Graph {
-    // `GraphBuilder::with_capacity(n, _)` fixes the vertex count at `n`, so no
-    // explicit padding is needed even if trailing vertices are isolated.
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for &(u, v, q) in edges {
-        b.add_edge(u, v, q);
-    }
+/// The `n`-vertex graph of `edges`: one O(m) CSR build per update.
+fn rebuild_graph(edges: impl Iterator<Item = Edge>, n: usize) -> Graph {
+    // `GraphBuilder::new(n)` fixes the vertex count at `n`, so no explicit
+    // padding is needed even if trailing vertices are isolated.
+    let mut b = GraphBuilder::new(n);
+    b.extend_edges(edges);
     b.build()
 }
 
@@ -415,15 +402,15 @@ mod tests {
     fn quality_upgrade_replaces_edge_tuple() {
         let g = paper_figure3();
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        let before = dyn_idx.edges.len();
+        let before = dyn_idx.graph().num_edges();
         // Repeated upgrades of the same edge must not grow the edge list.
         assert!(dyn_idx.insert_edge(0, 1, 4));
         assert!(dyn_idx.insert_edge(1, 0, 5));
-        assert_eq!(dyn_idx.edges.len(), before, "upgrades must replace, not append");
+        assert_eq!(dyn_idx.graph().num_edges(), before, "upgrades must replace, not append");
         assert_eq!(dyn_idx.graph().edge_quality(0, 1), Some(5));
         // A genuinely new edge still appends exactly one tuple.
         assert!(dyn_idx.insert_edge(0, 4, 2));
-        assert_eq!(dyn_idx.edges.len(), before + 1);
+        assert_eq!(dyn_idx.graph().num_edges(), before + 1);
         assert_full_agreement(&mut dyn_idx);
     }
 
@@ -495,11 +482,11 @@ mod tests {
     fn out_of_range_insert_is_a_noop() {
         let g = paper_figure3();
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        let edges = dyn_idx.edges.clone();
+        let edges: Vec<_> = dyn_idx.graph().edges().collect();
         let frozen = dyn_idx.freeze();
         assert!(!dyn_idx.insert_edge(0, 6, 3), "vertex 6 is outside the 6-vertex graph");
         assert!(!dyn_idx.insert_edge(u32::MAX, 2, 1));
-        assert_eq!(dyn_idx.edges, edges, "the edge list is unchanged");
+        assert!(dyn_idx.graph().edges().eq(edges), "the edge list is unchanged");
         assert_eq!(dyn_idx.graph().num_vertices(), 6);
         assert_eq!(dyn_idx.graph().num_edges(), g.num_edges());
         assert!(Arc::ptr_eq(&frozen, &dyn_idx.freeze()), "nothing to settle");

@@ -31,12 +31,12 @@
 //! * [`overlay`] — the boundary-vertex overlay composing per-shard answers
 //!   into exact whole-graph answers ([`overlay::ShardedIndex`], the `WCSO`
 //!   snapshot), the correctness core of the sharded serving tier.
-//! * [`path::PathIndex`] — the shortest-*path* extension (quad labels with
-//!   parent pointers, Section V).
+//! * [`path::PathIndex`] — the shortest-*path* extension (Section V): the
+//!   build's labels plus a parallel column of BFS parent pointers.
 //! * [`parallel`] — scoped-thread batch query evaluation for large
 //!   workloads.
 //! * [`directed::DirectedWcIndex`] — the `L_in`/`L_out` extension for
-//!   directed graphs (Section V).
+//!   directed graphs (Section V), two sweeps of the build's engine per root.
 //! * [`weighted::WeightedWcIndex`] — the constrained-Dijkstra extension for
 //!   weighted graphs (Section V).
 //! * [`dynamic::DynamicWcIndex`] — edge insertions, quality upgrades and

@@ -64,9 +64,16 @@ pub fn query_hub_bucket(ls: &LabelSet, lt: &LabelSet, w: Quality) -> Distance {
 /// `O(log)` per shared hub thanks to the Theorem-3 ordering; total time
 /// `O(|L(s)| + |L(t)|)`.
 pub fn query_merge(ls: &LabelSet, lt: &LabelSet, w: Quality) -> Distance {
+    meeting_hub(ls, lt, w).map_or(INF_DIST, |(_, d)| d)
+}
+
+/// The `Query⁺` merge that also names where the two sides meet: the rank of
+/// the lowest-ranked hub of minimal combined distance and that distance, or
+/// `None` if no shared hub qualifies at `w`.
+pub(crate) fn meeting_hub(ls: &LabelSet, lt: &LabelSet, w: Quality) -> Option<(u32, Distance)> {
     let a = ls.entries();
     let b = lt.entries();
-    let mut best = INF_DIST;
+    let mut best: Option<(u32, Distance)> = None;
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         let ha = a[i].hub;
@@ -83,7 +90,10 @@ pub fn query_merge(ls: &LabelSet, lt: &LabelSet, w: Quality) -> Distance {
             if let (Some(da), Some(db)) =
                 (LabelSet::min_dist_in_group(ga, w), LabelSet::min_dist_in_group(gb, w))
             {
-                best = best.min(da.saturating_add(db));
+                let d = da.saturating_add(db);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((ha, d));
+                }
             }
             i = ia_end;
             j = jb_end;

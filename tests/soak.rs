@@ -1,5 +1,5 @@
-//! Opt-in correctness soak on thousand-vertex graphs (the ROADMAP item
-//! lifting the ~30-vertex cap of the `properties.rs` fuzzer).
+//! Correctness soak on thousand-vertex graphs (the ROADMAP item lifting the
+//! ~30-vertex cap of the `properties.rs` fuzzer).
 //!
 //! All-pairs oracle verification is quadratic, so the soak samples a few
 //! thousand `(s, t, w)` triples per graph instead and re-checks the core
@@ -7,7 +7,8 @@
 //! co-monotonicity, `within` consistency, constraint monotonicity, and
 //! parallel-batch agreement.
 //!
-//! Run with: `cargo test --release --test soak -- --ignored`
+//! It takes a few seconds in a debug build, so it runs with every
+//! `cargo test`; alone: `cargo test --release --test soak`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +52,6 @@ fn sample_queries(g: &Graph, rng: &mut StdRng) -> Vec<(u32, u32, u32)> {
 }
 
 #[test]
-#[ignore = "multi-second soak; run with cargo test --release --test soak -- --ignored"]
 fn thousand_vertex_invariant_soak() {
     for (name, g) in soak_graphs() {
         assert!(g.num_vertices() >= 1000, "{name} is not thousand-vertex scale");
