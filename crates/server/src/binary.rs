@@ -48,9 +48,15 @@
 //! The `STATS`/`RELOADED` payloads reuse the text rendering: the counter set
 //! can evolve without a frame-format bump, and the client decodes both wire
 //! protocols through one parser.
+//!
+//! This module is the binary half of one codec pair: requests decode into
+//! the same [`Request`] the text decoder (`protocol::TextDecoder`)
+//! yields, and replies into the same [`Reply`]. A `BATCH` needs no
+//! assembly here, because its frame carries the queries inline.
 
-use crate::protocol::{ReloadInfo, Reply, MAX_BATCH};
-use wcsd_graph::{Distance, Quality, VertexId};
+use crate::protocol::{receive_error, ReloadInfo, Reply, Request, MAX_BATCH};
+use std::io::Read;
+use wcsd_graph::Distance;
 
 /// First byte of a binary-mode connection. Deliberately outside ASCII so it
 /// can never be confused with a text verb.
@@ -85,63 +91,21 @@ const RE_ERR: u8 = 0xFF;
 // time so the two limits cannot drift apart).
 const _: () = assert!(5 + 12 * MAX_BATCH <= MAX_FRAME);
 
-/// A parsed binary request. Unlike the text [`crate::protocol::Request`],
-/// `Batch` carries its queries inline — the frame is self-delimiting, so
-/// there is no header/body split.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BinRequest {
-    /// One point lookup.
-    Query {
-        /// Source vertex.
-        s: VertexId,
-        /// Target vertex.
-        t: VertexId,
-        /// Quality constraint.
-        w: Quality,
-    },
-    /// A whole batch in one frame.
-    Batch {
-        /// The `(s, t, w)` queries.
-        queries: Vec<(VertexId, VertexId, Quality)>,
-    },
-    /// Bounded reachability predicate.
-    Within {
-        /// Source vertex.
-        s: VertexId,
-        /// Target vertex.
-        t: VertexId,
-        /// Quality constraint.
-        w: Quality,
-        /// Distance bound.
-        d: Distance,
-    },
-    /// Counter snapshot.
-    Stats,
-    /// Prometheus scrape (`recent` = the trace-event dump instead).
-    Metrics {
-        /// `true` for the recent trace events (slow-query log).
-        recent: bool,
-    },
-    /// Swap the served snapshot (server-side path).
-    Reload {
-        /// Path to the snapshot on the server's filesystem.
-        path: String,
-    },
-    /// Graceful shutdown.
-    Shutdown,
-}
+/// The binary codec's former name for [`Request`], kept as an alias so code
+/// written against it still compiles; it is the same type.
+pub use crate::protocol::Request as BinRequest;
 
 /// Appends the framed encoding of a request to `out`.
-pub fn encode_request(req: &BinRequest, out: &mut Vec<u8>) {
+pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     let body_at = begin_frame(out);
     match req {
-        BinRequest::Query { s, t, w } => {
+        Request::Query { s, t, w } => {
             out.push(OP_QUERY);
             put_u32(out, *s);
             put_u32(out, *t);
             put_u32(out, *w);
         }
-        BinRequest::Batch { queries } => {
+        Request::Batch { queries } => {
             out.push(OP_BATCH);
             put_u32(out, queries.len() as u32);
             for &(s, t, w) in queries {
@@ -150,34 +114,34 @@ pub fn encode_request(req: &BinRequest, out: &mut Vec<u8>) {
                 put_u32(out, w);
             }
         }
-        BinRequest::Within { s, t, w, d } => {
+        Request::Within { s, t, w, d } => {
             out.push(OP_WITHIN);
             put_u32(out, *s);
             put_u32(out, *t);
             put_u32(out, *w);
             put_u32(out, *d);
         }
-        BinRequest::Stats => out.push(OP_STATS),
-        BinRequest::Metrics { recent } => {
+        Request::Stats => out.push(OP_STATS),
+        Request::Metrics { recent } => {
             out.push(OP_METRICS);
             out.push(u8::from(*recent));
         }
-        BinRequest::Reload { path } => {
+        Request::Reload { path } => {
             out.push(OP_RELOAD);
             out.extend_from_slice(path.as_bytes());
         }
-        BinRequest::Shutdown => out.push(OP_SHUTDOWN),
+        Request::Shutdown => out.push(OP_SHUTDOWN),
     }
     end_frame(out, body_at);
 }
 
 /// Parses one request frame body (the bytes after the length prefix).
-pub fn decode_request(body: &[u8]) -> Result<BinRequest, String> {
+pub fn decode_request(body: &[u8]) -> Result<Request, String> {
     let (&op, rest) = body.split_first().ok_or("empty frame")?;
     match op {
         OP_QUERY => {
             let f = fixed::<3>(rest, "QUERY")?;
-            Ok(BinRequest::Query { s: f[0], t: f[1], w: f[2] })
+            Ok(Request::Query { s: f[0], t: f[1], w: f[2] })
         }
         OP_BATCH => {
             let n = get_u32(rest, 0, "BATCH")? as usize;
@@ -200,26 +164,26 @@ pub fn decode_request(body: &[u8]) -> Result<BinRequest, String> {
                     ))
                 })
                 .collect::<Result<Vec<_>, String>>()?;
-            Ok(BinRequest::Batch { queries })
+            Ok(Request::Batch { queries })
         }
         OP_WITHIN => {
             let f = fixed::<4>(rest, "WITHIN")?;
-            Ok(BinRequest::Within { s: f[0], t: f[1], w: f[2], d: f[3] })
+            Ok(Request::Within { s: f[0], t: f[1], w: f[2], d: f[3] })
         }
-        OP_STATS => expect_empty(rest, "STATS").map(|()| BinRequest::Stats),
+        OP_STATS => expect_empty(rest, "STATS").map(|()| Request::Stats),
         OP_METRICS => match rest {
-            [0] => Ok(BinRequest::Metrics { recent: false }),
-            [1] => Ok(BinRequest::Metrics { recent: true }),
+            [0] => Ok(Request::Metrics { recent: false }),
+            [1] => Ok(Request::Metrics { recent: true }),
             _ => Err("malformed METRICS frame".to_string()),
         },
-        OP_SHUTDOWN => expect_empty(rest, "SHUTDOWN").map(|()| BinRequest::Shutdown),
+        OP_SHUTDOWN => expect_empty(rest, "SHUTDOWN").map(|()| Request::Shutdown),
         OP_RELOAD => {
             let path = std::str::from_utf8(rest)
                 .map_err(|_| "RELOAD path is not valid UTF-8".to_string())?;
             if path.is_empty() {
                 return Err("RELOAD path is empty".to_string());
             }
-            Ok(BinRequest::Reload { path: path.to_string() })
+            Ok(Request::Reload { path: path.to_string() })
         }
         other => Err(format!("unknown opcode 0x{other:02X}")),
     }
@@ -270,7 +234,8 @@ pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
 pub fn decode_reply(body: &[u8]) -> Result<Reply, String> {
     let (&op, rest) = body.split_first().ok_or("empty reply frame")?;
     match op {
-        RE_DIST => get_answer(rest, 0).map(Reply::Dist),
+        RE_DIST if rest.len() == 5 => get_answer(rest, 0).map(Reply::Dist),
+        RE_DIST => Err(format!("DIST reply has {} body bytes, expected 5", rest.len())),
         RE_BATCH => {
             let n = get_u32(rest, 0, "BATCH reply")? as usize;
             if rest.len() != 4 + 5 * n {
@@ -296,6 +261,20 @@ pub fn decode_reply(body: &[u8]) -> Result<Reply, String> {
         RE_ERR => utf8(rest, "ERR reply").map(Reply::Err),
         other => Err(format!("unknown reply opcode 0x{other:02X}")),
     }
+}
+
+/// Reads one reply frame (client side), refusing a length above
+/// [`MAX_FRAME`] before anything is allocated for it.
+pub fn read_reply(reader: &mut impl Read) -> Result<Reply, String> {
+    let mut len = [0u8; 4];
+    reader.read_exact(&mut len).map_err(receive_error)?;
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME {
+        return Err(format!("reply frame of {len} bytes exceeds maximum {MAX_FRAME}"));
+    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).map_err(receive_error)?;
+    decode_reply(&body)
 }
 
 /// Reserves the 4-byte length prefix; returns the body start offset.
@@ -375,6 +354,8 @@ fn utf8(body: &[u8], what: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::tests::{every_reply, every_request};
+    use std::io::Cursor;
 
     /// Splits a framed buffer back into frame bodies.
     fn frames(buf: &[u8]) -> Vec<&[u8]> {
@@ -451,6 +432,7 @@ mod tests {
         assert!(decode_request(&[OP_RELOAD]).is_err()); // empty path
         assert!(decode_reply(&[RE_BOOL, 7]).is_err());
         assert!(decode_reply(&[RE_BUSY, 1]).is_err()); // busy carries no payload
+        assert!(decode_reply(&[RE_DIST, 1, 4, 0, 0, 0, 9]).is_err()); // padded
         assert!(decode_reply(&[RE_DIST, 2, 0, 0, 0, 0]).is_err()); // bad tag
                                                                    // An oversized batch header is rejected even if the frame lied about
                                                                    // its body.
@@ -465,5 +447,121 @@ mod tests {
         // this pins the concrete sizes so a change is visible in a diff.
         assert_eq!(5 + 12 * MAX_BATCH, 12_000_005);
         assert_eq!(MAX_FRAME, 16 * 1024 * 1024);
+    }
+
+    #[test]
+    fn codec_roundtrips_every_request_and_reply() {
+        for req in every_request() {
+            let mut frame = Vec::new();
+            encode_request(&req, &mut frame);
+            assert_eq!(frames(&frame).len(), 1);
+            assert_eq!(decode_request(&frame[4..]), Ok(req));
+        }
+        for reply in every_reply() {
+            let mut frame = Vec::new();
+            encode_reply(&reply, &mut frame);
+            assert_eq!(read_reply(&mut Cursor::new(&frame)), Ok(reply));
+        }
+    }
+
+    /// One golden request per variant (a two-query batch for every batch
+    /// size) with its frame in hex.
+    fn golden_requests() -> Vec<(Request, &'static str)> {
+        let mut requests = every_request();
+        requests[3] = Request::Batch { queries: vec![(1, 2, 3), (4, 5, 6)] };
+        let hex = [
+            "0d000000 01 01000000 02000000 03000000",
+            "05000000 02 00000000",
+            "11000000 02 01000000 04000000 05000000 06000000",
+            "1d000000 02 02000000 01000000 02000000 03000000 04000000 05000000 06000000",
+            "11000000 03 09000000 08000000 07000000 06000000",
+            "01000000 04",
+            "02000000 07 00",
+            "02000000 07 01",
+            "17000000 06 2f7372762f776373642f726f61642d76322e66696478",
+            "01000000 05",
+        ];
+        requests.into_iter().zip(hex).collect()
+    }
+
+    /// One golden reply per variant with its frame in hex.
+    fn golden_replies() -> Vec<(Reply, &'static str)> {
+        let hex = [
+            "06000000 81 01 04000000",
+            "06000000 81 00 00000000",
+            "05000000 82 00000000",
+            "14000000 82 03000000 01 00000000 00 00000000 01 ffffffff",
+            "02000000 83 01",
+            "02000000 83 00",
+            "1b000000 84 5354415453 2076657274696365733d33 20656e74726965733d39",
+            "38000000 87 23205459504520776373645f717565726965735f746f74616c20636f756e7465720a\
+             776373645f717565726965735f746f74616c20340a",
+            "2e000000 86 52454c4f41444544 2067656e65726174696f6e3d32 2076657274696365733d3930\
+             20656e74726965733d353132",
+            "01000000 85",
+            "01000000 88",
+            "0f000000 ff 6e6f207375636820766572746578",
+        ];
+        every_reply().into_iter().zip(hex).collect()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn binary_golden_bytes() {
+        for (req, want) in golden_requests() {
+            let mut frame = Vec::new();
+            encode_request(&req, &mut frame);
+            assert_eq!(hex(&frame), want.replace(' ', ""), "{req:?}");
+        }
+        for (reply, want) in golden_replies() {
+            let mut frame = Vec::new();
+            encode_reply(&reply, &mut frame);
+            assert_eq!(hex(&frame), want.replace(' ', ""), "{reply:?}");
+        }
+    }
+
+    #[test]
+    fn decoders_survive_cut_and_flipped_frames() {
+        let mut wires: Vec<(bool, Vec<u8>)> = Vec::new();
+        for (req, _) in golden_requests() {
+            wires.push((true, Vec::new()));
+            encode_request(&req, &mut wires.last_mut().unwrap().1);
+        }
+        for (reply, _) in golden_replies() {
+            wires.push((false, Vec::new()));
+            encode_reply(&reply, &mut wires.last_mut().unwrap().1);
+        }
+        let decode = |is_request: bool, wire: &[u8]| {
+            if is_request {
+                let _ = decode_request(wire.get(4..).unwrap_or_default());
+            } else {
+                let _ = read_reply(&mut Cursor::new(wire));
+                let _ = decode_reply(wire.get(4..).unwrap_or_default());
+            }
+        };
+        for (is_request, wire) in &wires {
+            for cut in 0..wire.len() {
+                decode(*is_request, &wire[..cut]);
+            }
+            for at in 0..wire.len() {
+                for mask in [0x01, 0x20, 0x80, 0xFF] {
+                    let mut bad = wire.clone();
+                    bad[at] ^= mask;
+                    decode(*is_request, &bad);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_reply_frames_are_refused_before_reading() {
+        let header = (MAX_FRAME as u32 + 1).to_le_bytes();
+        let err = read_reply(&mut Cursor::new(&header)).unwrap_err();
+        assert!(err.contains("exceeds maximum"), "{err}");
+        let err = read_reply(&mut Cursor::new(&[0u8; 2])).unwrap_err();
+        assert_eq!(err, "server closed the connection");
     }
 }

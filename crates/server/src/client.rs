@@ -5,15 +5,20 @@
 //! One `Client` speaks either the newline text protocol or the
 //! length-prefixed binary protocol, chosen at connect time
 //! ([`Client::connect_with`]); the request/reply API is identical across
-//! both. Reads carry a configurable timeout ([`Client::set_read_timeout`],
-//! default [`DEFAULT_READ_TIMEOUT`]) so a stalled server surfaces as an
-//! error instead of hanging the client forever — the client-side mirror of
-//! the server's write-stall deadline.
+//! both. Every verb is one [`Client::exchange`] of a [`Request`] for a
+//! [`Reply`]: the negotiated protocol picks the codec
+//! ([`protocol::encode_request`] / [`protocol::read_reply`] or their
+//! [`binary`] twins), so the client holds no framing of its own.
+//!
+//! Reads carry a configurable timeout ([`Client::set_read_timeout`], default
+//! [`DEFAULT_READ_TIMEOUT`]) so a stalled server surfaces as an error
+//! instead of hanging the client forever — the client-side mirror of the
+//! server's write-stall deadline.
 
-use crate::binary::{self, BinRequest};
+use crate::binary;
 use crate::protocol::{self, ReloadInfo, Reply, Request};
 use crate::server::ServerSnapshot;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 use wcsd_graph::{Distance, Quality, VertexId};
@@ -46,7 +51,8 @@ impl Protocol {
 /// several clients for concurrency.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Each request is encoded whole and written with one `write_all`.
+    writer: TcpStream,
     protocol: Protocol,
 }
 
@@ -89,13 +95,10 @@ impl Client {
     fn from_stream(stream: TcpStream, protocol: Protocol) -> std::io::Result<Self> {
         stream.set_nodelay(true).ok(); // request/reply traffic hates Nagle
         stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
-        let writer = BufWriter::new(stream.try_clone()?);
+        let writer = stream.try_clone()?;
         let mut client = Self { reader: BufReader::new(stream), writer, protocol };
         if protocol == Protocol::Binary {
-            client
-                .writer
-                .write_all(&[binary::MAGIC, binary::VERSION])
-                .and_then(|()| client.writer.flush())?;
+            client.writer.write_all(&[binary::MAGIC, binary::VERSION])?;
         }
         Ok(client)
     }
@@ -155,15 +158,39 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Sends one raw protocol line and returns the first reply line —
-    /// the `wcsd-cli client` passthrough. Text protocol only; `BATCH`
-    /// bodies are not supported here (use [`Client::batch`]).
-    pub fn roundtrip(&mut self, line: &str) -> Result<String, String> {
-        if self.protocol != Protocol::Text {
-            return Err("raw line roundtrip requires the text protocol".to_string());
+    /// One request/reply exchange in the negotiated protocol, which picks
+    /// the codec. A server-sent `ERR` or busy shed surfaces as this
+    /// function's `Err("server error: <reason>")`, worded the same on both
+    /// wires.
+    pub fn exchange(&mut self, req: &Request) -> Result<Reply, String> {
+        let mut out = Vec::new();
+        match self.protocol {
+            Protocol::Text => {
+                if let Request::Reload { path } = req {
+                    if path.split_whitespace().count() != 1 {
+                        return Err(format!(
+                            "path {path:?} contains whitespace; the text protocol cannot frame \
+                             it (use a binary client)"
+                        ));
+                    }
+                }
+                protocol::encode_request(req, &mut out);
+            }
+            Protocol::Binary => binary::encode_request(req, &mut out),
         }
-        self.send_line(line)?;
-        self.recv_line()
+        self.writer.write_all(&out).map_err(|e| format!("send failed: {e}"))?;
+        let reply = match self.protocol {
+            Protocol::Text => protocol::read_reply(&mut self.reader)?,
+            Protocol::Binary => binary::read_reply(&mut self.reader)?,
+        };
+        match reply {
+            Reply::Err(reason) => Err(format!("server error: {reason}")),
+            // The text protocol sheds with `ERR <BUSY_REASON>`; surfacing the
+            // busy code through the same formatting keeps the client-visible
+            // wording byte-identical across both wires (test-enforced).
+            Reply::Busy => Err(format!("server error: {}", protocol::BUSY_REASON)),
+            reply => Ok(reply),
+        }
     }
 
     /// Answers `Q(s, t, w)` over the wire.
@@ -173,18 +200,9 @@ impl Client {
         t: VertexId,
         w: Quality,
     ) -> Result<Option<Distance>, String> {
-        match self.protocol {
-            Protocol::Text => {
-                let reply = {
-                    self.send_line(&Request::Query { s, t, w }.encode())?;
-                    self.recv_line()?
-                };
-                protocol::parse_distance_reply(&reply)
-            }
-            Protocol::Binary => match self.exchange(&BinRequest::Query { s, t, w })? {
-                Reply::Dist(answer) => Ok(answer),
-                other => Err(unexpected(&other)),
-            },
+        match self.exchange(&Request::Query { s, t, w })? {
+            Reply::Dist(answer) => Ok(answer),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -203,44 +221,16 @@ impl Client {
                 protocol::MAX_BATCH
             ));
         }
-        let n = queries.len();
-        let answers = match self.protocol {
-            Protocol::Text => {
-                let mut request = Request::Batch { n }.encode();
-                request.push('\n');
-                for &(s, t, w) in queries {
-                    request.push_str(&format!("{s} {t} {w}\n"));
-                }
-                self.writer
-                    .write_all(request.as_bytes())
-                    .and_then(|()| self.writer.flush())
-                    .map_err(|e| format!("send failed: {e}"))?;
-                let header = self.recv_line()?;
-                let announced: usize = header
-                    .strip_prefix("OK ")
-                    .and_then(|rest| rest.trim().parse().ok())
-                    .ok_or_else(|| protocol::server_error(&header))?;
-                if announced != n {
-                    return Err(format!(
-                        "batch header announced {announced} answers, expected {n}"
-                    ));
-                }
-                let mut answers = Vec::with_capacity(announced);
-                for _ in 0..announced {
-                    let line = self.recv_line()?;
-                    answers.push(protocol::parse_distance_reply(&line)?);
-                }
-                answers
-            }
-            Protocol::Binary => {
-                match self.exchange(&BinRequest::Batch { queries: queries.to_vec() })? {
-                    Reply::Batch(answers) => answers,
-                    other => return Err(unexpected(&other)),
-                }
-            }
+        let answers = match self.exchange(&Request::Batch { queries: queries.to_vec() })? {
+            Reply::Batch(answers) => answers,
+            other => return Err(unexpected(&other)),
         };
-        if answers.len() != n {
-            return Err(format!("batch reply carried {} answers, expected {n}", answers.len()));
+        if answers.len() != queries.len() {
+            return Err(format!(
+                "batch reply carried {} answers, expected {}",
+                answers.len(),
+                queries.len()
+            ));
         }
         Ok(answers)
     }
@@ -253,166 +243,45 @@ impl Client {
         w: Quality,
         d: Distance,
     ) -> Result<bool, String> {
-        match self.protocol {
-            Protocol::Text => {
-                self.send_line(&Request::Within { s, t, w, d }.encode())?;
-                let reply = self.recv_line()?;
-                protocol::parse_bool_reply(&reply)
-            }
-            Protocol::Binary => match self.exchange(&BinRequest::Within { s, t, w, d })? {
-                Reply::Bool(b) => Ok(b),
-                other => Err(unexpected(&other)),
-            },
+        match self.exchange(&Request::Within { s, t, w, d })? {
+            Reply::Bool(b) => Ok(b),
+            other => Err(unexpected(&other)),
         }
     }
 
     /// Fetches the server counters.
     pub fn stats(&mut self) -> Result<ServerSnapshot, String> {
-        let line = match self.protocol {
-            Protocol::Text => {
-                self.send_line(&Request::Stats.encode())?;
-                self.recv_line()?
-            }
-            Protocol::Binary => match self.exchange(&BinRequest::Stats)? {
-                Reply::Stats(line) => line,
-                other => return Err(unexpected(&other)),
-            },
-        };
-        ServerSnapshot::decode(&line)
+        match self.exchange(&Request::Stats)? {
+            Reply::Stats(line) => ServerSnapshot::decode(&line),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Fetches the server's metrics: the Prometheus text exposition, or
     /// (with `recent`) the trace ring — slow-query log plus reload events —
     /// as a JSON document.
     pub fn metrics(&mut self, recent: bool) -> Result<String, String> {
-        match self.protocol {
-            Protocol::Text => {
-                self.send_line(&Request::Metrics { recent }.encode())?;
-                // The reply is the protocol's one sized text payload:
-                // `METRICS <len>\n` followed by exactly `len` bytes.
-                let header = self.recv_line()?;
-                let len: usize = header
-                    .strip_prefix("METRICS ")
-                    .and_then(|rest| rest.trim().parse().ok())
-                    .ok_or_else(|| protocol::server_error(&header))?;
-                if len > binary::MAX_FRAME {
-                    return Err(format!(
-                        "metrics payload of {len} bytes exceeds maximum {}",
-                        binary::MAX_FRAME
-                    ));
-                }
-                let mut body = vec![0u8; len];
-                self.reader.read_exact(&mut body).map_err(|e| format!("receive failed: {e}"))?;
-                String::from_utf8(body).map_err(|_| "metrics payload is not UTF-8".to_string())
-            }
-            Protocol::Binary => match self.exchange(&BinRequest::Metrics { recent })? {
-                Reply::Metrics(payload) => Ok(payload),
-                other => Err(unexpected(&other)),
-            },
+        match self.exchange(&Request::Metrics { recent })? {
+            Reply::Metrics(payload) => Ok(payload),
+            other => Err(unexpected(&other)),
         }
     }
 
     /// Asks the server to swap in the snapshot at `path` (a path on the
     /// *server's* filesystem); returns once the new snapshot is live.
     pub fn reload(&mut self, path: &str) -> Result<ReloadInfo, String> {
-        match self.protocol {
-            Protocol::Text => {
-                if path.split_whitespace().count() != 1 {
-                    return Err(format!(
-                        "path {path:?} contains whitespace; the text protocol cannot frame it \
-                         (use a binary client)"
-                    ));
-                }
-                self.send_line(&Request::Reload { path: path.to_string() }.encode())?;
-                let reply = self.recv_line()?;
-                ReloadInfo::decode(&reply)
-            }
-            Protocol::Binary => {
-                match self.exchange(&BinRequest::Reload { path: path.to_string() })? {
-                    Reply::Reloaded(info) => Ok(info),
-                    other => Err(unexpected(&other)),
-                }
-            }
+        match self.exchange(&Request::Reload { path: path.to_string() })? {
+            Reply::Reloaded(info) => Ok(info),
+            other => Err(unexpected(&other)),
         }
     }
 
     /// Asks the server to shut down; returns once the server acknowledged.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        let reply = match self.protocol {
-            Protocol::Text => {
-                self.send_line(&Request::Shutdown.encode())?;
-                let line = self.recv_line()?;
-                if line.trim() == "BYE" {
-                    Reply::Bye
-                } else {
-                    return Err(protocol::server_error(&line));
-                }
-            }
-            Protocol::Binary => self.exchange(&BinRequest::Shutdown)?,
-        };
-        match reply {
+        match self.exchange(&Request::Shutdown)? {
             Reply::Bye => Ok(()),
             other => Err(unexpected(&other)),
         }
-    }
-
-    /// One binary request/reply exchange. A server-sent `ERR` surfaces as
-    /// this function's `Err` with the same wording as the text path.
-    fn exchange(&mut self, req: &BinRequest) -> Result<Reply, String> {
-        let mut frame = Vec::new();
-        binary::encode_request(req, &mut frame);
-        self.writer
-            .write_all(&frame)
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send failed: {e}"))?;
-        let body = self.recv_frame()?;
-        match binary::decode_reply(&body)? {
-            Reply::Err(reason) => Err(format!("server error: {reason}")),
-            // The text protocol sheds with `ERR <BUSY_REASON>`; surfacing the
-            // busy code through the same formatting keeps the client-visible
-            // wording byte-identical across both wires (test-enforced).
-            Reply::Busy => Err(format!("server error: {}", protocol::BUSY_REASON)),
-            reply => Ok(reply),
-        }
-    }
-
-    fn send_line(&mut self, line: &str) -> Result<(), String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send failed: {e}"))
-    }
-
-    fn recv_line(&mut self) -> Result<String, String> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => Err("server closed the connection".to_string()),
-            Ok(_) => Ok(line.trim_end_matches(['\r', '\n']).to_string()),
-            Err(e) => Err(format!("receive failed: {e}")),
-        }
-    }
-
-    /// Reads one length-prefixed reply frame body.
-    fn recv_frame(&mut self) -> Result<Vec<u8>, String> {
-        let mut len = [0u8; 4];
-        self.reader.read_exact(&mut len).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                "server closed the connection".to_string()
-            } else {
-                format!("receive failed: {e}")
-            }
-        })?;
-        let len = u32::from_le_bytes(len) as usize;
-        if len > binary::MAX_FRAME {
-            return Err(format!(
-                "reply frame of {len} bytes exceeds maximum {}",
-                binary::MAX_FRAME
-            ));
-        }
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body).map_err(|e| format!("receive failed: {e}"))?;
-        Ok(body)
     }
 }
 

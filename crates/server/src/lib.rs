@@ -24,12 +24,15 @@
 //!   pool is the only level of query parallelism — fixed for the backend,
 //!   growing with the requests in flight for the router — and connections
 //!   scale with file descriptors, not threads.
-//! * [`protocol`] — the newline-delimited text protocol (`QUERY`, `BATCH`,
-//!   `WITHIN`, `STATS`, `RELOAD`, `SHUTDOWN`) and the protocol-neutral
-//!   [`protocol::Reply`] type.
-//! * [`binary`] — the length-prefixed binary protocol, negotiated by magic
-//!   byte on the first bytes of a connection; same verbs, fixed-width
-//!   little-endian fields.
+//! * [`protocol`] — the protocol-neutral [`protocol::Request`] and
+//!   [`protocol::Reply`] types, and the whole newline-delimited text codec
+//!   (`QUERY`, `BATCH`, `WITHIN`, `STATS`, `METRICS`, `RELOAD`,
+//!   `SHUTDOWN`): request encoding, the per-connection
+//!   `protocol::TextDecoder` that assembles `BATCH` bodies, and the reply
+//!   reader.
+//! * [`binary`] — the length-prefixed binary codec for the same two types,
+//!   negotiated by magic byte on the first bytes of a connection;
+//!   fixed-width little-endian fields.
 //! * [`cache::ResultCache`] — a sharded LRU result cache keyed on
 //!   `(generation, s, t, w)` with lock-free hit/miss accounting; the
 //!   generation tag keeps it coherent across hot reloads.
@@ -44,8 +47,8 @@
 //!   exposition. Counter/histogram reconciliation is by construction (every
 //!   request-level sample lands on the reactor thread).
 //! * [`client::Client`] — a small blocking client speaking either wire
-//!   protocol, used by the CLI, the bench load generator, and the
-//!   integration tests.
+//!   protocol, each verb one [`client::Client::exchange`]; used by the CLI,
+//!   the bench load generator, and the integration tests.
 //!
 //! ## Quickstart
 //!

@@ -1,8 +1,14 @@
 //! The text wire protocol: newline-delimited ASCII, symmetric enough that the
-//! same module serves both the server (parse requests, encode replies) and the
-//! client (encode requests, parse replies). The length-prefixed binary
-//! protocol negotiated by magic byte lives in [`crate::binary`]; both share
-//! the protocol-neutral [`Reply`] type defined here.
+//! same module serves both the server (decode requests, encode replies) and
+//! the client (encode requests, read replies). It also owns the two
+//! protocol-neutral types: [`Request`], which the text codec here and the
+//! length-prefixed binary codec in [`crate::binary`] both decode into and
+//! encode from, and [`Reply`].
+//!
+//! All of the text framing lives in this module: [`encode_request`] writes a
+//! request line (and a `BATCH`'s body lines), `TextDecoder` assembles a
+//! connection's lines back into requests, and [`read_reply`] reads one reply
+//! with its `OK n` answer lines or `METRICS <len>` payload.
 //!
 //! ## Requests
 //!
@@ -47,6 +53,9 @@
 //! binary one), distinct from every validation error so clients can retry
 //! with backoff instead of treating the request as malformed.
 
+use crate::binary::MAX_FRAME;
+use std::fmt::Write as _;
+use std::io::BufRead;
 use wcsd_graph::{Distance, Quality, VertexId};
 
 /// Largest `BATCH` size the server accepts in one request; protects the
@@ -58,7 +67,9 @@ pub const MAX_BATCH: usize = 1_000_000;
 /// surface the same string, so shed requests read identically on both wires.
 pub const BUSY_REASON: &str = "busy: pending job queue is full; retry later";
 
-/// A parsed client request.
+/// One client request, independent of the wire encoding: the text codec in
+/// this module and the binary one in [`crate::binary`] both decode into it,
+/// and the server dispatches it the same way from either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// `QUERY s t w` — one `w`-constrained distance lookup.
@@ -70,10 +81,11 @@ pub enum Request {
         /// Quality constraint.
         w: Quality,
     },
-    /// `BATCH n` — header announcing `n` follow-up `s t w` lines.
+    /// `BATCH n` plus its `n` queries (text: `n` body lines; binary: inline
+    /// in the frame).
     Batch {
-        /// Number of queries that follow.
-        n: usize,
+        /// The `(s, t, w)` queries.
+        queries: Vec<(VertexId, VertexId, Quality)>,
     },
     /// `WITHIN s t w d` — is there a `w`-path of length at most `d`?
     Within {
@@ -105,11 +117,18 @@ pub enum Request {
 }
 
 impl Request {
-    /// Renders the request as its wire line (without the trailing newline).
+    /// Renders the request in the text protocol, without the final newline:
+    /// one line, or for `BATCH` the header and its body lines.
     pub fn encode(&self) -> String {
         match self {
             Self::Query { s, t, w } => format!("QUERY {s} {t} {w}"),
-            Self::Batch { n } => format!("BATCH {n}"),
+            Self::Batch { queries } => {
+                let mut text = format!("BATCH {}", queries.len());
+                for (s, t, w) in queries {
+                    let _ = write!(text, "\n{s} {t} {w}");
+                }
+                text
+            }
             Self::Within { s, t, w, d } => format!("WITHIN {s} {t} {w} {d}"),
             Self::Stats => "STATS".to_string(),
             Self::Metrics { recent: false } => "METRICS".to_string(),
@@ -120,8 +139,17 @@ impl Request {
     }
 }
 
+/// Appends the newline-terminated text encoding of a request to `out` (the
+/// text mirror of [`crate::binary::encode_request`]).
+pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
+    out.extend_from_slice(req.encode().as_bytes());
+    out.push(b'\n');
+}
+
 /// Parses one request line. Returns a human-readable reason on failure, which
-/// the server relays verbatim as `ERR <reason>`.
+/// the server relays verbatim as `ERR <reason>`. A `BATCH n` header parses to
+/// an empty `Batch`: the line alone carries no queries, and `TextDecoder`
+/// collects the `n` body lines that follow it.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut it = line.split_whitespace();
     let verb = it.next().ok_or_else(|| "empty command".to_string())?;
@@ -135,7 +163,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             if n > MAX_BATCH {
                 return Err(format!("batch size {n} exceeds maximum {MAX_BATCH}"));
             }
-            Request::Batch { n }
+            Request::Batch { queries: Vec::new() }
         }
         "WITHIN" => {
             let s = num(&mut it, "s")?;
@@ -186,6 +214,73 @@ fn num<T: std::str::FromStr>(
 ) -> Result<T, String> {
     let tok = it.next().ok_or_else(|| format!("missing argument <{what}>"))?;
     tok.parse().map_err(|_| format!("invalid argument <{what}>: {tok:?}"))
+}
+
+/// Assembles one connection's text lines into requests. A one-line request
+/// comes out of the line that carries it; a `BATCH n` header opens a body,
+/// and the batch comes out of its `n`-th body line.
+#[derive(Debug, Default)]
+pub(crate) struct TextDecoder {
+    body: Option<BatchBody>,
+}
+
+/// An open `BATCH` body.
+#[derive(Debug)]
+struct BatchBody {
+    /// Announced body-line count.
+    expect: usize,
+    /// Body lines consumed so far (valid or not).
+    seen: usize,
+    /// Parsed body queries (stops growing after the first bad line).
+    queries: Vec<(VertexId, VertexId, Quality)>,
+    /// First parse failure; later lines are drained but ignored.
+    invalid: Option<String>,
+}
+
+impl TextDecoder {
+    /// Whether the next line is a `BATCH` body line rather than a request.
+    pub(crate) fn in_body(&self) -> bool {
+        self.body.is_some()
+    }
+
+    /// Feeds one line, without its newline. Returns `None` for a blank line
+    /// between requests and for every line of a `BATCH` but its last, else
+    /// the request or the reason to answer `ERR`.
+    pub(crate) fn feed(&mut self, line: &str) -> Option<Result<Request, String>> {
+        if let Some(body) = &mut self.body {
+            // All body lines are consumed even after a failure, so one bad
+            // query poisons only this batch, never the connection framing.
+            body.seen += 1;
+            if body.invalid.is_none() {
+                match parse_batch_line(line) {
+                    Ok(q) => body.queries.push(q),
+                    Err(reason) => {
+                        body.invalid = Some(format!("batch line {}: {reason}", body.seen))
+                    }
+                }
+            }
+            if body.seen < body.expect {
+                return None;
+            }
+            let BatchBody { queries, invalid, .. } = self.body.take()?;
+            return Some(invalid.map_or(Ok(Request::Batch { queries }), Err));
+        }
+        if line.trim().is_empty() {
+            return None; // blank keep-alive lines are not an error
+        }
+        let req = parse_request(line);
+        if let Ok(Request::Batch { .. }) = req {
+            // `parse_request` accepted the header, so its count is the second
+            // token and at most MAX_BATCH.
+            let expect = line.split_whitespace().nth(1).and_then(|n| n.parse().ok()).unwrap_or(0);
+            if expect > 0 {
+                let queries = Vec::with_capacity(expect.min(4096));
+                self.body = Some(BatchBody { expect, seen: 0, queries, invalid: None });
+                return None;
+            }
+        }
+        Some(req)
+    }
 }
 
 /// Outcome of a `RELOAD`: the swap already happened when this is produced.
@@ -337,16 +432,152 @@ pub fn server_error(line: &str) -> String {
     }
 }
 
+/// Reads one text reply (client side): its line, plus the answer lines after
+/// `OK n` or the payload bytes after `METRICS <len>`. `ERR `[`BUSY_REASON`]
+/// reads as [`Reply::Busy`] and any other `ERR` line as [`Reply::Err`], so a
+/// reply decodes to the value the server encoded on either wire.
+pub fn read_reply(reader: &mut impl BufRead) -> Result<Reply, String> {
+    let mut line = String::new();
+    read_line(reader, &mut line)?;
+    let (verb, rest) = line.split_once(' ').unwrap_or((&line, ""));
+    Ok(match verb {
+        "DIST" | "INF" => Reply::Dist(parse_distance_reply(&line)?),
+        "TRUE" | "FALSE" => Reply::Bool(parse_bool_reply(&line)?),
+        "OK" => {
+            let n = reply_size(&line, rest, MAX_BATCH)?;
+            let (mut answers, mut answer) = (Vec::with_capacity(n.min(4096)), String::new());
+            for _ in 0..n {
+                read_line(reader, &mut answer)?;
+                answers.push(parse_distance_reply(&answer)?);
+            }
+            Reply::Batch(answers)
+        }
+        "STATS" => Reply::Stats(line),
+        "METRICS" => {
+            let mut payload = vec![0; reply_size(&line, rest, MAX_FRAME)?];
+            reader.read_exact(&mut payload).map_err(receive_error)?;
+            Reply::Metrics(
+                String::from_utf8(payload)
+                    .map_err(|_| "metrics payload is not UTF-8".to_string())?,
+            )
+        }
+        "RELOADED" => Reply::Reloaded(ReloadInfo::decode(&line)?),
+        "BYE" if rest.is_empty() => Reply::Bye,
+        "ERR" if rest == BUSY_REASON => Reply::Busy,
+        "ERR" => Reply::Err(rest.to_string()),
+        _ => return Err(format!("unexpected reply {line:?}")),
+    })
+}
+
+/// The count after `OK` or `METRICS`, refused above `max` before anything
+/// is read or allocated for it.
+fn reply_size(line: &str, size: &str, max: usize) -> Result<usize, String> {
+    let n: usize = size.trim().parse().map_err(|_| format!("unexpected reply {line:?}"))?;
+    if n > max {
+        return Err(format!("reply {line:?} exceeds the maximum {max}"));
+    }
+    Ok(n)
+}
+
+/// Reads one reply line into `line`, without its line ending.
+fn read_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), String> {
+    line.clear();
+    match reader.read_line(line) {
+        Ok(0) => Err("server closed the connection".to_string()),
+        Ok(_) => {
+            line.truncate(line.trim_end_matches(['\r', '\n']).len());
+            Ok(())
+        }
+        Err(e) => Err(receive_error(e)),
+    }
+}
+
+/// Words a failed reply read, identically for both wire protocols.
+pub(crate) fn receive_error(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        "server closed the connection".to_string()
+    } else {
+        format!("receive failed: {e}")
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::io::Cursor;
+
+    /// One value of every request variant, batches of 0, 1 and 1 031
+    /// queries among them; shared with the binary codec's tests.
+    pub(crate) fn every_request() -> Vec<Request> {
+        let long = (0..1031).map(|i| (i, 1030 - i, 1 + i % 7)).collect();
+        vec![
+            Request::Query { s: 1, t: 2, w: 3 },
+            Request::Batch { queries: vec![] },
+            Request::Batch { queries: vec![(4, 5, 6)] },
+            Request::Batch { queries: long },
+            Request::Within { s: 9, t: 8, w: 7, d: 6 },
+            Request::Stats,
+            Request::Metrics { recent: false },
+            Request::Metrics { recent: true },
+            Request::Reload { path: "/srv/wcsd/road-v2.fidx".into() },
+            Request::Shutdown,
+        ]
+    }
+
+    /// One value of every reply variant; shared with the binary tests.
+    pub(crate) fn every_reply() -> Vec<Reply> {
+        vec![
+            Reply::Dist(Some(4)),
+            Reply::Dist(None),
+            Reply::Batch(vec![]),
+            Reply::Batch(vec![Some(0), None, Some(u32::MAX)]),
+            Reply::Bool(true),
+            Reply::Bool(false),
+            Reply::Stats("STATS vertices=3 entries=9".into()),
+            Reply::Metrics("# TYPE wcsd_queries_total counter\nwcsd_queries_total 4\n".into()),
+            Reply::Reloaded(ReloadInfo { generation: 2, vertices: 90, entries: 512 }),
+            Reply::Bye,
+            Reply::Busy,
+            Reply::Err("no such vertex".into()),
+        ]
+    }
+
+    /// Feeds every complete line of `bytes` to one decoder, as the server
+    /// does; an unterminated tail stays unread.
+    fn decode_text(bytes: &[u8]) -> Vec<Result<Request, String>> {
+        let (mut decoder, mut out, mut rest) = (TextDecoder::default(), Vec::new(), bytes);
+        while let Some(at) = rest.iter().position(|&b| b == b'\n') {
+            out.extend(decoder.feed(&String::from_utf8_lossy(&rest[..at])));
+            rest = &rest[at + 1..];
+        }
+        out
+    }
+
+    /// Reads replies off `bytes` until the first error.
+    fn read_text_replies(bytes: &[u8]) -> (Vec<Reply>, String) {
+        let (mut cursor, mut replies) = (Cursor::new(bytes), Vec::new());
+        loop {
+            match read_reply(&mut cursor) {
+                Ok(reply) => replies.push(reply),
+                Err(e) => return (replies, e),
+            }
+        }
+    }
+
+    /// The golden values: one per variant, a two-query batch standing in
+    /// for every batch size.
+    fn golden() -> (Vec<Request>, Vec<Reply>) {
+        let mut requests = every_request();
+        requests[3] = Request::Batch { queries: vec![(1, 2, 3), (4, 5, 6)] };
+        (requests, every_reply())
+    }
 
     #[test]
     fn parses_every_verb() {
         assert_eq!(parse_request("QUERY 1 2 3"), Ok(Request::Query { s: 1, t: 2, w: 3 }));
         assert_eq!(parse_request("query 1 2 3"), Ok(Request::Query { s: 1, t: 2, w: 3 }));
-        assert_eq!(parse_request("BATCH 10"), Ok(Request::Batch { n: 10 }));
-        assert_eq!(parse_request("BATCH 0"), Ok(Request::Batch { n: 0 }));
+        assert_eq!(parse_request("BATCH 10"), Ok(Request::Batch { queries: vec![] }));
+        assert_eq!(parse_request("BATCH 0"), Ok(Request::Batch { queries: vec![] }));
         assert_eq!(parse_request("WITHIN 1 2 3 4"), Ok(Request::Within { s: 1, t: 2, w: 3, d: 4 }));
         assert_eq!(parse_request("STATS"), Ok(Request::Stats));
         assert_eq!(parse_request("METRICS"), Ok(Request::Metrics { recent: false }));
@@ -360,7 +591,7 @@ mod tests {
     fn encode_parse_roundtrip() {
         for req in [
             Request::Query { s: 7, t: 9, w: 2 },
-            Request::Batch { n: 128 },
+            Request::Batch { queries: vec![] },
             Request::Within { s: 0, t: 1, w: 1, d: 5 },
             Request::Stats,
             Request::Metrics { recent: false },
@@ -455,5 +686,115 @@ mod tests {
         let mut out = Vec::new();
         Reply::Metrics("a 1\nb 2\n".into()).encode_text(&mut out);
         assert_eq!(String::from_utf8(out).unwrap(), "METRICS 8\na 1\nb 2\n");
+    }
+
+    #[test]
+    fn text_codec_roundtrips_every_request() {
+        let requests = every_request();
+        let mut wire = Vec::new();
+        for req in &requests {
+            encode_request(req, &mut wire);
+        }
+        let decoded: Vec<_> = decode_text(&wire).into_iter().map(Result::unwrap).collect();
+        assert_eq!(decoded, requests);
+    }
+
+    #[test]
+    fn text_codec_roundtrips_every_reply() {
+        let replies = every_reply();
+        let mut wire = Vec::new();
+        for reply in &replies {
+            reply.encode_text(&mut wire);
+        }
+        let (decoded, end) = read_text_replies(&wire);
+        assert_eq!(decoded, replies);
+        assert_eq!(end, "server closed the connection");
+    }
+
+    #[test]
+    fn text_golden_bytes() {
+        let (requests, replies) = golden();
+        let mut wire = Vec::new();
+        for req in &requests {
+            encode_request(req, &mut wire);
+        }
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "QUERY 1 2 3\nBATCH 0\nBATCH 1\n4 5 6\nBATCH 2\n1 2 3\n4 5 6\nWITHIN 9 8 7 6\n\
+             STATS\nMETRICS\nMETRICS recent\nRELOAD /srv/wcsd/road-v2.fidx\nSHUTDOWN\n"
+        );
+        let mut wire = Vec::new();
+        for reply in &replies {
+            reply.encode_text(&mut wire);
+        }
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "DIST 4\nINF\nOK 0\nOK 3\nDIST 0\nINF\nDIST 4294967295\nTRUE\nFALSE\n\
+             STATS vertices=3 entries=9\n\
+             METRICS 55\n# TYPE wcsd_queries_total counter\nwcsd_queries_total 4\n\
+             RELOADED generation=2 vertices=90 entries=512\nBYE\n\
+             ERR busy: pending job queue is full; retry later\nERR no such vertex\n"
+        );
+    }
+
+    #[test]
+    fn text_decoders_survive_cut_and_flipped_input() {
+        let (requests, replies) = golden();
+        for req in &requests {
+            let mut wire = Vec::new();
+            encode_request(req, &mut wire);
+            for cut in 0..wire.len() {
+                let decoded = decode_text(&wire[..cut]);
+                if matches!(req, Request::Batch { .. }) {
+                    assert!(decoded.is_empty(), "cut-off {:?} yielded {decoded:?}", &wire[..cut]);
+                }
+            }
+            for at in 0..wire.len() {
+                for mask in [0x01, 0x20, 0x80, 0xFF] {
+                    let mut bad = wire.clone();
+                    bad[at] ^= mask;
+                    decode_text(&bad);
+                }
+            }
+        }
+        for reply in &replies {
+            let mut wire = Vec::new();
+            reply.encode_text(&mut wire);
+            for cut in 0..wire.len() {
+                read_text_replies(&wire[..cut]);
+            }
+            for at in 0..wire.len() {
+                for mask in [0x01, 0x20, 0x80, 0xFF] {
+                    let mut bad = wire.clone();
+                    bad[at] ^= mask;
+                    read_text_replies(&bad);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_reply_sizes_are_refused_before_reading() {
+        for header in [
+            format!("OK {}\n", MAX_BATCH + 1),
+            format!("METRICS {}\n", MAX_FRAME + 1),
+            format!("METRICS {}\n", usize::MAX),
+        ] {
+            let err = read_reply(&mut Cursor::new(header.as_bytes())).unwrap_err();
+            assert!(err.contains("exceeds the maximum"), "{header:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn batch_body_errors_name_the_first_bad_line_and_drain_the_rest() {
+        let decoded = decode_text(b"BATCH 3\n1 2 3\n1 x 3\n1 2\nQUERY 1 2 3\n");
+        assert_eq!(
+            decoded,
+            [
+                Err("batch line 2: invalid argument <t>: \"x\"".to_string()),
+                Ok(Request::Query { s: 1, t: 2, w: 3 }),
+            ]
+        );
+        assert_eq!(decode_text(b"\n  \nSTATS\n"), [Ok(Request::Stats)]);
     }
 }

@@ -14,12 +14,16 @@
 //! * the **router** ([`crate::router::Router`]): the boundary overlay, the
 //!   result and potential caches, and the replica circuit breakers.
 //!
-//! Accept and poll, the first-byte protocol sniff, text and binary framing
-//! with their [`MAX_LINE`] / [`binary::MAX_FRAME`] limits, `BATCH` body
-//! assembly, output backpressure, the write-stall deadline, admission
-//! control and shedding, the per-verb counters and phase histograms,
-//! `STATS`/`METRICS`, and the `SHUTDOWN` drain therefore exist once, and the
-//! two servers cannot drift apart on any of them.
+//! Accept and poll, the first-byte protocol sniff, splitting input into
+//! text lines and binary frames with their [`MAX_LINE`] /
+//! [`binary::MAX_FRAME`] limits, output backpressure, the write-stall
+//! deadline, admission control and shedding, the per-verb counters and
+//! phase histograms, `STATS`/`METRICS`, and the `SHUTDOWN` drain therefore
+//! exist once, and the two servers cannot drift apart on any of them. The
+//! codecs are not here: each connection feeds its lines to a
+//! [`TextDecoder`] (which assembles `BATCH` bodies) or its frames to
+//! [`binary::decode_request`], and both yield the one [`Request`] type that
+//! a single dispatch serves.
 //!
 //! ## Structure
 //!
@@ -30,7 +34,7 @@
 //! * **read** — drain the socket into the connection's input buffer;
 //! * **parse** — split the buffer into requests (newline-framed text or
 //!   length-prefixed binary, negotiated by the first byte — see
-//!   [`crate::binary`]);
+//!   [`crate::protocol`] and [`crate::binary`]);
 //! * **execute** — the service answers each request either inline as a
 //!   [`Reply`] (index probes, cache hits, `STATS`) or as a job for the
 //!   bounded worker pool ([`Answer::Offload`]), so a large or blocking job
@@ -62,13 +66,13 @@
 //! level-triggered semantics against nonblocking sockets, and non-Linux
 //! builds to a plain bind.
 
-use crate::binary::{self, BinRequest};
+use crate::binary;
 use crate::cache::ResultCache;
 use crate::metrics::{
     ServerMetrics, PHASE_PARSE, PHASE_WRITE, PROTO_BINARY, PROTO_TEXT, VERB_BATCH, VERB_LABELS,
     VERB_METRICS, VERB_QUERY, VERB_RELOAD, VERB_SHUTDOWN, VERB_STATS, VERB_WITHIN,
 };
-use crate::protocol::{self, Reply, Request};
+use crate::protocol::{Reply, Request, TextDecoder};
 use crate::server::ServerSnapshot;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -90,7 +94,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Longest text request line accepted. Every legal request fits in a few
 /// dozen bytes; this bounds the memory a client streaming newline-free bytes
-/// can pin (the line-size analogue of [`protocol::MAX_BATCH`]).
+/// can pin (the line-size analogue of [`crate::protocol::MAX_BATCH`]).
 pub(crate) const MAX_LINE: usize = 64 * 1024;
 
 /// Upper bound on one poll sleep. Nothing correctness-critical hangs off
@@ -699,26 +703,6 @@ enum Mode {
     Binary,
 }
 
-/// Parse-progress of one connection.
-enum ConnState {
-    /// Between requests.
-    Ready,
-    /// A text `BATCH <n>` header arrived; collecting its body lines.
-    TextBatch {
-        /// Announced body-line count.
-        expect: usize,
-        /// Body lines consumed so far (valid or not).
-        seen: usize,
-        /// Parsed body queries (stops growing after the first bad line).
-        queries: Vec<Query>,
-        /// First parse failure; later lines are drained but ignored.
-        invalid: Option<String>,
-    },
-    /// A job is in flight for this connection; parsing is paused so replies
-    /// stay in request order.
-    AwaitJob,
-}
-
 /// One multiplexed connection.
 struct Conn {
     stream: TcpStream,
@@ -735,7 +719,11 @@ struct Conn {
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written to the socket.
     out_start: usize,
-    state: ConnState,
+    /// Assembles text lines into requests (`BATCH` bodies included).
+    text: TextDecoder,
+    /// A job is in flight for this connection; parsing is paused so replies
+    /// stay in request order.
+    awaiting_job: bool,
     /// Close once `outbuf` drains (set by `SHUTDOWN` and fatal errors).
     close_after_flush: bool,
     /// The peer sent EOF; serve what is owed, then close.
@@ -755,7 +743,8 @@ impl Conn {
             scanned: 0,
             outbuf: Vec::new(),
             out_start: 0,
-            state: ConnState::Ready,
+            text: TextDecoder::default(),
+            awaiting_job: false,
             close_after_flush: false,
             peer_closed: false,
             stalled_since: None,
@@ -772,7 +761,7 @@ impl Conn {
     fn wants_read(&self) -> bool {
         !self.close_after_flush
             && !self.peer_closed
-            && !matches!(self.state, ConnState::AwaitJob)
+            && !self.awaiting_job
             && self.outbuf.len() - self.out_start < MAX_OUTBUF
     }
 
@@ -1036,7 +1025,7 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
             if conn.gen != gen {
                 return;
             }
-            conn.state = ConnState::Ready;
+            conn.awaiting_job = false;
             conn.push_reply(&reply);
         }
         // Resume the pipeline: parse whatever queued up behind the job.
@@ -1063,11 +1052,7 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
         // reply, and queued output still drains. Only when none of that
         // remains is the connection finished (a trailing partial line or
         // frame can never complete and is discarded).
-        if alive
-            && conn.peer_closed
-            && !conn.has_output()
-            && !matches!(conn.state, ConnState::AwaitJob)
-        {
+        if alive && conn.peer_closed && !conn.has_output() && !conn.awaiting_job {
             alive = false;
         }
         if alive {
@@ -1094,7 +1079,7 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
         let core = self.core;
         let m = &core.metrics;
         loop {
-            if conn.close_after_flush || matches!(conn.state, ConnState::AwaitJob) {
+            if conn.close_after_flush || conn.awaiting_job {
                 return;
             }
             match conn.mode {
@@ -1140,9 +1125,18 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
                         overlong_line(m, conn);
                         return;
                     }
-                    let line = String::from_utf8_lossy(&conn.input()[..line_len]).into_owned();
+                    let line = &conn.inbuf[conn.in_start..conn.in_start + line_len];
+                    let line = String::from_utf8_lossy(line);
+                    // One parse sample per request: its line, not the body
+                    // lines of a `BATCH` or a blank keep-alive line.
+                    let skip = conn.text.in_body() || line.trim().is_empty();
+                    let t_parse = if skip { None } else { m.timer() };
+                    let decoded = conn.text.feed(&line);
+                    m.phase(PROTO_TEXT, PHASE_PARSE, t_parse);
                     conn.consume(line_len + 1);
-                    self.handle_text_line(conn, slot, &line);
+                    if let Some(req) = decoded {
+                        self.dispatch(conn, slot, req);
+                    }
                 }
                 Mode::Binary => {
                     let input = conn.input();
@@ -1167,105 +1161,42 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
                     let req = binary::decode_request(&input[4..4 + len]);
                     m.phase(PROTO_BINARY, PHASE_PARSE, t_parse);
                     conn.consume(4 + len);
-                    match req {
-                        // Framing is still intact after a bad body, so a
-                        // malformed frame poisons one request, not the
-                        // connection.
-                        Err(reason) => {
-                            m.errors[PROTO_BINARY].inc();
-                            conn.push_reply(&Reply::Err(reason));
-                        }
-                        Ok(req) => self.dispatch(conn, slot, req),
-                    }
+                    // Framing is still intact after a bad body, so a
+                    // malformed frame poisons one request, not the
+                    // connection.
+                    self.dispatch(conn, slot, req);
                 }
             }
         }
     }
 
-    /// One complete text line: either a request or a `BATCH` body line.
-    /// Requests are translated into the protocol-neutral [`BinRequest`]
-    /// shape, so both wire modes share one dispatch.
-    fn handle_text_line(&mut self, conn: &mut Conn, slot: usize, line: &str) {
-        let core = self.core;
-        let m = &core.metrics;
-        if let ConnState::TextBatch { expect, mut seen, mut queries, mut invalid } =
-            std::mem::replace(&mut conn.state, ConnState::Ready)
-        {
-            // All body lines are consumed even after a failure, so one bad
-            // query poisons only this batch, never the connection framing.
-            seen += 1;
-            if invalid.is_none() {
-                match protocol::parse_batch_line(line) {
-                    Ok(q) => queries.push(q),
-                    Err(reason) => invalid = Some(format!("batch line {seen}: {reason}")),
-                }
-            }
-            if seen == expect {
-                match invalid {
-                    Some(reason) => {
-                        // Never executed, so no verb count or phase sample —
-                        // only the error counter (matching binary decode
-                        // failures, where the verb is unknowable).
-                        m.errors[PROTO_TEXT].inc();
-                        conn.push_reply(&Reply::Err(reason));
-                    }
-                    None => self.dispatch(conn, slot, BinRequest::Batch { queries }),
-                }
-            } else {
-                conn.state = ConnState::TextBatch { expect, seen, queries, invalid };
-            }
-            return;
-        }
-        if line.trim().is_empty() {
-            return; // blank keep-alive lines are not an error
-        }
-        let t_parse = m.timer();
-        let parsed = protocol::parse_request(line);
-        m.phase(PROTO_TEXT, PHASE_PARSE, t_parse);
-        let req = match parsed {
+    /// One decoded request from either wire mode, or why it failed to decode.
+    fn dispatch(&mut self, conn: &mut Conn, slot: usize, req: Result<Request, String>) {
+        let (service, core) = (self.service, self.core);
+        let proto = proto_idx(conn.mode);
+        let req = match req {
+            Ok(req) => req,
+            // Never executed, so no verb count or phase sample — only the
+            // error counter.
             Err(reason) => {
-                m.errors[PROTO_TEXT].inc();
+                core.metrics.errors[proto].inc();
                 conn.push_reply(&Reply::Err(reason));
                 return;
             }
-            Ok(Request::Batch { n }) if n > 0 => {
-                // Verb counted when the body completes.
-                conn.state = ConnState::TextBatch {
-                    expect: n,
-                    seen: 0,
-                    queries: Vec::with_capacity(n.min(4096)),
-                    invalid: None,
-                };
-                return;
-            }
-            Ok(Request::Batch { .. }) => BinRequest::Batch { queries: Vec::new() },
-            Ok(Request::Query { s, t, w }) => BinRequest::Query { s, t, w },
-            Ok(Request::Within { s, t, w, d }) => BinRequest::Within { s, t, w, d },
-            Ok(Request::Stats) => BinRequest::Stats,
-            Ok(Request::Metrics { recent }) => BinRequest::Metrics { recent },
-            Ok(Request::Reload { path }) => BinRequest::Reload { path },
-            Ok(Request::Shutdown) => BinRequest::Shutdown,
         };
-        self.dispatch(conn, slot, req);
-    }
-
-    /// One parsed request, from either wire mode.
-    fn dispatch(&mut self, conn: &mut Conn, slot: usize, req: BinRequest) {
-        let (service, core) = (self.service, self.core);
-        let proto = proto_idx(conn.mode);
         let t0 = core.metrics.timer();
         match req {
-            BinRequest::Query { s, t, w } => {
+            Request::Query { s, t, w } => {
                 let answer = service.query(s, t, w);
                 let req = (proto, VERB_QUERY, 1, t0);
                 self.answer(conn, slot, req, answer, || format!("QUERY {s} {t} {w}"));
             }
-            BinRequest::Within { s, t, w, d } => {
+            Request::Within { s, t, w, d } => {
                 let answer = service.within(s, t, w, d);
                 let req = (proto, VERB_WITHIN, 1, t0);
                 self.answer(conn, slot, req, answer, || format!("WITHIN {s} {t} {w} {d}"));
             }
-            BinRequest::Batch { queries } => {
+            Request::Batch { queries } => {
                 let n = queries.len();
                 let answer = if n == 0 {
                     Answer::Reply(Reply::Batch(Vec::new()))
@@ -1276,15 +1207,15 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
                     format!("BATCH {n}")
                 });
             }
-            BinRequest::Reload { path } => {
+            Request::Reload { path } => {
                 let answer = service.reload(path);
                 self.answer(conn, slot, (proto, VERB_RELOAD, 1, t0), answer, || "RELOAD".into());
             }
-            BinRequest::Stats => {
+            Request::Stats => {
                 let answer = Answer::Reply(Reply::Stats(core.snapshot().encode()));
                 self.answer(conn, slot, (proto, VERB_STATS, 1, t0), answer, || "STATS".into());
             }
-            BinRequest::Metrics { recent } => {
+            Request::Metrics { recent } => {
                 // Rendered *before* the request is counted: the in-flight
                 // METRICS request is absent from both its own counter and its
                 // own histogram, so the payload stays internally consistent.
@@ -1298,7 +1229,7 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
                 let answer = Answer::Reply(Reply::Metrics(payload));
                 self.answer(conn, slot, (proto, VERB_METRICS, 1, t0), answer, || "METRICS".into());
             }
-            BinRequest::Shutdown => {
+            Request::Shutdown => {
                 // Acknowledge, close this connection once the ack flushes,
                 // and stop the loop on the next iteration.
                 let answer = Answer::Reply(Reply::Bye);
@@ -1359,7 +1290,7 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
             return;
         }
         self.grow_pool(self.pending_parts);
-        conn.state = ConnState::AwaitJob;
+        conn.awaiting_job = true;
         for job in jobs {
             self.jobs.push(Ticket { head, job });
         }
@@ -1419,9 +1350,7 @@ impl<'a, S: Service, F: Fn()> Reactor<'a, S, F> {
         // job, e.g. a reload of an enormous snapshot).
         let deadline = Instant::now() + SHUTDOWN_DRAIN;
         loop {
-            let pending =
-                self.conns.iter().flatten().any(|conn| matches!(conn.state, ConnState::AwaitJob));
-            if !pending {
+            if !self.conns.iter().flatten().any(|conn| conn.awaiting_job) {
                 break;
             }
             let Some(wait) = deadline.checked_duration_since(Instant::now()) else { break };

@@ -36,11 +36,12 @@
 //! the only level of query parallelism: a `BATCH` runs on the worker that
 //! dequeues it, and `serve --threads N` caps how many parts a large batch
 //! arriving while workers are idle may be split into (default: one per core;
-//! 1 never splits). No thread is spawned per request. `client` sends one
-//! protocol command and prints the reply; `reload` hot-swaps the served
-//! snapshot for another index file without dropping connections (the path
-//! is resolved on the serving host — `reload` absolutizes it first, since
-//! CLI and server share a machine on the loopback deployment).
+//! 1 never splits). No thread is spawned per request. `client` parses one
+//! protocol command, sends it, and prints the reply's text; `reload`
+//! hot-swaps the served snapshot for another index file without dropping
+//! connections (the path is resolved on the serving host — `reload`
+//! absolutizes it first, since CLI and server share a machine on the
+//! loopback deployment).
 //!
 //! `partition` and `route` are the sharded serving tier. `partition` splits
 //! the graph into `--shards` shards with the deterministic seeded balanced
@@ -146,7 +147,8 @@
 //!                                   0xFF ERR      utf-8 reason
 //! ```
 //!
-//! The `loadgen` binary (`--binary`) and `wcsd_server::Client` speak both.
+//! Both decode to one `wcsd_server::Request`; `wcsd_server::Client` (one
+//! `exchange` per verb) and the `loadgen` binary (`--binary`) speak both.
 //!
 //! Examples:
 //!
@@ -400,11 +402,10 @@ fn run(args: &[String]) -> Result<(), String> {
             if command.is_empty() {
                 return Err("client requires a command (query/within/stats/shutdown)".to_string());
             }
-            // Only single-line request/reply commands are forwarded: BATCH
-            // needs a body the one-shot roundtrip cannot send, and RELOAD
-            // needs its path resolved on this side (`wcsd-cli reload` does
-            // that; a raw forwarded path would resolve against the server's
-            // working directory instead).
+            // Only single-line request/reply commands are forwarded: a BATCH
+            // header alone carries no queries, and RELOAD needs its path
+            // resolved on this side (`wcsd-cli reload` does that; a forwarded
+            // path would resolve against the server's working directory).
             let verb = command[0].to_ascii_uppercase();
             if !["QUERY", "WITHIN", "STATS", "SHUTDOWN"].contains(&verb.as_str()) {
                 return Err(format!(
@@ -415,13 +416,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 ));
             }
             let line = command.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(" ");
+            let request = wcsd::server::protocol::parse_request(&line)?;
             let mut client = Client::connect_retry(addr.as_str(), Duration::from_secs(5))
                 .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            let reply = client.roundtrip(&line)?;
-            println!("{reply}");
-            if reply.starts_with("ERR ") {
-                return Err(wcsd::server::protocol::server_error(&reply));
-            }
+            let mut reply = Vec::new();
+            client.exchange(&request)?.encode_text(&mut reply);
+            print!("{}", String::from_utf8_lossy(&reply));
             Ok(())
         }
         Some("metrics") => {
