@@ -5,12 +5,12 @@
 //! subset:
 //!
 //! 1. **Phase attribution.** One server runs with metrics on and a
-//!    `--slow-query-ms 0` log; a loadgen workload, one decremental repair and
+//!    `--slow-query-ms 0` log; a loadgen workload, one update settle and
 //!    one `RELOAD` are driven through it, then a single `METRICS` scrape is
 //!    decomposed into the parse/queue/execute/write request phases, the
-//!    decode/swap reload phases, the scan/resweep repair phases and the
+//!    decode/swap reload phases, the settle's resweep phase and the
 //!    order/sweep/finalize build phases — the full lifecycle of a query, a
-//!    hot reload and a repair, attributed from one Prometheus payload.
+//!    hot reload and a settle, attributed from one Prometheus payload.
 //! 2. **Instrumentation overhead.** The same loadgen workload is replayed
 //!    against a metrics-on and a metrics-off (`--no-metrics` equivalent)
 //!    server — interleaved, best-of-`reps` each — at batch 0 (per-request
@@ -49,10 +49,10 @@ struct Exp10Result {
     /// Single-shot reload phases, microseconds.
     reload_decode_us: f64,
     reload_swap_us: f64,
-    /// Single-shot decremental repair phases, microseconds.
-    repair_scan_us: f64,
+    /// The single settle (one same-order label rebuild), microseconds.
     repair_resweep_us: f64,
-    /// Build phases of the in-process index construction, microseconds.
+    /// Build phases, microseconds: the order of the initial build, and the
+    /// sweep and finalize means over it and the settle's rebuild.
     build_order_us: f64,
     build_sweep_us: f64,
     build_finalize_us: f64,
@@ -85,7 +85,6 @@ impl JsonRecord for Exp10Result {
             ("write_p50_us", f(self.write_p50_us)),
             ("reload_decode_us", f(self.reload_decode_us)),
             ("reload_swap_us", f(self.reload_swap_us)),
-            ("repair_scan_us", f(self.repair_scan_us)),
             ("repair_resweep_us", f(self.repair_resweep_us)),
             ("build_order_us", f(self.build_order_us)),
             ("build_sweep_us", f(self.build_sweep_us)),
@@ -142,12 +141,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         result.execute_p99_us
     );
     println!(
-        "{}: reload decode/swap = {:.1}/{:.1} µs, repair scan/resweep = {:.1}/{:.1} µs, \
+        "{}: reload decode/swap = {:.1}/{:.1} µs, repair resweep = {:.1} µs, \
          build order/sweep/finalize = {:.1}/{:.1}/{:.1} µs",
         result.dataset,
         result.reload_decode_us,
         result.reload_swap_us,
-        result.repair_scan_us,
         result.repair_resweep_us,
         result.build_order_us,
         result.build_sweep_us,
@@ -213,8 +211,9 @@ fn measure(
         let filter: [&str; 2] = [r#"proto="text""#, &phase_label];
         scrape.histogram("wcsd_request_phase_us", &filter).quantile(0.50)
     };
-    // Single-shot phases (one reload, one repair, one build per run): the
-    // histogram mean over one sample is the sample itself.
+    // Single-shot phases (one reload, one settle per run): the histogram
+    // mean over one sample is the sample itself. The build's sweep and
+    // finalize phases average the initial build and the settle's rebuild.
     let single = |metric: &str, phase: &str| {
         scrape.histogram(metric, &[&format!("phase=\"{phase}\"")]).mean()
     };
@@ -231,7 +230,6 @@ fn measure(
         write_p50_us: phase_p50("write"),
         reload_decode_us: single("wcsd_reload_phase_us", "decode"),
         reload_swap_us: single("wcsd_reload_phase_us", "swap"),
-        repair_scan_us: single("wcsd_repair_phase_us", "scan"),
         repair_resweep_us: single("wcsd_repair_phase_us", "resweep"),
         build_order_us: single("wcsd_build_phase_us", "order"),
         build_sweep_us: single("wcsd_build_phase_us", "sweep"),
@@ -246,8 +244,8 @@ fn measure(
     })
 }
 
-/// Drives the attribution server: loadgen traffic, one decremental repair,
-/// one `RELOAD` of the repaired snapshot, then one `METRICS` scrape plus the
+/// Drives the attribution server: loadgen traffic, one update settle,
+/// one `RELOAD` of the settled snapshot, then one `METRICS` scrape plus the
 /// trace ring. Uses the process-global registry so the in-process build and
 /// repair phase samples land in the same scrape as the serving metrics.
 fn attribution_run(
@@ -256,7 +254,6 @@ fn attribution_run(
     workload: &QueryWorkload,
 ) -> Result<(Scrape, String), String> {
     let mut dyn_idx = DynamicWcIndex::new(g, IndexBuilder::wc_index_plus());
-    dyn_idx.set_repair_threshold(1.0);
     let config = ServerConfig {
         slow_query_ms: Some(0),
         registry: Some(wcsd_obs::global().clone()),
@@ -280,12 +277,12 @@ fn attribution_run(
         loadgen::run_against(&addr, name, workload, &lg)?;
     }
 
-    // One decremental repair (the removal scans, the freeze re-sweeps) ...
+    // One settle (the removal edits the graph, the freeze rebuilds) ...
     let edge = g.edges().next().ok_or("graph has no edges")?;
     if !dyn_idx.remove_edge(edge.u, edge.v) {
         return Err("sampled edge vanished".to_string());
     }
-    // ... and one RELOAD of the repaired snapshot (decode + swap samples).
+    // ... and one RELOAD of the settled snapshot (decode + swap samples).
     let flat: Arc<FlatIndex> = dyn_idx.freeze();
     let path = std::env::temp_dir().join(format!("wcsd-exp10-{}-{name}.fidx", std::process::id()));
     std::fs::write(&path, flat.encode()).map_err(|e| format!("cannot write snapshot: {e}"))?;

@@ -9,11 +9,10 @@
 //! to the completed reload is the batch's **update-to-servable freshness
 //! latency**, the headline metric of [`FeedResult`].
 //!
-//! Every update only flags the hubs it affects; the freeze of a batch settles
-//! them with one affected-hub repair of `wcsd_core::decremental`, or one full
-//! rebuild past the repair threshold. [`FeedResult`] counts which of the two
-//! each batch's settle ran and how many hubs the repairs touched, so a feed
-//! run doubles as an observability probe for the dynamic layer.
+//! Every update only edits the graph; the freeze of a batch settles it with
+//! one rebuild of the labels under the index's own vertex order.
+//! [`FeedResult`] counts the settles and the hubs they swept, so a feed run
+//! doubles as an observability probe for the dynamic layer.
 
 use crate::loadgen::percentile;
 use crate::report::{json_string, JsonRecord};
@@ -117,16 +116,13 @@ pub struct FeedResult {
     pub removes: usize,
     /// Updates that were no-ops (duplicate adds, missing removes).
     pub noops: usize,
-    /// Batches whose settle ran the affected-hub repair (one per batch that
-    /// changed the graph and stayed under the repair threshold).
+    /// Settles: one same-order label rebuild per batch that changed the
+    /// graph.
     pub repairs: usize,
-    /// Batches whose settle fell back to a full rebuild instead.
-    pub rebuild_fallbacks: usize,
-    /// Total hubs re-swept across all repairs: per batch, the union of the
-    /// hubs its updates affected.
+    /// Total hubs swept across all settles: every vertex, per settle.
     pub affected_hubs: usize,
-    /// Mean time to apply one batch of updates (edge list, graph and
-    /// affected-hub scan), in microseconds.
+    /// Mean time to apply one batch of updates (edge list and graph), in
+    /// microseconds.
     pub apply_us_mean: f64,
     /// Mean time to settle + freeze + encode + write one snapshot, in
     /// microseconds.
@@ -159,7 +155,6 @@ impl JsonRecord for FeedResult {
             ("removes", self.removes.to_string()),
             ("noops", self.noops.to_string()),
             ("repairs", self.repairs.to_string()),
-            ("rebuild_fallbacks", self.rebuild_fallbacks.to_string()),
             ("affected_hubs", self.affected_hubs.to_string()),
             ("apply_us_mean", f(self.apply_us_mean)),
             ("snapshot_us_mean", f(self.snapshot_us_mean)),
@@ -176,7 +171,7 @@ impl JsonRecord for FeedResult {
 pub fn summary(result: &FeedResult) -> String {
     format!(
         "{}: {} updates in {} batches ({} adds, {} removes, {} no-ops) -> \
-         settled by {} decremental repairs ({} affected hubs) and {} rebuild fallbacks; \
+         settled by {} label rebuilds ({} hubs swept); \
          freshness p50/p90/max {:.1}/{:.1}/{:.1} µs \
          (apply/snapshot/reload mean {:.1}/{:.1}/{:.1} µs), generation {}",
         result.dataset,
@@ -187,7 +182,6 @@ pub fn summary(result: &FeedResult) -> String {
         result.noops,
         result.repairs,
         result.affected_hubs,
-        result.rebuild_fallbacks,
         result.freshness_p50_us,
         result.freshness_p90_us,
         result.freshness_max_us,
@@ -236,7 +230,6 @@ pub fn run_feed(
         removes: 0,
         noops: 0,
         repairs: 0,
-        rebuild_fallbacks: 0,
         affected_hubs: 0,
         apply_us_mean: 0.0,
         snapshot_us_mean: 0.0,
@@ -264,7 +257,6 @@ pub fn run_feed(
 
     for (gen, chunk) in (first_gen..).zip(updates.chunks(batch_size)) {
         let batch_start = Instant::now();
-        let rebuilds_before = dyn_idx.rebuild_count();
         let changes_before = result.adds + result.removes;
         for &update in chunk {
             match update {
@@ -287,16 +279,11 @@ pub fn run_feed(
         let applied = batch_start.elapsed();
 
         let path = snapshot_dir.join(format!("gen-{gen:06}.wcif"));
-        // The freeze settles the batch: one repair or one rebuild, if any
-        // update changed the graph.
+        // The freeze settles the batch, if any update changed the graph.
         let encoded = dyn_idx.freeze().encode();
         if result.adds + result.removes > changes_before {
-            let rebuilds = dyn_idx.rebuild_count() - rebuilds_before;
-            result.rebuild_fallbacks += rebuilds;
-            if let (0, Some(stats)) = (rebuilds, dyn_idx.last_repair()) {
-                result.repairs += 1;
-                result.affected_hubs += stats.affected_hubs;
-            }
+            result.repairs += 1;
+            result.affected_hubs += dyn_idx.last_repair().map_or(0, |r| r.affected_hubs);
         }
         // Atomic temp-file + fsync + rename: a crash mid-write can leave a
         // torn temp file but never a torn generation, so a server recovering
@@ -413,7 +400,6 @@ mod tests {
     fn offline_feed_applies_snapshots_and_reports() {
         let g = barabasi_albert(60, 3, &QualityAssigner::uniform(4), 3);
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        dyn_idx.set_repair_threshold(1.0);
         let (a, b) = {
             let e = g.edges().next().unwrap();
             (e.u, e.v)
@@ -431,8 +417,7 @@ mod tests {
         assert_eq!(result.removes, 1);
         assert_eq!(result.noops, 1);
         assert_eq!(result.repairs, 1);
-        assert_eq!(result.rebuild_fallbacks, 0);
-        assert!(result.affected_hubs > 0);
+        assert_eq!(result.affected_hubs, 60, "the settle sweeps every hub");
         assert_eq!(result.final_generation, 0, "offline run never reloads");
         assert_eq!(snapshots.len(), 2);
         // The last snapshot answers exactly like the live dynamic index.
@@ -446,7 +431,7 @@ mod tests {
         let json = to_json(std::slice::from_ref(&result));
         assert!(json.contains("\"repairs\": 1"));
         assert!(json.contains("\"dataset\": \"ba-60\""));
-        assert!(summary(&result).contains("1 decremental repairs"));
+        assert!(summary(&result).contains("1 label rebuilds (60 hubs swept)"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,7 +16,7 @@
 //! | (ours) query implementation ablation | — | `query_impl_ablation` |
 //! | (ours) flat vs. nested query engine | `exp7_flat_query` | `flat_query` |
 //! | (ours) server throughput/latency | `loadgen` | — |
-//! | (ours) update freshness & decremental repair | `exp9_freshness` | — |
+//! | (ours) update-to-servable freshness | `exp9_freshness` | — |
 //! | (ours) observability phase attribution & overhead | `exp10_observability` | — |
 //! | (ours) sharded scatter-gather routing | `exp11_sharding` | — |
 //! | (ours) branch-free query kernels & hot layout | `exp12_kernels` | `kernels` |

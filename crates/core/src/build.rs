@@ -55,20 +55,18 @@
 //!
 //! The per-root BFS is implemented by the crate-internal `SweepEngine`, the
 //! crate's one unweighted constrained BFS. The build runs it, and so do the
-//! decremental repair, the path index ([`crate::path`], which keeps each
-//! entry's BFS parent) and the directed index ([`crate::directed`], one sweep
-//! over out-arcs and one over in-arcs per root, each testing one label family
-//! of the root against the other family). It *reads* the label sets
-//! committed by previously processed roots but *writes* its own candidate
-//! labels to a side buffer that is committed after the sweep finishes. This
-//! is observably identical to mutating `L(u)` in place during the sweep,
-//! because a root's own fresh labels can never satisfy one of its own cover
-//! queries: a vertex re-enters the frontier only when its bottleneck quality
-//! *strictly improves* (the R-array rule), so every earlier own-label at `u`
-//! has strictly smaller quality than the entry currently being tested, while
-//! a cover needs quality at least as large. The decremental repair
-//! ([`crate::decremental`]) relies on the same argument when it re-sweeps one
-//! hub against otherwise committed labels.
+//! path index ([`crate::path`], which keeps each entry's BFS parent) and the
+//! directed index ([`crate::directed`], one sweep over out-arcs and one over
+//! in-arcs per root, each testing one label family of the root against the
+//! other family). It *reads* the label sets committed by previously
+//! processed roots but *writes* its own candidate labels to a side buffer
+//! that is committed after the sweep finishes. This is observably identical
+//! to mutating `L(u)` in place during the sweep, because a root's own fresh
+//! labels can never satisfy one of its own cover queries: a vertex re-enters
+//! the frontier only when its bottleneck quality *strictly improves* (the
+//! R-array rule), so every earlier own-label at `u` has strictly smaller
+//! quality than the entry currently being tested, while a cover needs
+//! quality at least as large.
 
 use crate::index::WcIndex;
 use crate::label::{LabelEntry, LabelSet};

@@ -1,48 +1,32 @@
 //! Dynamic maintenance of a WC-INDEX under edge updates.
 //!
-//! Every update — insertion, quality upgrade or deletion — runs through the
-//! one decremental mechanism of [`crate::decremental`], so after any history
-//! the labels are **bit-identical** to a fresh
+//! Every update — insertion, quality upgrade or deletion — only edits the
+//! graph: it validates the edge, rebuilds the CSR graph from its own edges
+//! with the one edge added, upgraded or removed, marks the labels stale and
+//! drops the cached freeze. The next read ([`DynamicWcIndex::freeze`],
+//! [`DynamicWcIndex::index`], [`DynamicWcIndex::distance`],
+//! [`DynamicWcIndex::rebuild_count`]) settles the batch with one
 //! [`IndexBuilder::build_with_order`] of the current graph under the index's
-//! vertex order: the paper's minimal index, with no dominated or unnecessary
-//! entry.
+//! own vertex order: Algorithm 3 run once, as a fresh build runs it. After
+//! any history of updates the labels are therefore the paper's minimal index
+//! of the current graph under that order, bit for bit, by construction. The
+//! order is kept, not recomputed, so hub ranks stay stable from one
+//! published snapshot to the next.
 //!
-//! * **Deletion.** Removing `e` from `G` can change only the canonical
-//!   labels of the hubs with some shortest constrained path through `e` in
-//!   `G`: [`decremental`]'s affected-hub criterion, evaluated on the graph
-//!   that still contains the edge.
-//! * **Insertion.** Inserting `e` into `G` is deleting `e` from `G + e` run
-//!   backwards, and "the canonical labels of `h` differ between `G` and
-//!   `G + e`" is symmetric in the two graphs. So the hubs an insertion can
-//!   change are exactly the affected hubs of `e` on `G + e`, again the graph
-//!   that contains the edge. A quality upgrade is an insertion at the levels
-//!   between the old and the new quality; its hubs are flagged on the
-//!   upgraded graph at the new quality, a superset of those levels.
-//! * **Union.** If a hub is flagged by none of the updates `G₀ → G₁ → … →
-//!   G_k`, its canonical labels are the same in every `G_i`, hence in `G₀`
-//!   and `G_k`. Re-sweeping the union of the flagged hubs once therefore
-//!   repairs any batch of updates, whatever their mix and order.
+//! There is no in-place repair. An affected-hub repair (re-sweep only the
+//! hubs with a shortest constrained path through an updated edge) was
+//! measured and lost (RESULTS.md Exp 9): on a road grid, which is bipartite,
+//! every hub that reaches the edge has endpoint distances differing by
+//! exactly one, and on the scale-free update feed 1 970 of 2 000 hubs were
+//! flagged per cycle, so the scan only added work to a re-sweep of nearly
+//! every hub, and a plain same-order build was as fast or faster on every
+//! graph measured. The one shape where such a scan prunes is a hub that
+//! cannot reach the updated edge at all — a hub in another connected
+//! component; no workload or dataset here has one.
 //!
-//! Updates only rebuild the graph from its own edges with the one edge
-//! added, upgraded or removed, scan for their affected hubs and OR them into
-//! one pending set. The repair waits for the next read
-//! ([`DynamicWcIndex::freeze`], [`DynamicWcIndex::index`],
-//! [`DynamicWcIndex::distance`], [`DynamicWcIndex::rebuild_count`]), which
-//! re-sweeps the pending hubs in rank order — or, when more than
-//! [`DynamicWcIndex::repair_threshold`] times the vertex count are pending,
-//! runs one full [`DynamicWcIndex::rebuild`] instead. A batch of updates thus
-//! costs one scan each plus one repair or rebuild per read, not one per
-//! update.
-//!
-//! Rebuilds (explicit or threshold-triggered) reuse the [`IndexBuilder`] the
-//! dynamic index was created with, so a full-rebuild fallback keeps its
-//! vertex ordering and construction mode.
-//!
-//! [`decremental`]: crate::decremental
 //! [`IndexBuilder::build_with_order`]: crate::build::IndexBuilder::build_with_order
 
 use crate::build::IndexBuilder;
-use crate::decremental::{self, RepairStats};
 use crate::flat::FlatIndex;
 use crate::index::WcIndex;
 use std::sync::Arc;
@@ -50,9 +34,16 @@ use std::time::Instant;
 use wcsd_graph::types::Edge;
 use wcsd_graph::{Distance, Graph, GraphBuilder, Quality, VertexId};
 
-/// Fraction of the vertex count above which the pending hubs trigger a full
-/// rebuild instead of a decremental repair.
-const DEFAULT_REPAIR_THRESHOLD: f64 = 0.75;
+/// What one settle did, for observability and tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairStats {
+    /// Hubs the settle swept: every vertex, since it rebuilds all labels.
+    pub affected_hubs: usize,
+    /// Label entries of the labels the settle replaced.
+    pub removed_entries: usize,
+    /// Label entries of the rebuilt labels.
+    pub reinserted_entries: usize,
+}
 
 /// A WC-INDEX paired with its graph, supporting edge insertions and deletions.
 #[derive(Debug, Clone)]
@@ -60,33 +51,20 @@ pub struct DynamicWcIndex {
     graph: Graph,
     index: WcIndex,
     builder: IndexBuilder,
-    rebuild_count: usize,
-    repair_threshold: f64,
     last_repair: Option<RepairStats>,
-    /// Hubs flagged by updates since the last settle, indexed by vertex id.
-    pending: Vec<bool>,
-    /// How many entries of `pending` are set.
-    pending_hubs: usize,
+    /// Whether the graph changed since the labels were last built.
+    stale: bool,
     /// Cached frozen serve representation; invalidated by every update and
     /// re-frozen lazily by [`Self::freeze`].
     flat: Option<Arc<FlatIndex>>,
 }
 
 impl DynamicWcIndex {
-    /// Builds the initial index for `g` with the given builder configuration.
+    /// Builds the initial index for `g` with the given builder configuration;
+    /// its vertex order is the one every later settle keeps.
     pub fn new(g: &Graph, builder: IndexBuilder) -> Self {
         let index = builder.build(g);
-        Self {
-            graph: g.clone(),
-            index,
-            builder,
-            rebuild_count: 0,
-            repair_threshold: DEFAULT_REPAIR_THRESHOLD,
-            last_repair: None,
-            pending: vec![false; g.num_vertices()],
-            pending_hubs: 0,
-            flat: None,
-        }
+        Self { graph: g.clone(), index, builder, last_repair: None, stale: false, flat: None }
     }
 
     /// The current graph.
@@ -105,9 +83,9 @@ impl DynamicWcIndex {
     /// query server.
     ///
     /// The frozen index is cached: repeated calls without intervening updates
-    /// return the same `Arc`, while every [`Self::insert_edge`],
-    /// [`Self::remove_edge`] and [`Self::rebuild`] invalidates it so the next
-    /// freeze reflects the updated labels. Handles returned earlier stay
+    /// return the same `Arc`, while every [`Self::insert_edge`] and
+    /// [`Self::remove_edge`] that changes the graph invalidates it so the
+    /// next freeze reflects the updated labels. Handles returned earlier stay
     /// valid — they are immutable snapshots of the index at freeze time,
     /// which is exactly the hand-over a serving loop wants during updates.
     pub fn freeze(&mut self) -> Arc<FlatIndex> {
@@ -115,32 +93,18 @@ impl DynamicWcIndex {
         self.flat.get_or_insert_with(|| Arc::new(FlatIndex::from_index(&self.index))).clone()
     }
 
-    /// How many full rebuilds have been performed (threshold fallbacks and
-    /// explicit [`Self::rebuild`] calls). Settles pending updates first, so
-    /// the count includes a fallback they cause.
+    /// Settles pending updates, like every read, and returns how many
+    /// rebuilds under a recomputed vertex order have run: always 0, since
+    /// every settle keeps the index's order. It stays for callers written
+    /// when a settle could fall back to such a rebuild.
     pub fn rebuild_count(&mut self) -> usize {
         self.settle();
-        self.rebuild_count
+        0
     }
 
-    /// The pending-hub fraction above which a settle falls back to a full
-    /// rebuild.
-    pub fn repair_threshold(&self) -> f64 {
-        self.repair_threshold
-    }
-
-    /// Sets the fallback threshold: when more than `threshold *
-    /// num_vertices` hubs are pending at a read, they are settled by
-    /// [`Self::rebuild`] instead of the decremental repair. `1.0` (or more)
-    /// never falls back; `0.0` always rebuilds.
-    pub fn set_repair_threshold(&mut self, threshold: f64) {
-        self.repair_threshold = threshold;
-    }
-
-    /// Statistics of the most recent settle's decremental repair, or `None`
-    /// if it fell back to a rebuild (or none happened yet). Does not settle:
-    /// between an update and the next read it still describes the previous
-    /// settle.
+    /// Statistics of the most recent settle, or `None` if none happened yet.
+    /// Does not settle: between an update and the next read it still
+    /// describes the previous settle.
     pub fn last_repair(&self) -> Option<RepairStats> {
         self.last_repair
     }
@@ -152,10 +116,9 @@ impl DynamicWcIndex {
     }
 
     /// Inserts the undirected edge `(a, b)` with quality `q`, or upgrades an
-    /// existing edge to quality `q`, and flags the hubs it affects on the
-    /// updated graph. Returns `false`, changing nothing, for a self loop, an
-    /// endpoint outside the vertex range, or an existing edge whose quality
-    /// is already at least `q`.
+    /// existing edge to quality `q`. Returns `false`, changing nothing, for a
+    /// self loop, an endpoint outside the vertex range, or an existing edge
+    /// whose quality is already at least `q`.
     pub fn insert_edge(&mut self, a: VertexId, b: VertexId, q: Quality) -> bool {
         let n = self.graph.num_vertices();
         if a == b || a as usize >= n || b as usize >= n {
@@ -166,14 +129,12 @@ impl DynamicWcIndex {
         }
         // An upgrade's new edge replaces the old one: the builder keeps the
         // higher quality of parallel edges.
-        self.graph = rebuild_graph(self.graph.edges().chain([Edge::new(a, b, q)]), n);
-        self.flag_affected(a, b, q);
+        self.set_graph(rebuild_graph(self.graph.edges().chain([Edge::new(a, b, q)]), n));
         true
     }
 
-    /// Removes the undirected edge `(a, b)` and flags the hubs it affects on
-    /// the pre-deletion graph. Returns `false`, changing nothing, if the edge
-    /// does not exist.
+    /// Removes the undirected edge `(a, b)`. Returns `false`, changing
+    /// nothing, if the edge does not exist.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
         let n = self.graph.num_vertices();
         if a as usize >= n || b as usize >= n {
@@ -182,100 +143,53 @@ impl DynamicWcIndex {
         let Some(q) = self.graph.edge_quality(a, b) else {
             return false;
         };
-        self.flag_affected(a, b, q);
         let removed = Edge::new(a, b, q).canonical();
-        self.graph = rebuild_graph(self.graph.edges().filter(|&e| e != removed), n);
+        self.set_graph(rebuild_graph(self.graph.edges().filter(|&e| e != removed), n));
         true
     }
 
-    /// Rebuilds the index from scratch, which also settles every pending
-    /// update.
-    pub fn rebuild(&mut self) {
-        self.index = self.builder.build(&self.graph);
-        wcsd_obs::global()
-            .counter("wcsd_rebuilds_total", "Full index rebuilds (explicit or threshold fallback)")
-            .inc();
-        self.rebuild_count += 1;
-        self.last_repair = None;
-        self.pending.fill(false);
-        self.pending_hubs = 0;
+    /// Installs an updated graph: the labels go stale and the cached freeze
+    /// is dropped.
+    fn set_graph(&mut self, graph: Graph) {
+        self.graph = graph;
+        self.stale = true;
         self.flat = None;
     }
 
-    /// ORs the affected hubs of edge `(a, b, q)` on the current graph, which
-    /// must contain the edge, into the pending set, and drops the cached
-    /// freeze.
-    fn flag_affected(&mut self, a: VertexId, b: VertexId, q: Quality) {
-        let t_scan = Instant::now();
-        for h in decremental::affected_hubs(&self.graph, a, b, q) {
-            let flag = &mut self.pending[h as usize];
-            self.pending_hubs += usize::from(!*flag);
-            *flag = true;
-        }
-        record_repair_phase("scan", t_scan.elapsed());
-        self.flat = None;
-    }
-
-    /// Re-sweeps the pending hubs in rank order, or rebuilds when more than
-    /// [`Self::repair_threshold`] times the vertex count are pending.
+    /// Rebuilds stale labels under the index's own vertex order.
     fn settle(&mut self) {
-        if self.pending_hubs == 0 {
+        if !self.stale {
             return;
         }
-        if self.pending_hubs as f64 > self.repair_threshold * self.graph.num_vertices() as f64 {
-            self.rebuild();
-            return;
-        }
-        let hubs: Vec<VertexId> =
-            (0..self.pending.len() as VertexId).filter(|&h| self.pending[h as usize]).collect();
-        self.pending.fill(false);
-        self.pending_hubs = 0;
-        let mode = self.builder.config().mode;
-        let t_resweep = Instant::now();
-        let stats = decremental::repair(&mut self.index, &self.graph, mode, &hubs);
-        let resweep = t_resweep.elapsed();
-        record_repair_phase("resweep", resweep);
+        self.stale = false;
+        let started = Instant::now();
+        let order = self.index.order().clone();
+        let index = self.builder.build_with_order(&self.graph, order);
+        let stats = RepairStats {
+            affected_hubs: index.num_vertices(),
+            removed_entries: self.index.total_entries(),
+            reinserted_entries: index.total_entries(),
+        };
+        self.index = index;
+        let took = started.elapsed();
         let obs = wcsd_obs::global();
-        obs.counter("wcsd_repairs_total", "Decremental repairs performed").inc();
-        obs.gauge(
-            "wcsd_repair_affected_hubs",
-            "Affected hubs in the most recent decremental repair",
+        obs.counter("wcsd_repairs_total", "Settles: label rebuilds after graph updates").inc();
+        obs.histogram_with(
+            "wcsd_repair_phase_us",
+            &[("phase", "resweep")],
+            "Settle latency (same-order label rebuild) in microseconds",
         )
-        .set(stats.affected_hubs as i64);
-        obs.gauge(
-            "wcsd_repair_removed_entries",
-            "Label entries dropped by the most recent decremental repair",
-        )
-        .set(stats.removed_entries as i64);
-        obs.gauge(
-            "wcsd_repair_reinserted_entries",
-            "Label entries re-inserted by the most recent decremental repair",
-        )
-        .set(stats.reinserted_entries as i64);
+        .record_duration(took);
         obs.tracer().record(
             "repair",
             &format!(
                 "affected_hubs={} removed={} reinserted={}",
                 stats.affected_hubs, stats.removed_entries, stats.reinserted_entries
             ),
-            u64::try_from(resweep.as_micros()).unwrap_or(u64::MAX),
+            u64::try_from(took.as_micros()).unwrap_or(u64::MAX),
         );
         self.last_repair = Some(stats);
     }
-}
-
-/// Records one decremental-repair phase into the process-global metrics
-/// registry as `wcsd_repair_phase_us{phase=...}`: `scan` is one update's
-/// affected-hub identification, `resweep` one settle's label drop plus
-/// per-hub construction sweeps.
-fn record_repair_phase(phase: &'static str, took: std::time::Duration) {
-    wcsd_obs::global()
-        .histogram_with(
-            "wcsd_repair_phase_us",
-            &[("phase", phase)],
-            "Decremental repair phase latency in microseconds",
-        )
-        .record_duration(took);
 }
 
 /// The `n`-vertex graph of `edges`: one O(m) CSR build per update.
@@ -330,13 +244,12 @@ mod tests {
     fn insertion_creates_shortcut() {
         let g = paper_figure3();
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        dyn_idx.set_repair_threshold(1.0);
         assert_eq!(dyn_idx.distance(0, 4, 3), Some(4));
         assert!(dyn_idx.insert_edge(0, 4, 5));
         assert_eq!(dyn_idx.distance(0, 4, 3), Some(1));
         assert_eq!(dyn_idx.distance(0, 4, 5), Some(1));
         assert_full_agreement(&mut dyn_idx);
-        assert_eq!(dyn_idx.rebuild_count(), 0, "threshold 1.0 repairs the insertion");
+        assert_eq!(dyn_idx.rebuild_count(), 0, "the settle keeps the order");
     }
 
     #[test]
@@ -353,7 +266,6 @@ mod tests {
     fn deletion_repairs_without_rebuild() {
         let g = paper_figure3();
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        dyn_idx.set_repair_threshold(1.0);
         assert!(dyn_idx.remove_edge(3, 4));
         assert!(!dyn_idx.remove_edge(3, 4), "already removed");
         assert!(!dyn_idx.remove_edge(3, 99), "out of range is a no-op");
@@ -370,7 +282,6 @@ mod tests {
     fn repaired_labels_match_fresh_build_bit_for_bit() {
         let g = erdos_renyi(40, 0.08, &QualityAssigner::uniform(4), 5);
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        dyn_idx.set_repair_threshold(1.0);
         let order = dyn_idx.index().order().clone();
         let mut removed = 0;
         for e in g.edges().take(60).collect::<Vec<_>>() {
@@ -384,18 +295,6 @@ mod tests {
         for v in 0..g.num_vertices() as VertexId {
             assert_eq!(dyn_idx.index().labels(v), fresh.labels(v), "L(v{v}) diverged");
         }
-    }
-
-    #[test]
-    fn threshold_zero_forces_rebuild_fallback() {
-        let g = paper_figure3();
-        let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        dyn_idx.set_repair_threshold(0.0);
-        assert_eq!(dyn_idx.repair_threshold(), 0.0);
-        assert!(dyn_idx.remove_edge(3, 4));
-        assert_eq!(dyn_idx.rebuild_count(), 1, "threshold 0 must always rebuild");
-        assert!(dyn_idx.last_repair().is_none());
-        assert_full_agreement(&mut dyn_idx);
     }
 
     #[test]
@@ -420,7 +319,6 @@ mod tests {
         for seed in 0..3u64 {
             let g = erdos_renyi(30, 0.06, &QualityAssigner::uniform(4), seed);
             let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-            dyn_idx.set_repair_threshold(1.0);
             let order = dyn_idx.index().order().clone();
             for _ in 0..12 {
                 let a = rng.gen_range(0..30u32);
@@ -429,7 +327,7 @@ mod tests {
                 dyn_idx.insert_edge(a, b, q);
             }
             assert_full_agreement(&mut dyn_idx);
-            assert_eq!(dyn_idx.rebuild_count(), 0, "threshold 1.0 repairs every insertion");
+            assert_eq!(dyn_idx.rebuild_count(), 0, "the settle keeps the order");
             let fresh = IndexBuilder::default().build_with_order(dyn_idx.graph(), order);
             for v in 0..30 {
                 assert_eq!(dyn_idx.index().labels(v), fresh.labels(v), "seed {seed}: L(v{v})");
@@ -495,9 +393,8 @@ mod tests {
 
     #[test]
     fn updates_settle_once_per_read() {
-        // Two disjoint copies of Figure 3 (vertices 0–5 and 6–11): updates
-        // in different copies flag disjoint hubs, so only a re-sweep of
-        // their union repairs the batch.
+        // Two disjoint copies of Figure 3 (vertices 0–5 and 6–11), updated
+        // in both copies within one batch.
         let fig3 = paper_figure3();
         let mut b = GraphBuilder::new(12);
         for e in fig3.edges() {
@@ -506,42 +403,39 @@ mod tests {
         }
         let g = b.build();
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::default());
-        dyn_idx.set_repair_threshold(1.0);
         let order = dyn_idx.index().order().clone();
+        let entries = dyn_idx.index().total_entries();
 
-        let mut flagged = Vec::new();
-        flagged.push(decremental::affected_hubs(dyn_idx.graph(), 3, 4, 4));
         assert!(dyn_idx.remove_edge(3, 4));
         assert!(dyn_idx.insert_edge(6, 10, 3));
-        flagged.push(decremental::affected_hubs(dyn_idx.graph(), 6, 10, 3));
         assert!(dyn_idx.insert_edge(10, 6, 5), "quality upgrade");
-        flagged.push(decremental::affected_hubs(dyn_idx.graph(), 6, 10, 5));
-        assert!(dyn_idx.last_repair().is_none(), "updates alone repair nothing");
-        let mut union: Vec<VertexId> = flagged.concat();
-        union.sort_unstable();
-        union.dedup();
-        assert!(flagged.iter().all(|hubs| hubs.len() < union.len()));
+        assert!(dyn_idx.last_repair().is_none(), "updates alone settle nothing");
 
         let frozen = dyn_idx.freeze();
-        let stats = dyn_idx.last_repair().expect("the freeze ran one repair");
-        assert_eq!(stats.affected_hubs, union.len(), "one re-sweep of the union");
+        let stats = dyn_idx.last_repair().expect("the freeze settled the batch");
+        assert_eq!(stats.affected_hubs, 12, "one settle sweeps every hub once");
+        assert_eq!(stats.removed_entries, entries);
+        assert_eq!(stats.reinserted_entries, dyn_idx.index().total_entries());
         assert_eq!(dyn_idx.rebuild_count(), 0);
         assert!(Arc::ptr_eq(&frozen, &dyn_idx.freeze()), "no update → same frozen Arc");
         assert_eq!(dyn_idx.last_repair(), Some(stats), "a second read settles nothing");
-        let fresh = IndexBuilder::default().build_with_order(dyn_idx.graph(), order);
+        assert_eq!(dyn_idx.index().order(), &order, "the settle keeps the order");
+        let fresh = IndexBuilder::default().build_with_order(dyn_idx.graph(), order.clone());
         for v in 0..12 {
             assert_eq!(dyn_idx.index().labels(v), fresh.labels(v), "L(v{v}) diverged");
         }
 
-        // Past the threshold, the next batch settles with one rebuild.
-        dyn_idx.set_repair_threshold(0.0);
+        // The next batch settles once more, under the same order.
         assert!(dyn_idx.insert_edge(3, 4, 4));
         assert!(dyn_idx.remove_edge(6, 10));
         assert!(dyn_idx.insert_edge(6, 10, 1));
         let refrozen = dyn_idx.freeze();
-        assert_eq!(dyn_idx.rebuild_count(), 1, "one rebuild for the whole batch");
-        assert!(dyn_idx.last_repair().is_none());
+        assert!(!Arc::ptr_eq(&frozen, &refrozen));
         assert!(Arc::ptr_eq(&refrozen, &dyn_idx.freeze()));
+        let fresh = IndexBuilder::default().build_with_order(dyn_idx.graph(), order);
+        for v in 0..12 {
+            assert_eq!(dyn_idx.index().labels(v), fresh.labels(v), "L(v{v}) diverged");
+        }
         assert_full_agreement(&mut dyn_idx);
     }
 }

@@ -109,28 +109,9 @@ impl WcIndex {
         &self.order
     }
 
-    /// Inserts a label entry into `L(v)` keeping the canonical order; used by
-    /// the affected-hub repair's re-sweeps.
-    pub(crate) fn insert_label_entry(&mut self, v: VertexId, entry: LabelEntry) {
-        self.labels[v as usize].insert_sorted(entry);
-    }
-
-    /// All label sets, indexed by vertex; the construction engine reads this
-    /// slice during decremental re-sweeps.
+    /// All label sets, indexed by vertex.
     pub(crate) fn labels_all(&self) -> &[LabelSet] {
         &self.labels
-    }
-
-    /// Drops every entry whose hub rank is flagged in `drop_hub` from every
-    /// label set (self labels stay), returning the total number of removed
-    /// entries. Used by the decremental repair.
-    pub(crate) fn remove_entries_of_hubs(&mut self, drop_hub: &[bool]) -> usize {
-        let rank = self.order.ranks();
-        self.labels
-            .iter_mut()
-            .zip(rank)
-            .map(|(set, &owner)| set.remove_hub_entries(drop_hub, owner))
-            .sum()
     }
 
     /// Answers `Q(s, t, w)`: the `w`-constrained distance between `s` and `t`,

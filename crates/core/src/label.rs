@@ -114,27 +114,6 @@ impl LabelSet {
         Self { entries }
     }
 
-    /// Inserts an entry into a built set, keeping the `(hub, dist)` order
-    /// and dropping any existing entries of the same hub the new entry
-    /// dominates. Used by the dynamic-update extension.
-    pub(crate) fn insert_sorted(&mut self, entry: LabelEntry) {
-        self.entries.retain(|e| !(e.hub == entry.hub && entry.dominates(e) && *e != entry));
-        let pos = self.entries.partition_point(|e| (e.hub, e.dist) < (entry.hub, entry.dist));
-        if self.entries.get(pos) != Some(&entry) {
-            self.entries.insert(pos, entry);
-        }
-    }
-
-    /// Removes every entry whose hub rank is flagged in `drop_hub`, except
-    /// the self label of the owner ranked `owner`, returning how many entries
-    /// were dropped. Used by the decremental repair to clear the affected
-    /// hubs before re-sweeping.
-    pub(crate) fn remove_hub_entries(&mut self, drop_hub: &[bool], owner: u32) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.hub == owner || !drop_hub[e.hub as usize]);
-        before - self.entries.len()
-    }
-
     /// The contiguous slice of entries whose hub rank is `hub` (`L[u][hub]`),
     /// or an empty slice if the hub does not occur.
     pub fn hub_group(&self, hub: u32) -> &[LabelEntry] {

@@ -40,10 +40,10 @@
 //! * [`weighted::WeightedWcIndex`] — the constrained-Dijkstra extension for
 //!   weighted graphs (Section V).
 //! * [`dynamic::DynamicWcIndex`] — edge insertions, quality upgrades and
-//!   deletions (the paper's future-work sketch), all settled at the next
-//!   read by one affected-hub repair of [`decremental`], with a
-//!   configurable full-rebuild fallback; every history leaves the labels a
-//!   fresh same-order build would have.
+//!   deletions (the paper's future-work sketch): updates only edit the
+//!   graph, and the next read rebuilds the labels under the index's own
+//!   vertex order, so every history leaves the labels a fresh same-order
+//!   build has.
 //!
 //! ## Quickstart
 //!
@@ -65,7 +65,6 @@
 #![forbid(unsafe_code)]
 
 pub mod build;
-pub mod decremental;
 pub mod directed;
 pub mod dynamic;
 pub mod flat;

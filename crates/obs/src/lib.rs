@@ -2,7 +2,7 @@
 //!
 //! Every layer of the serving stack needs to answer "where does the time
 //! go?" — per-verb request latency in the reactor, decode-vs-swap time in a
-//! `RELOAD`, affected-hub scan vs. re-sweep time in a decremental repair.
+//! `RELOAD`, sweep vs. finalize time in an index build.
 //! This crate is the one place that machinery lives, with zero dependencies
 //! (std only, like the rest of the workspace):
 //!
@@ -29,7 +29,7 @@
 //!   latency next to the client-observed numbers.
 //!
 //! A process-global registry ([`global()`]) collects instrumentation from
-//! layers that have no natural owner (index builds, decremental repairs);
+//! layers that have no natural owner (index builds, update settles);
 //! components with a clear scope (one server) own a private [`Registry`] so
 //! tests and multi-server processes stay isolated.
 
@@ -48,7 +48,7 @@ pub use trace::{Span, TraceEvent, Tracer};
 use std::sync::{Arc, OnceLock};
 
 /// The process-global registry: instrumentation from layers without a
-/// natural scope (core index builds, parallel sweeps, decremental repairs,
+/// natural scope (core index builds, parallel sweeps, update settles,
 /// the freshness feed) lands here. Servers own private registries; the CLI
 /// `serve` front end passes this one in so a served process exposes the
 /// whole stack through one `METRICS` scrape.

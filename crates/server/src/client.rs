@@ -358,20 +358,35 @@ mod tests {
         assert!(elapsed < Duration::from_secs(5), "deadline not enforced: {elapsed:?}");
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn connect_timeout_caps_a_single_attempt() {
-        // 10.255.255.1 is a blackhole in most environments (SYN silently
-        // dropped, so an uncapped connect would block for the OS default of
-        // minutes); elsewhere it fails or even connects instantly. The
-        // contract under test is only the *bound*: with an explicit cap the
-        // attempt returns promptly whatever the network does.
+        // A loopback listener with a full accept queue: at backlog 1 Linux
+        // queues two connections, and once two that are never accepted fill
+        // it the kernel drops the next SYN, so an uncapped connect would
+        // block for the SYN-retry minutes. With the cap it fails promptly.
+        #[allow(unsafe_code)]
+        fn set_backlog(listener: &std::net::TcpListener, backlog: i32) {
+            use std::os::fd::AsRawFd;
+            extern "C" {
+                fn listen(fd: i32, backlog: i32) -> i32;
+            }
+            // SAFETY: `listen(2)` on a socket descriptor the listener owns
+            // for the whole call; it touches no memory of this process.
+            assert_eq!(unsafe { listen(listener.as_raw_fd(), backlog) }, 0);
+        }
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        set_backlog(&listener, 1);
+        let addr = listener.local_addr().unwrap();
+        let _queued: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap())
+            .collect();
         let start = Instant::now();
-        let _ = Client::connect_timeout_with(
-            "10.255.255.1:9",
-            Duration::from_millis(250),
-            Protocol::Text,
-        );
-        assert!(start.elapsed() < Duration::from_secs(5));
+        let attempt =
+            Client::connect_timeout_with(addr, Duration::from_millis(250), Protocol::Text);
+        let elapsed = start.elapsed();
+        assert!(attempt.is_err(), "the full accept queue admitted a connection");
+        assert!(elapsed < Duration::from_secs(5), "connect not capped: {elapsed:?}");
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! wcsd-cli client <host:port> <command> [args...]
 //! wcsd-cli metrics <host:port> [--recent]
 //! wcsd-cli reload <host:port> <index-file>
-//! wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--ordering ...] [--repair-threshold F] [--json PATH] [--dimacs]
+//! wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--ordering ...] [--json PATH] [--dimacs]
 //! wcsd-cli partition <graph-file> <out-dir> [--shards N] [--seed S] [--ordering ...] [--dimacs]
 //! wcsd-cli route <overlay-file> <backend-group> [<backend-group>...] [--port P] [--backend-timeout-ms N] [--probe-interval-ms N] [--cache-size N] [--no-metrics]
 //! ```
 //!
 //! `feed` is the streaming-freshness front end: it builds a dynamic index
 //! over the graph, applies an edge-update stream (`add u v q` / `remove u v`
-//! lines; deletions use the decremental label repair), writes one
+//! lines; the labels are rebuilt once per batch), writes one
 //! generation-numbered `WCIF` snapshot per `--batch` updates into
 //! `<snapshot-dir>`, and — with `--addr` — hot-swaps each snapshot into the
 //! running server via `RELOAD`, reporting the update-to-servable freshness
@@ -174,10 +174,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Error(msg)) => {
             eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("usage:");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(msg)) => {
+            eprintln!("error: {msg}\n\nusage:");
             eprintln!("  wcsd-cli build <graph-file> <index-file> [--ordering degree|tree|hybrid] [--dimacs]");
             eprintln!("  wcsd-cli stats <graph-file> [--dimacs]");
             eprintln!("  wcsd-cli stats <host:port> [--json]");
@@ -187,13 +189,33 @@ fn main() -> ExitCode {
             eprintln!("  wcsd-cli client <host:port> <command> [args...]");
             eprintln!("  wcsd-cli metrics <host:port> [--recent]");
             eprintln!("  wcsd-cli reload <host:port> <index-file>");
-            eprintln!("  wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--ordering degree|tree|hybrid] [--repair-threshold F] [--json PATH] [--dimacs]");
+            eprintln!("  wcsd-cli feed <graph-file> <updates-file> <snapshot-dir> [--addr H:P] [--batch N] [--ordering degree|tree|hybrid] [--json PATH] [--dimacs]");
             eprintln!("  wcsd-cli partition <graph-file> <out-dir> [--shards N] [--seed S] [--ordering degree|tree|hybrid] [--dimacs]");
             eprintln!("  wcsd-cli route <overlay-file> <backend-group> [<backend-group>...] [--port P] [--backend-timeout-ms N] [--probe-interval-ms N] [--cache-size N] [--no-metrics]");
             eprintln!("      (<backend-group>: host:port[,host:port...] in shard order, or shard<N>=host:port[,...])");
             ExitCode::FAILURE
         }
     }
+}
+
+/// A failed `run`: a `Usage` one (a wrong command line) also prints the usage.
+enum Failure {
+    Usage(String),
+    Error(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Error(msg)
+    }
+}
+
+fn usage<T>(msg: &str) -> Result<T, Failure> {
+    Err(Failure::Usage(msg.to_string()))
+}
+
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, Failure> {
+    flag_value(args, name).map_err(Failure::Usage)
 }
 
 /// Flags that consume the following argument as their value.
@@ -210,7 +232,6 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
         "--max-pending",
         "--addr",
         "--batch",
-        "--repair-threshold",
         "--slow-query-ms",
         "--shards",
         "--seed",
@@ -225,7 +246,6 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
         "--max-pending",
         "--addr",
         "--batch",
-        "--repair-threshold",
         "--slow-query-ms",
         "--shards",
         "--seed",
@@ -239,9 +259,9 @@ fn value_flags(args: &[String]) -> &'static [&'static str] {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let use_dimacs = args.iter().any(|a| a == "--dimacs");
-    let ordering = parse_ordering(args)?;
+    let ordering = parse_ordering(args).map_err(Failure::Usage)?;
     let positional = positional_args(args, value_flags(args));
     let command = positional.first().map(|s| s.as_str());
     // `--threads` is a value flag because `serve` takes it; anywhere an
@@ -249,13 +269,16 @@ fn run(args: &[String]) -> Result<(), String> {
     if matches!(command, Some("build" | "feed" | "partition"))
         && args.iter().any(|a| a == "--threads")
     {
-        return Err("index construction is sequential; --threads applies only to serve".to_string());
+        return usage("index construction is sequential; --threads applies only to serve");
+    }
+    if command == Some("feed") && args.iter().any(|a| a == "--repair-threshold") {
+        Err("--repair-threshold was removed: every settle rebuilds the labels".to_string())?;
     }
 
     match command {
         Some("build") => {
             let [_, graph_path, index_path] = positional[..] else {
-                return Err("build requires <graph-file> <index-file>".to_string());
+                return usage("build requires <graph-file> <index-file>");
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
             let start = std::time::Instant::now();
@@ -276,13 +299,13 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("stats") => {
             let [_, graph_path] = positional[..] else {
-                return Err("stats requires <graph-file> or <host:port>".to_string());
+                return usage("stats requires <graph-file> or <host:port>");
             };
             // A `:` marks the argument as a server address (filenames with
             // colons are not worth supporting here): fetch the live
             // counters instead of analysing a graph file.
             if graph_path.contains(':') {
-                return server_stats(graph_path, args.iter().any(|a| a == "--json"));
+                return Ok(server_stats(graph_path, args.iter().any(|a| a == "--json"))?);
             }
             let graph = read_graph_file(graph_path, use_dimacs)?;
             let deg = analysis::degree_stats(&graph);
@@ -298,17 +321,17 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("query") => {
             let [_, graph_path, index_path, s, t, w] = positional[..] else {
-                return Err("query requires <graph-file> <index-file> <s> <t> <w>".to_string());
+                return usage("query requires <graph-file> <index-file> <s> <t> <w>");
             };
+            let s: VertexId = s.parse().or_else(|_| usage(&format!("invalid vertex {s:?}")))?;
+            let t: VertexId = t.parse().or_else(|_| usage(&format!("invalid vertex {t:?}")))?;
+            let w: Quality = w.parse().or_else(|_| usage(&format!("invalid constraint {w:?}")))?;
             let graph = read_graph_file(graph_path, use_dimacs)?;
             let index = load_index(index_path, &graph)?;
-            let s: VertexId = s.parse().map_err(|_| format!("invalid vertex {s:?}"))?;
-            let t: VertexId = t.parse().map_err(|_| format!("invalid vertex {t:?}"))?;
-            let w: Quality = w.parse().map_err(|_| format!("invalid constraint {w:?}"))?;
             let n = graph.num_vertices();
             for v in [s, t] {
                 if v as usize >= n {
-                    return Err(format!("vertex {v} out of range (graph has vertices 0..{n})"));
+                    Err(format!("vertex {v} out of range (graph has vertices 0..{n})"))?;
                 }
             }
             let answer = index.distance(s, t, w);
@@ -320,13 +343,13 @@ fn run(args: &[String]) -> Result<(), String> {
             // verification tool.
             let oracle = wcsd::baselines::online::constrained_bfs(&graph, s, t, w);
             if oracle != answer {
-                return Err("index answer disagrees with the online BFS oracle".to_string());
+                Err("index answer disagrees with the online BFS oracle".to_string())?;
             }
             Ok(())
         }
         Some("serve") => {
             let [_, graph_path, index_path] = positional[..] else {
-                return Err("serve requires <graph-file> <index-file-or-snapshot-dir>".to_string());
+                return usage("serve requires <graph-file> <index-file-or-snapshot-dir>");
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
             // A directory (e.g. a feed snapshot dir) recovers the newest
@@ -340,35 +363,32 @@ fn run(args: &[String]) -> Result<(), String> {
                 load_index(index_path, &graph)?
             };
             if index.num_vertices() != graph.num_vertices() {
-                return Err(format!(
-                    "index covers {} vertices but the graph has {}",
-                    index.num_vertices(),
-                    graph.num_vertices()
-                ));
+                let (i, g) = (index.num_vertices(), graph.num_vertices());
+                return Err(format!("index covers {i} vertices but the graph has {g}").into());
             }
             let index = std::sync::Arc::new(index);
             let mut config = ServerConfig::default();
-            if let Some(port) = flag_value(args, "--port")? {
+            if let Some(port) = flag(args, "--port")? {
                 config.port = port;
             }
             // --threads N caps the parts one BATCH is split into across
             // idle pool workers; it spawns no threads of its own.
-            if let Some(threads) = flag_value(args, "--threads")? {
+            if let Some(threads) = flag(args, "--threads")? {
                 config.batch_threads = threads;
             }
-            if let Some(cache) = flag_value(args, "--cache-size")? {
+            if let Some(cache) = flag(args, "--cache-size")? {
                 config.cache_capacity = cache;
             }
             // Admission control: offloaded work (BATCH/RELOAD) beyond this
             // many pending jobs is shed with the busy reply instead of
             // queueing without bound.
-            if let Some(pending) = flag_value(args, "--max-pending")? {
+            if let Some(pending) = flag(args, "--max-pending")? {
                 config.max_pending_jobs = pending;
             }
             // Observability wiring: requests at least this slow land in the
             // trace ring (`wcsd-cli metrics --recent`); `--no-metrics` turns
             // histogram/trace recording off (counters stay on for STATS).
-            config.slow_query_ms = flag_value(args, "--slow-query-ms")?;
+            config.slow_query_ms = flag(args, "--slow-query-ms")?;
             config.metrics_enabled = !args.iter().any(|a| a == "--no-metrics");
             // The process-global registry, so core build/repair phases from
             // this process and the serving metrics share one METRICS scrape.
@@ -397,10 +417,10 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("client") => {
             let [_, addr, command @ ..] = &positional[..] else {
-                return Err("client requires <host:port> <command> [args...]".to_string());
+                return usage("client requires <host:port> <command> [args...]");
             };
             if command.is_empty() {
-                return Err("client requires a command (query/within/stats/shutdown)".to_string());
+                return usage("client requires a command (query/within/stats/shutdown)");
             }
             // Only single-line request/reply commands are forwarded: a BATCH
             // header alone carries no queries, and RELOAD needs its path
@@ -408,7 +428,7 @@ fn run(args: &[String]) -> Result<(), String> {
             // path would resolve against the server's working directory).
             let verb = command[0].to_ascii_uppercase();
             if !["QUERY", "WITHIN", "STATS", "SHUTDOWN"].contains(&verb.as_str()) {
-                return Err(format!(
+                return usage(&format!(
                     "unsupported client command {:?} (use query/within/stats/shutdown; \
                      for batch traffic use the loadgen binary, for reload use \
                      `wcsd-cli reload`)",
@@ -416,7 +436,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 ));
             }
             let line = command.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(" ");
-            let request = wcsd::server::protocol::parse_request(&line)?;
+            let request = wcsd::server::protocol::parse_request(&line).map_err(Failure::Usage)?;
             let mut client = Client::connect_retry(addr.as_str(), Duration::from_secs(5))
                 .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
             let mut reply = Vec::new();
@@ -426,7 +446,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("metrics") => {
             let [_, addr] = positional[..] else {
-                return Err("metrics requires <host:port>".to_string());
+                return usage("metrics requires <host:port>");
             };
             let recent = args.iter().any(|a| a == "--recent");
             let mut client = Client::connect_retry(addr.as_str(), Duration::from_secs(5))
@@ -442,7 +462,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("reload") => {
             let [_, addr, index_path] = positional[..] else {
-                return Err("reload requires <host:port> <index-file>".to_string());
+                return usage("reload requires <host:port> <index-file>");
             };
             // The server resolves the path on *its* filesystem; absolutize
             // (and existence-check) on this side first, since the loopback
@@ -465,18 +485,18 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("partition") => {
             let [_, graph_path, out_dir] = positional[..] else {
-                return Err("partition requires <graph-file> <out-dir>".to_string());
+                return usage("partition requires <graph-file> <out-dir>");
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
-            let shards: usize = flag_value(args, "--shards")?.unwrap_or(2);
+            let shards: usize = flag(args, "--shards")?.unwrap_or(2);
             // Every shard must hold a vertex, or the overlay would not decode.
             if shards == 0 || shards > graph.num_vertices().max(1) {
-                return Err(format!(
+                return usage(&format!(
                     "--shards must be between 1 and the vertex count ({})",
                     graph.num_vertices()
                 ));
             }
-            let seed: u64 = flag_value(args, "--seed")?.unwrap_or(0);
+            let seed: u64 = flag(args, "--seed")?.unwrap_or(0);
             let out = std::path::Path::new(out_dir);
             std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
             let start = std::time::Instant::now();
@@ -534,28 +554,27 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("route") => {
             let [_, overlay_path, backends @ ..] = &positional[..] else {
-                return Err("route requires <overlay-file> <backend-group> [<backend-group>...]"
-                    .to_string());
+                return usage("route requires <overlay-file> <backend-group> [<backend-group>...]");
             };
             if backends.is_empty() {
-                return Err("route requires at least one backend group".to_string());
+                return usage("route requires at least one backend group");
             }
             let data = std::fs::read(overlay_path)
                 .map_err(|e| format!("cannot read {overlay_path}: {e}"))?;
             let overlay = wcsd::core::overlay::OverlayIndex::decode(&data)
                 .map_err(|e| format!("corrupt overlay: {e}"))?;
             let mut config = RouterConfig::default();
-            if let Some(port) = flag_value(args, "--port")? {
+            if let Some(port) = flag(args, "--port")? {
                 config.port = port;
             }
-            if let Some(ms) = flag_value::<u64>(args, "--backend-timeout-ms")? {
+            if let Some(ms) = flag::<u64>(args, "--backend-timeout-ms")? {
                 config.backend_timeout = Duration::from_millis(ms);
             }
-            if let Some(ms) = flag_value::<u64>(args, "--probe-interval-ms")? {
+            if let Some(ms) = flag::<u64>(args, "--probe-interval-ms")? {
                 config.probe_interval = Duration::from_millis(ms);
             }
             // Router-side answer and potential caches (0 = both off).
-            if let Some(cache) = flag_value(args, "--cache-size")? {
+            if let Some(cache) = flag(args, "--cache-size")? {
                 config.cache_capacity = cache;
             }
             config.metrics_enabled = !args.iter().any(|a| a == "--no-metrics");
@@ -585,7 +604,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("feed") => {
             let [_, graph_path, updates_path, snapshot_dir] = positional[..] else {
-                return Err("feed requires <graph-file> <updates-file> <snapshot-dir>".to_string());
+                return usage("feed requires <graph-file> <updates-file> <snapshot-dir>");
             };
             let graph = read_graph_file(graph_path, use_dimacs)?;
             let text = std::fs::read_to_string(updates_path)
@@ -594,9 +613,6 @@ fn run(args: &[String]) -> Result<(), String> {
             let start = std::time::Instant::now();
             let builder = IndexBuilder::new().ordering(ordering);
             let mut dyn_idx = wcsd::core::dynamic::DynamicWcIndex::new(&graph, builder);
-            if let Some(threshold) = flag_value::<f64>(args, "--repair-threshold")? {
-                dyn_idx.set_repair_threshold(threshold);
-            }
             println!(
                 "built initial index for {} vertices / {} edges in {:.2?}; feeding {} updates",
                 graph.num_vertices(),
@@ -605,8 +621,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 updates.len()
             );
             let config = wcsd_bench::freshness::FeedConfig {
-                batch_size: flag_value(args, "--batch")?.unwrap_or(16),
-                addr: flag_value(args, "--addr")?,
+                batch_size: flag(args, "--batch")?.unwrap_or(16),
+                addr: flag(args, "--addr")?,
                 connect_timeout: Duration::from_secs(10),
             };
             let dataset = std::path::Path::new(graph_path)
@@ -628,14 +644,14 @@ fn run(args: &[String]) -> Result<(), String> {
                     last.display()
                 );
             }
-            if let Some(json_path) = flag_value::<String>(args, "--json")? {
+            if let Some(json_path) = flag::<String>(args, "--json")? {
                 std::fs::write(&json_path, wcsd_bench::report::to_json(&[result]))
                     .map_err(|e| format!("cannot write {json_path}: {e}"))?;
                 println!("wrote JSON record -> {json_path}");
             }
             Ok(())
         }
-        _ => Err("missing or unknown subcommand".to_string()),
+        _ => usage("missing or unknown subcommand"),
     }
 }
 
@@ -773,7 +789,11 @@ fn load_index(path: &str, graph: &Graph) -> Result<FlatIndex, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::run;
+    use super::{run, Failure};
+
+    fn run_args(cmd: &[&str]) -> Result<(), Failure> {
+        run(&cmd.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
 
     #[test]
     fn build_commands_reject_threads() {
@@ -782,9 +802,44 @@ mod tests {
             &["feed", "g.edges", "u.updates", "snaps", "--threads", "2"],
             &["partition", "g.edges", "shards", "--threads", "2"],
         ] {
-            let args: Vec<String> = cmd.iter().map(|a| a.to_string()).collect();
-            let err = run(&args).unwrap_err();
+            let Err(Failure::Usage(err)) = run_args(cmd) else { panic!("{cmd:?}: not refused") };
             assert!(err.contains("--threads applies only to serve"), "{cmd:?}: {err}");
         }
+    }
+
+    #[test]
+    fn feed_refuses_the_removed_repair_threshold() {
+        let cmd = ["feed", "g.edges", "u.updates", "snaps", "--repair-threshold", "1.0"];
+        let Err(Failure::Error(err)) = run_args(&cmd) else { panic!("not a one-line error") };
+        assert!(err.contains("--repair-threshold was removed"), "{err}");
+    }
+
+    #[test]
+    fn only_usage_errors_print_the_usage() {
+        let dir = std::env::temp_dir().join(format!("wcsd-cli-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (graph, index) = (dir.join("g.edges"), dir.join("g.fidx"));
+        std::fs::write(&graph, "0 1 3\n1 2 5\n").unwrap();
+        std::fs::write(&index, b"not an index").unwrap();
+        let (graph, index) = (graph.to_str().unwrap(), index.to_str().unwrap());
+        for cmd in [
+            &[][..],
+            &["frobnicate"],
+            &["query", graph, index, "0", "1"],
+            &["query", graph, index, "0", "x", "1"],
+            &["build", graph, index, "--ordering", "bogus"],
+            &["partition", graph, index, "--shards", "nope"],
+            &["client", "127.0.0.1:1", "frobnicate"],
+        ] {
+            assert!(matches!(run_args(cmd), Err(Failure::Usage(_))), "{cmd:?}");
+        }
+        for (cmd, want) in [
+            (&["query", graph, index, "0", "2", "1"][..], "corrupt index"),
+            (&["query", "/nonexistent/g.edges", index, "0", "2", "1"], "/nonexistent/g.edges"),
+        ] {
+            let Err(Failure::Error(err)) = run_args(cmd) else { panic!("{cmd:?}: not an error") };
+            assert!(err.contains(want), "{cmd:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

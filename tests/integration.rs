@@ -167,7 +167,6 @@ fn weighted_index_with_unit_lengths_matches_unweighted() {
 fn dynamic_index_tracks_rebuilt_index_through_updates() {
     let g = erdos_renyi(40, 0.05, &QualityAssigner::uniform(4), 33);
     let mut dynamic = DynamicWcIndex::new(&g, IndexBuilder::wc_index_plus());
-    dynamic.set_repair_threshold(1.0);
     let updates = [(1u32, 37u32, 4u32), (5, 20, 2), (0, 39, 3), (12, 13, 1), (7, 29, 4)];
     for (a, b, q) in updates {
         dynamic.insert_edge(a, b, q);
@@ -180,8 +179,8 @@ fn dynamic_index_tracks_rebuilt_index_through_updates() {
             );
         }
     }
-    assert_eq!(dynamic.rebuild_count(), 0, "threshold 1.0 repairs every insertion");
-    // Deletion repairs through the same path and stays correct.
+    assert_eq!(dynamic.rebuild_count(), 0, "the settle keeps the order");
+    // Deletion settles through the same path and stays correct.
     dynamic.remove_edge(1, 37);
     let fresh = IndexBuilder::wc_index_plus().build(dynamic.graph());
     for (s, t, w) in sample_queries(dynamic.graph()) {

@@ -361,16 +361,15 @@ fn within_agrees_with_distance() {
     }
 }
 
-/// Random mixed insert/delete sequences: the decremental repair never falls
-/// back to a rebuild (threshold 1.0), and afterwards the labels equal a
-/// from-scratch rebuild under the same vertex order, and every query
-/// implementation agrees with that rebuild *and* with the BFS oracle.
+/// Random mixed insert/delete sequences: the settle never recomputes the
+/// vertex order, and afterwards the labels equal a from-scratch rebuild
+/// under the same vertex order, and every query implementation agrees with
+/// that rebuild *and* with the BFS oracle.
 #[test]
 fn dynamic_mixed_updates_match_rebuild() {
     for seed in 0..CASES {
         let g = random_graph(seed, 18, 50, 4);
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::wc_index_plus());
-        dyn_idx.set_repair_threshold(1.0);
         let order = dyn_idx.index().order().clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE_D1CE);
         let n = g.num_vertices() as u32;
@@ -387,7 +386,7 @@ fn dynamic_mixed_updates_match_rebuild() {
                 }
             }
         }
-        assert_eq!(dyn_idx.rebuild_count(), 0, "seed {seed}: repair must never rebuild");
+        assert_eq!(dyn_idx.rebuild_count(), 0, "seed {seed}: the settle keeps the order");
 
         let rebuilt = IndexBuilder::wc_index_plus().build_with_order(dyn_idx.graph(), order);
         for v in 0..n {
@@ -413,13 +412,12 @@ fn dynamic_mixed_updates_match_rebuild() {
 }
 
 /// Delete-only sequences leave labels bit-identical to a fresh build under
-/// the same vertex order, and every repair invalidates the frozen snapshot.
+/// the same vertex order, and every deletion invalidates the frozen snapshot.
 #[test]
 fn dynamic_deletions_are_bit_identical_and_invalidate_freeze() {
     for seed in 0..CASES {
         let g = random_graph(seed, 18, 55, 4);
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::wc_index_plus());
-        dyn_idx.set_repair_threshold(1.0);
         let order = dyn_idx.index().order().clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0DE1_E7ED);
         for _ in 0..4 {
@@ -433,7 +431,7 @@ fn dynamic_deletions_are_bit_identical_and_invalidate_freeze() {
             let refrozen = dyn_idx.freeze();
             assert!(
                 !std::sync::Arc::ptr_eq(&frozen, &refrozen),
-                "seed {seed}: repair must invalidate the frozen snapshot"
+                "seed {seed}: the deletion must invalidate the frozen snapshot"
             );
             // The re-frozen snapshot answers exactly like the live index.
             let w = rng.gen_range(1..5);
@@ -502,7 +500,6 @@ fn any_update_history_settles_to_the_fresh_build() {
         for builder in [IndexBuilder::wc_index(), IndexBuilder::wc_index_plus()] {
             let mode = builder.config().mode;
             let mut dyn_idx = DynamicWcIndex::new(&g, builder.clone());
-            dyn_idx.set_repair_threshold(1.0);
             let order = dyn_idx.index().order().clone();
             let mut rng = StdRng::seed_from_u64(seed ^ 0x05E7_71E5);
             for read in 0..4 {
@@ -521,7 +518,7 @@ fn any_update_history_settles_to_the_fresh_build() {
                 }
                 assert!(settled.dominated_entries().is_empty(), "seed {seed}, {mode:?}");
             }
-            assert_eq!(dyn_idx.rebuild_count(), 0, "seed {seed}: threshold 1.0 never rebuilds");
+            assert_eq!(dyn_idx.rebuild_count(), 0, "seed {seed}: the settle keeps the order");
         }
     }
     assert!(upgrades > 0, "the fuzz must exercise quality upgrades");
@@ -550,7 +547,7 @@ fn assert_one_order(idx: &WcIndex, case: &str) {
 }
 
 /// Every label set is in the one `(hub rank, dist)` order after a build,
-/// an insertion's repair, a deletion's repair and a freeze/thaw round
+/// an insertion's settle, a deletion's settle and a freeze/thaw round
 /// trip, on a hybrid-ordered road grid and a scale-free graph.
 #[test]
 fn label_sets_keep_one_order_from_build_to_thaw() {
@@ -560,7 +557,6 @@ fn label_sets_keep_one_order_from_build_to_thaw() {
         ("barabasi_albert(150, 3)", barabasi_albert(150, 3, &qualities, 3)),
     ] {
         let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::wc_index_plus());
-        dyn_idx.set_repair_threshold(1.0);
         assert_one_order(dyn_idx.index(), &format!("{name}, build"));
 
         let n = g.num_vertices() as u32;

@@ -1001,7 +1001,7 @@ fn disabled_metrics_keep_counters_but_not_histograms() {
 }
 
 /// The full freshness pipeline end to end: a live server, a feed run that
-/// applies mixed updates through the decremental repair, writes
+/// applies mixed updates, settles each batch with one label rebuild, writes
 /// generation-numbered snapshots, and hot-swaps each one via `RELOAD` — after
 /// which the served answers match the live dynamic index, the generation
 /// advanced once per batch, and a deleted edge's answer actually changed on
@@ -1013,7 +1013,6 @@ fn feed_pipeline_updates_are_servable() {
 
     let g = test_graph();
     let mut dyn_idx = DynamicWcIndex::new(&g, IndexBuilder::wc_index_plus());
-    dyn_idx.set_repair_threshold(1.0);
     let server =
         Server::bind_flat(dyn_idx.freeze(), ServerConfig::default()).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
@@ -1045,7 +1044,6 @@ fn feed_pipeline_updates_are_servable() {
     assert_eq!(result.batches, 2);
     assert_eq!(result.adds, 2);
     assert_eq!(result.removes, 2);
-    assert_eq!(result.rebuild_fallbacks, 0, "threshold 1.0 never falls back");
     assert_eq!(result.repairs, 2);
     assert!(result.affected_hubs > 0);
     assert_eq!(result.final_generation, 3, "startup generation 1 + one reload per batch");
