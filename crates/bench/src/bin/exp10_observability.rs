@@ -13,12 +13,14 @@
 //!    hot reload and a settle, attributed from one Prometheus payload.
 //! 2. **Instrumentation overhead.** The same loadgen workload is replayed
 //!    against a metrics-on and a metrics-off (`--no-metrics` equivalent)
-//!    server — interleaved, best-of-`reps` each — at batch 0 (per-request
-//!    instrumentation worst case) and at batch 16 (the `loadgen --small`
-//!    preset shape); the overhead is `1 - qps_on / qps_off`. With
-//!    `--max-overhead R` the binary exits non-zero when the batch-16
-//!    overhead exceeds `R`, so CI can guard the hot path against
-//!    instrumentation regressions.
+//!    server at batch 0 (per-request instrumentation worst case) and at
+//!    batch 16 (the `loadgen --small` preset shape). Each rep runs both
+//!    sides back to back, on first in even reps and off first in odd ones,
+//!    so neither side always gets the warmer or the quieter slot; a rep's
+//!    overhead is `1 - qps_on / qps_off`, and the reported overhead is the
+//!    median over the reps. With `--max-overhead R` the binary exits
+//!    non-zero when the batch-16 median exceeds `R`, so CI can guard the hot
+//!    path against instrumentation regressions.
 //!
 //! Usage: `exp10_observability [--small] [--reps N] [--json <path>]
 //! [--max-overhead R]`
@@ -58,14 +60,15 @@ struct Exp10Result {
     build_finalize_us: f64,
     /// Slow-query events captured by the `slow_query_ms = 0` trace ring.
     slow_query_events: usize,
-    /// Best-of-`reps` throughput with metrics recording on / off, for
+    /// Median throughput over the reps with metrics recording on / off, for
     /// individual queries (batch 0: per-request instrumentation worst case)
     /// and for the `loadgen --small` batch size (16: the acceptance bar).
     qps_on_batch0: f64,
     qps_off_batch0: f64,
     qps_on_batch16: f64,
     qps_off_batch16: f64,
-    /// `1 - qps_on / qps_off`, clamped at 0 (negative = noise).
+    /// Median over the reps of `1 - qps_on / qps_off`, clamped at 0
+    /// (negative = noise).
     overhead_batch0: f64,
     overhead_batch16: f64,
 }
@@ -192,19 +195,27 @@ fn measure(
     reps: usize,
 ) -> Result<Exp10Result, String> {
     let (scrape, traces) = attribution_run(name, g, workload)?;
-    // Interleave the on/off reps so slow drift on a shared container biases
-    // both sides equally; best-of-reps on each side.
+    // Pair the on/off runs within each rep and alternate which side runs
+    // first, so slow drift and the warm-up of whichever runs first bias both
+    // sides equally; the medians shrug off a rep a neighbour disturbed.
     let index = Arc::new(FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(g)));
-    let mut best = [[0.0f64; 2]; 2]; // [batch_idx][on/off]
-    for _ in 0..reps.max(1) {
+    let mut qps = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]]; // [batch][on/off]
+    let mut ratios = [Vec::new(), Vec::new()]; // [batch]: 1 - on / off per rep
+    for rep in 0..reps.max(1) {
         for (bi, batch) in [0usize, 16].into_iter().enumerate() {
-            for (ei, enabled) in [true, false].into_iter().enumerate() {
-                let qps = throughput_rep(name, &index, workload, batch, enabled)?;
-                best[bi][ei] = best[bi][ei].max(qps);
+            let order = if rep.is_multiple_of(2) { [true, false] } else { [false, true] };
+            let mut rep_qps = [0.0; 2];
+            for enabled in order {
+                let ei = usize::from(!enabled);
+                rep_qps[ei] = throughput_rep(name, &index, workload, batch, enabled)?;
+                qps[bi][ei].push(rep_qps[ei]);
             }
+            let [on, off] = rep_qps;
+            ratios[bi].push(if off > 0.0 { 1.0 - on / off } else { 0.0 });
         }
     }
-    let overhead = |on: f64, off: f64| if off > 0.0 { (1.0 - on / off).max(0.0) } else { 0.0 };
+    let [[on0, off0], [on16, off16]] = qps.map(|sides| sides.map(median));
+    let [overhead0, overhead16] = ratios.map(|r| median(r).max(0.0));
 
     let phase_p50 = |phase: &str| {
         let phase_label = format!("phase=\"{phase}\"");
@@ -235,13 +246,24 @@ fn measure(
         build_sweep_us: single("wcsd_build_phase_us", "sweep"),
         build_finalize_us: single("wcsd_build_phase_us", "finalize"),
         slow_query_events: traces.matches("\"slow_query\"").count(),
-        qps_on_batch0: best[0][0],
-        qps_off_batch0: best[0][1],
-        qps_on_batch16: best[1][0],
-        qps_off_batch16: best[1][1],
-        overhead_batch0: overhead(best[0][0], best[0][1]),
-        overhead_batch16: overhead(best[1][0], best[1][1]),
+        qps_on_batch0: on0,
+        qps_off_batch0: off0,
+        qps_on_batch16: on16,
+        qps_off_batch16: off16,
+        overhead_batch0: overhead0,
+        overhead_batch16: overhead16,
     })
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    match values.len() {
+        0 => 0.0,
+        len if !len.is_multiple_of(2) => values[mid],
+        _ => (values[mid - 1] + values[mid]) / 2.0,
+    }
 }
 
 /// Drives the attribution server: loadgen traffic, one update settle,

@@ -8,8 +8,9 @@
 //! query chases two pointers into scattered allocations, and the
 //! array-of-structs entry layout drags `hub` bytes through the cache while the
 //! binary search only wants `quality`. [`Flat`] is the *serve*
-//! representation. After a five-word header (magic, version, vertex / entry /
-//! group counts) its image holds:
+//! representation. After a seven-word header (magic, version, vertex / entry /
+//! group counts, the distance width `k` and the number of quality levels) its
+//! image holds:
 //!
 //! * a CSR `entry_offsets` section (`entry_offsets[v]..entry_offsets[v + 1]`
 //!   is `L(v)`);
@@ -22,10 +23,19 @@
 //!   Rank 0 is the hub most label sets contain, so the groups most likely to
 //!   match sit at the front of both directories, where the merge's first
 //!   iterations touch them. The directory makes a per-entry hub column
-//!   redundant, so the arena does not store one: entries cost 8 bytes
-//!   instead of the nested form's 12;
-//! * a struct-of-arrays entry arena (`dists`, `qualities`), concatenated over
-//!   all vertices in directory order;
+//!   redundant, so the arena does not store one;
+//! * the entry arena, concatenated over all vertices in directory order: one
+//!   packed word `level << k | dist` per entry, 4 bytes instead of the nested
+//!   form's 12. `level` is the entry's slot in the quality table below and
+//!   `dist` fills the low `k` bits. By Theorem 3 distance and quality both
+//!   rise strictly within a hub group, so the words rise strictly too, and
+//!   one column answers the quality filter, the minimum and the Theorem-3
+//!   search: for a constraint `w`, an entry qualifies iff its word is at
+//!   least `level(w) << k`, where `level(w)` is the first table slot whose
+//!   quality is `>= w`, and its distance is `word & (2^k - 1)`;
+//! * the quality table: the index's distinct entry qualities, strictly
+//!   ascending (the self labels' `∞` included), which maps a level back to
+//!   its quality;
 //! * the vertex order the index was built with, which maps a group key back
 //!   to its hub vertex.
 //!
@@ -44,9 +54,10 @@
 //! [`Flat::to_index`]) and answers are bit-identical to the nested index
 //! under both query implementations (enforced by `tests/flat.rs`). The nested
 //! label sets already key their hubs by rank, in the directory's order (see
-//! [`crate::label`]), so each direction is one copy pass: a group key *is*
-//! its entries' `hub`, and [`Flat::label_entries`] yields exactly the nested
-//! entries.
+//! [`crate::label`]), so each direction is one copy pass, after the freeze
+//! collects the quality table: a group key *is* its entries' `hub`, an
+//! entry's quality is `table[level]`, and [`Flat::label_entries`] yields
+//! exactly the nested entries.
 
 use crate::index::{QueryEngine, QueryImpl, WcIndex};
 use crate::label::{LabelEntry, LabelSet};
@@ -57,41 +68,78 @@ use wcsd_order::VertexOrder;
 /// Snapshot magic of the flat format ("WC Index, Flat").
 pub const WCIF_MAGIC: &[u8; 4] = b"WCIF";
 
-/// The `WCIF` format version: hub groups keyed and ordered by hub rank.
-/// Version 1 keyed them by hub id; such images are refused with a request to
-/// rebuild.
-pub const WCIF_VERSION: u32 = 2;
+/// The `WCIF` format version: hub groups keyed and ordered by hub rank, one
+/// packed word per entry. Version 1 keyed the groups by hub id and version 2
+/// stored separate distance and quality columns; both are refused with a
+/// request to rebuild.
+pub const WCIF_VERSION: u32 = 3;
 
 /// Words in the fixed `WCIF` header: magic, version, vertex / entry / group
-/// counts. The `entry_offsets` section starts right after it.
-const HEADER_WORDS: usize = 5;
+/// counts, the distance width `k` and the quality level count. The
+/// `entry_offsets` section starts right after it.
+const HEADER_WORDS: usize = 7;
 
-/// Where each section of a `WCIF` image with `n` vertices, `m` entries and
-/// `g` hub groups starts, in words.
+/// Bits a level index needs when the table holds `levels` qualities.
+fn level_bits(levels: usize) -> u32 {
+    usize::BITS - levels.saturating_sub(1).leading_zeros()
+}
+
+/// Whether `k` distance bits and the level bits of `levels` table slots fit
+/// one 32-bit entry word.
+fn fits_word(k: u32, levels: usize) -> bool {
+    k.checked_add(level_bits(levels)).is_some_and(|bits| bits <= 32)
+}
+
+/// Where each section of a `WCIF` image with `n` vertices, `m` entries, `g`
+/// hub groups and `levels` table slots starts, in words, and how its entry
+/// words split into level and distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Layout {
     n: usize,
     m: usize,
     g: usize,
+    levels: usize,
+    /// Width of an entry word's distance field, in bits.
+    k: u32,
+    /// The distance field, `2^k - 1`.
+    mask: u32,
     group_offsets: usize,
     group_keys: usize,
     group_starts: usize,
-    dists: usize,
-    qualities: usize,
+    entries: usize,
+    table: usize,
     order: usize,
 }
 
 impl Layout {
-    /// The section positions, or `None` when the image size overflows.
-    fn new(n: usize, m: usize, g: usize) -> Option<Self> {
+    /// The section positions, or `None` when the image size overflows or the
+    /// packed word cannot hold `k` distance bits beside the level bits.
+    fn new(n: usize, m: usize, g: usize, k: u32, levels: usize) -> Option<Self> {
+        if !fits_word(k, levels) {
+            return None;
+        }
         let group_offsets = HEADER_WORDS.checked_add(n)?.checked_add(1)?;
         let group_keys = group_offsets.checked_add(n)?.checked_add(1)?;
         let group_starts = group_keys.checked_add(g)?;
-        let dists = group_starts.checked_add(g)?;
-        let qualities = dists.checked_add(m)?;
-        let order = qualities.checked_add(m)?;
+        let entries = group_starts.checked_add(g)?;
+        let table = entries.checked_add(m)?;
+        let order = table.checked_add(levels)?;
         order.checked_add(n)?;
-        Some(Self { n, m, g, group_offsets, group_keys, group_starts, dists, qualities, order })
+        let mask = ((1u64 << k) - 1) as u32;
+        Some(Self {
+            n,
+            m,
+            g,
+            levels,
+            k,
+            mask,
+            group_offsets,
+            group_keys,
+            group_starts,
+            entries,
+            table,
+            order,
+        })
     }
 
     /// Length of the whole image in words.
@@ -122,43 +170,80 @@ pub type FlatIndex = Flat<Vec<[u8; 4]>>;
 pub type FlatView<'a> = Flat<&'a [[u8; 4]]>;
 
 impl FlatIndex {
-    /// Freezes a built [`WcIndex`] by writing its `WCIF` image directly, in
-    /// one copy pass: the nested sets are already rank-keyed and ascending,
-    /// so each hub group's `hub` is its directory key.
+    /// Freezes a built [`WcIndex`] by writing its `WCIF` image directly: one
+    /// pass collects the quality table and the largest distance, and one copy
+    /// pass packs the entries. The nested sets are already rank-keyed and
+    /// ascending, so each hub group's `hub` is its directory key.
     ///
     /// Lossless: [`Flat::to_index`] reconstructs an equal [`WcIndex`], and all
     /// queries return identical answers.
+    ///
+    /// # Panics
+    ///
+    /// When the index does not fit the format: see
+    /// [`FlatIndex::try_from_index`], whose error this panics with.
     pub fn from_index(index: &WcIndex) -> Self {
+        Self::try_from_index(index).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FlatIndex::from_index`], or an error when the index does not fit
+    /// the format: more than `u32::MAX` entries, or a largest distance and a
+    /// quality level count whose packed word would exceed 32 bits.
+    pub fn try_from_index(index: &WcIndex) -> Result<Self, String> {
         let labels = index.labels_all();
         let n = labels.len();
         let m = index.total_entries();
-        assert!(m <= u32::MAX as usize, "flat index arena limited to u32::MAX entries");
+        if m > u32::MAX as usize {
+            return Err(format!("{m} label entries exceed the flat arena's u32::MAX"));
+        }
         let g = labels.iter().map(LabelSet::num_groups).sum();
-        let at = Layout::new(n, m, g).expect("an in-memory index has a representable image");
+        let entries = || labels.iter().flat_map(|set| set.entries());
+        let mut table: Vec<Quality> = entries().map(|e| e.quality).collect();
+        table.sort_unstable();
+        table.dedup();
+        let max_dist = entries().map(|e| e.dist).max().unwrap_or(0);
+        if max_dist == INF_DIST {
+            return Err("a label entry has distance INF_DIST".to_string());
+        }
+        let k = u32::BITS - max_dist.leading_zeros();
+        if !fits_word(k, table.len()) {
+            return Err(format!(
+                "a packed WCIF entry needs {} bits ({} quality levels, largest distance \
+                 {max_dist}), above 32",
+                u64::from(k) + u64::from(level_bits(table.len())),
+                table.len()
+            ));
+        }
+        let at = Layout::new(n, m, g, k, table.len())
+            .expect("an in-memory index has a representable image");
         let mut flat = Self { words: vec![[0; 4]; at.words()], at };
         flat.words[0] = *WCIF_MAGIC;
-        for (i, word) in [WCIF_VERSION, n as u32, m as u32, g as u32].into_iter().enumerate() {
+        let header = [WCIF_VERSION, n as u32, m as u32, g as u32, k, table.len() as u32];
+        for (i, word) in header.into_iter().enumerate() {
             flat.set(1 + i, word);
         }
-        let (mut e, mut k) = (0, 0);
+        let (mut e, mut j) = (0, 0);
         for (v, set) in labels.iter().enumerate() {
             for (hub, group) in set.hub_groups() {
-                flat.set(at.group_keys + k, hub);
-                flat.set(at.group_starts + k, e as u32);
-                k += 1;
+                flat.set(at.group_keys + j, hub);
+                flat.set(at.group_starts + j, e as u32);
+                j += 1;
                 for entry in group {
-                    flat.set(at.dists + e, entry.dist);
-                    flat.set(at.qualities + e, entry.quality);
+                    let level = table.partition_point(|&q| q < entry.quality) as u64;
+                    flat.set(at.entries + e, (level << k | u64::from(entry.dist)) as u32);
                     e += 1;
                 }
             }
             flat.set(HEADER_WORDS + v + 1, e as u32);
-            flat.set(at.group_offsets + v + 1, k as u32);
+            flat.set(at.group_offsets + v + 1, j as u32);
         }
-        for (k, v) in index.order().iter().enumerate() {
-            flat.set(at.order + k, v);
+        for (level, &quality) in table.iter().enumerate() {
+            flat.set(at.table + level, quality);
         }
-        flat
+        for (rank, v) in index.order().iter().enumerate() {
+            flat.set(at.order + rank, v);
+        }
+        Ok(flat)
     }
 
     /// Decodes a `WCIF` snapshot produced by [`Flat::encode`]: the
@@ -198,26 +283,41 @@ impl<W: AsRef<[[u8; 4]]>> Flat<W> {
     /// Corrupt input is rejected with an error, never a panic.
     pub fn from_words(words: W) -> Result<Self, String> {
         let image = words.as_ref();
-        if image.len() < HEADER_WORDS {
+        if image.len() < 2 {
             return Err("buffer shorter than the WCIF header".to_string());
         }
         if &image[0] != WCIF_MAGIC {
             return Err(format!("bad magic {:?} (expected WCIF)", image[0]));
         }
         let header = |i: usize| u32::from_le_bytes(image[i]);
+        let retired = |what: &str| {
+            Err(format!(
+                "WCIF version {} ({what}) is retired; rebuild the index to write version \
+                 {WCIF_VERSION}",
+                header(1)
+            ))
+        };
         match header(1) {
             WCIF_VERSION => {}
-            1 => {
-                return Err("WCIF version 1 (hub-id group keys) is retired; \
-                            rebuild the index to write version 2"
-                    .to_string())
-            }
+            1 => return retired("hub-id group keys"),
+            2 => return retired("separate distance and quality columns"),
             version => {
                 return Err(format!("unsupported WCIF version {version} (expected {WCIF_VERSION})"))
             }
         }
+        if image.len() < HEADER_WORDS {
+            return Err("buffer shorter than the WCIF header".to_string());
+        }
         let (n, m, g) = (header(2) as usize, header(3) as usize, header(4) as usize);
-        let at = Layout::new(n, m, g).ok_or("section sizes overflow")?;
+        let (k, levels) = (header(5), header(6) as usize);
+        if !fits_word(k, levels) {
+            return Err(format!(
+                "{k} distance bits plus {} level bits for {levels} quality levels exceed the \
+                 32-bit entry word",
+                level_bits(levels)
+            ));
+        }
+        let at = Layout::new(n, m, g, k, levels).ok_or("section sizes overflow")?;
         if image.len() != at.words() {
             return Err(format!(
                 "image is {} words but the header implies {}",
@@ -282,8 +382,10 @@ impl<W: AsRef<[[u8; 4]]>> Flat<W> {
         let st = self.view();
         (st.group_offset(v as usize)..st.group_offset(v as usize + 1)).flat_map(move |g| {
             let hub = st.group_key(g);
-            (st.group_start(g)..st.group_end(g, v))
-                .map(move |e| LabelEntry::new(hub, st.dist(e), st.quality(e)))
+            (st.group_start(g)..st.group_end(g, v)).map(move |e| {
+                let word = st.entry(e);
+                LabelEntry::new(hub, st.dist_of(word), st.quality_at(st.level_of(word)))
+            })
         })
     }
 
@@ -395,14 +497,54 @@ impl FlatView<'_> {
         self.word(self.at.group_starts + g) as usize
     }
 
+    /// The packed word of entry `e`: `level << k | dist`.
     #[inline]
-    pub(crate) fn dist(&self, e: usize) -> Distance {
-        self.word(self.at.dists + e)
+    pub(crate) fn entry(&self, e: usize) -> u32 {
+        self.word(self.at.entries + e)
     }
 
+    /// The distance field of an entry word.
     #[inline]
-    pub(crate) fn quality(&self, e: usize) -> Quality {
-        self.word(self.at.qualities + e)
+    pub(crate) fn dist_of(&self, word: u32) -> Distance {
+        word & self.at.mask
+    }
+
+    /// The mask of an entry word's distance field.
+    #[inline]
+    pub(crate) fn mask(&self) -> u32 {
+        self.at.mask
+    }
+
+    /// The level field of an entry word: its slot in the quality table.
+    #[inline]
+    fn level_of(&self, word: u32) -> usize {
+        word.checked_shr(self.at.k).unwrap_or(0) as usize
+    }
+
+    /// The quality of table slot `level`.
+    #[inline]
+    fn quality_at(&self, level: usize) -> Quality {
+        self.word(self.at.table + level)
+    }
+
+    /// The smallest entry word that satisfies constraint `w`: `level(w) << k`,
+    /// where `level(w)` is the first table slot whose quality is `>= w`. An
+    /// entry qualifies iff its word is at least this. `None` when no quality
+    /// in the index reaches `w`, so no entry qualifies.
+    #[inline]
+    pub(crate) fn threshold(&self, w: Quality) -> Option<u32> {
+        let (mut lo, mut len) = (0, self.at.levels);
+        while len > 0 {
+            let half = len / 2;
+            if self.quality_at(lo + half) < w {
+                lo += half + 1;
+                len -= half + 1;
+            } else {
+                len = half;
+            }
+        }
+        // `lo < levels <= 2^(32 - k)`, so the shifted level fits 32 bits.
+        (lo < self.at.levels).then(|| ((lo as u64) << self.at.k) as u32)
     }
 
     /// The vertex at position `k` of the order.
@@ -423,25 +565,31 @@ impl FlatView<'_> {
         }
     }
 
-    /// Best-effort prefetch of entry `e`'s column words, issued by the merge
-    /// kernels one group ahead of use. The crate forbids `unsafe`, which
-    /// rules out the `_mm_prefetch` intrinsic, so this is a *touch* rather
-    /// than a hint: one real read per column through
-    /// [`std::hint::black_box`] pulls the cache lines exactly as a hardware
-    /// prefetch would, at the cost of occupying a load slot.
+    /// Best-effort prefetch of entry `e`'s word, issued by the merge kernels
+    /// one group ahead of use. The crate forbids `unsafe`, which rules out
+    /// the `_mm_prefetch` intrinsic, so this is a *touch* rather than a hint:
+    /// one real read through [`std::hint::black_box`] pulls the cache line
+    /// exactly as a hardware prefetch would, at the cost of occupying a load
+    /// slot.
     #[inline]
     pub(crate) fn prefetch_entry(&self, e: usize) {
-        std::hint::black_box(self.dist(e));
-        std::hint::black_box(self.quality(e));
+        std::hint::black_box(self.entry(e));
     }
 
-    /// The structural validation pass behind every reader: offset
-    /// monotonicity, group/entry consistency, group keys inside `0..n`, the
-    /// Theorem-3 within-group ordering that makes every query binary search
-    /// sound, and the vertex order. One linear pass over the directory and
-    /// arena, run in place on the image.
+    /// The structural validation pass behind every reader: a strictly
+    /// ascending quality table, offset monotonicity, group/entry
+    /// consistency, group keys inside `0..n`, entry levels inside the table
+    /// and distances below [`INF_DIST`], the Theorem-3 within-group ordering
+    /// (level and distance each rising strictly) that makes every query
+    /// binary search sound, and the vertex order. One linear pass over the
+    /// directory and arena, run in place on the image.
     fn validate(&self) -> Result<(), String> {
-        let Layout { n, m, g, .. } = self.at;
+        let Layout { n, m, g, levels, .. } = self.at;
+        for level in 1..levels {
+            if self.quality_at(level - 1) >= self.quality_at(level) {
+                return Err(format!("quality table is not strictly ascending at level {level}"));
+            }
+        }
         if self.entry_offset(0) != 0 || self.group_offset(0) != 0 {
             return Err("offsets must start at 0".to_string());
         }
@@ -481,12 +629,25 @@ impl FlatView<'_> {
                     return Err(format!("group keys of vertex {v} are not strictly ascending"));
                 }
                 prev_key = Some(key);
-                for e in start + 1..end {
-                    if !(self.dist(e - 1) < self.dist(e) && self.quality(e - 1) < self.quality(e)) {
+                let mut prev: Option<(usize, Distance)> = None;
+                for e in start..end {
+                    let word = self.entry(e);
+                    let (level, dist) = (self.level_of(word), self.dist_of(word));
+                    if level >= levels {
+                        return Err(format!(
+                            "entry {e} of vertex {v} has quality level {level} outside the \
+                             {levels}-level table"
+                        ));
+                    }
+                    if dist == INF_DIST {
+                        return Err(format!("entry {e} of vertex {v} has distance INF_DIST"));
+                    }
+                    if prev.is_some_and(|(pl, pd)| pl >= level || pd >= dist) {
                         return Err(format!(
                             "entries of vertex {v}, group key {key} violate the Theorem-3 ordering"
                         ));
                     }
+                    prev = Some((level, dist));
                 }
             }
         }
@@ -536,37 +697,38 @@ pub(crate) fn advance_to_key(st: &FlatView<'_>, i: usize, hi: usize, target: u32
     }
 }
 
-/// Minimal distance among the entries of group `g` (of vertex `v`) with
-/// quality at least `w`. Groups of 1–2 entries — the overwhelming majority on
-/// road-shaped labels — are answered by direct probes (Theorem-3 ordering
-/// makes the first qualifying entry the minimum); larger groups run the
-/// Theorem-3 binary search over the dense `qualities` column. The probe win
-/// is pinned by the `kernels` criterion group.
+/// Minimal distance among the entries of group `g` (of vertex `v`) that
+/// qualify, i.e. whose word is at least `threshold` (see
+/// [`FlatView::threshold`]). Groups of 1–2 entries — the overwhelming
+/// majority on road-shaped labels — are answered by direct probes (Theorem-3
+/// ordering makes the first qualifying entry the minimum); larger groups run
+/// the Theorem-3 binary search over the entry words. The probe win is pinned
+/// by the `kernels` criterion group.
 #[inline]
-fn min_dist_in_group(st: &FlatView<'_>, g: usize, v: VertexId, w: Quality) -> Option<Distance> {
+fn min_dist_in_group(st: &FlatView<'_>, g: usize, v: VertexId, threshold: u32) -> Option<Distance> {
     let end = st.group_end(g, v);
     let mut lo = st.group_start(g);
     let mut len = end - lo;
     if len <= 2 {
-        if len >= 1 && st.quality(lo) >= w {
-            return Some(st.dist(lo));
+        if len >= 1 && st.entry(lo) >= threshold {
+            return Some(st.dist_of(st.entry(lo)));
         }
-        if len == 2 && st.quality(lo + 1) >= w {
-            return Some(st.dist(lo + 1));
+        if len == 2 && st.entry(lo + 1) >= threshold {
+            return Some(st.dist_of(st.entry(lo + 1)));
         }
         return None;
     }
     while len > 0 {
         let half = len / 2;
         let mid = lo + half;
-        if st.quality(mid) < w {
+        if st.entry(mid) < threshold {
             lo = mid + 1;
             len -= half + 1;
         } else {
             len = half;
         }
     }
-    (lo < end).then(|| st.dist(lo))
+    (lo < end).then(|| st.dist_of(st.entry(lo)))
 }
 
 /// `Query⁺` over the flat form: merge the two *group directories* (one record
@@ -575,6 +737,9 @@ fn min_dist_in_group(st: &FlatView<'_>, g: usize, v: VertexId, w: Quality) -> Op
 /// [`QueryImpl::Merge`], against which the parity suites and the Exp 12
 /// guard check the default chunked kernel.
 fn merge_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
+    let Some(threshold) = st.threshold(w) else {
+        return INF_DIST;
+    };
     let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
@@ -587,7 +752,7 @@ fn merge_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distan
             j = advance_to_key(st, j, j_end, ka);
         } else {
             if let (Some(da), Some(db)) =
-                (min_dist_in_group(st, i, s, w), min_dist_in_group(st, j, t, w))
+                (min_dist_in_group(st, i, s, threshold), min_dist_in_group(st, j, t, threshold))
             {
                 best = best.min(da.saturating_add(db));
             }
@@ -687,19 +852,94 @@ mod tests {
     }
 
     #[test]
-    fn hot_layout_snapshots_as_wcif_v2() {
+    fn hot_layout_snapshots_as_wcif_v3() {
         let (_, flat) = sample();
         let bytes = flat.encode();
         assert_eq!(bytes[4], WCIF_VERSION as u8, "version word");
         assert_eq!(FlatIndex::decode(&bytes).unwrap(), flat);
         assert_eq!(FlatView::parse(&bytes).unwrap(), flat.view());
-        // A version-1 image (hub-id keys) is refused with a request to
-        // rebuild, by both readers.
-        let mut v1 = bytes.to_vec();
-        v1[4] = 1;
-        let err = FlatIndex::decode(&v1).unwrap_err();
-        assert!(err.contains("rebuild"), "unexpected error: {err}");
-        assert!(FlatView::parse(&v1).is_err());
+        // A version-1 image (hub-id keys) and a version-2 image (separate
+        // distance and quality columns) are refused with a request to
+        // rebuild, by all three readers.
+        for retired in [1, 2] {
+            let mut old = bytes.to_vec();
+            old[4] = retired;
+            let words = old.as_chunks::<4>().0.to_vec();
+            for err in [
+                FlatIndex::decode(&old).unwrap_err(),
+                FlatView::parse(&old).unwrap_err(),
+                FlatIndex::from_words(words).unwrap_err(),
+            ] {
+                assert!(err.contains("rebuild"), "version {retired}: {err}");
+            }
+        }
+    }
+
+    /// A labelling whose one non-self entry has distance `dist` and a
+    /// quality of its own, so its table holds two levels (one level bit).
+    fn two_level_index(dist: Distance) -> WcIndex {
+        let labels = vec![
+            LabelSet::from_sorted(vec![LabelEntry::self_label(0)]),
+            LabelSet::from_sorted(vec![LabelEntry::new(0, dist, 1), LabelEntry::self_label(1)]),
+        ];
+        WcIndex::from_parts(labels, VertexOrder::from_permutation(vec![0, 1]))
+    }
+
+    #[test]
+    fn packed_words_up_to_32_bits_fit_and_wider_ones_are_refused() {
+        // 31 distance bits + 1 level bit: exactly one word.
+        let largest = (1 << 31) - 1;
+        let flat = FlatIndex::try_from_index(&two_level_index(largest)).expect("32 bits fit");
+        assert_eq!(flat.distance(1, 0, 1), Some(largest));
+        assert_eq!(FlatIndex::decode(&flat.encode()).unwrap(), flat);
+        // 32 distance bits + 1 level bit: refused, naming both inputs.
+        let err = FlatIndex::try_from_index(&two_level_index(1 << 31)).unwrap_err();
+        assert!(err.contains("33 bits") && err.contains("2 quality levels"), "{err}");
+        assert!(err.contains(&format!("largest distance {}", 1u32 << 31)), "{err}");
+        let panic = std::panic::catch_unwind(|| FlatIndex::from_index(&two_level_index(1 << 31)));
+        assert!(panic.is_err(), "from_index must refuse what does not fit");
+    }
+
+    /// A 1-vertex image with distance width `k`, quality `table` and one
+    /// group of key 0 holding the packed `entries`; the order is `[0]`.
+    fn raw_image(k: u32, table: &[u32], entries: &[u32]) -> Vec<u8> {
+        let (m, g) = (entries.len() as u32, 1);
+        let header =
+            [u32::from_le_bytes(*WCIF_MAGIC), WCIF_VERSION, 1, m, g, k, table.len() as u32];
+        let (offsets, directory) = ([0, m, 0, g], [0, 0]);
+        let words = [&header[..], &offsets, &directory, entries, table, &[0]].concat();
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Each fault of the packed arena is refused by name.
+    #[test]
+    fn decode_names_packed_word_faults() {
+        const INF: u32 = u32::MAX;
+        let err = |image: Vec<u8>| FlatIndex::decode(&image).unwrap_err();
+        assert!(FlatIndex::decode(&raw_image(4, &[1, INF], &[1, 1 << 4 | 2])).is_ok());
+        // An entry level outside the table.
+        let e = err(raw_image(4, &[1, INF], &[1, 2 << 4 | 2]));
+        assert!(e.contains("level 2 outside the 2-level table"), "{e}");
+        // A distance field of INF_DIST (only a 32-bit field can hold one).
+        let e = err(raw_image(32, &[INF], &[INF]));
+        assert!(e.contains("INF_DIST"), "{e}");
+        // A quality table that does not strictly ascend.
+        for table in [[5, 3], [3, 3]] {
+            let e = err(raw_image(4, &table, &[1, 1 << 4 | 2]));
+            assert!(e.contains("not strictly ascending"), "{e}");
+        }
+        // `k` plus the level bits above 32, including a `k` that would
+        // overflow the sum.
+        for (k, table) in [(32, &[1, INF][..]), (31, &[1, 2, INF]), (33, &[INF]), (INF, &[INF])] {
+            let e = err(raw_image(k, table, &[0]));
+            assert!(e.contains("exceed the 32-bit entry word"), "k = {k}: {e}");
+        }
+        // Rising words are not enough: equal distance with a rising level,
+        // and a rising distance with an equal level, both break Theorem 3.
+        for entries in [[2, 1 << 4 | 2], [1, 2]] {
+            let e = err(raw_image(4, &[1, INF], &entries));
+            assert!(e.contains("Theorem-3"), "{entries:?}: {e}");
+        }
     }
 
     #[test]
@@ -779,14 +1019,18 @@ mod tests {
             .find(|&(v, g)| st.group_end(g, v as VertexId) - st.group_start(g) >= 2)
             .map(|(_, g)| st.group_start(g))
             .expect("the paper index has multi-entry hub groups");
-        let (dists, qualities) = (flat.at.dists + lo, flat.at.qualities + lo);
+        let entries = flat.at.entries + lo;
         let mut tampered = flat.clone();
-        tampered.words.swap(dists, dists + 1);
-        tampered.words.swap(qualities, qualities + 1);
+        tampered.words.swap(entries, entries + 1);
         assert!(FlatIndex::decode(&tampered.encode()).is_err());
-        // A flipped quality alone (dist still ascending) is equally rejected.
+        // Rising words alone are not enough: the second entry keeps its
+        // distance but takes the first one's level, so the level no longer
+        // rises while the word still does.
+        let (first, second) = (st.entry(lo), st.entry(lo + 1));
+        let level_of_first = first & !flat.at.mask;
         let mut tampered = flat.clone();
-        tampered.words.swap(qualities, qualities + 1);
+        tampered.set(entries + 1, level_of_first | st.dist_of(second));
+        assert!(st.dist_of(first) < st.dist_of(second));
         assert!(FlatIndex::decode(&tampered.encode()).is_err());
     }
 

@@ -224,20 +224,25 @@ mod tests {
     }
 
     /// A 1-vertex `WCIF` image: `L(v0)` as `(key, [(dist, quality)])` groups
-    /// in directory order, then the one order word.
+    /// in directory order, packed as the writer packs them, then the one
+    /// order word.
     fn one_vertex_image(groups: &[(u32, &[(u32, u32)])], order: u32) -> Vec<u8> {
-        let (mut hubs, mut starts, mut dists, mut qualities) = (vec![], vec![], vec![], vec![]);
+        let pairs = || groups.iter().flat_map(|&(_, entries)| entries);
+        let mut table: Vec<u32> = pairs().map(|&(_, q)| q).collect();
+        table.sort_unstable();
+        table.dedup();
+        let k = u32::BITS - pairs().map(|&(d, _)| d).max().unwrap_or(0).leading_zeros();
+        let (mut hubs, mut starts, mut words) = (vec![], vec![], vec![]);
         for &(hub, entries) in groups {
             hubs.push(hub);
-            starts.push(dists.len() as u32);
+            starts.push(words.len() as u32);
             for &(d, q) in entries {
-                dists.push(d);
-                qualities.push(q);
+                words.push((table.partition_point(|&t| t < q) as u32) << k | d);
             }
         }
-        let (m, g) = (dists.len() as u32, hubs.len() as u32);
-        let header = [u32::from_le_bytes(*b"WCIF"), 2, 1, m, g, 0, m, 0, g];
-        let words = [&header[..], &hubs, &starts, &dists, &qualities, &[order]].concat();
+        let (m, g, levels) = (words.len() as u32, hubs.len() as u32, table.len() as u32);
+        let header = [u32::from_le_bytes(*b"WCIF"), 3, 1, m, g, k, levels, 0, m, 0, g];
+        let words = [&header[..], &hubs, &starts, &words, &table, &[order]].concat();
         words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 

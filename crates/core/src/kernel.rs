@@ -6,22 +6,29 @@
 //! default implementation). Two kernels, both bit-identical to the scalar
 //! reference `Query⁺` merge (enforced by `tests/kernels.rs`):
 //!
-//! * **Chunked masked-min** ([`masked_min_chunked`] and the store-generic
-//!   group-min behind [`QueryImpl::Chunked`](crate::index::QueryImpl)): the
-//!   matched-hub step scans the `dists`/`qualities` columns in fixed-width
-//!   [`LANES`]-wide chunks with a scalar tail. Each lane computes
-//!   `dist | ((quality >= w) as u32).wrapping_sub(1)` — a filtered entry
+//! * **Chunked masked-min** ([`masked_min_chunked`] and the group-min over
+//!   the image behind [`QueryImpl::Chunked`](crate::index::QueryImpl)): the
+//!   matched-hub step scans the group in fixed-width [`LANES`]-wide chunks
+//!   with a scalar tail. In the `WCIF` image an entry is one packed word
+//!   `level << k | dist` (see [`crate::flat`]), 4 bytes, and a query turns
+//!   its constraint `w` into one word threshold `level(w) << k` up front, so
+//!   each lane computes `(word & mask) | ((word >= threshold) as
+//!   u32).wrapping_sub(1)` — one column read per entry. A filtered entry
 //!   becomes `u32::MAX`, which **is** [`INF_DIST`], so a plain unsigned `min`
 //!   over the masked lanes yields exactly the Theorem-3 answer (within a
-//!   group, distance and quality both ascend strictly, so the first entry
-//!   with `quality >= w` carries the minimal distance — and every later
+//!   group, distance and quality both ascend strictly, so the first
+//!   qualifying entry carries the minimal distance — and every later
 //!   qualifying entry is farther). No branches, no `Option`, and rustc
-//!   autovectorizes the lane loop.
+//!   autovectorizes the lane loop. The slice-level kernels keep the
+//!   two-column form, `dist | ((quality >= w) as u32).wrapping_sub(1)` over
+//!   separate `dists`/`qualities` slices.
 //! * **Crossover dispatch** ([`group_min`]): 1–2-entry groups (the common
 //!   road-network case) are answered by direct probes, groups up to
 //!   [`CHUNK_CROSSOVER`] entries by the chunked scan, and only larger groups
 //!   keep the Theorem-3 binary search — a linear scan of a few cache lines
 //!   beats `log n` dependent branchy probes until the group outgrows them.
+//!   Over the image, probes and search compare entry words with the
+//!   threshold directly: the words of a group rise strictly.
 //!
 //! The slice-level kernels ([`masked_min_scalar`], [`masked_min_chunked`],
 //! [`theorem3_min`], [`group_min`]) are public so the criterion benches can
@@ -121,37 +128,46 @@ pub fn group_min(dists: &[u32], qualities: &[u32], w: Quality) -> Distance {
     }
 }
 
-/// [`group_min`] over the arena range `start..end` of the image: the same
-/// probe / chunked / search dispatch written against the [`FlatView`] word
-/// accessors.
+/// [`group_min`] over the arena range `start..end` of the image, on packed
+/// entry words: the same probe / chunked / search dispatch, where an entry
+/// qualifies iff its word is at least `threshold` (see
+/// [`FlatView::threshold`]) and its distance is `word & mask`. Within a group
+/// the words rise strictly, so the search runs on them directly.
 #[inline]
-pub(crate) fn group_min_flat(st: &FlatView<'_>, start: usize, end: usize, w: Quality) -> Distance {
+pub(crate) fn group_min_flat(
+    st: &FlatView<'_>,
+    start: usize,
+    end: usize,
+    threshold: u32,
+) -> Distance {
     let len = end - start;
+    let mask = st.mask();
     if len <= 2 {
         // Direct probes: by Theorem-3 ordering the first qualifying entry is
         // the minimum, so 1–2-entry groups need no loop machinery at all.
-        if len >= 1 && st.quality(start) >= w {
-            return st.dist(start);
+        if len >= 1 && st.entry(start) >= threshold {
+            return st.entry(start) & mask;
         }
-        if len == 2 && st.quality(start + 1) >= w {
-            return st.dist(start + 1);
+        if len == 2 && st.entry(start + 1) >= threshold {
+            return st.entry(start + 1) & mask;
         }
         return INF_DIST;
     }
     if len <= CHUNK_CROSSOVER {
+        // A filtered entry becomes `u32::MAX` = `INF_DIST`; a kept one its
+        // distance field, which validation keeps below `INF_DIST`.
+        let masked = |word: u32| (word & mask) | ((word >= threshold) as u32).wrapping_sub(1);
         let mut lanes = [INF_DIST; LANES];
         let mut e = start;
         while e + LANES <= end {
             for (l, lane) in lanes.iter_mut().enumerate() {
-                let keep = (st.quality(e + l) >= w) as u32;
-                *lane = (*lane).min(st.dist(e + l) | keep.wrapping_sub(1));
+                *lane = (*lane).min(masked(st.entry(e + l)));
             }
             e += LANES;
         }
         let mut best = lanes.iter().fold(INF_DIST, |b, &lane| b.min(lane));
         while e < end {
-            let keep = (st.quality(e) >= w) as u32;
-            best = best.min(st.dist(e) | keep.wrapping_sub(1));
+            best = best.min(masked(st.entry(e)));
             e += 1;
         }
         return best;
@@ -160,7 +176,7 @@ pub(crate) fn group_min_flat(st: &FlatView<'_>, start: usize, end: usize, w: Qua
     while span > 0 {
         let half = span / 2;
         let mid = lo + half;
-        if st.quality(mid) < w {
+        if st.entry(mid) < threshold {
             lo = mid + 1;
             span -= half + 1;
         } else {
@@ -168,7 +184,7 @@ pub(crate) fn group_min_flat(st: &FlatView<'_>, start: usize, end: usize, w: Qua
         }
     }
     if lo < end {
-        st.dist(lo)
+        st.entry(lo) & mask
     } else {
         INF_DIST
     }
@@ -178,8 +194,12 @@ pub(crate) fn group_min_flat(st: &FlatView<'_>, start: usize, end: usize, w: Qua
 /// directory merge of `crate::flat::merge_flat`, but every matched group goes
 /// through [`group_min_flat`] and the two per-hub minima combine branch-free
 /// — [`INF_DIST`] saturates through `saturating_add` and loses every unsigned
-/// `min`, so the unreachable cases need no `Option` plumbing.
+/// `min`, so the unreachable cases need no `Option` plumbing. A constraint
+/// no quality in the index reaches answers [`INF_DIST`] before the merge.
 pub(crate) fn merge_chunked(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distance {
+    let Some(threshold) = st.threshold(w) else {
+        return INF_DIST;
+    };
     let (mut i, i_end) = (st.group_offset(s as usize), st.group_offset(s as usize + 1));
     let (mut j, j_end) = (st.group_offset(t as usize), st.group_offset(t as usize + 1));
     let mut best = INF_DIST;
@@ -187,13 +207,13 @@ pub(crate) fn merge_chunked(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Qual
         let ka = st.group_key(i);
         let kb = st.group_key(j);
         if ka == kb {
-            let da = group_min_flat(st, st.group_start(i), st.group_end(i, s), w);
+            let da = group_min_flat(st, st.group_start(i), st.group_end(i, s), threshold);
             // The t side only matters when the s side qualified; skipping it
             // otherwise saves a group scan on every quality-filtered hub.
             if da != INF_DIST {
-                // Pull t's columns toward the cache before its minimum runs.
+                // Pull t's entry words toward the cache before its minimum runs.
                 st.prefetch_entry(st.group_start(j));
-                let db = group_min_flat(st, st.group_start(j), st.group_end(j, t), w);
+                let db = group_min_flat(st, st.group_start(j), st.group_end(j, t), threshold);
                 best = best.min(da.saturating_add(db));
             }
             i += 1;

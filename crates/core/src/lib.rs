@@ -15,9 +15,10 @@
 //!   statistics and minimality verification; its snapshot is the `WCIF`
 //!   image of [`flat::FlatIndex`].
 //! * [`flat::Flat`] — the read-optimized *serve* representation, stored as
-//!   its own versioned `WCIF` snapshot image: a struct-of-arrays entry arena
-//!   under a CSR per-vertex hub-group directory, keyed and ordered by hub
-//!   rank. One type over two word
+//!   its own versioned `WCIF` snapshot image: an arena of one packed
+//!   `level << k | dist` word per entry, beside a table of the index's
+//!   distinct qualities, under a CSR per-vertex hub-group directory, keyed
+//!   and ordered by hub rank. One type over two word
 //!   backings: the owned [`flat::FlatIndex`] and the borrowed
 //!   [`flat::FlatView`], which answers from the encoded bytes in place.
 //!   Lossless conversion from/to [`index::WcIndex`], bit-identical answers.
@@ -26,7 +27,8 @@
 //!   kept for the Section IV.C ablation.
 //! * [`kernel`] — branch-free chunked column kernels behind
 //!   [`index::QueryImpl::Chunked`], the default query implementation:
-//!   masked-min lane loops over the flat `dists`/`qualities` columns with a
+//!   masked-min lane loops over the flat index's packed entry words (one
+//!   column, filtered by one word threshold per query) with a
 //!   probe/chunk/search crossover, bit-identical to the `Query⁺` merge.
 //! * [`overlay`] — the boundary-vertex overlay composing per-shard answers
 //!   into exact whole-graph answers ([`overlay::ShardedIndex`], the `WCSO`

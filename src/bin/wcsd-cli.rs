@@ -284,7 +284,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let start = std::time::Instant::now();
             let index = IndexBuilder::new().ordering(ordering).build(&graph);
             let stats = index.stats();
-            std::fs::write(index_path, FlatIndex::from_index(&index).encode())
+            let flat =
+                FlatIndex::try_from_index(&index).map_err(|e| format!("cannot freeze: {e}"))?;
+            std::fs::write(index_path, flat.encode())
                 .map_err(|e| format!("cannot write {index_path}: {e}"))?;
             println!(
                 "built WCIF index for {} vertices / {} edges in {:.2?}: {} entries ({:.2} per vertex, {:.3} MiB) -> {index_path}",
@@ -513,7 +515,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
             for shard in 0..shards as u32 {
                 let sub = partition.shard_subgraph(&graph, shard);
                 let index = IndexBuilder::new().ordering(ordering).build(&sub);
-                let flat = FlatIndex::from_index(&index);
+                let flat = FlatIndex::try_from_index(&index)
+                    .map_err(|e| format!("cannot freeze shard {shard}: {e}"))?;
                 let path = out.join(format!("shard-{shard}.fidx"));
                 std::fs::write(&path, flat.encode())
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;

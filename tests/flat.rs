@@ -184,6 +184,91 @@ fn wcif_corruption_never_panics() {
     }
 }
 
+/// Reads `image` through all three `WCIF` readers, which must accept and
+/// reject exactly the same inputs and agree on what they accept.
+fn read_all_ways(image: &[u8]) -> Option<FlatIndex> {
+    let decoded = FlatIndex::decode(image);
+    let parsed = FlatView::parse(image).map(|view| view.to_owned());
+    let words = FlatIndex::from_words(image.as_chunks::<4>().0.to_vec());
+    assert_eq!(decoded.is_ok(), parsed.is_ok(), "decode and parse disagree");
+    assert_eq!(decoded.is_ok(), words.is_ok(), "decode and from_words disagree");
+    let decoded = decoded.ok()?;
+    assert_eq!(Some(&decoded), parsed.ok().as_ref());
+    assert_eq!(Some(&decoded), words.ok().as_ref());
+    Some(decoded)
+}
+
+/// Structure-aware mutation of a packed `WCIF` image: every word XORed with
+/// each of `flips`, and every whole-word truncation. Each mutant is refused
+/// by all three readers, or is an index that answers every `(s, t, w)` with
+/// `w` in `0..=max_q + 1` without a panic. Returns how many mutants survive.
+///
+/// A query reads the header, the quality table and the directory and entries
+/// of its two vertices, so a mutant of one word in the per-vertex sections
+/// can only reach queries naming a vertex whose labels it changed: those are
+/// all asked. A surviving mutant of the header, the table or the order asks
+/// every pair.
+fn mutants_are_refused_or_answer(g: &Graph, flips: &[u32]) -> usize {
+    let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(g));
+    let image = flat.encode().to_vec();
+    let words = image.len() / 4;
+    let n = flat.num_vertices();
+    let max_q = g.distinct_qualities().last().copied().unwrap_or(0);
+    // Words before the table are the header, the offsets, the directory and
+    // the entries; the table and the order follow.
+    let table_start = 7 + 2 * (n + 1) + 2 * flat.num_groups() + flat.total_entries();
+    let labels: Vec<Vec<_>> = (0..n as u32).map(|v| flat.label_entries(v).collect()).collect();
+    for cut in 0..words {
+        assert!(read_all_ways(&image[..4 * cut]).is_none(), "{cut}-word prefix accepted");
+    }
+    let mut survivors = 0;
+    for i in 0..words {
+        for &flip in flips {
+            let mut mutant = image.clone();
+            let word = u32::from_le_bytes(mutant[4 * i..4 * i + 4].try_into().unwrap());
+            mutant[4 * i..4 * i + 4].copy_from_slice(&(word ^ flip).to_le_bytes());
+            let Some(index) = read_all_ways(&mutant) else { continue };
+            survivors += 1;
+            let shared = i < 7 || i >= table_start;
+            for v in 0..n as u32 {
+                if !shared && index.label_entries(v).eq(labels[v as usize].iter().copied()) {
+                    continue;
+                }
+                for other in 0..n as u32 {
+                    for w in 0..=max_q + 1 {
+                        index.distance(v, other, w);
+                        index.distance(other, v, w);
+                    }
+                }
+            }
+        }
+    }
+    survivors
+}
+
+/// The figure-3 image under every flip: low distance bits survive.
+#[test]
+fn figure3_wcif_mutants_are_refused_or_answer() {
+    let flips = [0x1, 0x100, 0x8000_0000, 0xFFFF_FFFF];
+    assert!(mutants_are_refused_or_answer(&paper_figure3(), &flips) > 0);
+}
+
+/// The smoke fixture's image under a low distance bit and a level bit.
+#[test]
+fn fixture_wcif_low_bit_mutants_are_refused_or_answer() {
+    let g = wcsd::graph::io::read_graph_file("tests/fixtures/smoke.edges", false)
+        .expect("fixture graph must load");
+    assert!(mutants_are_refused_or_answer(&g, &[0x1, 0x100]) > 0);
+}
+
+/// The smoke fixture's image under the top bit and all bits.
+#[test]
+fn fixture_wcif_high_bit_mutants_are_refused_or_answer() {
+    let g = wcsd::graph::io::read_graph_file("tests/fixtures/smoke.edges", false)
+        .expect("fixture graph must load");
+    mutants_are_refused_or_answer(&g, &[0x8000_0000, 0xFFFF_FFFF]);
+}
+
 /// A group key outside `0..n` is rejected by both readers. Ascending keys
 /// alone do not catch it, and `label_entries` would later index the vertex
 /// order with it.
@@ -193,8 +278,9 @@ fn wcif_rejects_group_keys_outside_the_vertex_range() {
     let bytes = flat.encode().to_vec();
     let header = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
     let (n, g) = (header(2) as usize, header(4) as usize);
-    // The last key of the last vertex: raising it keeps keys ascending.
-    let last_key = 4 * (5 + 2 * (n + 1) + g - 1);
+    // The last key of the last vertex (after the 7-word header and the two
+    // offset sections): raising it keeps keys ascending.
+    let last_key = 4 * (7 + 2 * (n + 1) + g - 1);
     for key in [n as u32, 1000] {
         let mut corrupt = bytes.clone();
         corrupt[last_key..last_key + 4].copy_from_slice(&key.to_le_bytes());
@@ -256,6 +342,38 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
+/// FNV-1a over what the labels say, apart from how the image stores them:
+/// every vertex's `(v, hub, dist, quality)` tuples from `label_entries`, in
+/// directory order, then the vertex order.
+fn label_hash(flat: &FlatIndex) -> u64 {
+    let mut bytes = Vec::new();
+    for v in 0..flat.num_vertices() as u32 {
+        for e in flat.label_entries(v) {
+            for word in [v, e.hub, e.dist, e.quality] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+    }
+    for v in flat.order().iter() {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    fnv1a_64(&bytes)
+}
+
+/// Golden labels of the fixture build and of the `social-point` graph: any
+/// image layout must show exactly these entries, so a format change that
+/// moves the image hashes below must leave these two constants alone.
+#[test]
+fn golden_builds_keep_their_labels() {
+    let fixture = wcsd::graph::io::read_graph_file("tests/fixtures/smoke.edges", false)
+        .expect("fixture graph must load");
+    let idx = IndexBuilder::new().ordering(OrderingStrategy::Hybrid).build(&fixture);
+    assert_eq!(label_hash(&FlatIndex::from_index(&idx)), 0xb869_ba20_db62_165e, "fixture labels");
+    let social = barabasi_albert(2000, 5, &QualityAssigner::uniform(5), 1);
+    let idx = IndexBuilder::wc_index_plus().build(&social);
+    assert_eq!(label_hash(&FlatIndex::from_index(&idx)), 0x5535_1a8a_37d1_49ab, "social labels");
+}
+
 /// Golden snapshot: the fixture graph built the way `wcsd-cli build` builds
 /// it (hybrid order, WC-INDEX+) encodes to exactly these `WCIF` bytes. Any
 /// change to the construction sweep, the vertex order or the image layout
@@ -266,7 +384,7 @@ fn fixture_build_matches_golden_wcif_hash() {
         .expect("fixture graph must load");
     let idx = IndexBuilder::new().ordering(OrderingStrategy::Hybrid).build(&g);
     let bytes = FlatIndex::from_index(&idx).encode();
-    assert_eq!(fnv1a_64(&bytes), 0x665c_064b_cbbf_2402, "WCIF image of {} bytes", bytes.len());
+    assert_eq!(fnv1a_64(&bytes), 0xcb7a_be85_5ed8_ff7b, "WCIF image of {} bytes", bytes.len());
 }
 
 /// Golden snapshot of the `social-point` graph, seed-1
@@ -278,5 +396,5 @@ fn fixture_build_matches_golden_wcif_hash() {
 fn social_build_matches_golden_wcif_hash() {
     let g = barabasi_albert(2000, 5, &QualityAssigner::uniform(5), 1);
     let bytes = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g)).encode();
-    assert_eq!(fnv1a_64(&bytes), 0x0f90_a1a2_f2d4_30ff, "WCIF image of {} bytes", bytes.len());
+    assert_eq!(fnv1a_64(&bytes), 0xbd9d_e9c3_c599_b10e, "WCIF image of {} bytes", bytes.len());
 }
