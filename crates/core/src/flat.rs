@@ -509,12 +509,6 @@ impl FlatView<'_> {
         word & self.at.mask
     }
 
-    /// The mask of an entry word's distance field.
-    #[inline]
-    pub(crate) fn mask(&self) -> u32 {
-        self.at.mask
-    }
-
     /// The level field of an entry word: its slot in the quality table.
     #[inline]
     fn level_of(&self, word: u32) -> usize {

@@ -131,7 +131,7 @@ pub fn group_min(dists: &[u32], qualities: &[u32], w: Quality) -> Distance {
 /// [`group_min`] over the arena range `start..end` of the image, on packed
 /// entry words: the same probe / chunked / search dispatch, where an entry
 /// qualifies iff its word is at least `threshold` (see
-/// [`FlatView::threshold`]) and its distance is `word & mask`. Within a group
+/// [`FlatView::threshold`]) and its distance is the word's low `k` bits. Within a group
 /// the words rise strictly, so the search runs on them directly.
 #[inline]
 pub(crate) fn group_min_flat(
@@ -141,22 +141,21 @@ pub(crate) fn group_min_flat(
     threshold: u32,
 ) -> Distance {
     let len = end - start;
-    let mask = st.mask();
     if len <= 2 {
         // Direct probes: by Theorem-3 ordering the first qualifying entry is
         // the minimum, so 1–2-entry groups need no loop machinery at all.
         if len >= 1 && st.entry(start) >= threshold {
-            return st.entry(start) & mask;
+            return st.dist_of(st.entry(start));
         }
         if len == 2 && st.entry(start + 1) >= threshold {
-            return st.entry(start + 1) & mask;
+            return st.dist_of(st.entry(start + 1));
         }
         return INF_DIST;
     }
     if len <= CHUNK_CROSSOVER {
         // A filtered entry becomes `u32::MAX` = `INF_DIST`; a kept one its
         // distance field, which validation keeps below `INF_DIST`.
-        let masked = |word: u32| (word & mask) | ((word >= threshold) as u32).wrapping_sub(1);
+        let masked = |word: u32| st.dist_of(word) | ((word >= threshold) as u32).wrapping_sub(1);
         let mut lanes = [INF_DIST; LANES];
         let mut e = start;
         while e + LANES <= end {
@@ -184,7 +183,7 @@ pub(crate) fn group_min_flat(
         }
     }
     if lo < end {
-        st.entry(lo) & mask
+        st.dist_of(st.entry(lo))
     } else {
         INF_DIST
     }
