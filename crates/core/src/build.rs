@@ -2,19 +2,23 @@
 //! WC-INDEX+ variant (Section IV.C).
 //!
 //! The index is built by one *quality- and distance-prioritized constrained
-//! BFS* per vertex, in vertex-order sequence. For the BFS rooted at hub `vₖ`:
+//! search* per vertex, in vertex-order sequence. For the search rooted at
+//! hub `vₖ`:
 //!
-//! 1. a frontier holds `(vertex, bottleneck quality, BFS parent)` triples,
-//!    all at the same distance `d` (distance order);
+//! 1. a frontier holds `(vertex, bottleneck quality, parent)` states, every
+//!    pending state at the smallest pending distance `d` (distance order).
+//!    With unit edge lengths that is one BFS level; with integer lengths
+//!    (Section V) it is Dijkstra's settle order;
 //! 2. the per-vertex array `R` remembers the best bottleneck quality of any
-//!    path from `vₖ` discovered so far, so each vertex enters a frontier at
-//!    most once per distance and only when its quality strictly improves
-//!    (Lemma 1);
+//!    path from `vₖ` no longer than `d`. It rises when a frontier is
+//!    sealed, and a sealed state that does not strictly improve it is
+//!    dropped, so each vertex is settled at most once per distance and only
+//!    when its quality strictly improves (Lemma 1);
 //! 3. before a label `(vₖ, d, w)` is added to `L(u)`, a *cover query* checks
 //!    whether the labels built so far already certify a `w`-path of length
 //!    `≤ d` between `vₖ` and `u` — a hub `h` with `(h, d₁, w₁) ∈ L(vₖ)` and
 //!    `(h, d₂, w₂) ∈ L(u)`, `min(w₁, w₂) ≥ w` and `d₁ + d₂ ≤ d`; if so the
-//!    entry is pruned and the BFS does not expand through `u` (Line 11);
+//!    entry is pruned and the search does not expand through `u` (Line 11);
 //! 4. only vertices ranked *after* `vₖ` in the vertex order are visited, the
 //!    standard pruned-landmark-labeling restriction.
 //!
@@ -53,23 +57,25 @@
 //!
 //! # Sweeps run against a snapshot
 //!
-//! The per-root BFS is implemented by the crate-internal `SweepEngine`, the
-//! crate's one unweighted constrained BFS. The build runs it, and so do the
-//! path index ([`crate::path`], which keeps each entry's BFS parent) and the
+//! The per-root search is implemented by the crate-internal `SweepEngine`,
+//! the crate's one constrained search. The build runs it, and so do the
+//! path index ([`crate::path`], which keeps each entry's parent), the
 //! directed index ([`crate::directed`], one sweep over out-arcs and one over
 //! in-arcs per root, each testing one label family of the root against the
-//! other family). It *reads* the label sets committed by previously
+//! other family) and the weighted index ([`crate::weighted`], whose arcs
+//! carry their lengths). It *reads* the label sets committed by previously
 //! processed roots but *writes* its own candidate labels to a side buffer
 //! that is committed after the sweep finishes. This is observably identical
 //! to mutating `L(u)` in place during the sweep, because a root's own fresh
-//! labels can never satisfy one of its own cover queries: a vertex re-enters
-//! the frontier only when its bottleneck quality *strictly improves* (the
+//! labels can never satisfy one of its own cover queries: a vertex is
+//! settled again only when its bottleneck quality *strictly improves* (the
 //! R-array rule), so every earlier own-label at `u` has strictly smaller
 //! quality than the entry currently being tested, while a cover needs
 //! quality at least as large.
 
 use crate::index::WcIndex;
 use crate::label::{LabelEntry, LabelSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 use wcsd_graph::{Distance, Graph, Quality, VertexId, INF_DIST, INF_QUALITY};
 use wcsd_order::{OrderingStrategy, VertexOrder};
@@ -166,7 +172,8 @@ impl IndexBuilder {
             "vertex order must cover every vertex of the graph"
         );
         let t_total = Instant::now();
-        let mut labels = sweep_roots(|u| g.neighbors(u), &order, self.config.mode, |_, _| {});
+        let arcs = |u| g.neighbors(u).map(|(v, q)| (v, q, 1));
+        let mut labels = sweep_roots(arcs, &order, self.config.mode, |_, _| {});
         record_build_phase("sweep", t_total.elapsed());
         let t_finalize = Instant::now();
         for set in &mut labels {
@@ -199,17 +206,20 @@ fn record_build_phase(phase: &'static str, took: std::time::Duration) {
 }
 
 /// One label entry a sweep keeps: `(vertex, dist, quality, parent)`, where
-/// `parent` is the vertex's predecessor on the recorded BFS path from the
-/// root (the root itself for the root's neighbours).
+/// `parent` is the vertex's predecessor on the recorded path from the root
+/// (the root itself for the root's neighbours).
 pub(crate) type Candidate = (VertexId, Distance, Quality, VertexId);
+
+/// A pending state `(vertex, bottleneck quality, parent)` of a sweep.
+type State = (VertexId, Quality, VertexId);
 
 /// Algorithm 3's outer loop over `order`: at each root's turn, appends its
 /// self label, sweeps it against the committed labels and appends its kept
 /// entries, all keyed by the root's rank. `arcs(u)` yields `u`'s neighbours
-/// with edge qualities. `entry_parent(v, parent)` is called once per entry
-/// appended to `L(v)`, in append order, with the entry's BFS parent (`v`
-/// itself for the self label).
-pub(crate) fn sweep_roots<I: Iterator<Item = (VertexId, Quality)>>(
+/// with edge qualities and lengths (1 on an unweighted graph).
+/// `entry_parent(v, parent)` is called once per entry appended to `L(v)`, in
+/// append order, with the entry's parent (`v` itself for the self label).
+pub(crate) fn sweep_roots<I: Iterator<Item = (VertexId, Quality, Distance)>>(
     arcs: impl Fn(VertexId) -> I,
     order: &VertexOrder,
     mode: ConstructionMode,
@@ -231,27 +241,28 @@ pub(crate) fn sweep_roots<I: Iterator<Item = (VertexId, Quality)>>(
     labels
 }
 
-/// Reusable scratch state for running root sweeps. The `R`, parent and
-/// `T_w` arrays are allocated once and reset sparsely (the "Efficient
+/// Reusable scratch state for running root sweeps. The `R`, slot and `T_w`
+/// arrays are allocated once and reset sparsely, if at all (the "Efficient
 /// Initialization" paragraph of Section IV.C).
 pub(crate) struct SweepEngine {
     mode: ConstructionMode,
-    /// `R(v)`: best bottleneck quality of any path from the current root to v.
+    /// `R(v)`: best bottleneck quality of a sealed state of v.
     best_quality: Vec<Quality>,
     touched_quality: Vec<VertexId>,
-    /// The vertex whose expansion last raised `R(v)`: `v`'s BFS parent once
-    /// `v`'s frontier is sealed.
-    parent_of: Vec<VertexId>,
     /// `T_w[h]`: shortest distance from the current root to the hub ranked
     /// `h` among the root's entries of quality `≥ root_dist_quality`
     /// (`INF_DIST` if none). Only hubs of the root's label set are written.
     root_dist: Vec<Distance>,
     /// The `w` that `root_dist` holds; `None` until the root's first cover
-    /// query. Frontier qualities are always `≥ 1` (a vertex is enqueued only
-    /// when its `R` value rises above 0), but the cache does not rely on it.
+    /// query. Frontier qualities are always `≥ 1` (a state is kept only if
+    /// it raises `R` above 0), but the cache does not rely on it.
     root_dist_quality: Option<Quality>,
-    /// Scratch: whether a vertex is already queued for the next frontier.
-    queued: Vec<bool>,
+    /// `slot[v]`: the index of v's latest pending state in its bucket, trusted
+    /// only where that bucket holds v there (so it is never reset).
+    slot: Vec<usize>,
+    /// Pending states beyond the next distance, bucketed by distance. Only
+    /// arcs longer than 1 fill it.
+    later: BTreeMap<Distance, Vec<State>>,
 }
 
 impl SweepEngine {
@@ -260,22 +271,22 @@ impl SweepEngine {
             mode,
             best_quality: vec![0; n],
             touched_quality: Vec::new(),
-            parent_of: vec![0; n],
             root_dist: vec![INF_DIST; n],
             root_dist_quality: None,
-            queued: vec![false; n],
+            slot: vec![0; n],
+            later: BTreeMap::new(),
         }
     }
 
-    /// Runs the quality- and distance-prioritized constrained BFS rooted at
-    /// `root` over `arcs`, clearing `out` and pushing one candidate per label
-    /// entry that survives the cover-query pruning. A cover query for `u`
-    /// tests the root's own label set `root_labels` against `labels[u]`, the
-    /// family the sweep's entries join: `L(root)` against `L` on an
+    /// Runs the quality- and distance-prioritized constrained search rooted
+    /// at `root` over `arcs`, clearing `out` and pushing one candidate per
+    /// label entry that survives the cover-query pruning. A cover query for
+    /// `u` tests the root's own label set `root_labels` against `labels[u]`,
+    /// the family the sweep's entries join: `L(root)` against `L` on an
     /// undirected graph; on a digraph `L_out(root)` against `L_in` for the
     /// forward sweep over out-arcs and `L_in(root)` against `L_out` for the
     /// backward sweep over in-arcs.
-    pub(crate) fn run_root<I: Iterator<Item = (VertexId, Quality)>>(
+    pub(crate) fn run_root<I: Iterator<Item = (VertexId, Quality, Distance)>>(
         &mut self,
         arcs: impl Fn(VertexId) -> I,
         rank: &[u32],
@@ -287,24 +298,30 @@ impl SweepEngine {
         out.clear();
         let root_rank = rank[root as usize];
 
-        // Frontier of the current distance; every entry is (vertex, quality,
-        // parent), the last two captured when the frontier is sealed so that
-        // same-round improvements (which belong to the *next* distance level)
-        // cannot corrupt the entry recorded here.
-        let mut frontier: Vec<(VertexId, Quality, VertexId)> = vec![(root, INF_QUALITY, root)];
-        self.best_quality[root as usize] = INF_QUALITY;
-        self.touched_quality.push(root);
-        let mut next: Vec<(VertexId, Quality, VertexId)> = Vec::new();
+        // The frontier holds every pending state at distance `dist`, `next`
+        // those at `dist + 1` and `self.later` those farther out. A state's
+        // quality and parent are final once its frontier is sealed.
+        let mut frontier: Vec<State> = vec![(root, INF_QUALITY, root)];
+        let mut next: Vec<State> = Vec::new();
         let mut dist: Distance = 0;
 
-        while !frontier.is_empty() {
-            // Quality order: within one distance level, handle the entries
-            // with the largest bottleneck quality first (the paper's second
-            // priority). With the R-array deduplication this does not change
-            // the produced labels, but it keeps the processing order aligned
-            // with the proof of Theorem 1, and it makes `w` change at most
-            // once per distinct quality of a level for the `T_w` refill.
+        loop {
+            // Quality order: within one distance, handle the states with the
+            // largest bottleneck quality first (the paper's second priority),
+            // so the seal keeps only a vertex's best state, and `w` changes at
+            // most once per distinct quality of a frontier for the `T_w` refill.
             frontier.sort_unstable_by_key(|&(v, w, _)| (std::cmp::Reverse(w), v));
+            // Seal (Line 17): a state raises `R(v)`, or is dropped if a state
+            // of v no farther from the root had at least its quality (Lemma 1).
+            frontier.retain(|&(v, w, _)| {
+                let best = &mut self.best_quality[v as usize];
+                if *best == 0 {
+                    self.touched_quality.push(v);
+                }
+                let raised = w > *best;
+                *best = (*best).max(w);
+                raised
+            });
 
             for &(u, w, parent) in &frontier {
                 if u != root {
@@ -323,37 +340,47 @@ impl SweepEngine {
                     // Line 12: the entry is minimal and necessary — keep it.
                     out.push((u, dist, w, parent));
                 }
-                // Lines 13-16: expand to less important neighbours whose best
-                // known bottleneck quality improves.
-                for (v, q) in arcs(u) {
-                    if rank[v as usize] <= root_rank {
-                        continue;
-                    }
+                // Lines 13-16: expand to less important neighbours whose
+                // sealed bottleneck quality the arc would improve.
+                for (v, q, len) in arcs(u) {
                     let w_new = w.min(q);
-                    if w_new <= self.best_quality[v as usize] {
+                    if rank[v as usize] <= root_rank || w_new <= self.best_quality[v as usize] {
                         continue;
                     }
-                    if self.best_quality[v as usize] == 0 {
-                        self.touched_quality.push(v);
+                    // A length sum saturates to `INF_DIST`, which is no distance.
+                    let d_new = dist.saturating_add(len);
+                    if d_new == INF_DIST {
+                        continue;
                     }
-                    self.best_quality[v as usize] = w_new;
-                    self.parent_of[v as usize] = u;
-                    if !self.queued[v as usize] {
-                        self.queued[v as usize] = true;
-                        next.push((v, 0, v));
+                    let bucket =
+                        if len == 1 { &mut next } else { self.later.entry(d_new).or_default() };
+                    // A discovery at a distance that holds v's latest state
+                    // raises it in place; any other adds a state.
+                    match bucket.get_mut(self.slot[v as usize]) {
+                        Some(state) if state.0 == v => {
+                            if w_new > state.1 {
+                                *state = (v, w_new, u);
+                            }
+                        }
+                        _ => {
+                            self.slot[v as usize] = bucket.len();
+                            bucket.push((v, w_new, u));
+                        }
                     }
                 }
             }
 
-            // Line 17: seal the next frontier with the final R values.
-            for entry in &mut next {
-                entry.1 = self.best_quality[entry.0 as usize];
-                entry.2 = self.parent_of[entry.0 as usize];
-                self.queued[entry.0 as usize] = false;
-            }
+            // Move to the smallest pending distance: `dist + 1` if an arc of
+            // length 1 reached it (with unit lengths, always the next BFS
+            // level), else the first bucket's.
             frontier.clear();
             std::mem::swap(&mut frontier, &mut next);
-            dist += 1;
+            dist = match self.later.keys().next() {
+                _ if !frontier.is_empty() => dist + 1,
+                Some(&d) => d,
+                None => break,
+            };
+            frontier.extend(self.later.remove(&dist).into_iter().flatten());
         }
 
         for v in self.touched_quality.drain(..) {

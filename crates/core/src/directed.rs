@@ -3,7 +3,7 @@
 //! Every vertex keeps two label sets: `L_out(v)` certifies constrained paths
 //! *from* `v` to hubs, `L_in(v)` certifies paths from hubs *to* `v`. The index
 //! is built by running [`crate::build`]'s quality/distance-prioritized
-//! constrained BFS from each root twice — once over out-arcs (populating
+//! constrained search from each root twice — once over out-arcs (populating
 //! `L_in` of reached vertices) and once over in-arcs (populating `L_out`).
 
 use crate::build::{ConstructionMode, SweepEngine};
@@ -47,9 +47,11 @@ impl DirectedWcIndex {
             l_in[r].push(LabelEntry::self_label(root_rank));
             // Forward sweep: paths root ⇝ u certify entries in L_in(u); the
             // cover query intersects L_out(root) with L_in(u).
-            engine.run_root(|u| g.out_neighbors(u), rank, root, &l_out[r], &l_in, &mut forward);
+            let forward_arcs = |u| g.out_neighbors(u).map(|(v, q)| (v, q, 1));
+            engine.run_root(forward_arcs, rank, root, &l_out[r], &l_in, &mut forward);
             // Backward sweep: paths u ⇝ root certify entries in L_out(u).
-            engine.run_root(|u| g.in_neighbors(u), rank, root, &l_in[r], &l_out, &mut backward);
+            let backward_arcs = |u| g.in_neighbors(u).map(|(v, q)| (v, q, 1));
+            engine.run_root(backward_arcs, rank, root, &l_in[r], &l_out, &mut backward);
             for &(v, d, w, _) in &forward {
                 l_in[v as usize].push(LabelEntry::new(root_rank, d, w));
             }

@@ -8,7 +8,7 @@
 //! are answered from one index in microseconds.
 //!
 //! * [`build::IndexBuilder`] — Algorithm 3 (quality- and distance-prioritized
-//!   constrained BFS, one root at a time in rank order) with both the basic
+//!   constrained search, one root at a time in rank order) with both the basic
 //!   and the query-efficient (WC-INDEX+) construction modes and every
 //!   vertex-ordering strategy.
 //! * [`index::WcIndex`] — the index itself: `distance`, `within`, statistics,
@@ -39,8 +39,9 @@
 //!   workloads.
 //! * [`directed::DirectedWcIndex`] — the `L_in`/`L_out` extension for
 //!   directed graphs (Section V), two sweeps of the build's engine per root.
-//! * [`weighted::WeightedWcIndex`] — the constrained-Dijkstra extension for
-//!   weighted graphs (Section V).
+//! * [`weighted::WeightedWcIndex`] — the edge-length extension for weighted
+//!   graphs (Section V): the build's engine and root loop, with each arc's
+//!   length in place of 1.
 //! * [`dynamic::DynamicWcIndex`] — edge insertions, quality upgrades and
 //!   deletions (the paper's future-work sketch): updates only edit the
 //!   graph, and the next read rebuilds the labels under the index's own

@@ -3,7 +3,7 @@
 //! To return the actual path rather than just its length, every label entry
 //! `(hub, dist, quality)` is paired with a `parent`: the predecessor of the
 //! labelled vertex on the minimal path towards the hub that the construction
-//! BFS recorded. The labels are exactly [`crate::build`]'s, built by the same
+//! search recorded. The labels are exactly [`crate::build`]'s, built by the same
 //! sweep; the parents sit in a parallel column. A path is reconstructed by
 //! walking parents from both endpoints towards the meeting hub.
 
@@ -48,7 +48,7 @@ impl PathIndex {
         let order = ordering.compute(g);
         let mut parents = vec![Vec::new(); g.num_vertices()];
         let labels = sweep_roots(
-            |u| g.neighbors(u),
+            |u| g.neighbors(u).map(|(v, q)| (v, q, 1)),
             &order,
             ConstructionMode::QueryEfficient,
             |v, parent| parents[v as usize].push(parent),

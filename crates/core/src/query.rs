@@ -114,10 +114,9 @@ fn skip_group(entries: &[LabelEntry], idx: usize) -> usize {
     k
 }
 
-/// The *cover query* used during index construction (Line 11 of Algorithm 3):
-/// does the current index already certify a `w`-path between the two vertices
-/// of length at most `d`? Sets under construction are already in their final
-/// order, so every builder asks this one query.
+/// The *cover query* of Line 11 of Algorithm 3 as one merge: does the index
+/// certify a `w`-path between the two vertices of length at most `d`? The
+/// builders ask it through the sweep engine's `T_w` array instead.
 pub fn covered(ls: &LabelSet, lt: &LabelSet, w: Quality, d: Distance) -> bool {
     // `query_merge` signals "no w-path" with `INF_DIST`, which must not count
     // as covered even for the loosest possible bound `d == INF_DIST`.

@@ -1,17 +1,17 @@
 //! Weighted-graph extension of WC-INDEX (Section V of the paper).
 //!
-//! When edges carry lengths other than 1, the constrained BFS becomes a
-//! *constrained Dijkstra*: states `(dist, vertex, quality)` are settled in
-//! ascending distance order (ties broken by descending quality), the
-//! per-vertex best-quality array plays the same dominance-pruning role as in
-//! the unweighted algorithm, and the cover query prunes states already
-//! certified by the index built so far.
+//! When edges carry lengths other than 1, only the order in which the
+//! constrained search settles its states changes: each frontier is every
+//! pending state at the next smallest distance rather than the next BFS
+//! level. [`crate::build`]'s sweep engine does both, so this index runs the
+//! build's own root loop, `R`-array dominance pruning and WC-INDEX+ cover
+//! test, with each arc's length in place of 1.
 
-use crate::label::{LabelEntry, LabelSet};
+use crate::build::{sweep_roots, ConstructionMode};
+use crate::label::LabelSet;
 use crate::query;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use wcsd_graph::{Distance, Quality, VertexId, WeightedGraph, INF_DIST, INF_QUALITY};
+use wcsd_graph::{Distance, Quality, VertexId, WeightedGraph, INF_DIST};
 use wcsd_order::VertexOrder;
 
 /// 2-hop index for weighted quality-labelled graphs.
@@ -30,22 +30,13 @@ impl WeightedWcIndex {
     }
 
     /// Builds the weighted index under a caller-supplied vertex order: one
-    /// constrained Dijkstra per root, in rank order, each committing its
-    /// candidates before the next root runs. Label sets are rank-keyed and
-    /// born sorted, as in [`crate::build`].
+    /// constrained search per root, in rank order, each committing its
+    /// entries before the next root runs. Label sets are rank-keyed and born
+    /// sorted, as in [`crate::build`].
     pub fn build_with_order(g: &WeightedGraph, order: VertexOrder) -> Self {
         assert_eq!(order.len(), g.num_vertices());
-        let n = g.num_vertices();
-        let mut labels = vec![LabelSet::new(); n];
-        let mut engine = WeightedEngine::new(n);
-        let mut out = Vec::new();
-        for (rank, &root) in (0..).zip(order.as_slice()) {
-            labels[root as usize].push(LabelEntry::self_label(rank));
-            engine.run_root(g, order.ranks(), &labels, root, &mut out);
-            for &(v, d, w) in &out {
-                labels[v as usize].push(LabelEntry::new(rank, d, w));
-            }
-        }
+        let mut labels =
+            sweep_roots(|u| g.neighbors(u), &order, ConstructionMode::QueryEfficient, |_, _| {});
         for set in &mut labels {
             set.finalize();
         }
@@ -53,6 +44,8 @@ impl WeightedWcIndex {
     }
 
     /// The `w`-constrained weighted shortest distance between `s` and `t`.
+    /// A path whose length reaches `INF_DIST` (`u32::MAX`) reads as `None`:
+    /// length sums saturate there, and the index keeps no such entry.
     pub fn distance(&self, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
         let d = query::query_merge(&self.labels[s as usize], &self.labels[t as usize], w);
         (d != INF_DIST).then_some(d)
@@ -75,105 +68,12 @@ impl WeightedWcIndex {
     }
 }
 
-/// Scratch state for the constrained Dijkstra sweeps.
-struct WeightedEngine {
-    /// Best quality among settled states per vertex for the current root.
-    best_quality: Vec<Quality>,
-    touched: Vec<VertexId>,
-}
-
-impl WeightedEngine {
-    fn new(n: usize) -> Self {
-        Self { best_quality: vec![0; n], touched: Vec::new() }
-    }
-
-    /// One constrained Dijkstra from `root` against the committed `labels`,
-    /// pushing surviving `(vertex, dist, quality)` candidates onto `out`.
-    fn run_root(
-        &mut self,
-        g: &WeightedGraph,
-        rank: &[u32],
-        labels: &[LabelSet],
-        root: VertexId,
-        out: &mut Vec<(VertexId, Distance, Quality)>,
-    ) {
-        out.clear();
-        let root_rank = rank[root as usize];
-        // Min-heap on (dist, Reverse(quality), vertex): shortest first, and
-        // for equal distances the highest quality first so dominated
-        // same-distance states are discarded cheaply.
-        let mut heap: BinaryHeap<Reverse<(Distance, Reverse<Quality>, VertexId)>> =
-            BinaryHeap::new();
-        heap.push(Reverse((0, Reverse(INF_QUALITY), root)));
-
-        while let Some(Reverse((dist, Reverse(w), u))) = heap.pop() {
-            // Dominance pruning: an earlier settled state of u had smaller
-            // or equal distance; if its quality was at least as good this
-            // state is dominated.
-            if w <= self.best_quality[u as usize] {
-                continue;
-            }
-            if u != root {
-                if query::covered(&labels[root as usize], &labels[u as usize], w, dist) {
-                    // Pruned states do not expand (pruned-landmark rule).
-                    continue;
-                }
-                out.push((u, dist, w));
-            }
-            if self.best_quality[u as usize] == 0 {
-                self.touched.push(u);
-            }
-            self.best_quality[u as usize] = w;
-
-            for (v, q, len) in g.neighbors(u) {
-                if rank[v as usize] <= root_rank {
-                    continue;
-                }
-                let w_new = w.min(q);
-                if w_new <= self.best_quality[v as usize] {
-                    continue;
-                }
-                heap.push(Reverse((dist.saturating_add(len), Reverse(w_new), v)));
-            }
-        }
-        for v in self.touched.drain(..) {
-            self.best_quality[v as usize] = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use wcsd_graph::weighted::WeightedGraphBuilder;
-
-    /// Constrained Dijkstra oracle.
-    fn oracle(g: &WeightedGraph, s: VertexId, t: VertexId, w: Quality) -> Option<Distance> {
-        let mut dist = vec![u64::MAX; g.num_vertices()];
-        let mut heap = BinaryHeap::new();
-        dist[s as usize] = 0;
-        heap.push(Reverse((0u64, s)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            if u == t {
-                return Some(d as Distance);
-            }
-            for (v, q, len) in g.neighbors(u) {
-                if q < w {
-                    continue;
-                }
-                let nd = d + len as u64;
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        None
-    }
+    use wcsd_testkit::constrained_dijkstra;
 
     fn random_weighted(
         n: usize,
@@ -241,7 +141,7 @@ mod tests {
                     for w in 1..=4 {
                         assert_eq!(
                             idx.distance(s, t, w),
-                            oracle(&g, s, t, w),
+                            constrained_dijkstra(&g, s, t, w),
                             "seed {seed}, Q({s}, {t}, {w})"
                         );
                     }
@@ -267,8 +167,7 @@ mod tests {
         }
     }
 
-    /// Golden labels: the constrained-Dijkstra builder writes exactly these
-    /// entries on seeded random graphs, under the degree order and a
+    /// Golden labels: the weighted builder writes exactly these entries on seeded random graphs, under the degree order and a
     /// reversed-id order.
     #[test]
     fn seeded_builds_match_golden_label_hash() {
@@ -280,6 +179,34 @@ mod tests {
             push_labels(&WeightedWcIndex::build_with_order(&g, reversed), &mut words);
         }
         assert_eq!(crate::label::fnv1a_64(words), 0xad03_3959_ac21_7094);
+    }
+
+    /// Length sums saturate at `INF_DIST`: a path that reaches it reads as
+    /// unreachable, and a sweep that overflows neither panics nor keeps an
+    /// entry for it.
+    #[test]
+    fn saturating_lengths_read_as_unreachable() {
+        let half = 1 << 31;
+        let mut b = WeightedGraphBuilder::new(4);
+        b.add_edge(0, 1, 2, half);
+        b.add_edge(1, 2, 2, half);
+        b.add_edge(2, 3, 2, u32::MAX);
+        b.add_edge(0, 3, 1, 5);
+        let g = b.build();
+        let idx = WeightedWcIndex::build(&g);
+        assert_eq!(idx.distance(0, 1, 1), Some(half));
+        assert_eq!(idx.distance(0, 2, 1), None, "2^31 + 2^31 saturates");
+        assert_eq!(idx.distance(1, 3, 1), Some(half + 5));
+        assert_eq!(idx.distance(2, 3, 1), None, "a u32::MAX edge is no path");
+        assert_eq!(idx.distance(0, 3, 1), Some(5));
+        assert_eq!(idx.distance(0, 3, 2), None);
+        for s in 0..4 {
+            for t in 0..4 {
+                for w in 0..=3 {
+                    assert_eq!(idx.distance(s, t, w), constrained_dijkstra(&g, s, t, w));
+                }
+            }
+        }
     }
 
     #[test]

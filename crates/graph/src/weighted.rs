@@ -1,8 +1,9 @@
 //! Weighted quality-labelled graphs (Section V of the paper).
 //!
-//! When edges have lengths other than 1 the constrained BFS of Algorithm 3
-//! becomes a constrained Dijkstra. This module stores the extra length array
-//! alongside the CSR adjacency.
+//! When edges have lengths other than 1, Algorithm 3's constrained search
+//! settles its states in distance order across lengths rather than BFS
+//! level by level; the search itself is unchanged. This module stores the
+//! extra length array alongside the CSR adjacency.
 
 use crate::types::{Distance, Quality, VertexId, WeightedEdge};
 

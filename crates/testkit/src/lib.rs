@@ -1,10 +1,11 @@
 //! # wcsd-testkit — shared test support
 //!
-//! Case generators for the workspace's differential tests. Seeded fuzzers
-//! sample; the tie patterns that break label invariants live in tiny graphs,
-//! and there are few enough of those to enumerate. A graph is described by
-//! its *edge states*: one quality per vertex pair, in [`vertex_pairs`]
-//! order, with 0 for an absent pair.
+//! Case generators and oracles for the workspace's differential tests.
+//! Seeded fuzzers sample; the tie patterns that break label invariants live
+//! in tiny graphs, and there are few enough of those to enumerate. A graph
+//! is described by its *edge states*: one quality per vertex pair, in
+//! [`vertex_pairs`] order, with 0 for an absent pair ([`weighted_graph_of`]
+//! reads a state as a quality and a length).
 //!
 //! ```
 //! use wcsd_testkit::{all_states, graph_of};
@@ -18,7 +19,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use wcsd_graph::{Graph, GraphBuilder, Quality, VertexId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use wcsd_graph::weighted::WeightedGraphBuilder;
+use wcsd_graph::{Distance, Graph, GraphBuilder, Quality, VertexId, WeightedGraph, INF_DIST};
 
 /// The vertex pairs `(u, v)`, `u < v`, of an `n`-vertex graph in
 /// lexicographic order: the positions of an edge-state vector.
@@ -57,6 +61,52 @@ pub fn all_states(n: usize, levels: Quality) -> impl Iterator<Item = Vec<Quality
     })
 }
 
+/// The `n`-vertex weighted graph whose `i`-th vertex pair carries
+/// `states[i]`: absent where 0, else quality `1 + (s − 1) % levels` and
+/// length `1 + (s − 1) / levels`. Over `all_states(n, levels * lengths)`
+/// that is every graph with each pair absent or at a quality in
+/// `1..=levels` and a length in `1..=lengths`.
+pub fn weighted_graph_of(n: usize, states: &[u32], levels: Quality) -> WeightedGraph {
+    let mut b = WeightedGraphBuilder::new(n);
+    for (&(u, v), &s) in vertex_pairs(n).iter().zip(states) {
+        if s > 0 {
+            b.add_edge(u, v, 1 + (s - 1) % levels, 1 + (s - 1) / levels);
+        }
+    }
+    b.build()
+}
+
+/// The `w`-constrained shortest distance from `s` to `t` by Dijkstra over
+/// the edges of quality `≥ w`, or `None` if no such path is shorter than
+/// `INF_DIST` (the distance type's "unreachable").
+pub fn constrained_dijkstra(
+    g: &WeightedGraph,
+    s: VertexId,
+    t: VertexId,
+    w: Quality,
+) -> Option<Distance> {
+    let mut dist = vec![u64::MAX; g.num_vertices()];
+    let mut heap = BinaryHeap::new();
+    dist[s as usize] = 0;
+    heap.push(Reverse((0u64, s)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue;
+        }
+        if u == t {
+            return Distance::try_from(d).ok().filter(|&d| d != INF_DIST);
+        }
+        for (v, q, len) in g.neighbors(u) {
+            let nd = d + u64::from(len);
+            if q >= w && nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                heap.push(Reverse((nd, v)));
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,5 +122,19 @@ mod tests {
                 assert!(!graphs[..i].contains(g), "n = {n}: graph #{i} repeats");
             }
         }
+    }
+
+    #[test]
+    fn weighted_states_decode_to_quality_and_length() {
+        let g = weighted_graph_of(3, &[1, 4, 0], 2);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [(1, 1, 1), (2, 2, 2)]);
+        assert_eq!(constrained_dijkstra(&g, 1, 2, 1), Some(3));
+        assert_eq!(constrained_dijkstra(&g, 1, 2, 2), None);
+        let mut b = WeightedGraphBuilder::new(3);
+        b.add_edge(0, 1, 1, u32::MAX - 1);
+        b.add_edge(1, 2, 1, 1);
+        let g = b.build();
+        assert_eq!(constrained_dijkstra(&g, 0, 1, 1), Some(u32::MAX - 1));
+        assert_eq!(constrained_dijkstra(&g, 0, 2, 1), None, "INF_DIST is no distance");
     }
 }

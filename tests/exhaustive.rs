@@ -10,63 +10,113 @@
 //!   `w = 0` and a `w` above every edge;
 //! * no label entry is dominated or unnecessary;
 //! * the `WCIF` image decodes and thaws back to the same index;
-//! * the path index and both label families of the symmetric digraph's
-//!   directed index hold the build's labels;
+//! * the path index, both label families of the symmetric digraph's
+//!   directed index and the weighted index on unit lengths hold the build's
+//!   labels;
 //! * every single-edge change (add, remove, upgrade, and a downgrade as a
 //!   removal then an insertion) settles the dynamic index to
 //!   `build_with_order` of the new graph under the index's original order,
 //!   and the next freeze serves exactly those labels. At three vertices,
 //!   every batch of two such changes does too.
+//!
+//! The weighted index is checked on its own enumeration: every graph on up
+//! to four vertices with each pair absent or at a quality in 1–2 and a
+//! length in 1–2 answers every `(s, t, w)` as constrained Dijkstra does.
+//! The static checks also run on every five-vertex graph, an `#[ignore]`d
+//! case for release builds:
+//! `cargo test --release --test exhaustive -- --ignored`.
 
 use wcsd::prelude::*;
 use wcsd_baselines::online::constrained_bfs;
 use wcsd_core::directed::DirectedWcIndex;
 use wcsd_core::dynamic::DynamicWcIndex;
 use wcsd_core::path::PathIndex;
-use wcsd_graph::DiGraph;
-use wcsd_testkit::{all_states, graph_of, vertex_pairs};
+use wcsd_core::weighted::WeightedWcIndex;
+use wcsd_graph::{DiGraph, WeightedGraph};
+use wcsd_order::VertexOrder;
+use wcsd_testkit::{all_states, constrained_dijkstra, graph_of, vertex_pairs, weighted_graph_of};
 
 /// Qualities of the enumerated edges: each pair is absent, 1 or 2.
 const LEVELS: Quality = 2;
+/// Lengths of the enumerated weighted edges: 1 or 2.
+const LENGTHS: u32 = 2;
 const MODES: [ConstructionMode; 2] = [ConstructionMode::Basic, ConstructionMode::QueryEfficient];
+
+/// The static checks of one graph: exact answers, a minimal index and a
+/// lossless `WCIF` round trip in both modes, and the build's labels in the
+/// path, directed and unit-length weighted indexes.
+fn assert_builds_the_minimal_exact_index(n: usize, states: &[Quality]) {
+    let g = graph_of(n, states);
+    let case = format!("n = {n}, states {states:?}");
+    let natural = IndexBuilder::new().ordering(OrderingStrategy::Natural);
+    for mode in MODES {
+        let idx = natural.clone().mode(mode).build(&g);
+        for s in 0..n as VertexId {
+            for t in 0..n as VertexId {
+                for w in 0..=LEVELS + 1 {
+                    let want = constrained_bfs(&g, s, t, w);
+                    assert_eq!(idx.distance(s, t, w), want, "{case}, {mode:?}: Q({s},{t},{w})");
+                }
+            }
+        }
+        assert!(idx.dominated_entries().is_empty(), "{case}, {mode:?}: dominated");
+        assert!(idx.unnecessary_entries().is_empty(), "{case}, {mode:?}: unnecessary");
+        let image = FlatIndex::from_index(&idx).encode();
+        let decoded = FlatIndex::decode(&image).expect("a fresh image decodes");
+        assert_eq!(decoded.to_index(), idx, "{case}, {mode:?}: WCIF round trip");
+    }
+    let idx = natural.build(&g);
+    let pidx = PathIndex::build_with_ordering(&g, OrderingStrategy::Natural);
+    let didx =
+        DirectedWcIndex::build_with_order(&DiGraph::from_undirected(&g), idx.order().clone());
+    let widx = WeightedWcIndex::build_with_order(
+        &WeightedGraph::from_unit_lengths(&g),
+        idx.order().clone(),
+    );
+    for v in 0..n as VertexId {
+        assert_eq!(pidx.labels(v), idx.labels(v), "{case}: path L(v{v})");
+        assert_eq!(didx.out_labels(v), idx.labels(v), "{case}: directed L_out(v{v})");
+        assert_eq!(didx.in_labels(v), idx.labels(v), "{case}: directed L_in(v{v})");
+        assert_eq!(widx.labels(v), idx.labels(v), "{case}: weighted L(v{v})");
+    }
+}
 
 #[test]
 fn every_tiny_graph_builds_the_minimal_exact_index() {
     for n in 0..=4 {
         for states in all_states(n, LEVELS) {
-            let g = graph_of(n, &states);
-            let case = format!("n = {n}, states {states:?}");
-            let natural = IndexBuilder::new().ordering(OrderingStrategy::Natural);
-            for mode in MODES {
-                let idx = natural.clone().mode(mode).build(&g);
-                for s in 0..n as VertexId {
-                    for t in 0..n as VertexId {
-                        for w in 0..=LEVELS + 1 {
-                            let want = constrained_bfs(&g, s, t, w);
-                            assert_eq!(
-                                idx.distance(s, t, w),
-                                want,
-                                "{case}, {mode:?}: Q({s},{t},{w})"
-                            );
-                        }
+            assert_builds_the_minimal_exact_index(n, &states);
+        }
+    }
+}
+
+/// The same checks on all 59 049 five-vertex graphs; a few seconds in
+/// release, so it runs on request.
+#[test]
+#[ignore = "release-only: cargo test --release --test exhaustive -- --ignored"]
+fn every_five_vertex_graph_builds_the_minimal_exact_index() {
+    for states in all_states(5, LEVELS) {
+        assert_builds_the_minimal_exact_index(5, &states);
+    }
+}
+
+#[test]
+fn every_tiny_weighted_graph_matches_the_dijkstra_oracle() {
+    for n in 0..=4 {
+        let identity = VertexOrder::from_permutation((0..n as VertexId).collect());
+        for states in all_states(n, LEVELS * LENGTHS) {
+            let g = weighted_graph_of(n, &states, LEVELS);
+            let idx = WeightedWcIndex::build_with_order(&g, identity.clone());
+            for s in 0..n as VertexId {
+                for t in 0..n as VertexId {
+                    for w in 0..=LEVELS + 1 {
+                        assert_eq!(
+                            idx.distance(s, t, w),
+                            constrained_dijkstra(&g, s, t, w),
+                            "n = {n}, states {states:?}: Q({s},{t},{w})"
+                        );
                     }
                 }
-                assert!(idx.dominated_entries().is_empty(), "{case}, {mode:?}: dominated");
-                assert!(idx.unnecessary_entries().is_empty(), "{case}, {mode:?}: unnecessary");
-                let image = FlatIndex::from_index(&idx).encode();
-                let decoded = FlatIndex::decode(&image).expect("a fresh image decodes");
-                assert_eq!(decoded.to_index(), idx, "{case}, {mode:?}: WCIF round trip");
-            }
-            let idx = natural.build(&g);
-            let pidx = PathIndex::build_with_ordering(&g, OrderingStrategy::Natural);
-            let didx = DirectedWcIndex::build_with_order(
-                &DiGraph::from_undirected(&g),
-                idx.order().clone(),
-            );
-            for v in 0..n as VertexId {
-                assert_eq!(pidx.labels(v), idx.labels(v), "{case}: path L(v{v})");
-                assert_eq!(didx.out_labels(v), idx.labels(v), "{case}: directed L_out(v{v})");
-                assert_eq!(didx.in_labels(v), idx.labels(v), "{case}: directed L_in(v{v})");
             }
         }
     }

@@ -9,9 +9,9 @@
 //!   (Theorem 3);
 //! * all three query algorithms (Algorithms 2, 4 and 5) agree;
 //! * reconstructed paths are valid `w`-paths of exactly the reported length;
-//! * the path index and the directed index of a symmetric digraph hold the
-//!   plain build's labels under every vertex order (one sweep builds all
-//!   three);
+//! * the path index, the directed index of a symmetric digraph and the
+//!   weighted index on unit lengths hold the plain build's labels under
+//!   every vertex order (one sweep builds all four);
 //! * distance is monotonically non-decreasing in the constraint `w`;
 //! * `index.within(s, t, w, d)` agrees with `distance` on all sampled triples;
 //! * every label set keeps the one `(hub rank, dist)` order, self label last,
@@ -27,8 +27,9 @@ use wcsd_core::directed::DirectedWcIndex;
 use wcsd_core::dynamic::DynamicWcIndex;
 use wcsd_core::path::PathIndex;
 use wcsd_core::query::{query_hub_bucket, query_merge, query_pair_scan};
+use wcsd_core::weighted::WeightedWcIndex;
 use wcsd_core::LabelEntry;
-use wcsd_graph::{DiGraph, Graph, INF_DIST, INF_QUALITY};
+use wcsd_graph::{DiGraph, Graph, WeightedGraph, INF_DIST, INF_QUALITY};
 
 /// Number of random graphs each property is checked against.
 const CASES: u64 = 48;
@@ -252,10 +253,10 @@ fn paths_are_valid() {
     }
 }
 
-/// One sweep behind every unweighted builder: under every vertex order, the
-/// path index's labels (its parents aside) equal the plain build's label for
+/// One sweep behind every builder: under every vertex order, the path
+/// index's labels (its parents aside) equal the plain build's label for
 /// label, and so do both label families of the directed index of the
-/// symmetric digraph.
+/// symmetric digraph and the weighted index of the unit-length graph.
 #[test]
 fn path_and_directed_labels_equal_the_build() {
     let levels = QualityAssigner::uniform(4);
@@ -280,16 +281,19 @@ fn path_and_directed_labels_equal_the_build() {
         ];
         for (name, g) in &graphs {
             let digraph = DiGraph::from_undirected(g);
+            let unit = WeightedGraph::from_unit_lengths(g);
             for strategy in strategies {
                 let pidx = PathIndex::build_with_ordering(g, strategy);
                 let order = pidx.order().clone();
                 let idx = IndexBuilder::new().build_with_order(g, order.clone());
-                let didx = DirectedWcIndex::build_with_order(&digraph, order);
+                let didx = DirectedWcIndex::build_with_order(&digraph, order.clone());
+                let widx = WeightedWcIndex::build_with_order(&unit, order);
                 for v in 0..g.num_vertices() as u32 {
                     let case = format!("{name}, {strategy:?}: L(v{v})");
                     assert_eq!(pidx.labels(v), idx.labels(v), "{case}: path");
                     assert_eq!(didx.out_labels(v), idx.labels(v), "{case}: directed L_out");
                     assert_eq!(didx.in_labels(v), idx.labels(v), "{case}: directed L_in");
+                    assert_eq!(widx.labels(v), idx.labels(v), "{case}: weighted");
                 }
             }
         }
