@@ -575,9 +575,107 @@ impl FlatView<'_> {
     /// consistency, group keys inside `0..n`, entry levels inside the table
     /// and distances below [`INF_DIST`], the Theorem-3 within-group ordering
     /// (level and distance each rising strictly) that makes every query
-    /// binary search sound, and the vertex order. One linear pass over the
-    /// directory and arena, run in place on the image.
+    /// binary search sound, and the vertex order, run in place on the image.
+    /// [`Self::well_formed`] accepts a sound image in a few flat sweeps;
+    /// only an image it refuses is walked group by group to name its first
+    /// fault.
     fn validate(&self) -> Result<(), String> {
+        if self.well_formed() {
+            return Ok(());
+        }
+        self.first_fault()
+    }
+
+    /// Whether the image passes every check of [`Self::first_fault`],
+    /// decided in flat sweeps instead of its per-group loops, whose exit
+    /// branches mispredict at the end of nearly every group. Group ranges
+    /// follow from the starts rising strictly across the whole directory,
+    /// below `m`, with each vertex's first start at its entry offset. Keys
+    /// must rise within a vertex: the adjacent key pairs that do not rise
+    /// are counted over the whole directory, and all of them must sit at a
+    /// vertex's first group. Entries must rise within a group: a map of the
+    /// group starts excuses the pairs that straddle one. Entry fields are
+    /// compared as `i32` lanes, which vectorize, so `k` must lie in
+    /// `1..=31`; an image with any other `k` (self labels only, or one
+    /// quality level and distances reaching `2^31`) is left to
+    /// [`Self::first_fault`]. Never indexes past the image, whatever it
+    /// holds.
+    fn well_formed(&self) -> bool {
+        let Layout { n, m, g, levels, k, mask, .. } = self.at;
+        let Ok(levels) = i32::try_from(levels) else { return false };
+        if !(1..=31).contains(&k) {
+            return false;
+        }
+        let section = |start: usize, len: usize| &self.words[start..start + len];
+        let value = |w: &[u8; 4]| u32::from_le_bytes(*w) as usize;
+        let (entry_offsets, group_offsets) =
+            (section(HEADER_WORDS, n + 1), section(self.at.group_offsets, n + 1));
+        let (keys, starts) = (section(self.at.group_keys, g), section(self.at.group_starts, g));
+        let entries = section(self.at.entries, m);
+
+        let table_rises = (1..levels as usize).all(|l| self.quality_at(l - 1) < self.quality_at(l));
+        let offsets_hold = value(&entry_offsets[0]) == 0
+            && value(&group_offsets[0]) == 0
+            && value(&entry_offsets[n]) == m
+            && value(&group_offsets[n]) == g
+            && entry_offsets.windows(2).zip(group_offsets.windows(2)).all(|(e, k)| {
+                let (e0, e1, g0, g1) = (value(&e[0]), value(&e[1]), value(&k[0]), value(&k[1]));
+                e0 <= e1 && g0 <= g1 && (e0 == e1) == (g0 == g1)
+            });
+        if !table_rises || !offsets_hold {
+            return false;
+        }
+        // Offsets are monotone from here, so every `g0 < g1` indexes a group.
+        let firsts = || {
+            group_offsets.windows(2).zip(entry_offsets).filter_map(|(k, e)| {
+                let (g0, g1) = (value(&k[0]), value(&k[1]));
+                (g0 < g1).then_some((g0, value(e)))
+            })
+        };
+        let starts_rise = count_pairs(starts, |a, b| value(a) >= value(b)) == 0
+            && starts.last().is_none_or(|s| value(s) < m)
+            && firsts().all(|(k, e0)| value(&starts[k]) == e0);
+        if !starts_rise {
+            return false;
+        }
+
+        let key_falls = count_pairs(keys, |a, b| value(a) >= value(b));
+        let key_falls_at_firsts =
+            firsts().filter(|&(k, _)| k > 0 && value(&keys[k - 1]) >= value(&keys[k])).count();
+        let keys_hold =
+            keys.iter().all(|key| value(key) < n) && key_falls as usize == key_falls_at_firsts;
+
+        // Both fields of an entry word as non-negative `i32`s; with `k` in
+        // `1..=31` the distance is below `INF_DIST`.
+        let fields = |w: &[u8; 4]| {
+            let word = u32::from_le_bytes(*w);
+            ((word >> k) as i32, (word & mask) as i32)
+        };
+        let breaks = |a: &[u8; 4], b: &[u8; 4]| {
+            let ((la, da), (lb, db)) = (fields(a), fields(b));
+            (la >= lb) | (da >= db)
+        };
+        let outside = entries.iter().fold(0u32, |c, w| c + u32::from(fields(w).0 >= levels));
+        // `begins[e]`: entry `e` starts a group. The starts rise strictly
+        // below `m`, so each indexes an entry.
+        let mut begins = vec![false; m];
+        for s in starts {
+            begins[value(s)] = true;
+        }
+        let pairs = entries.iter().zip(entries.get(1..).unwrap_or_default());
+        let misordered = pairs
+            .zip(begins.get(1..).unwrap_or_default())
+            .fold(0u32, |c, ((a, b), &begin)| c + u32::from(breaks(a, b) & !begin));
+        let entries_hold = outside == 0 && misordered == 0;
+
+        keys_hold
+            && entries_hold
+            && validate_order_words((0..n).map(|k| self.vertex_at(k)), n).is_ok()
+    }
+
+    /// The checks of [`Self::validate`] one vertex, group and entry at a
+    /// time, stopping at the first fault with a message that names it.
+    fn first_fault(&self) -> Result<(), String> {
         let Layout { n, m, g, levels, .. } = self.at;
         for level in 1..levels {
             if self.quality_at(level - 1) >= self.quality_at(level) {
@@ -755,6 +853,13 @@ fn merge_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distan
         }
     }
     best
+}
+
+/// The adjacent pairs `(a, b)` of `words` for which `breaks` holds, counted
+/// in a branch-free fold that vectorizes.
+fn count_pairs(words: &[[u8; 4]], breaks: impl Fn(&[u8; 4], &[u8; 4]) -> bool) -> u32 {
+    let next = words.get(1..).unwrap_or_default();
+    words.iter().zip(next).fold(0, |c, (a, b)| c + u32::from(breaks(a, b)))
 }
 
 /// Checks that the order words form a permutation of `0..n` (so
@@ -1026,6 +1131,58 @@ mod tests {
         tampered.set(entries + 1, level_of_first | st.dist_of(second));
         assert!(st.dist_of(first) < st.dist_of(second));
         assert!(FlatIndex::decode(&tampered.encode()).is_err());
+    }
+
+    /// The flat sweeps of `well_formed` accept exactly the images the
+    /// group-by-group walk accepts: every word of three images XORed with
+    /// low, level and high bits and moved by one either way, read without
+    /// the validation that `from_words` runs.
+    #[test]
+    fn sweeps_and_walk_agree_on_every_mutant() {
+        use wcsd_graph::generators::{barabasi_albert, QualityAssigner};
+        // A 4-clique (`k = 1`) beside an isolated vertex, whose lone group a
+        // moved offset hands to its neighbour, leaving it entries and no
+        // groups.
+        let mut clique = wcsd_graph::GraphBuilder::new(5);
+        for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            clique.add_edge(u, v, 2);
+        }
+        let social = barabasi_albert(40, 2, &QualityAssigner::uniform(4), 5);
+        let (mut accepted, mut refused) = (0, 0);
+        for (g, k) in [(clique.build(), 1), (paper_figure3(), 3), (social, 3)] {
+            let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g));
+            assert_eq!(flat.at.k, k);
+            assert!(flat.view().well_formed(), "a built image passes the sweeps");
+            for i in 0..flat.words.len() {
+                let word = u32::from_le_bytes(flat.words[i]);
+                let changes = [word ^ 1, word ^ 0x100, word ^ 0x8000_0000, !word];
+                for changed in
+                    changes.into_iter().chain([word.wrapping_add(1), word.wrapping_sub(1)])
+                {
+                    let mut words = flat.words.clone();
+                    words[i] = changed.to_le_bytes();
+                    let header = |j: usize| u32::from_le_bytes(words[j]);
+                    let (n, m, g) = (header(2) as usize, header(3) as usize, header(4) as usize);
+                    let Some(at) = Layout::new(n, m, g, header(5), header(6) as usize) else {
+                        continue;
+                    };
+                    if at.words() != words.len() {
+                        continue;
+                    }
+                    let view = Flat { words: &words[..], at };
+                    // A `k` outside `1..=31` is the walk's to judge.
+                    let walked = view.first_fault().is_ok();
+                    let swept = walked && (1..=31).contains(&at.k);
+                    assert_eq!(view.well_formed(), swept, "word {i} changed to {changed:#x}");
+                    if walked {
+                        accepted += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
     }
 
     #[test]
