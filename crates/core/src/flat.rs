@@ -48,7 +48,10 @@
 //! [`Flat::encode`] is a copy, [`FlatView::parse`] is the validation pass in
 //! place, [`FlatIndex::decode`] is that pass plus one copy, and
 //! [`Flat::from_words`] validates a buffer a file was read straight into: no
-//! per-vertex allocation and no re-sort on any of them.
+//! per-vertex allocation and no re-sort on any of them. The validation pass
+//! sweeps each section once, counting the words that break a check without
+//! branching on them; only a check that counts a fault searches for the
+//! first one, to name it and its vertex.
 //!
 //! Conversion is lossless in both directions ([`FlatIndex::from_index`] /
 //! [`Flat::to_index`]) and answers are bit-identical to the nested index
@@ -570,180 +573,130 @@ impl FlatView<'_> {
         std::hint::black_box(self.entry(e));
     }
 
-    /// The structural validation pass behind every reader: a strictly
-    /// ascending quality table, offset monotonicity, group/entry
-    /// consistency, group keys inside `0..n`, entry levels inside the table
-    /// and distances below [`INF_DIST`], the Theorem-3 within-group ordering
-    /// (level and distance each rising strictly) that makes every query
-    /// binary search sound, and the vertex order, run in place on the image.
-    /// [`Self::well_formed`] accepts a sound image in a few flat sweeps;
-    /// only an image it refuses is walked group by group to name its first
-    /// fault.
+    /// The one structural validation pass behind every reader, run in place
+    /// on the image: a strictly ascending quality table, offset
+    /// monotonicity, group/entry consistency, group keys inside `0..n`,
+    /// entry levels inside the table and distances below [`INF_DIST`], the
+    /// Theorem-3 within-group ordering (level and distance each rising
+    /// strictly) that makes every query binary search sound, and the vertex
+    /// order. Each check is one predicate over a section's words, or over
+    /// adjacent pairs of them, that [`first_hit`] counts in a branch-free
+    /// fold; only a nonzero count searches for the first hit, which is
+    /// mapped to its vertex and named. Group ranges follow from the starts
+    /// rising strictly across the whole directory, below `m`, with each
+    /// vertex's first start at its entry offset. Key and entry order are
+    /// checked across the whole directory and arena, excusing the pairs
+    /// that straddle a vertex or a group through a map of their first
+    /// positions. The checks run in the order above, so an image with
+    /// several faults is named by the first check it fails, which need not
+    /// be the fault nearest its start. Takes every `k` in `0..=32` and never
+    /// indexes past the image, whatever it holds.
     fn validate(&self) -> Result<(), String> {
-        if self.well_formed() {
-            return Ok(());
-        }
-        self.first_fault()
-    }
-
-    /// Whether the image passes every check of [`Self::first_fault`],
-    /// decided in flat sweeps instead of its per-group loops, whose exit
-    /// branches mispredict at the end of nearly every group. Group ranges
-    /// follow from the starts rising strictly across the whole directory,
-    /// below `m`, with each vertex's first start at its entry offset. Keys
-    /// must rise within a vertex: the adjacent key pairs that do not rise
-    /// are counted over the whole directory, and all of them must sit at a
-    /// vertex's first group. Entries must rise within a group: a map of the
-    /// group starts excuses the pairs that straddle one. Entry fields are
-    /// compared as `i32` lanes, which vectorize, so `k` must lie in
-    /// `1..=31`; an image with any other `k` (self labels only, or one
-    /// quality level and distances reaching `2^31`) is left to
-    /// [`Self::first_fault`]. Never indexes past the image, whatever it
-    /// holds.
-    fn well_formed(&self) -> bool {
         let Layout { n, m, g, levels, k, mask, .. } = self.at;
-        let Ok(levels) = i32::try_from(levels) else { return false };
-        if !(1..=31).contains(&k) {
-            return false;
-        }
         let section = |start: usize, len: usize| &self.words[start..start + len];
-        let value = |w: &[u8; 4]| u32::from_le_bytes(*w) as usize;
+        let word = |w: &[u8; 4]| u32::from_le_bytes(*w);
+        let value = |w: &[u8; 4]| word(w) as usize;
         let (entry_offsets, group_offsets) =
             (section(HEADER_WORDS, n + 1), section(self.at.group_offsets, n + 1));
         let (keys, starts) = (section(self.at.group_keys, g), section(self.at.group_starts, g));
-        let entries = section(self.at.entries, m);
+        let (entries, table) = (section(self.at.entries, m), section(self.at.table, levels));
 
-        let table_rises = (1..levels as usize).all(|l| self.quality_at(l - 1) < self.quality_at(l));
-        let offsets_hold = value(&entry_offsets[0]) == 0
-            && value(&group_offsets[0]) == 0
-            && value(&entry_offsets[n]) == m
-            && value(&group_offsets[n]) == g
-            && entry_offsets.windows(2).zip(group_offsets.windows(2)).all(|(e, k)| {
-                let (e0, e1, g0, g1) = (value(&e[0]), value(&e[1]), value(&k[0]), value(&k[1]));
-                e0 <= e1 && g0 <= g1 && (e0 == e1) == (g0 == g1)
+        if let Some(l) = first_hit(pairs(table), |(a, b)| word(a) >= word(b)) {
+            return Err(format!("quality table is not strictly ascending at level {}", l + 1));
+        }
+        if value(&entry_offsets[0]) != 0 || value(&group_offsets[0]) != 0 {
+            return Err("offsets must start at 0".to_string());
+        }
+        if value(&entry_offsets[n]) != m {
+            return Err("entry offsets do not cover the arena".to_string());
+        }
+        if value(&group_offsets[n]) != g {
+            return Err("group offsets do not cover the directory".to_string());
+        }
+        let spans = entry_offsets
+            .windows(2)
+            .zip(group_offsets.windows(2))
+            .map(|(e, k)| (value(&e[0]), value(&e[1]), value(&k[0]), value(&k[1])));
+        let torn = |(e0, e1, g0, g1)| (e1 < e0) | (g1 < g0) | ((e0 == e1) != (g0 == g1));
+        if let Some(v) = first_hit(spans.clone(), torn) {
+            let (e0, e1, g0, g1) = spans.clone().nth(v).expect("a hit is a vertex");
+            return Err(if e1 < e0 {
+                format!("entry offsets of vertex {v} are not monotone")
+            } else if g1 < g0 {
+                format!("group offsets of vertex {v} are not monotone")
+            } else {
+                format!("vertex {v} has entries and groups out of sync")
             });
-        if !table_rises || !offsets_hold {
-            return false;
         }
-        // Offsets are monotone from here, so every `g0 < g1` indexes a group.
-        let firsts = || {
-            group_offsets.windows(2).zip(entry_offsets).filter_map(|(k, e)| {
-                let (g0, g1) = (value(&k[0]), value(&k[1]));
-                (g0 < g1).then_some((g0, value(e)))
-            })
-        };
-        let starts_rise = count_pairs(starts, |a, b| value(a) >= value(b)) == 0
-            && starts.last().is_none_or(|s| value(s) < m)
-            && firsts().all(|(k, e0)| value(&starts[k]) == e0);
-        if !starts_rise {
-            return false;
+        // Offsets are monotone from here, so every `g0 < g1` indexes a group
+        // and every position of a section has an owning vertex.
+        let owner = |offsets: &[[u8; 4]], i: usize| offsets.partition_point(|o| value(o) <= i) - 1;
+        if let Some(v) = first_hit(spans, |(e0, _, g0, g1)| g0 < g1 && value(&starts[g0]) != e0) {
+            return Err(format!("first group of vertex {v} does not start its label set"));
+        }
+        let misplaced = first_hit(pairs(starts), |(a, b)| word(a) >= word(b))
+            .or_else(|| starts.last().filter(|s| value(s) >= m).map(|_| g - 1));
+        if let Some(j) = misplaced {
+            let v = owner(group_offsets, j);
+            return Err(format!("group {j} of vertex {v} has an invalid entry range"));
         }
 
-        let key_falls = count_pairs(keys, |a, b| value(a) >= value(b));
-        let key_falls_at_firsts =
-            firsts().filter(|&(k, _)| k > 0 && value(&keys[k - 1]) >= value(&keys[k])).count();
-        let keys_hold =
-            keys.iter().all(|key| value(key) < n) && key_falls as usize == key_falls_at_firsts;
+        // `n` and `levels` are header words, so they fit a `u32`.
+        if let Some(j) = first_hit(keys.iter(), |key| word(key) >= n as u32) {
+            let (key, v) = (value(&keys[j]), owner(group_offsets, j));
+            return Err(format!("group key {key} of vertex {v} is outside 0..{n}"));
+        }
+        // `opens[j]`: group `j` is its vertex's first, where key order restarts.
+        let mut opens = vec![false; g];
+        for o in &group_offsets[..n] {
+            if let Some(open) = opens.get_mut(value(o)) {
+                *open = true;
+            }
+        }
+        let key_pairs = pairs(keys).zip(opens.get(1..).unwrap_or_default());
+        if let Some(j) = first_hit(key_pairs, |((a, b), &open)| !open & (word(a) >= word(b))) {
+            let v = owner(group_offsets, j + 1);
+            return Err(format!("group keys of vertex {v} are not strictly ascending"));
+        }
 
-        // Both fields of an entry word as non-negative `i32`s; with `k` in
-        // `1..=31` the distance is below `INF_DIST`.
-        let fields = |w: &[u8; 4]| {
-            let word = u32::from_le_bytes(*w);
-            ((word >> k) as i32, (word & mask) as i32)
-        };
-        let breaks = |a: &[u8; 4], b: &[u8; 4]| {
-            let ((la, da), (lb, db)) = (fields(a), fields(b));
-            (la >= lb) | (da >= db)
-        };
-        let outside = entries.iter().fold(0u32, |c, w| c + u32::from(fields(w).0 >= levels));
-        // `begins[e]`: entry `e` starts a group. The starts rise strictly
-        // below `m`, so each indexes an entry.
+        // An entry word's level bits and distance bits, each in place. A
+        // level is outside the table iff its bits reach `levels << k`; where
+        // that needs 33 bits it saturates to `u32::MAX`, which no level bits
+        // reach, their lowest bit being clear when `k >= 1`.
+        let fields = |w: &[u8; 4]| (word(w) & !mask, word(w) & mask);
+        let top = u32::try_from((levels as u64) << k).unwrap_or(u32::MAX);
+        let outside = |(high, dist)| (high >= top) | (dist == INF_DIST);
+        if let Some(e) = first_hit(entries.iter(), |w| outside(fields(w))) {
+            let (level, v) = (self.level_of(word(&entries[e])), owner(entry_offsets, e));
+            return Err(if level >= levels {
+                format!(
+                    "entry {e} of vertex {v} has quality level {level} outside the \
+                     {levels}-level table"
+                )
+            } else {
+                format!("entry {e} of vertex {v} has distance INF_DIST")
+            });
+        }
+        // `begins[e]`: entry `e` starts a group, where the Theorem-3 order
+        // restarts. The starts rise strictly below `m`, so each indexes an
+        // entry.
         let mut begins = vec![false; m];
         for s in starts {
             begins[value(s)] = true;
         }
-        let pairs = entries.iter().zip(entries.get(1..).unwrap_or_default());
-        let misordered = pairs
-            .zip(begins.get(1..).unwrap_or_default())
-            .fold(0u32, |c, ((a, b), &begin)| c + u32::from(breaks(a, b) & !begin));
-        let entries_hold = outside == 0 && misordered == 0;
-
-        keys_hold
-            && entries_hold
-            && validate_order_words((0..n).map(|k| self.vertex_at(k)), n).is_ok()
-    }
-
-    /// The checks of [`Self::validate`] one vertex, group and entry at a
-    /// time, stopping at the first fault with a message that names it.
-    fn first_fault(&self) -> Result<(), String> {
-        let Layout { n, m, g, levels, .. } = self.at;
-        for level in 1..levels {
-            if self.quality_at(level - 1) >= self.quality_at(level) {
-                return Err(format!("quality table is not strictly ascending at level {level}"));
-            }
+        let breaks = |((a, b), &begin): ((&[u8; 4], &[u8; 4]), &bool)| {
+            let ((ha, da), (hb, db)) = (fields(a), fields(b));
+            !begin & ((ha >= hb) | (da >= db))
+        };
+        if let Some(e) = first_hit(pairs(entries).zip(begins.get(1..).unwrap_or_default()), breaks)
+        {
+            let v = owner(entry_offsets, e + 1);
+            let key = self.group_key(starts.partition_point(|s| value(s) <= e + 1) - 1);
+            return Err(format!(
+                "entries of vertex {v}, group key {key} violate the Theorem-3 ordering"
+            ));
         }
-        if self.entry_offset(0) != 0 || self.group_offset(0) != 0 {
-            return Err("offsets must start at 0".to_string());
-        }
-        if self.entry_offset(n) != m {
-            return Err("entry offsets do not cover the arena".to_string());
-        }
-        if self.group_offset(n) != g {
-            return Err("group offsets do not cover the directory".to_string());
-        }
-        for v in 0..n {
-            let (e0, e1) = (self.entry_offset(v), self.entry_offset(v + 1));
-            let (g0, g1) = (self.group_offset(v), self.group_offset(v + 1));
-            if e1 < e0 || e1 > m {
-                return Err(format!("entry offsets of vertex {v} are not monotone"));
-            }
-            if g1 < g0 || g1 > g {
-                return Err(format!("group offsets of vertex {v} are not monotone"));
-            }
-            if (e0 == e1) != (g0 == g1) {
-                return Err(format!("vertex {v} has entries and groups out of sync"));
-            }
-            let mut prev_key: Option<u32> = None;
-            for k in g0..g1 {
-                let start = self.group_start(k);
-                let end = self.group_end(k, v as VertexId);
-                if k == g0 && start != e0 {
-                    return Err(format!("first group of vertex {v} does not start its label set"));
-                }
-                if start >= end || end > e1 {
-                    return Err(format!("group {k} of vertex {v} has an invalid entry range"));
-                }
-                let key = self.group_key(k);
-                if key as usize >= n {
-                    return Err(format!("group key {key} of vertex {v} is outside 0..{n}"));
-                }
-                if prev_key.is_some_and(|p| p >= key) {
-                    return Err(format!("group keys of vertex {v} are not strictly ascending"));
-                }
-                prev_key = Some(key);
-                let mut prev: Option<(usize, Distance)> = None;
-                for e in start..end {
-                    let word = self.entry(e);
-                    let (level, dist) = (self.level_of(word), self.dist_of(word));
-                    if level >= levels {
-                        return Err(format!(
-                            "entry {e} of vertex {v} has quality level {level} outside the \
-                             {levels}-level table"
-                        ));
-                    }
-                    if dist == INF_DIST {
-                        return Err(format!("entry {e} of vertex {v} has distance INF_DIST"));
-                    }
-                    if prev.is_some_and(|(pl, pd)| pl >= level || pd >= dist) {
-                        return Err(format!(
-                            "entries of vertex {v}, group key {key} violate the Theorem-3 ordering"
-                        ));
-                    }
-                    prev = Some((level, dist));
-                }
-            }
-        }
-        validate_order_words((0..n).map(|k| self.vertex_at(k)), n)
+        validate_order_words((0..n).map(|k| self.vertex_at(k)))
     }
 }
 
@@ -855,28 +808,41 @@ fn merge_flat(st: &FlatView<'_>, s: VertexId, t: VertexId, w: Quality) -> Distan
     best
 }
 
-/// The adjacent pairs `(a, b)` of `words` for which `breaks` holds, counted
-/// in a branch-free fold that vectorizes.
-fn count_pairs(words: &[[u8; 4]], breaks: impl Fn(&[u8; 4], &[u8; 4]) -> bool) -> u32 {
-    let next = words.get(1..).unwrap_or_default();
-    words.iter().zip(next).fold(0, |c, (a, b)| c + u32::from(breaks(a, b)))
+/// The adjacent pairs of `words`.
+fn pairs(words: &[[u8; 4]]) -> impl Iterator<Item = (&[u8; 4], &[u8; 4])> + Clone {
+    words.iter().zip(words.get(1..).unwrap_or_default())
 }
 
-/// Checks that the order words form a permutation of `0..n` (so
-/// `VertexOrder::from_permutation` cannot panic on untrusted input).
-fn validate_order_words(order: impl Iterator<Item = u32>, n: usize) -> Result<(), String> {
+/// The position of the first item for which `hit` holds. The hits are first
+/// counted in a branch-free fold that vectorizes, so a sound image, the
+/// common case, pays no early-exit branch per item; only a nonzero count
+/// searches again for the first one. A count cannot overflow: no section
+/// holds more than `u32::MAX` words, its length being a header word.
+fn first_hit<I: Iterator + Clone>(items: I, hit: impl Fn(I::Item) -> bool) -> Option<usize> {
+    let hits = items.clone().fold(0u32, |c, item| c + u32::from(hit(item)));
+    if hits == 0 {
+        return None;
+    }
+    cold_position(items, hit)
+}
+
+#[cold]
+fn cold_position<I: Iterator>(mut items: I, hit: impl Fn(I::Item) -> bool) -> Option<usize> {
+    items.position(hit)
+}
+
+/// Checks that the `n` order words form a permutation of `0..n`, each below
+/// `n` and none repeated (so `VertexOrder::from_permutation` cannot panic on
+/// untrusted input).
+fn validate_order_words(order: impl ExactSizeIterator<Item = u32>) -> Result<(), String> {
+    let n = order.len();
     let mut seen = vec![false; n];
-    let mut count = 0usize;
     for v in order {
         let v = v as usize;
         if v >= n || seen[v] {
             return Err(format!("vertex order is not a permutation of 0..{n}"));
         }
         seen[v] = true;
-        count += 1;
-    }
-    if count != n {
-        return Err(format!("vertex order is not a permutation of 0..{n}"));
     }
     Ok(())
 }
@@ -1133,10 +1099,93 @@ mod tests {
         assert!(FlatIndex::decode(&tampered.encode()).is_err());
     }
 
-    /// The flat sweeps of `well_formed` accept exactly the images the
-    /// group-by-group walk accepts: every word of three images XORed with
-    /// low, level and high bits and moved by one either way, read without
-    /// the validation that `from_words` runs.
+    /// The group-by-group walk that named every fault before the flat
+    /// sweeps of [`FlatView::validate`] did; the reference their verdicts
+    /// are checked against.
+    impl FlatView<'_> {
+        /// The checks of [`Self::validate`] one vertex, group and entry at a
+        /// time, stopping at the first fault with a message that names it.
+        fn first_fault(&self) -> Result<(), String> {
+            let Layout { n, m, g, levels, .. } = self.at;
+            for level in 1..levels {
+                if self.quality_at(level - 1) >= self.quality_at(level) {
+                    return Err(format!(
+                        "quality table is not strictly ascending at level {level}"
+                    ));
+                }
+            }
+            if self.entry_offset(0) != 0 || self.group_offset(0) != 0 {
+                return Err("offsets must start at 0".to_string());
+            }
+            if self.entry_offset(n) != m {
+                return Err("entry offsets do not cover the arena".to_string());
+            }
+            if self.group_offset(n) != g {
+                return Err("group offsets do not cover the directory".to_string());
+            }
+            for v in 0..n {
+                let (e0, e1) = (self.entry_offset(v), self.entry_offset(v + 1));
+                let (g0, g1) = (self.group_offset(v), self.group_offset(v + 1));
+                if e1 < e0 || e1 > m {
+                    return Err(format!("entry offsets of vertex {v} are not monotone"));
+                }
+                if g1 < g0 || g1 > g {
+                    return Err(format!("group offsets of vertex {v} are not monotone"));
+                }
+                if (e0 == e1) != (g0 == g1) {
+                    return Err(format!("vertex {v} has entries and groups out of sync"));
+                }
+                let mut prev_key: Option<u32> = None;
+                for k in g0..g1 {
+                    let start = self.group_start(k);
+                    let end = self.group_end(k, v as VertexId);
+                    if k == g0 && start != e0 {
+                        return Err(format!(
+                            "first group of vertex {v} does not start its label set"
+                        ));
+                    }
+                    if start >= end || end > e1 {
+                        return Err(format!("group {k} of vertex {v} has an invalid entry range"));
+                    }
+                    let key = self.group_key(k);
+                    if key as usize >= n {
+                        return Err(format!("group key {key} of vertex {v} is outside 0..{n}"));
+                    }
+                    if prev_key.is_some_and(|p| p >= key) {
+                        return Err(format!("group keys of vertex {v} are not strictly ascending"));
+                    }
+                    prev_key = Some(key);
+                    let mut prev: Option<(usize, Distance)> = None;
+                    for e in start..end {
+                        let word = self.entry(e);
+                        let (level, dist) = (self.level_of(word), self.dist_of(word));
+                        if level >= levels {
+                            return Err(format!(
+                                "entry {e} of vertex {v} has quality level {level} outside the \
+                                 {levels}-level table"
+                            ));
+                        }
+                        if dist == INF_DIST {
+                            return Err(format!("entry {e} of vertex {v} has distance INF_DIST"));
+                        }
+                        if prev.is_some_and(|(pl, pd)| pl >= level || pd >= dist) {
+                            return Err(format!(
+                                "entries of vertex {v}, group key {key} violate the Theorem-3 ordering"
+                            ));
+                        }
+                        prev = Some((level, dist));
+                    }
+                }
+            }
+            validate_order_words((0..n).map(|k| self.vertex_at(k)))
+        }
+    }
+
+    /// The flat sweeps of `validate` accept exactly the images the
+    /// group-by-group walk accepts, and name each one they refuse: every
+    /// word of five images, one for each corner of the entry word, XORed
+    /// with low, level and high bits and moved by one either way, read
+    /// without the validation that `from_words` runs.
     #[test]
     fn sweeps_and_walk_agree_on_every_mutant() {
         use wcsd_graph::generators::{barabasi_albert, QualityAssigner};
@@ -1148,11 +1197,17 @@ mod tests {
             clique.add_edge(u, v, 2);
         }
         let social = barabasi_albert(40, 2, &QualityAssigner::uniform(4), 5);
+        // Self labels only, all at distance 0, leave no distance bits.
+        let edgeless = wcsd_graph::GraphBuilder::new(3).build();
+        let built = [clique.build(), paper_figure3(), social, edgeless]
+            .map(|g| FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g)));
+        // One quality level leaves all 32 bits to the distance, whose
+        // largest value, one below INF_DIST, a mutant moves onto INF_DIST.
+        let wide = FlatIndex::decode(&raw_image(32, &[u32::MAX], &[u32::MAX - 1])).unwrap();
         let (mut accepted, mut refused) = (0, 0);
-        for (g, k) in [(clique.build(), 1), (paper_figure3(), 3), (social, 3)] {
-            let flat = FlatIndex::from_index(&IndexBuilder::wc_index_plus().build(&g));
+        for (flat, k) in built.into_iter().chain([wide]).zip([1, 3, 3, 0, 32]) {
             assert_eq!(flat.at.k, k);
-            assert!(flat.view().well_formed(), "a built image passes the sweeps");
+            assert_eq!(flat.view().validate(), Ok(()), "a built image passes the sweeps");
             for i in 0..flat.words.len() {
                 let word = u32::from_le_bytes(flat.words[i]);
                 let changes = [word ^ 1, word ^ 0x100, word ^ 0x8000_0000, !word];
@@ -1170,14 +1225,15 @@ mod tests {
                         continue;
                     }
                     let view = Flat { words: &words[..], at };
-                    // A `k` outside `1..=31` is the walk's to judge.
                     let walked = view.first_fault().is_ok();
-                    let swept = walked && (1..=31).contains(&at.k);
-                    assert_eq!(view.well_formed(), swept, "word {i} changed to {changed:#x}");
-                    if walked {
-                        accepted += 1;
-                    } else {
-                        refused += 1;
+                    let swept = view.validate();
+                    assert_eq!(swept.is_ok(), walked, "word {i} changed to {changed:#x}");
+                    match swept {
+                        Ok(()) => accepted += 1,
+                        Err(e) => {
+                            assert!(!e.is_empty(), "word {i} changed to {changed:#x}");
+                            refused += 1;
+                        }
                     }
                 }
             }

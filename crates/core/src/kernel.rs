@@ -31,8 +31,10 @@
 //!   threshold directly: the words of a group rise strictly.
 //!
 //! The slice-level kernels ([`masked_min_scalar`], [`masked_min_chunked`],
-//! [`theorem3_min`], [`group_min`]) are public so the criterion benches can
-//! pin each dispatch tier in isolation; the forms over the `WCIF` image are
+//! [`theorem3_min`], [`group_min`]) are public. Their one caller outside
+//! this module is the repo benchmark, which times [`group_min`] over label
+//! slices (`core.kernel.group_min_ns`); this module's tests check every
+//! tier against [`masked_min_scalar`]. The forms over the `WCIF` image are
 //! crate internal and take the borrowed [`FlatView`], through which the
 //! owned index queries too.
 

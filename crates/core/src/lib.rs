@@ -11,7 +11,7 @@
 //!   constrained search, one root at a time in rank order) with both the basic
 //!   and the query-efficient (WC-INDEX+) construction modes and every
 //!   vertex-ordering strategy.
-//! * [`index::WcIndex`] — the index itself: `distance`, `within`, statistics,
+//! * [`index::WcIndex`] — the index itself: `distance`, `within`,
 //!   statistics and minimality verification; its snapshot is the `WCIF`
 //!   image of [`flat::FlatIndex`].
 //! * [`flat::Flat`] — the read-optimized *serve* representation, stored as

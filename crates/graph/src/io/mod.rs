@@ -1,19 +1,15 @@
 //! Reading and writing graphs.
 //!
-//! Three formats are supported:
+//! Two text formats are supported:
 //!
 //! * **Edge list** ([`edge_list`]) — whitespace-separated `u v quality` lines,
 //!   the format most public datasets (SNAP, KONECT) ship in.
 //! * **DIMACS-style** ([`dimacs`]) — the `.gr` format used by the 9th DIMACS
 //!   implementation challenge the paper's road networks come from, with the
 //!   edge weight reinterpreted as the quality value.
-//! * **Snapshots** ([`snapshot`]) — compact binary (JSON is
-//!   avoided; a simple length-prefixed layout over [`bytes`]) round-trip of an
-//!   already-built [`crate::Graph`], used to cache generated benchmark inputs.
 
 pub mod dimacs;
 pub mod edge_list;
-pub mod snapshot;
 
 use std::fmt;
 
@@ -29,11 +25,6 @@ pub enum IoError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// A snapshot buffer was malformed.
-    Corrupt(
-        /// Description of the corruption.
-        String,
-    ),
 }
 
 impl fmt::Display for IoError {
@@ -41,7 +32,6 @@ impl fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "I/O error: {e}"),
             IoError::Parse { line, reason } => write!(f, "parse error on line {line}: {reason}"),
-            IoError::Corrupt(reason) => write!(f, "corrupt snapshot: {reason}"),
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   WCSD problem).
 //! * [`generators`] — synthetic datasets substituting for the paper's DIMACS
 //!   road networks and KONECT/SNAP social networks (see `DESIGN.md` §3).
-//! * [`io`] — edge-list and DIMACS-style readers/writers plus binary snapshots.
+//! * [`io`] — edge-list and DIMACS-style readers and writers.
 //! * [`partition`] — deterministic seeded vertex partitioning with boundary
 //!   detection, the substrate of the sharded serving tier.
 //! * [`analysis`] — connected components, degree statistics, quality

@@ -111,9 +111,6 @@ fn index_snapshot_roundtrip_preserves_answers() {
 #[test]
 fn graph_snapshot_and_formats_roundtrip() {
     let g = road_grid(&RoadGridConfig::square(8), &QualityAssigner::uniform(3), 5);
-    // Binary snapshot.
-    let bytes = wcsd::graph::io::snapshot::encode(&g);
-    assert_eq!(wcsd::graph::io::snapshot::decode(&bytes).unwrap(), g);
     // Edge list.
     let mut el = Vec::new();
     wcsd::graph::io::edge_list::write_edge_list(&g, &mut el).unwrap();

@@ -16,7 +16,7 @@
 //! * `index.within(s, t, w, d)` agrees with `distance` on all sampled triples;
 //! * every label set keeps the one `(hub rank, dist)` order, self label last,
 //!   from build through updates and thaw, and freezes to the same entries;
-//! * graph snapshots and builders are lossless.
+//! * graph builders are lossless.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -576,17 +576,6 @@ fn label_sets_keep_one_order_from_build_to_thaw() {
         let thawed = FlatIndex::from_index(dyn_idx.index()).to_index();
         assert_eq!(&thawed, dyn_idx.index(), "{name}: thaw is lossless");
         assert_one_order(&thawed, &format!("{name}, to_index"));
-    }
-}
-
-/// Graph snapshot encode/decode is lossless.
-#[test]
-fn snapshot_roundtrip() {
-    for seed in 0..CASES {
-        let g = random_graph(seed, 30, 120, 6);
-        let bytes = wcsd::graph::io::snapshot::encode(&g);
-        let decoded = wcsd::graph::io::snapshot::decode(&bytes).unwrap();
-        assert_eq!(g, decoded, "seed {seed}");
     }
 }
 

@@ -569,19 +569,46 @@ fn reload_swaps_snapshot_and_keeps_cache_coherent() {
     handle.join().unwrap();
 }
 
-/// Any file that is not a `WCIF` snapshot — here a nested `WCIX` file, the
-/// retired format, whose order also names vertex 5 of a 1-vertex index — is
-/// refused with an `ERR` reply instead of unwinding the pool worker that
-/// loads it: with a single worker, a `BATCH` afterwards is still answered.
+/// A `WCIF` image with two entries of one multi-entry hub group swapped:
+/// every size and offset still holds, only the Theorem-3 order within the
+/// group is broken.
+fn swapped_entries_image(index: &WcIndex) -> Vec<u8> {
+    let flat = FlatIndex::from_index(index);
+    let mut image = flat.encode().to_vec();
+    // Header (7 words), entry and group offsets (n + 1 each), group keys
+    // and starts (g each), then the entry arena in directory order.
+    let (n, g) = (flat.num_vertices(), flat.num_groups());
+    let arena = 7 + 2 * (n + 1) + 2 * g;
+    // Arena position of the first entry of the vertex being searched.
+    let mut start = 0;
+    let pair = (0..n as VertexId)
+        .find_map(|v| {
+            let hubs: Vec<u32> = flat.label_entries(v).map(|entry| entry.hub).collect();
+            let at = hubs.windows(2).position(|p| p[0] == p[1]).map(|i| start + i);
+            start += hubs.len();
+            at
+        })
+        .expect("the test graph has a multi-entry hub group");
+    let at = 4 * (arena + pair);
+    let (first, second) = image[at..at + 8].split_at_mut(4);
+    first.swap_with_slice(second);
+    image
+}
+
+/// Any file that is not a sound `WCIF` snapshot — a nested `WCIX` file, the
+/// retired format, whose order also names vertex 5 of a 1-vertex index, and
+/// a real image with two entries of a hub group swapped — is refused with
+/// an `ERR` reply naming the fault instead of unwinding the pool worker
+/// that loads it: with a single worker, a `BATCH` afterwards is still
+/// answered, and the generation does not move.
 #[test]
 fn reload_of_corrupt_nested_snapshot_is_an_error() {
     let mut crafted = b"WCIX".to_vec();
     for word in [1u32, 0, 5] {
         crafted.extend_from_slice(&word.to_le_bytes());
     }
-    let path = std::env::temp_dir().join(format!("wcsd-test-{}-bad.wcix", std::process::id()));
-    std::fs::write(&path, &crafted).expect("write crafted snapshot");
     let index = IndexBuilder::wc_index_plus().build(&test_graph());
+    let inputs = [(crafted, "bad magic"), (swapped_entries_image(&index), "Theorem-3")];
     let config = ServerConfig { batch_workers: 1, ..ServerConfig::default() };
     let server = Server::bind(index.clone(), config).expect("bind");
     let addr = server.local_addr().to_string();
@@ -589,18 +616,22 @@ fn reload_of_corrupt_nested_snapshot_is_an_error() {
 
     let mut client = Client::connect(&*addr).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let err = client.reload(path.to_str().unwrap()).unwrap_err();
-    assert!(err.contains("corrupt snapshot"), "{err}");
     let queries = QueryWorkload::uniform(&test_graph(), 40, 5).queries().to_vec();
-    let answers = client.batch(&queries).expect("the worker survived the reload");
-    for (&(s, t, w), answer) in queries.iter().zip(&answers) {
-        assert_eq!(*answer, index.distance(s, t, w), "Q({s},{t},{w})");
+    for (i, (image, fault)) in inputs.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("wcsd-test-{}-bad-{i}", std::process::id()));
+        std::fs::write(&path, image).expect("write crafted snapshot");
+        let err = client.reload(path.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("corrupt snapshot") && err.contains(fault), "{err}");
+        let answers = client.batch(&queries).expect("the worker survived the reload");
+        for (&(s, t, w), answer) in queries.iter().zip(&answers) {
+            assert_eq!(*answer, index.distance(s, t, w), "Q({s},{t},{w})");
+        }
+        assert_eq!(client.stats().unwrap().generation, 1);
+        std::fs::remove_file(&path).ok();
     }
-    assert_eq!(client.stats().unwrap().generation, 1);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Hot reload under load: concurrent connections stream batches across a
